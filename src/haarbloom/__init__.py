@@ -41,12 +41,15 @@ from .operators import (
     SignChoice1D,
     SignChoice2D,
     commutator_apply,
+    commutator_matrices,
     haar_multiplier,
     iterated_commutator,
     lambda_apply,
+    lambda_matrix,
     lambda_operator,
     materialize,
     paraproduct_apply,
+    paraproduct_matrix,
     paraproduct_operator,
     restricted_projection,
     theta_apply,
@@ -80,6 +83,7 @@ __all__ = [
     "bmo_prod_two_weight",
     "cancellative_rectangles",
     "commutator_apply",
+    "commutator_matrices",
     "conjugate_weight",
     "constant_weight",
     "grid_from_csv",
@@ -91,6 +95,7 @@ __all__ = [
     "haar_project",
     "iterated_commutator",
     "lambda_apply",
+    "lambda_matrix",
     "lambda_operator",
     "little_bmo",
     "lp_weighted_norm",
@@ -98,6 +103,7 @@ __all__ = [
     "opnorm",
     "opnorm_p2_exact",
     "paraproduct_apply",
+    "paraproduct_matrix",
     "paraproduct_operator",
     "partial_haar_sum",
     "random_cascade_weight",

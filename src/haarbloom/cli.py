@@ -1,8 +1,11 @@
 """Command line front end: seeded experiments with CSV/JSON artifacts.
 
 Exit status is 0 exactly when every asserted invariant of the requested
-experiment held.  The JSON summary goes to stdout; ``--out`` writes the
-per-trial CSV (ratio commands) or the JSON report (the others).
+experiment held, 1 when one failed, and 2 for a usage error: bad
+arguments, or a combination the grid cannot afford (an exhaustive
+search beyond its depth limit), refused before any trial runs.  The JSON
+summary goes to stdout; ``--out`` writes the per-trial CSV (ratio
+commands) or the JSON report (the others).
 """
 
 from __future__ import annotations
@@ -60,13 +63,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_config(argv: list[str] | None = None) -> ExperimentConfig:
+    """Parse arguments into a config; an unaffordable combination is a usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return ExperimentConfig(
+            command=args.command, depth=args.depth, p_values=args.p,
+            deltas=args.delta, trials=args.trials, seed=args.seed,
+            strategy=args.strategy, mode=args.mode, out=args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = ExperimentConfig(
-        command=args.command, depth=args.depth, p_values=args.p,
-        deltas=args.delta, trials=args.trials, seed=args.seed,
-        strategy=args.strategy, mode=args.mode, out=args.out)
-    result = COMMANDS[args.command](cfg)
+    cfg = _parse_config(argv)
+    result = COMMANDS[cfg.command](cfg)
     if isinstance(result, tuple):
         report, records = result
         if cfg.out is not None:

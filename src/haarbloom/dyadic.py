@@ -17,7 +17,7 @@ is indexed ``table[x_slot, y_slot]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -124,18 +124,6 @@ def slot_interval(slot: int) -> DyadicInterval:
         raise ValueError("slot 0 is the scaling direction, not an interval")
     level = slot.bit_length() - 1
     return DyadicInterval(level, slot - (1 << level))
-
-
-def intervals_at_level(level: int) -> list[DyadicInterval]:
-    return [DyadicInterval(level, k) for k in range(1 << level)]
-
-
-def all_intervals(depth: int) -> list[DyadicInterval]:
-    """All dyadic intervals of level 0..depth, coarse to fine, left to right."""
-    out: list[DyadicInterval] = []
-    for level in range(depth + 1):
-        out.extend(intervals_at_level(level))
-    return out
 
 
 def all_rectangles(depth: int) -> list[DyadicRectangle]:
@@ -457,9 +445,6 @@ class Shadow:
 
     def area(self) -> float:
         return float(self.mask.mean())
-
-    def is_empty(self) -> bool:
-        return not self.mask.any()
 
     def contains_rect(self, rect: DyadicRectangle) -> bool:
         return bool(self.mask[rect.cell_box(self.depth)].all())

@@ -38,27 +38,36 @@ from .dyadic import (
     random_symbol,
     slot_interval,
 )
-from .norms import bmo_prod_one_weight, bmo_prod_two_weight, little_bmo, lp_weighted_norm
+from .norms import (
+    EXACT_MAX_DEPTH,
+    bmo_prod_one_weight,
+    bmo_prod_two_weight,
+    little_bmo,
+    lp_weighted_norm,
+)
 from .operators import (
+    OperatorMatrix,
     SignChoice1D,
     SignChoice2D,
+    axis_sign_rows,
     commutator_apply,
+    commutator_matrices,
     haar_multiplier,
     haar_multiplier_x,
     iterated_commutator,
     iterated_projection_commutator,
     lambda_apply,
+    lambda_matrix,
     lambda_operator,
-    materialize,
     multiplication_operator,
     multiplier_operator_x,
     multiplier_operator_y,
     nested_commutator_apply,
-    paraproduct_operator,
+    paraproduct_matrix,
     restricted_projection,
     theta_operator,
 )
-from .opnorm import opnorm, opnorm_p2_exact, sup_commutator_norm
+from .opnorm import EXHAUSTIVE_MAX_DEPTH, opnorm, opnorm_p2_exact, sup_commutator_norm
 from .weights import ap_characteristic, bloom_weight, random_cascade_weight
 
 #: absolute gap below which an exact identity counts as holding
@@ -94,6 +103,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if (self.command in ("jn", "commutator", "paraproduct") and self.strategy == "exact"
+                and self.depth > EXACT_MAX_DEPTH):
+            raise ValueError(f"--strategy exact enumerates every cell mask and is limited "
+                             f"to depth <= {EXACT_MAX_DEPTH}; use --strategy heuristic")
+        if (self.command == "commutator" and self.mode == "exhaustive"
+                and self.depth > EXHAUSTIVE_MAX_DEPTH):
+            raise ValueError(f"--mode exhaustive walks every sign pair and is limited "
+                             f"to depth <= {EXHAUSTIVE_MAX_DEPTH}; use --mode sampled")
 
     def combos(self) -> list[tuple[float, float]]:
         return list(itertools.product(self.p_values, self.deltas))
@@ -256,7 +273,7 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     # averaged sign supremum consistency: the mean squared commutator norm
     # over all sign pairs equals the sum over interval pairs
     lhs = 0.0
-    axis_signs = list(_axis_sign_vectors(depth))
+    axis_signs = [SignChoice1D(depth, row) for row in axis_sign_rows(depth)]
     for cx in axis_signs:
         for cy in axis_signs:
             g = iterated_commutator(b, f_any, cx, cy)
@@ -269,16 +286,6 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
             rhs += (g * g).integral()
     gaps["khintchine_consistency"] = abs(lhs - rhs)
     return gaps
-
-
-def _axis_sign_vectors(depth: int) -> list[SignChoice1D]:
-    n = 1 << depth
-    out = []
-    for combo in itertools.product((-1.0, 1.0), repeat=n - 1):
-        signs = np.zeros(n)
-        signs[1:] = combo
-        out.append(SignChoice1D(depth, signs))
-    return out
 
 
 def run_identities(cfg: ExperimentConfig) -> dict:
@@ -354,7 +361,7 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
             nu = bloom_weight(mu, lam, p)
             sup = sup_commutator_norm(b, mu, lam, p, mode=cfg.mode,
                                       trials=SAMPLED_PAIRS, seed=rng)
-            mid = opnorm(materialize(lambda_operator(b), cfg.depth), mu, lam, p).value
+            mid = opnorm(lambda_matrix(b), mu, lam, p).value
             right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
             if (p == 2 and delta == 0 and cfg.mode == "exhaustive"
                     and sup.value > 4.0 * mid * (1.0 + 1e-9)):
@@ -362,11 +369,11 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
                     f"p=2 delta=0 trial {trial}: supremum {sup.value} exceeds 4x {mid}")
             if trial == 0 and p == 2:
                 # informational only: how close do {-1,0,1} signs come?
-                for _ in range(5):
-                    sx = SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0))
-                    sy = SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0))
-                    mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), cfg.depth)
-                    v = opnorm_p2_exact(mat, mu, lam).value
+                draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
+                         for _ in range(10)]
+                mats = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
+                for mat in mats:
+                    v = opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value
                     if sup.value > 0:
                         spotcheck = max(spotcheck, v / sup.value)
             flag = "ok" if right > 0 else "degenerate"
@@ -402,7 +409,7 @@ def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
             b = random_symbol(cfg.depth, rng)
             mu, lam = _draw_pair(cfg.depth, delta, rng)
             nu = bloom_weight(mu, lam, p)
-            pi = materialize(paraproduct_operator("11", b), cfg.depth)
+            pi = paraproduct_matrix("11", b)
             left = opnorm(pi, mu, lam, p).value
             bmo = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng)
             right = bmo.value

@@ -27,6 +27,11 @@ from .dyadic import (
 )
 from .weights import Weight
 
+#: deepest grid whose cell masks the exact BMO search enumerates (2^16 - 1 masks)
+EXACT_MAX_DEPTH = 2
+#: masks scored together by the exact search
+EXACT_BLOCK = 4096
+
 
 def lp_weighted_norm(f: GridFunction2D, w: Weight, p: float) -> float:
     """Norm of f in L^p of the weighted measure w dx."""
@@ -160,25 +165,32 @@ def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
     Restricting the supremum to masks loses nothing: any rectangle family
     is dominated by the family of all rectangles inside its shadow (same
     mask, more non-negative square-function terms), which *is* one of the
-    enumerated masks, and the denominator only sees the mask.
+    enumerated masks, and the denominator only sees the mask.  Masks are
+    scored in blocks of ``EXACT_BLOCK`` so that memory stays flat.
     """
-    if obj.cells > 16:
-        raise ValueError("exact search is limited to depth <= 2 (65535 masks)")
-    count = 1 << obj.cells
-    masks = np.arange(1, count, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(obj.cells, dtype=np.uint32)) & 1).astype(bool)
-    s2 = np.zeros((count - 1, obj.cells))
+    if obj.depth > EXACT_MAX_DEPTH:
+        raise ValueError(f"exact search is limited to depth <= {EXACT_MAX_DEPTH} "
+                         f"(65535 masks)")
+    shifts = np.arange(obj.cells, dtype=np.uint32)
+    rects = []
     for cells, energy in zip(obj.rect_cells, obj.rect_energy):
-        rbit = np.uint32(0)
-        for pos in np.flatnonzero(cells):
-            rbit |= np.uint32(1) << np.uint32(pos)
-        contained = (masks & rbit) == rbit
-        s2[contained] += energy * cells
-    nums = ((s2 ** (obj.p / 2.0)) @ obj.lam_cell) ** (1.0 / obj.p)
-    dens = (bits @ obj.mu_cell) ** (1.0 / obj.p)
-    ratios = nums / dens
-    idx = int(np.argmax(ratios))      # ties: first mask in integer order
-    return float(ratios[idx]), bits[idx].copy()
+        rbit = np.uint32((1 << np.flatnonzero(cells)).sum())
+        rects.append((rbit, energy * cells))
+    best, best_bits = -np.inf, None
+    count = 1 << obj.cells
+    for start in range(1, count, EXACT_BLOCK):
+        masks = np.arange(start, min(start + EXACT_BLOCK, count), dtype=np.uint32)
+        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
+        s2 = np.zeros((len(masks), obj.cells))
+        for rbit, row in rects:
+            s2[(masks & rbit) == rbit] += row
+        nums = ((s2 ** (obj.p / 2.0)) @ obj.lam_cell) ** (1.0 / obj.p)
+        dens = (bits @ obj.mu_cell) ** (1.0 / obj.p)
+        ratios = nums / dens
+        idx = int(np.argmax(ratios))
+        if ratios[idx] > best:        # ties: first mask in integer order
+            best, best_bits = float(ratios[idx]), bits[idx].copy()
+    return best, best_bits
 
 
 def _grow_greedily(obj: _MaskObjective, mask: np.ndarray) -> tuple[float, np.ndarray]:

@@ -4,8 +4,16 @@ The cast: four biparameter paraproducts with a fixed symbol and their
 sum, one-parameter and biparameter Haar multipliers driven by sign
 choices, iterated commutators with a multiplication symbol evaluated
 literally (no algebraic simplification), the oscillation operator that
-replaces the symbol inside single commutators, restricted projections
-onto rectangle families, and dense matrix materialization.
+replaces the symbol inside single commutators, and restricted
+projections onto rectangle families.
+
+Every operator is a linear map on the raveled cell values, ``R^(4^N)``.
+The norm computations use dense matrices built straight from the
+per-depth Haar bases: :func:`paraproduct_matrix`, :func:`lambda_matrix`
+and :func:`commutator_matrices`, the last for a whole stack of sign
+pairs at once.  The literal closures, together with :func:`materialize`
+(which probes a closure on every cell indicator), stay as the oracle
+those matrices are tested against.
 
 All four paraproducts follow one normalization: the coefficient of the
 output against the complementary Haar type is ``b_R |R|^{-1/2} f_R``
@@ -18,6 +26,7 @@ the symbol (see the identity tests).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -181,6 +190,26 @@ class SignChoice1D:
         for e in entries:
             signs[slot_of(DyadicInterval(e["level"], e["index"]))] = e["sign"]
         return cls(depth, signs)
+
+
+#: deepest grid whose full per-axis sign space is listed (2^15 rows)
+SIGN_SPACE_MAX_DEPTH = 4
+
+
+def axis_sign_rows(depth: int) -> np.ndarray:
+    """Every +-1 choice over the cancellative slots of one axis, one per row.
+
+    Column 0 (the scaling slot) is 0.  Rows come in ``itertools.product``
+    order over slots 1..2^depth - 1, so ties broken by "first in
+    enumeration order" do not depend on how a caller walks the rows.
+    """
+    if depth > SIGN_SPACE_MAX_DEPTH:
+        raise ValueError(f"the sign space of one axis is listed up to depth "
+                         f"{SIGN_SPACE_MAX_DEPTH}, got {depth}")
+    n = 1 << depth
+    rows = np.zeros((1 << (n - 1), n))
+    rows[:, 1:] = list(itertools.product((-1.0, 1.0), repeat=n - 1))
+    return rows
 
 
 @dataclass
@@ -414,3 +443,79 @@ def materialize(op: Operator, depth: int) -> OperatorMatrix:
         mat[:, j] = op(GridFunction2D(depth, basis)).values.ravel()
         basis.flat[j] = 0.0
     return OperatorMatrix(depth, mat)
+
+
+# ---------------------------------------------------------------------------
+# dense matrices from the Haar bases
+# ---------------------------------------------------------------------------
+
+def _pairing_kernel(depth: int, kinds: str) -> np.ndarray:
+    """``K[p - 1, i, k]``: one axis of a paraproduct, input cell k to output cell i.
+
+    Cancellative slot p pairs the input with the Haar type named by each
+    character of ``kinds`` ("0" cancellative, "1" scaling) and emits the
+    complementary type; several characters add their kernels.
+    """
+    hc, hn, _ = _axis_bases(depth)
+    out = np.zeros((hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
+    for kind in kinds:
+        inp, emit = (hn, hc) if kind == "1" else (hc, hn)
+        out += emit[1:, :, None] * inp[1:, None, :]
+    return out
+
+
+def _paraproduct_sum_matrix(b: GridFunction2D, x_kinds: str, y_kinds: str) -> OperatorMatrix:
+    _, _, sc = _axis_bases(b.depth)
+    coef = (_symbol_cc(b) * sc)[1:, 1:]
+    mat = np.einsum("pq,pik,qjl->ijkl", coef, _pairing_kernel(b.depth, x_kinds),
+                    _pairing_kernel(b.depth, y_kinds), optimize=True)
+    m = 4 ** b.depth
+    return OperatorMatrix(b.depth, mat.reshape(m, m) * 4.0 ** (-b.depth))
+
+
+def paraproduct_matrix(kind: str, b: GridFunction2D) -> OperatorMatrix:
+    """Dense matrix of :func:`paraproduct_apply` for one ``kind``."""
+    if kind not in PARAPRODUCT_KINDS:
+        raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
+    return _paraproduct_sum_matrix(b, kind[0], kind[1])
+
+
+def lambda_matrix(b: GridFunction2D) -> OperatorMatrix:
+    """Dense matrix of :func:`lambda_apply`.
+
+    The four kinds are every pairing of an x-type with a y-type, so their
+    sum factors into one kernel per axis.
+    """
+    return _paraproduct_sum_matrix(b, "01", "01")
+
+
+def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,
+                        sigma_y: np.ndarray) -> np.ndarray:
+    """Matrices of ``[T1_sx, [T2_sy, M_b]]`` for a stack of sign pairs.
+
+    ``sigma_x`` and ``sigma_y`` hold one slot-indexed sign row per pair
+    (shape ``(S, 2^N)``; slot 0 is ignored, any real values are allowed).
+    The result has shape ``(S, 4^N, 4^N)``.
+
+    The operator is ``sum_pq sx(p) sy(q) C_pq`` with blocks
+    ``C_pq = [Q1_p, [Q2_q, M_b]]``.  Expanding both commutators, the
+    kernel of ``C_pq`` from cell (k, l) to cell (i, j) is
+    ``P_p[i, k] P_q[j, l] (b[i, j] - b[i, l] - b[k, j] + b[k, l])`` with
+    ``P_p = h_p h_p^T / 2^N`` the 1-D projector.  So the sum is the
+    Kronecker product of the 1-D multipliers ``T = sum_p s(p) P_p``,
+    multiplied entrywise by one second difference of the symbol, and the
+    blocks are never stored.
+    """
+    n = 1 << b.depth
+    sx = np.asarray(sigma_x, dtype=float)
+    sy = np.asarray(sigma_y, dtype=float)
+    if sx.ndim != 2 or sx.shape[1] != n or sy.shape != sx.shape:
+        raise ValueError(f"need two equal stacks of sign rows of length {n}")
+    hc = _axis_bases(b.depth)[0][1:]
+    tx = np.einsum("sp,pi,pk->sik", sx[:, 1:], hc, hc) / n
+    ty = np.einsum("sp,pj,pl->sjl", sy[:, 1:], hc, hc) / n
+    v = b.values
+    diff = (v[:, :, None, None] - v[:, None, None, :]
+            - v.T[None, :, :, None] + v[None, None, :, :])
+    mats = np.einsum("sik,sjl,ijkl->sijkl", tx, ty, diff)
+    return mats.reshape(len(sx), n * n, n * n)

@@ -5,11 +5,16 @@ diagonal weight factors so that the weighted L^p -> L^p norm becomes a
 plain l^p -> l^p matrix norm.  At p = 2 that norm is the top singular
 value (exact); away from 2 the package reports a certified bracket: a
 nonlinear power-iteration lower bound plus an interpolation upper bound.
+
+Both kernels work on stacks of matrices.  The sign supremum builds the
+commutator matrices of all its sign pairs at once
+(:func:`~haarbloom.operators.commutator_matrices`) and scores them in
+one batched SVD or one batched power iteration; a single operator is the
+stack of one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +23,13 @@ from .dyadic import GridFunction2D, ensure_rng
 from .operators import (
     OperatorMatrix,
     SignChoice1D,
-    iterated_commutator,
-    materialize,
+    axis_sign_rows,
+    commutator_matrices,
 )
 from .weights import Weight
+
+#: deepest grid on which the sign supremum walks every sign pair
+EXHAUSTIVE_MAX_DEPTH = 2
 
 
 @dataclass
@@ -49,16 +57,21 @@ class OpNormResult:
         return out
 
 
-def weighted_p_matrix(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float) -> np.ndarray:
-    """Diagonal conjugation turning the weighted norm into a plain l^p norm."""
+def _conjugated(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float) -> np.ndarray:
+    """Weight-conjugate one matrix or a stack of them (last two axes)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not (mat.depth == mu.depth == lam.depth):
+    if not (depth == mu.depth == lam.depth):
         raise ValueError("operator and weights disagree on depth")
-    area = 4.0 ** (-mat.depth)
+    area = 4.0 ** (-depth)
     out_w = (lam.values.ravel() * area) ** (1.0 / p)
     in_w = (mu.values.ravel() * area) ** (-1.0 / p)
-    return out_w[:, None] * mat.matrix * in_w[None, :]
+    return out_w[:, None] * mats * in_w[None, :]
+
+
+def weighted_p_matrix(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float) -> np.ndarray:
+    """Diagonal conjugation turning the weighted norm into a plain l^p norm."""
+    return _conjugated(mat.matrix, mat.depth, mu, lam, p)
 
 
 def opnorm_p2_exact(mat: OperatorMatrix, mu: Weight, lam: Weight) -> OpNormResult:
@@ -71,18 +84,121 @@ def opnorm_p2_exact(mat: OperatorMatrix, mu: Weight, lam: Weight) -> OpNormResul
     return OpNormResult(float(s[0]), "exact", 0, GridFunction2D(mat.depth, f.reshape(n, n)))
 
 
-def opnorm_upper_bracket(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float) -> float:
-    """Interpolation bound: the l^1 and l^infty matrix norms bracket every p."""
-    b = np.abs(weighted_p_matrix(mat, mu, lam, p))
-    col = float(b.sum(axis=0).max())      # l^1 -> l^1
-    row = float(b.sum(axis=1).max())      # l^inf -> l^inf
+def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
+    """Interpolation bound of plain matrices: l^1 and l^infty norms bracket every p."""
+    a = np.abs(b)
+    col = a.sum(axis=-2).max(axis=-1)      # l^1 -> l^1
+    row = a.sum(axis=-1).max(axis=-1)      # l^inf -> l^inf
     return col ** (1.0 / p) * row ** (1.0 - 1.0 / p)
 
 
-def _lp_ratio(b: np.ndarray, u: np.ndarray, p: float) -> float:
-    den = float((np.abs(u) ** p).sum()) ** (1.0 / p)
-    num = float((np.abs(b @ u) ** p).sum()) ** (1.0 / p)
-    return num / den
+def opnorm_upper_bracket(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float) -> float:
+    """Interpolation bound: the l^1 and l^infty matrix norms bracket every p."""
+    return float(_upper_brackets(weighted_p_matrix(mat, mu, lam, p), p))
+
+
+def _lp_norms(u: np.ndarray, p: float) -> np.ndarray:
+    return (np.abs(u) ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
+                     tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonlinear power iteration, one trajectory per start, all run together.
+
+    ``b`` is a stack of plain matrices ``(T, m, m)`` and ``starts`` one
+    non-zero vector per matrix.  Push the input through the operator,
+    weight the output by its (p-1)-st power, pull back through the
+    adjoint and invert the gauge with the dual exponent.  A trajectory
+    stops once its ratio moves by at most ``tol`` (relative above 1) or
+    its iterate vanishes.  Returns, per trajectory, the best ratio over
+    its iterates, the first iterate reaching it, and how many ratios it
+    evaluated.
+    """
+    pp = p / (p - 1.0)
+    u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    best = np.full(len(b), -np.inf)
+    best_u = u.copy()
+    count = np.zeros(len(b), dtype=int)
+    prev = np.full(len(b), -np.inf)
+    live = np.arange(len(b))
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        bl, ul = b[live], u[live]
+        out = np.einsum("tij,tj->ti", bl, ul)
+        r = _lp_norms(out, p) / _lp_norms(ul, p)
+        count[live] += 1
+        up = r > best[live]
+        best[live[up]] = r[up]
+        best_u[live[up]] = ul[up]
+        moving = np.abs(r - prev[live]) > tol * np.maximum(1.0, np.abs(r))
+        live, bl, out = live[moving], bl[moving], out[moving]
+        prev[live] = r[moving]
+        y = np.einsum("tji,tj->ti", bl, np.sign(out) * np.abs(out) ** (p - 1.0))
+        nxt = np.sign(y) * np.abs(y) ** (pp - 1.0)
+        norm = _lp_norms(nxt, p)
+        alive = norm != 0.0
+        live = live[alive]
+        u[live] = nxt[alive] / norm[alive, None]
+    return best, best_u, count
+
+
+def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
+                    restarts: int, seed: int | np.random.Generator | None = 0,
+                    max_iter: int = 500, tol: float = 1e-9):
+    """Certified lower bounds for a stack of operator matrices.
+
+    Every matrix is warm-started from its p = 2 maximizer and that
+    vector's absolute value, plus ``restarts - 2`` random starts shared by
+    all matrices.  Returns per matrix the lower bound, its unit l^p
+    maximizer (None where the matrix is zero), the iteration count and
+    the interpolation upper bound.  A lower bound above its bracket
+    raises: it means the arithmetic, not the operator, went wrong.
+    """
+    if p <= 1:
+        raise ValueError(f"the iteration needs p > 1, got {p}")
+    b = _conjugated(mats, depth, mu, lam, p)
+    upper = _upper_brackets(b, p)
+    rng = ensure_rng(seed)
+    count, m = b.shape[0], b.shape[-1]
+    values = np.zeros(count)
+    units: list[np.ndarray | None] = [None] * count
+    iterations = np.zeros(count, dtype=int)
+    nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
+    if nonzero.size == 0:
+        return values, units, iterations, upper
+
+    warm = np.linalg.svd(_conjugated(mats[nonzero], depth, mu, lam, 2))[2][:, 0]
+    starts = [warm, np.abs(warm)]
+    starts += [np.broadcast_to(rng.standard_normal(m), warm.shape)
+               for _ in range(max(0, restarts - len(starts)))]
+    starts = np.stack(starts, axis=1)                      # (pairs, starts, m)
+    per = starts.shape[1]
+    best, best_u, its = _power_iteration(np.repeat(b[nonzero], per, axis=0),
+                                         starts.reshape(-1, m), p, max_iter, tol)
+    best, best_u = best.reshape(-1, per), best_u.reshape(-1, per, m)
+    pick = np.argmax(best, axis=1)         # ties: the earliest start, as a sequential walk
+    values[nonzero] = best[np.arange(nonzero.size), pick]
+    iterations[nonzero] = its.reshape(-1, per).sum(axis=1)
+    escaped = values > upper * (1.0 + 1e-9)
+    if escaped.any():
+        i = int(np.argmax(escaped))
+        raise RuntimeError(f"lower bound {values[i]} escaped the bracket {upper[i]}")
+    for row, i in enumerate(nonzero):
+        u = best_u[row, pick[row]]
+        units[i] = u / _lp_norms(u, p)
+    return values, units, iterations, upper
+
+
+def _lp_result(depth: int, mu: Weight, p: float, value: float, unit: np.ndarray | None,
+               iterations: int, upper: float) -> OpNormResult:
+    witness = None
+    if unit is not None:
+        n = 1 << depth
+        f = unit / (mu.values.ravel() * 4.0 ** (-depth)) ** (1.0 / p)
+        witness = GridFunction2D(depth, f.reshape(n, n))
+    return OpNormResult(float(value), "lower_bound", int(iterations), witness,
+                        upper_bound=float(upper))
 
 
 def opnorm_lp_lower(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float,
@@ -90,53 +206,13 @@ def opnorm_lp_lower(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float,
                     max_iter: int = 500, tol: float = 1e-9) -> OpNormResult:
     """Certified lower bound on the L^p(mu) -> L^p(lam) norm.
 
-    Nonlinear power iteration: push the current input through the
-    operator, weight the output by its (p-1)-st power, pull back through
-    the adjoint and invert the gauge with the dual exponent.  Warm-started
-    from the p = 2 maximizer plus random restarts; the best ratio over
-    all iterates is returned, never exceeding the interpolation bracket.
+    Nonlinear power iteration warm-started from the p = 2 maximizer plus
+    random restarts; the best ratio over all iterates is returned, never
+    exceeding the interpolation bracket.
     """
-    if p <= 1:
-        raise ValueError(f"the iteration needs p > 1, got {p}")
-    b = weighted_p_matrix(mat, mu, lam, p)
-    upper = opnorm_upper_bracket(mat, mu, lam, p)
-    rng = ensure_rng(seed)
-    m = b.shape[0]
-    if not np.any(b):
-        return OpNormResult(0.0, "lower_bound", 0, None, upper_bound=upper)
-
-    b2 = weighted_p_matrix(mat, mu, lam, 2)
-    warm = np.linalg.svd(b2)[2][0]
-    starts = [warm, np.abs(warm)]
-    starts += [rng.standard_normal(m) for _ in range(max(0, restarts - len(starts)))]
-
-    pp = p / (p - 1.0)
-    best, best_u, total = -np.inf, None, 0
-    for u in starts:
-        u = u / np.linalg.norm(u)
-        prev = -np.inf
-        for _ in range(max_iter):
-            r = _lp_ratio(b, u, p)
-            total += 1
-            if r > best:
-                best, best_u = r, u.copy()
-            if abs(r - prev) <= tol * max(1.0, abs(r)):
-                break
-            prev = r
-            out = b @ u
-            y = b.T @ (np.sign(out) * np.abs(out) ** (p - 1.0))
-            nxt = np.sign(y) * np.abs(y) ** (pp - 1.0)
-            norm = float((np.abs(nxt) ** p).sum()) ** (1.0 / p)
-            if norm == 0.0:
-                break
-            u = nxt / norm
-    assert best <= upper * (1.0 + 1e-9), f"lower bound {best} escaped the bracket {upper}"
-    area = 4.0 ** (-mat.depth)
-    n = 1 << mat.depth
-    unit = best_u / float((np.abs(best_u) ** p).sum()) ** (1.0 / p)
-    f = unit / (mu.values.ravel() * area) ** (1.0 / p)
-    witness = GridFunction2D(mat.depth, f.reshape(n, n))
-    return OpNormResult(float(best), "lower_bound", total, witness, upper_bound=upper)
+    values, units, iterations, upper = _lp_lower_stack(
+        mat.matrix[None], mat.depth, mu, lam, p, restarts, seed, max_iter, tol)
+    return _lp_result(mat.depth, mu, p, values[0], units[0], iterations[0], upper[0])
 
 
 def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, **kwargs) -> OpNormResult:
@@ -150,57 +226,48 @@ def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, **kwargs) -> 
 # supremum over sign choices of the iterated commutator norm
 # ---------------------------------------------------------------------------
 
-def _axis_sign_space(depth: int):
-    """All +-1 choices over the cancellative slots of one axis."""
-    n = 1 << depth
-    for combo in itertools.product((-1.0, 1.0), repeat=n - 1):
-        signs = np.zeros(n)
-        signs[1:] = combo
-        yield SignChoice1D(depth, signs)
-
-
 def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                         mode: str = "exhaustive", trials: int = 64,
                         seed: int | np.random.Generator | None = 0,
                         restarts: int = 2) -> OpNormResult:
     """Supremum over sign pairs of the iterated commutator norm.
 
-    Each candidate pair of one-parameter sign multipliers is materialized
-    through the literal nested commutator and its weighted norm measured.
-    ``mode="exhaustive"`` walks the full +-1 space (depth <= 2: at most
-    8 x 8 pairs); ``"sampled"`` draws ``trials`` pairs from a seeded
-    stream, so a longer run with the same seed extends a shorter one.
-    The result is exact only for an exhaustive walk at p = 2.
+    The commutator matrices of all candidate pairs of one-parameter sign
+    multipliers are built in one stack and their weighted norms measured
+    together: top singular values at p = 2, the batched power iteration
+    otherwise.  ``mode="exhaustive"`` walks the full +-1 space (depth <=
+    2: at most 8 x 8 pairs); ``"sampled"`` draws ``trials`` pairs from a
+    seeded stream, so a longer run with the same seed extends a shorter
+    one.  Ties go to the first pair in walk order.  ``iterations`` sums
+    ``max(1, per-pair iterations)``.  The result is exact only for an
+    exhaustive walk at p = 2.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "exhaustive":
-        if b.depth > 2:
-            raise ValueError("exhaustive sign enumeration is limited to depth <= 2")
-        pairs = itertools.product(_axis_sign_space(b.depth), repeat=2)
-        pair_iter = ((sx, sy) for sx, sy in pairs)
+        if b.depth > EXHAUSTIVE_MAX_DEPTH:
+            raise ValueError(f"exhaustive sign enumeration is limited to depth "
+                             f"<= {EXHAUSTIVE_MAX_DEPTH}")
+        rows = axis_sign_rows(b.depth)
+        sx = np.repeat(rows, len(rows), axis=0)
+        sy = np.tile(rows, (len(rows), 1))
     else:
         rng = ensure_rng(seed)
+        draws = [SignChoice1D.random(b.depth, rng) for _ in range(2 * trials)]
+        sx = np.array([s.signs for s in draws[0::2]])
+        sy = np.array([s.signs for s in draws[1::2]])
 
-        def _sampled():
-            for _ in range(trials):
-                yield (SignChoice1D.random(b.depth, rng),
-                       SignChoice1D.random(b.depth, rng))
-        pair_iter = _sampled()
-
-    best: OpNormResult | None = None
-    total = 0
-    for sx, sy in pair_iter:
-        mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), b.depth)
-        if p == 2:
-            res = opnorm_p2_exact(mat, mu, lam)
-        else:
-            res = opnorm_lp_lower(mat, mu, lam, p, restarts=restarts)
-        total += max(1, res.iterations)
-        if best is None or res.value > best.value:
-            best = res
-            best.sign_pair = (sx, sy)
-    assert best is not None
-    best.iterations = total
+    mats = commutator_matrices(b, sx, sy)
+    if p == 2:
+        tops = np.linalg.svd(_conjugated(mats, b.depth, mu, lam, 2), compute_uv=False)[:, 0]
+        idx = int(np.argmax(tops))
+        best = opnorm_p2_exact(OperatorMatrix(b.depth, mats[idx]), mu, lam)
+        best.iterations = len(mats)        # max(1, 0) per pair
+    else:
+        values, units, iterations, upper = _lp_lower_stack(mats, b.depth, mu, lam, p, restarts)
+        idx = int(np.argmax(values))
+        best = _lp_result(b.depth, mu, p, values[idx], units[idx], iterations[idx], upper[idx])
+        best.iterations = int(np.maximum(1, iterations).sum())
+    best.sign_pair = (SignChoice1D(b.depth, sx[idx]), SignChoice1D(b.depth, sy[idx]))
     best.kind = "exact" if (mode == "exhaustive" and p == 2) else "lower_bound"
     return best

@@ -94,7 +94,8 @@ def ap_characteristic(w: Weight, p: float) -> ApReport:
     """Max over all dyadic rectangles of <w>_R <w^{-1/(p-1)}>_R^{p-1}.
 
     The maximizing rectangle is reported; ties go to the first rectangle
-    in the canonical coarse-first enumeration.  Always >= 1 by Jensen.
+    in the canonical coarse-first enumeration.  Always >= 1 by Jensen; a
+    value below that floor raises RuntimeError.
     """
     _check_exponent(p)
     if p in w._ap_cache:
@@ -111,7 +112,8 @@ def ap_characteristic(w: Weight, p: float) -> ApReport:
                 best = float(prod.flat[flat])
                 ix, iy = divmod(flat, prod.shape[1])
                 best_rect = DyadicRectangle(DyadicInterval(lx, ix), DyadicInterval(ly, iy))
-    assert best >= 1.0 - 1e-12, f"characteristic {best} below the Jensen floor"
+    if not best >= 1.0 - 1e-12:
+        raise RuntimeError(f"characteristic {best} below the Jensen floor")
     report = ApReport(p, best, best_rect)
     w._ap_cache[p] = report
     return report
@@ -128,7 +130,8 @@ def bloom_weight(mu: Weight, lam: Weight, p: float, check: bool = True) -> Weigh
 
     With ``check`` on, verifies the two structural bounds that make nu
     usable: its 2-characteristic is at least 1 and at most
-    ([mu]_p [lam]_p)^{1/p} (both up to float slack).
+    ([mu]_p [lam]_p)^{1/p} (both up to float slack), raising
+    RuntimeError otherwise.
     """
     _check_exponent(p)
     if mu.depth != lam.depth:
@@ -138,8 +141,10 @@ def bloom_weight(mu: Weight, lam: Weight, p: float, check: bool = True) -> Weigh
         a2 = ap_characteristic(nu, 2).characteristic
         cap = (ap_characteristic(mu, p).characteristic
                * ap_characteristic(lam, p).characteristic) ** (1.0 / p)
-        assert a2 >= 1.0 - 1e-12
-        assert a2 <= cap * (1.0 + 1e-9), f"2-characteristic {a2} exceeds the cap {cap}"
+        if not a2 >= 1.0 - 1e-12:
+            raise RuntimeError(f"2-characteristic {a2} below the Jensen floor")
+        if not a2 <= cap * (1.0 + 1e-9):
+            raise RuntimeError(f"2-characteristic {a2} exceeds the cap {cap}")
     return nu
 
 
@@ -167,8 +172,9 @@ class AverageComparabilityReport:
 def average_comparability_report(w: Weight, p: float) -> AverageComparabilityReport:
     """Tabulate the four p-averages on every rectangle and check their order.
 
-    Asserts the two Jensen-type inequalities <w^{1/p}> <= <w>^{1/p} and
-    <w^{-1/p}>^{-1} <= <w^{1/p}> on each rectangle (up to float slack).
+    Checks the two Jensen-type inequalities <w^{1/p}> <= <w>^{1/p} and
+    <w^{-1/p}>^{-1} <= <w^{1/p}> on each rectangle (up to float slack),
+    raising RuntimeError otherwise.
     """
     _check_exponent(p)
     rects = tuple(all_rectangles(w.depth))
@@ -188,8 +194,10 @@ def average_comparability_report(w: Weight, p: float) -> AverageComparabilityRep
         rows.append((q1, q2, q3, q4))
     table = np.array(rows)
     slack = 1.0 + 1e-12
-    assert np.all(table[:, 0] <= table[:, 1] * slack), "found <w^{1/p}> above <w>^{1/p}"
-    assert np.all(table[:, 3] <= table[:, 0] * slack), "harmonic average above direct average"
+    if not np.all(table[:, 0] <= table[:, 1] * slack):
+        raise RuntimeError("found <w^{1/p}> above <w>^{1/p}")
+    if not np.all(table[:, 3] <= table[:, 0] * slack):
+        raise RuntimeError("harmonic average above direct average")
     return AverageComparabilityReport(p, rects, table)
 
 

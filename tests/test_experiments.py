@@ -7,6 +7,7 @@ import pytest
 
 from haarbloom.cli import main
 from haarbloom.experiments import (
+    COMMANDS,
     CSV_HEADER,
     ExperimentConfig,
     IDENTITY_TOL,
@@ -161,6 +162,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig("jn", depth=0)
     with pytest.raises(ValueError):
+        ExperimentConfig("paraproduct", depth=3, strategy="exact")
+    with pytest.raises(ValueError):
+        ExperimentConfig("commutator", depth=3, strategy="heuristic", mode="exhaustive")
+    # the limits bind only where the option is used
+    ExperimentConfig("commutator", depth=3, strategy="heuristic", mode="sampled")
+    ExperimentConfig("jn", depth=3, strategy="heuristic", mode="exhaustive")
+    ExperimentConfig("identities", depth=3)
+    with pytest.raises(ValueError):
         ExperimentConfig("jn", trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig("jn", strategy="magic")
@@ -200,6 +209,22 @@ def test_cli_rejects_bad_args():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["commutator", "--mode", "exhaustive", "--strategy", "heuristic", "--depth", "3"],
+    ["commutator", "--mode", "sampled", "--strategy", "exact", "--depth", "3"],
+    ["jn", "--strategy", "exact", "--depth", "3"],
+])
+def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
+    def boom(cfg):
+        raise AssertionError("a trial ran")
+    monkeypatch.setitem(COMMANDS, argv[0], boom)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "limited to depth <= 2" in err
 
 
 def test_cli_installed_entry_point(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,14 +25,17 @@ from haarbloom.operators import (
     OperatorMatrix,
     SignChoice1D,
     SignChoice2D,
+    axis_sign_rows,
     bi_cancellative_part,
     commutator_apply,
+    commutator_matrices,
     haar_multiplier,
     haar_multiplier_x,
     haar_multiplier_y,
     iterated_commutator,
     iterated_projection_commutator,
     lambda_apply,
+    lambda_matrix,
     lambda_operator,
     materialize,
     multiplication_operator,
@@ -38,6 +43,8 @@ from haarbloom.operators import (
     multiplier_operator_x,
     multiplier_operator_y,
     paraproduct_apply,
+    paraproduct_matrix,
+    paraproduct_operator,
     rectangle_average_table,
     restricted_projection,
     theta_apply,
@@ -296,6 +303,57 @@ def test_transpose_is_unweighted_adjoint():
     assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_paraproduct_matrices_match_the_literal_operators(depth):
+    b = random_grid(depth, 30 + depth)
+    for kind in ("00", "10", "01", "11"):
+        want = materialize(paraproduct_operator(kind, b), depth).matrix
+        got = paraproduct_matrix(kind, b).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    want = materialize(lambda_operator(b), depth).matrix
+    np.testing.assert_allclose(lambda_matrix(b).matrix, want,
+                               rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_commutator_blocks_match_literal_projection_commutators(depth):
+    # unit sign rows pick out one block C_pq = [Q1_p, [Q2_q, M_b]]
+    b = random_grid(depth, 40 + depth)
+    n = 1 << depth
+    pairs = list(itertools.product(range(1, n), repeat=2))
+    eye = np.eye(n)
+    blocks = commutator_matrices(b, eye[[p for p, _ in pairs]], eye[[q for _, q in pairs]])
+    for (p, q), got in zip(pairs, blocks):
+        ix, jy = slot_interval(p), slot_interval(q)
+        want = materialize(lambda f: iterated_projection_commutator(b, f, ix, jy), depth).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(b.values).max())
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_commutator_matrices_match_literal_nested_commutators(depth):
+    rng = np.random.default_rng(50 + depth)
+    b = random_symbol(depth, rng)
+    draws = [SignChoice1D.random(depth, rng, values=values)
+             for values in [(-1.0, 1.0)] * 4 + [(-1.0, 0.0, 1.0)] * 4]
+    mats = commutator_matrices(b, np.array([s.signs for s in draws[0::2]]),
+                               np.array([s.signs for s in draws[1::2]]))
+    assert mats.shape == (4, 4 ** depth, 4 ** depth)
+    for sx, sy, got in zip(draws[0::2], draws[1::2], mats):
+        want = materialize(lambda f: iterated_commutator(b, f, sx, sy), depth).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(b.values).max())
+
+
+def test_axis_sign_rows_enumeration_order():
+    for depth in (1, 2, 3):
+        rows = axis_sign_rows(depth)
+        combos = list(itertools.product((-1.0, 1.0), repeat=(1 << depth) - 1))
+        assert rows.shape == (len(combos), 1 << depth)
+        assert np.all(rows[:, 0] == 0.0)
+        np.testing.assert_array_equal(rows[:, 1:], np.array(combos))
+    with pytest.raises(ValueError):
+        axis_sign_rows(5)       # 2^31 rows: refused before anything is allocated
+
+
 def test_validation():
     b, f = random_grid(1, 1), random_grid(2, 2)
     with pytest.raises(ValueError):
@@ -310,3 +368,7 @@ def test_validation():
         OperatorMatrix(1, np.ones((3, 3)))
     with pytest.raises(ValueError):
         SignChoice2D.from_tensor(SignChoice1D.constant(1), SignChoice1D.constant(2))
+    with pytest.raises(ValueError):
+        commutator_matrices(f, np.ones((2, 4)), np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        commutator_matrices(f, np.ones((2, 2)), np.ones((2, 2)))

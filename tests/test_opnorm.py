@@ -1,3 +1,6 @@
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from haarbloom.dyadic import GridFunction2D, random_grid, random_symbol
 from haarbloom.norms import lp_weighted_norm
 from haarbloom.operators import (
     OperatorMatrix,
+    SignChoice1D,
+    axis_sign_rows,
     lambda_operator,
     materialize,
     multiplication_operator,
@@ -19,6 +24,9 @@ from haarbloom.opnorm import (
     weighted_p_matrix,
 )
 from haarbloom.weights import Weight, constant_weight, random_cascade_weight
+
+# the package re-exports the function ``opnorm`` under the module's name
+opnorm_module = importlib.import_module("haarbloom.opnorm")
 
 
 def inverse_weight(w, role="generic"):
@@ -195,3 +203,71 @@ def test_validation():
         opnorm_lp_lower(mat, one, one, 1.0)
     with pytest.raises(ValueError):
         weighted_p_matrix(mat, constant_weight(2), one, 2)
+
+
+def per_pair_supremum(b, mu, lam, p, restarts=2):
+    """The sign supremum one pair at a time, through the literal commutator."""
+    rows = axis_sign_rows(b.depth)
+    best, total = None, 0
+    for rx, ry in itertools.product(rows, repeat=2):
+        sx, sy = SignChoice1D(b.depth, rx), SignChoice1D(b.depth, ry)
+        mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), b.depth)
+        if p == 2:
+            res = opnorm_p2_exact(mat, mu, lam)
+        else:
+            res = opnorm_lp_lower(mat, mu, lam, p, restarts=restarts)
+        total += max(1, res.iterations)
+        if best is None or res.value > best.value:
+            best = res
+    return best.value, total
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_batched_sup_matches_per_pair_loop(p):
+    rng = np.random.default_rng(30)
+    for depth in (1, 2):
+        b = random_symbol(depth, rng)
+        mu = random_cascade_weight(depth, 0.6, rng)
+        lam = random_cascade_weight(depth, 0.6, rng)
+        want, total = per_pair_supremum(b, mu, lam, p)
+        res = sup_commutator_norm(b, mu, lam, p, mode="exhaustive")
+        if p == 2:
+            assert res.value == pytest.approx(want, rel=1e-12)
+            assert res.kind == "exact" and res.iterations == total == 4 ** (2 ** depth - 1)
+        else:
+            assert res.value >= want * (1 - 1e-9)
+            assert res.value <= res.upper_bound * (1 + 1e-9)
+            assert res.kind == "lower_bound" and res.iterations >= 4 ** (2 ** depth - 1)
+        # the reported pair and witness realize the reported value
+        sx, sy = res.sign_pair
+        mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), depth)
+        got = (lp_weighted_norm(mat.apply(res.witness), lam, p)
+               / lp_weighted_norm(res.witness, mu, p))
+        assert got == pytest.approx(res.value, rel=1e-8)
+
+
+def test_sampled_mode_draws_like_sequential_sign_choices():
+    # run_commutator draws its spot check from the same generator afterwards
+    b = random_symbol(2, 31)
+    one = constant_weight(2)
+    rng = np.random.default_rng(32)
+    res = sup_commutator_norm(b, one, one, 3.0, mode="sampled", trials=5, seed=rng)
+    again = np.random.default_rng(32)
+    pairs = [(SignChoice1D.random(2, again).signs, SignChoice1D.random(2, again).signs)
+             for _ in range(5)]
+    assert rng.bit_generator.state == again.bit_generator.state
+    sx, sy = res.sign_pair
+    assert any(np.array_equal(sx.signs, px) and np.array_equal(sy.signs, py)
+               for px, py in pairs)
+
+
+def test_bracket_escape_raises(monkeypatch):
+    b = random_symbol(2, 33)
+    one = constant_weight(2)
+    mat = materialize(lambda_operator(b), 2)
+    real = opnorm_module._upper_brackets
+    monkeypatch.setattr(opnorm_module, "_upper_brackets", lambda m, p: 0.5 * real(m, p))
+    with pytest.raises(RuntimeError, match="escaped the bracket"):
+        opnorm_lp_lower(mat, one, one, 3.0)
+    with pytest.raises(RuntimeError, match="escaped the bracket"):
+        sup_commutator_norm(b, one, one, 1.5)

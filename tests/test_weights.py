@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,17 @@ def test_validation():
         bloom_weight(constant_weight(1), constant_weight(2), 2)
     with pytest.raises(ValueError):
         random_cascade_weight(2, -0.1)
+
+
+def test_guards_raise_instead_of_asserting(monkeypatch):
+    # the checks must survive ``python -O``, so they are exceptions, not asserts
+    weights = importlib.import_module("haarbloom.weights")
+    w = random_cascade_weight(2, 0.5, 3)
+    monkeypatch.setattr(weights, "block_means", lambda v, lx, ly: np.zeros((1, 1)))
+    with pytest.raises(RuntimeError, match="Jensen floor"):
+        ap_characteristic(w, 2.0)
+    monkeypatch.undo()
+    fake = lambda w, p: ApReport(p, 2.0 if w.role == "nu" else 1.0, unit_square())
+    monkeypatch.setattr(weights, "ap_characteristic", fake)
+    with pytest.raises(RuntimeError, match="exceeds the cap"):
+        bloom_weight(w, constant_weight(2), 2.0)
