@@ -18,6 +18,7 @@ is indexed ``table[x_slot, y_slot]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -497,10 +498,28 @@ class RectangleCollection:
         return Shadow.from_rectangles(self.rects, depth)
 
 
+@lru_cache(maxsize=None)
+def rectangle_incidence(depth: int) -> np.ndarray:
+    """Cached read-only table: row r marks the cells of cancellative rectangle r.
+
+    Rows follow :func:`cancellative_rectangles`; cell ``(i, j)`` is column ``i * 2^N + j``.
+    """
+    table = np.array([Shadow.from_rectangles([r], depth).mask.ravel()
+                      for r in cancellative_rectangles(depth)])
+    table.flags.writeable = False
+    return table
+
+
+def rectangles_inside(masks: np.ndarray, depth: int) -> np.ndarray:
+    """``out[m, r]``: every cell of cancellative rectangle r lies in raveled mask ``masks[m]``."""
+    return (~masks).astype(np.float32) @ rectangle_incidence(depth).T == 0
+
+
 def rectangles_in_shadow(shadow: Shadow) -> RectangleCollection:
     """All cancellative rectangles whose closure sits inside the mask."""
-    keep = [r for r in cancellative_rectangles(shadow.depth) if shadow.contains_rect(r)]
-    return RectangleCollection(keep)
+    rects = cancellative_rectangles(shadow.depth)
+    inside = rectangles_inside(shadow.mask.reshape(1, -1), shadow.depth)[0]
+    return RectangleCollection([r for r, keep in zip(rects, inside) if keep])
 
 
 def indicator(mask: Shadow | np.ndarray, depth: int | None = None) -> GridFunction2D:

@@ -76,6 +76,8 @@ IDENTITY_TOL = 1e-11
 SAMPLED_PAIRS = 16
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
+#: deepest grid for the identity suite, which walks all 4^(2^N - 1) sign pairs
+IDENTITIES_MAX_DEPTH = 3
 
 CSV_HEADER = "trial,ap_mu,ap_lambda,a2_nu,left,right,mid,ratio_lr,ratio_lm,flag"
 
@@ -103,6 +105,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not all(1.0 < p < math.inf for p in self.p_values):
+            raise ValueError(f"every --p must lie in (1, inf), got {list(self.p_values)}")
+        if not all(0.0 <= d < math.inf for d in self.deltas):
+            raise ValueError(f"every --delta must be finite and >= 0, got {list(self.deltas)}")
+        if self.command == "identities" and self.depth > IDENTITIES_MAX_DEPTH:
+            raise ValueError(f"identities walks every sign pair and is limited "
+                             f"to depth <= {IDENTITIES_MAX_DEPTH}")
         if (self.command in ("jn", "commutator", "paraproduct") and self.strategy == "exact"
                 and self.depth > EXACT_MAX_DEPTH):
             raise ValueError(f"--strategy exact enumerates every cell mask and is limited "

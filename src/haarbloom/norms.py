@@ -24,13 +24,16 @@ from .dyadic import (
     cancellative_rectangles,
     ensure_rng,
     haar_forward,
+    rectangle_incidence,
+    rectangles_in_shadow,
+    rectangles_inside,
 )
 from .weights import Weight
 
 #: deepest grid whose cell masks the exact BMO search enumerates (2^16 - 1 masks)
 EXACT_MAX_DEPTH = 2
-#: masks scored together by the exact search
-EXACT_BLOCK = 4096
+#: cells (masks x cells per mask) the BMO objective scores in one block
+BLOCK_CELLS = 16384
 
 
 def lp_weighted_norm(f: GridFunction2D, w: Weight, p: float) -> float:
@@ -49,7 +52,7 @@ def _included_rects(depth: int, region) -> list[DyadicRectangle]:
     if isinstance(region, Shadow):
         if region.depth != depth:
             raise ValueError("shadow and function disagree on depth")
-        return [r for r in cancellative_rectangles(depth) if region.contains_rect(r)]
+        return list(rectangles_in_shadow(region))
     if isinstance(region, RectangleCollection):
         return list(region)
     raise TypeError(f"unsupported region {type(region).__name__}")
@@ -120,7 +123,7 @@ class BmoResult:
 
 
 class _MaskObjective:
-    """Shared machinery: evaluate the localized ratio on arbitrary cell masks."""
+    """The localized ratio ``||S_mask b||_{L^p(lam)} / mu(mask)^{1/p}`` on stacks of cell masks."""
 
     def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float):
         if p < 1:
@@ -129,34 +132,33 @@ class _MaskObjective:
             raise ValueError("symbol and weights disagree on depth")
         self.depth = b.depth
         self.p = p
-        n = 1 << b.depth
-        self.cells = n * n
-        area = 4.0 ** (-b.depth)
+        self.cells = 4 ** b.depth
+        rects = cancellative_rectangles(b.depth)
         coeffs = haar_forward(b)
-        self.rect_cells: list[np.ndarray] = []
-        self.rect_energy: list[float] = []
-        for r in cancellative_rectangles(b.depth):
-            flat = np.zeros((n, n), bool)
-            flat[r.cell_box(b.depth)] = True
-            self.rect_cells.append(flat.ravel())
-            c = coeffs.coefficient(r)
-            self.rect_energy.append(c * c / r.area)
-        self.lam_cell = lam.values.ravel() * area
-        self.mu_cell = mu.values.ravel() * area
+        c = np.array([coeffs.coefficient(r) for r in rects])
+        self.energy = c * c / np.array([r.area for r in rects])
+        self.incidence = rectangle_incidence(b.depth)
+        # covers[g, c]: the g-th rectangle holding cell c, in rectangle order
+        self.covers = np.nonzero(self.incidence.T)[1].reshape(self.cells, -1).T
+        self.lam_cell = lam.values.ravel() * 4.0 ** (-b.depth)
+        self.mu_cell = mu.values.ravel() * 4.0 ** (-b.depth)
 
-    def value(self, mask: np.ndarray) -> float:
-        """Localized square-function norm over the mask divided by mu(mask)^{1/p}."""
-        s2 = np.zeros(self.cells)
-        for cells, energy in zip(self.rect_cells, self.rect_energy):
-            if mask[cells].all():
-                s2 += energy * cells
-        num = float((s2 ** (self.p / 2.0)) @ self.lam_cell) ** (1.0 / self.p)
-        den = float(self.mu_cell[mask].sum()) ** (1.0 / self.p)
-        return num / den
-
-    def shadow(self, mask: np.ndarray) -> Shadow:
-        n = 1 << self.depth
-        return Shadow(mask.reshape(n, n))
+    def values(self, masks: np.ndarray) -> np.ndarray:
+        """Ratios of a stack of raveled boolean masks, ``BLOCK_CELLS`` cells at a time."""
+        out = np.empty(len(masks))
+        step = max(1, BLOCK_CELLS // self.cells)
+        for start in range(0, len(masks), step):
+            bits = masks[start:start + step]
+            inside = rectangles_inside(bits, self.depth)
+            s2 = np.zeros(bits.shape)
+            for cover in self.covers:       # rectangle order: blocking cannot move a bit
+                np.add(s2, self.energy[cover], out=s2, where=inside[:, cover])
+            # most cells see no rectangle; zeros stay zero, and pow is slow on them
+            np.power(s2, self.p / 2.0, out=s2, where=s2 > 0)
+            nums = (s2 @ self.lam_cell) ** (1.0 / self.p)
+            dens = (bits @ self.mu_cell) ** (1.0 / self.p)
+            out[start:start + step] = nums / dens
+        return out
 
 
 def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
@@ -165,44 +167,29 @@ def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
     Restricting the supremum to masks loses nothing: any rectangle family
     is dominated by the family of all rectangles inside its shadow (same
     mask, more non-negative square-function terms), which *is* one of the
-    enumerated masks, and the denominator only sees the mask.  Masks are
-    scored in blocks of ``EXACT_BLOCK`` so that memory stays flat.
+    enumerated masks, and the denominator only sees the mask.  Ties go to
+    the first mask in integer order (bit k is raveled cell k).
     """
     if obj.depth > EXACT_MAX_DEPTH:
         raise ValueError(f"exact search is limited to depth <= {EXACT_MAX_DEPTH} "
                          f"(65535 masks)")
-    shifts = np.arange(obj.cells, dtype=np.uint32)
-    rects = []
-    for cells, energy in zip(obj.rect_cells, obj.rect_energy):
-        rbit = np.uint32((1 << np.flatnonzero(cells)).sum())
-        rects.append((rbit, energy * cells))
-    best, best_bits = -np.inf, None
-    count = 1 << obj.cells
-    for start in range(1, count, EXACT_BLOCK):
-        masks = np.arange(start, min(start + EXACT_BLOCK, count), dtype=np.uint32)
-        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
-        s2 = np.zeros((len(masks), obj.cells))
-        for rbit, row in rects:
-            s2[(masks & rbit) == rbit] += row
-        nums = ((s2 ** (obj.p / 2.0)) @ obj.lam_cell) ** (1.0 / obj.p)
-        dens = (bits @ obj.mu_cell) ** (1.0 / obj.p)
-        ratios = nums / dens
-        idx = int(np.argmax(ratios))
-        if ratios[idx] > best:        # ties: first mask in integer order
-            best, best_bits = float(ratios[idx]), bits[idx].copy()
-    return best, best_bits
+    masks = np.arange(1, 1 << obj.cells, dtype="<u2")      # depth <= 2: 16 cells at most
+    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 2), axis=1, bitorder="little")
+    bits = bits[:, :obj.cells].view(bool)
+    ratios = obj.values(bits)
+    idx = int(np.argmax(ratios))
+    return float(ratios[idx]), bits[idx]
 
 
 def _grow_greedily(obj: _MaskObjective, mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Steepest-ascent cell additions until no flip improves the ratio."""
+    """Steepest ascent: each step adds the best cell; a later cell must win by 1e-14 relative."""
     mask = mask.copy()
-    best = obj.value(mask)
+    best = float(obj.values(mask[None])[0])
     while True:
+        free = np.flatnonzero(~mask)
+        grown = mask | np.eye(obj.cells, dtype=bool)[free]
         gain_cell, gain_value = -1, best
-        for cell in np.flatnonzero(~mask):
-            mask[cell] = True
-            v = obj.value(mask)
-            mask[cell] = False
+        for cell, v in zip(free, obj.values(grown).tolist()):
             if v > gain_value * (1.0 + 1e-14):
                 gain_cell, gain_value = cell, v
         if gain_cell < 0:
@@ -215,47 +202,28 @@ def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, 
     """Candidate shadows + steepest-ascent growth; exact-search oracle's cheap rival.
 
     Candidate families: every dyadic rectangle, pairwise unions of the
-    cancellative ones, superlevel sets of the square function and of the
-    strong maximal function of the symbol, the full square, and seeded
-    random masks.  The best few candidates are grown greedily.
+    cancellative ones, superlevel sets of the squared square function of
+    the symbol and of the pointwise maximum rectangle energy
+    ``max_R b_R^2 / |R|`` over the rectangles holding a cell, the full
+    square, and seeded random masks.  All candidates are scored in one
+    call; the best few are grown greedily.
     """
     rng = ensure_rng(seed)
     n = 1 << obj.depth
-    candidates: list[np.ndarray] = []
+    rects = all_rectangles(obj.depth)
+    boxes = np.zeros((len(rects), n, n), bool)
+    for box, r in zip(boxes, rects):
+        box[r.cell_box(obj.depth)] = True
+    first, second = np.triu_indices(len(obj.incidence), 1)
+    cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
+    candidates = np.concatenate(
+        [boxes.reshape(-1, obj.cells), obj.incidence[first] | obj.incidence[second]]
+        + [field >= np.unique(field)[:, None]
+           for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
+        + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])
+    candidates = candidates[candidates.any(axis=1)]
 
-    def add(mask2d: np.ndarray) -> None:
-        flat = mask2d.ravel().astype(bool)
-        if flat.any():
-            candidates.append(flat)
-
-    zeros = np.zeros((n, n), bool)
-    for r in all_rectangles(obj.depth):
-        m = zeros.copy()
-        m[r.cell_box(obj.depth)] = True
-        add(m)
-    cc = cancellative_rectangles(obj.depth)
-    for i in range(len(cc)):
-        for j in range(i + 1, len(cc)):
-            m = zeros.copy()
-            m[cc[i].cell_box(obj.depth)] = True
-            m[cc[j].cell_box(obj.depth)] = True
-            add(m)
-    s2_field = np.zeros(obj.cells)
-    for cells, energy in zip(obj.rect_cells, obj.rect_energy):
-        s2_field += energy * cells
-    fields = [s2_field]
-    heights = np.zeros(obj.cells)
-    for cells, energy in zip(obj.rect_cells, obj.rect_energy):
-        np.maximum(heights, energy * cells, out=heights)
-    fields.append(heights)
-    for field in fields:
-        for t in np.unique(field):
-            add((field >= t).reshape(n, n))
-    add(np.ones((n, n), bool))
-    for _ in range(restarts):
-        add(rng.random((n, n)) < 0.5)
-
-    scored = sorted(((obj.value(m), i) for i, m in enumerate(candidates)), reverse=True)
+    scored = sorted(zip(obj.values(candidates).tolist(), range(len(candidates))), reverse=True)
     best, best_mask = scored[0][0], candidates[scored[0][1]]
     for _, i in scored[:5]:
         value, mask = _grow_greedily(obj, candidates[i])
@@ -280,7 +248,7 @@ def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
         value, mask = _heuristic_search(obj, restarts, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return BmoResult(value, strategy, obj.shadow(mask))
+    return BmoResult(value, strategy, Shadow(mask.reshape(1 << b.depth, -1).copy()))
 
 
 def bmo_prod_one_weight(b: GridFunction2D, nu: Weight, strategy: str = "exact",

@@ -47,6 +47,7 @@ from .dyadic import (
     haar_inverse,
     haar_project_x,
     haar_project_y,
+    rectangles_in_shadow,
     slot_interval,
     slot_of,
 )
@@ -388,20 +389,16 @@ def restricted_projection(f: GridFunction2D, region: Shadow | RectangleCollectio
     A :class:`Shadow` stands for all cancellative rectangles contained in
     the mask; a :class:`RectangleCollection` is used verbatim.
     """
-    n = 1 << f.depth
-    keep = np.zeros((n, n), bool)
     if isinstance(region, Shadow):
         if region.depth != f.depth:
             raise ValueError("shadow and function disagree on depth")
-        for p in range(1, n):
-            for q in range(1, n):
-                rect = DyadicRectangle(slot_interval(p), slot_interval(q))
-                keep[p, q] = region.contains_rect(rect)
-    else:
-        for rect in region:
-            if rect.x.level >= f.depth or rect.y.level >= f.depth:
-                raise ValueError(f"{rect} has no resolved Haar function at depth {f.depth}")
-            keep[slot_of(rect.x), slot_of(rect.y)] = True
+        region = rectangles_in_shadow(region)
+    n = 1 << f.depth
+    keep = np.zeros((n, n), bool)
+    for rect in region:
+        if rect.x.level >= f.depth or rect.y.level >= f.depth:
+            raise ValueError(f"{rect} has no resolved Haar function at depth {f.depth}")
+        keep[slot_of(rect.x), slot_of(rect.y)] = True
     table = haar_forward(f).table * keep
     return haar_inverse(HaarCoefficients2D(f.depth, table))
 

@@ -235,12 +235,13 @@ def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     The commutator matrices of all candidate pairs of one-parameter sign
     multipliers are built in one stack and their weighted norms measured
     together: top singular values at p = 2, the batched power iteration
-    otherwise.  ``mode="exhaustive"`` walks the full +-1 space (depth <=
-    2: at most 8 x 8 pairs); ``"sampled"`` draws ``trials`` pairs from a
-    seeded stream, so a longer run with the same seed extends a shorter
-    one.  Ties go to the first pair in walk order.  ``iterations`` sums
-    ``max(1, per-pair iterations)``.  The result is exact only for an
-    exhaustive walk at p = 2.
+    otherwise.  ``mode="exhaustive"`` walks the +-1 space (depth <= 2) one
+    class ``{+-sx} x {+-sy}`` at a time, by its member with slot-1 signs
+    +1 (at most 4 x 4 pairs): negating one axis negates the commutator.
+    ``"sampled"`` draws ``trials`` pairs from a seeded stream, so a longer
+    run with the same seed extends a shorter one.  Ties go to the first
+    pair in walk order.  ``iterations`` sums ``max(1, per-pair
+    iterations)``.  The result is exact only for an exhaustive walk at p = 2.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -249,6 +250,7 @@ def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
             raise ValueError(f"exhaustive sign enumeration is limited to depth "
                              f"<= {EXHAUSTIVE_MAX_DEPTH}")
         rows = axis_sign_rows(b.depth)
+        rows = rows[rows[:, 1] > 0]
         sx = np.repeat(rows, len(rows), axis=0)
         sy = np.tile(rows, (len(rows), 1))
     else:

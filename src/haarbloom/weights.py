@@ -57,7 +57,8 @@ class Weight:
     """Positive grid function with a bookkeeping role tag.
 
     Roles are purely informational ("mu", "lambda", "nu" or "generic");
-    they make experiment reports self-describing.
+    they make experiment reports self-describing.  The values are a
+    read-only copy, so the per-exponent characteristic cache cannot go stale.
     """
 
     grid: GridFunction2D
@@ -65,9 +66,11 @@ class Weight:
     _ap_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        v = self.grid.values
+        v = self.grid.values.copy()
         if not np.all(np.isfinite(v)) or not np.all(v > 0):
             raise ValueError("weight values must be positive and finite")
+        v.flags.writeable = False
+        self.grid = GridFunction2D(self.grid.depth, v)
 
     @property
     def depth(self) -> int:

@@ -267,6 +267,16 @@ def test_shadow_rectangles():
     assert len(rectangles_in_shadow(Shadow.full(2))) == 9
 
 
+def test_rectangles_in_shadow_matches_contains_rect():
+    rng = np.random.default_rng(40)
+    for depth in (1, 2, 3):
+        n = 1 << depth
+        for _ in range(20):
+            s = Shadow(rng.random((n, n)) < rng.uniform(0.3, 0.95))
+            want = [r for r in cancellative_rectangles(depth) if s.contains_rect(r)]
+            assert list(rectangles_in_shadow(s)) == want
+
+
 def test_indicator():
     s = Shadow.from_rectangles([rect(1, 1, 1, 0)], 1)
     f = indicator(s)

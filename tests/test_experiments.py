@@ -175,6 +175,14 @@ def test_config_validation():
         ExperimentConfig("jn", strategy="magic")
     with pytest.raises(ValueError):
         ExperimentConfig("jn", mode="magic")
+    for bad in (1.0, 0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ExperimentConfig("jn", p_values=(2.0, bad))
+    for bad in (-0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ExperimentConfig("jn", deltas=(0.0, bad))
+    with pytest.raises(ValueError):
+        ExperimentConfig("identities", depth=4)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +233,22 @@ def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "limited to depth <= 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jn", "--p", "1"],
+    ["jn", "--p", "2,inf"],
+    ["jn", "--delta", "-0.5"],
+    ["identities", "--depth", "5"],
+])
+def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
+    def boom(cfg):
+        raise AssertionError("a trial ran")
+    monkeypatch.setitem(COMMANDS, argv[0], boom)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
 
 
 def test_cli_installed_entry_point(tmp_path):

@@ -14,6 +14,7 @@ from haarbloom.dyadic import (
     random_symbol,
     unit_square,
 )
+from haarbloom import norms
 from haarbloom.norms import (
     BmoResult,
     bmo_prod_one_weight,
@@ -149,6 +150,36 @@ def test_bmo_heuristic_never_beats_exact_and_usually_matches():
         obj_val = bmo_prod_two_weight(b, mu, lam, p, "exact").value
         assert exact.value == pytest.approx(obj_val)
     assert hits >= 9
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_mask_objective_matches_the_literal_ratio(p):
+    rng = np.random.default_rng(42)
+    for depth in (1, 2, 3):
+        n = 1 << depth
+        b = random_symbol(depth, rng)
+        mu = random_cascade_weight(depth, 0.7, rng)
+        lam = random_cascade_weight(depth, 0.7, rng)
+        masks = rng.random((40, n * n)) < rng.uniform(0.3, 0.95, (40, 1))
+        masks[:, 0] = True
+        got = norms._MaskObjective(b, mu, lam, p).values(masks)
+        for value, m in zip(got, masks):
+            omega = Shadow(m.reshape(n, n))
+            want = (lp_weighted_norm(square_function(b, omega), lam, p)
+                    / mu.measure(omega) ** (1.0 / p))
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_exact_search_does_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(43)
+    draws = [(random_symbol(2, rng), random_cascade_weight(2, 0.7, rng),
+              random_cascade_weight(2, 0.7, rng), p) for p in (1.5, 2.0, 3.0)]
+    default = [bmo_prod_two_weight(*d, "exact") for d in draws]
+    monkeypatch.setattr(norms, "BLOCK_CELLS", 16 * 7)      # 7 masks per block
+    for d, want in zip(draws, default):
+        got = bmo_prod_two_weight(*d, "exact")
+        assert got.value == want.value
+        assert got.witness.to_hex() == want.witness.to_hex()
 
 
 def test_bmo_degenerate_symbol():

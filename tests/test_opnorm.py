@@ -233,11 +233,11 @@ def test_batched_sup_matches_per_pair_loop(p):
         res = sup_commutator_norm(b, mu, lam, p, mode="exhaustive")
         if p == 2:
             assert res.value == pytest.approx(want, rel=1e-12)
-            assert res.kind == "exact" and res.iterations == total == 4 ** (2 ** depth - 1)
+            assert res.kind == "exact" and res.iterations == total // 4 == 4 ** (2 ** depth - 2)
         else:
             assert res.value >= want * (1 - 1e-9)
             assert res.value <= res.upper_bound * (1 + 1e-9)
-            assert res.kind == "lower_bound" and res.iterations >= 4 ** (2 ** depth - 1)
+            assert res.kind == "lower_bound" and res.iterations >= 4 ** (2 ** depth - 2)
         # the reported pair and witness realize the reported value
         sx, sy = res.sign_pair
         mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), depth)

@@ -40,6 +40,18 @@ def test_characteristic_constant_and_cache():
     assert ap_characteristic(w, 3).characteristic == pytest.approx(1.0, abs=1e-14)
 
 
+def test_weight_values_cannot_change_under_the_cache():
+    raw = np.random.default_rng(41).uniform(0.5, 2.0, (4, 4))
+    w = Weight(GridFunction2D(2, raw))
+    rep = ap_characteristic(w, 2)
+    with pytest.raises(ValueError):
+        w.values[0, 0] = 100.0
+    raw[0, 0] = 100.0
+    assert w.values[0, 0] != 100.0
+    fresh = Weight(GridFunction2D(2, w.values.copy()))
+    assert ap_characteristic(fresh, 2).characteristic == rep.characteristic
+
+
 def test_characteristic_at_least_one():
     rng = np.random.default_rng(2)
     for p in (1.5, 2.0, 3.0):
