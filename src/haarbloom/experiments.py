@@ -114,8 +114,9 @@ class ExperimentConfig:
                              f"to depth <= {IDENTITIES_MAX_DEPTH}")
         if (self.command in ("jn", "commutator", "paraproduct") and self.strategy == "exact"
                 and self.depth > EXACT_MAX_DEPTH):
-            raise ValueError(f"--strategy exact enumerates every cell mask and is limited "
-                             f"to depth <= {EXACT_MAX_DEPTH}; use --strategy heuristic")
+            raise ValueError(f"--strategy exact scores every union of finest rectangles, "
+                             f"where the supremum over all open sets is attained, and is "
+                             f"limited to depth <= {EXACT_MAX_DEPTH}; use --strategy heuristic")
         if (self.command == "commutator" and self.mode == "exhaustive"
                 and self.depth > EXHAUSTIVE_MAX_DEPTH):
             raise ValueError(f"--mode exhaustive walks every sign pair and is limited "

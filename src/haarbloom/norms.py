@@ -3,9 +3,11 @@
 The product BMO norm of a symbol against a weight pair is a supremum
 over unions of cells ("shadows") of a localized square-function norm
 divided by a measure of the union.  On a depth-N grid the supremum is a
-finite max over non-empty cell masks, so an exact (exponential) search
-exists at small depth alongside a practical heuristic search; both
-return the witness mask they selected.
+finite max over the ``2^(4^N) - 1`` non-empty cell masks, and it is
+attained on the ``2^(4^(N-1)) - 1`` unions of finest cancellative
+rectangles, so an exact (exponential) search exists at small depth
+alongside a practical heuristic search; both return the witness mask
+they selected.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .dyadic import (
 )
 from .weights import Weight
 
-#: deepest grid whose cell masks the exact BMO search enumerates (2^16 - 1 masks)
+#: deepest grid the exact BMO search runs on (2^4 - 1 unions of finest rectangles)
 EXACT_MAX_DEPTH = 2
 #: cells (masks x cells per mask) the BMO objective scores in one block
 BLOCK_CELLS = 16384
@@ -155,30 +157,39 @@ class _MaskObjective:
                 np.add(s2, self.energy[cover], out=s2, where=inside[:, cover])
             # most cells see no rectangle; zeros stay zero, and pow is slow on them
             np.power(s2, self.p / 2.0, out=s2, where=s2 > 0)
-            nums = (s2 @ self.lam_cell) ** (1.0 / self.p)
-            dens = (bits @ self.mu_cell) ** (1.0 / self.p)
+            # einsum sums each row alike whatever the stack; BLAS gemv does not
+            nums = np.einsum("mc,c->m", s2, self.lam_cell) ** (1.0 / self.p)
+            dens = np.einsum("mc,c->m", bits, self.mu_cell) ** (1.0 / self.p)
             out[start:start + step] = nums / dens
         return out
 
 
 def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
-    """Enumerate every non-empty cell mask; exponential, so small depth only.
+    """Score every non-empty union of finest cancellative rectangles; small depth only.
 
-    Restricting the supremum to masks loses nothing: any rectangle family
-    is dominated by the family of all rectangles inside its shadow (same
-    mask, more non-negative square-function terms), which *is* one of the
-    enumerated masks, and the denominator only sees the mask.  Ties go to
-    the first mask in integer order (bit k is raveled cell k).
+    This is the supremum over all non-empty cell masks.  A rectangle
+    family is dominated by all rectangles inside its shadow (same mask,
+    more non-negative terms), so masks suffice.  A mask holds the same
+    rectangles as the union of the finest (level ``N-1`` by ``N-1``)
+    blocks inside it, so that union has the same numerator, no larger a
+    measure and no later place in integer order (bit k is raveled cell
+    k).  Hence the first maximising mask is such a union: bit k of the
+    enumeration index picks finest block k, and block k's highest cell
+    rises with k, so index order is integer order.  A symbol with no
+    energy scores 0 everywhere; its first mask is cell 0 alone.
     """
     if obj.depth > EXACT_MAX_DEPTH:
         raise ValueError(f"exact search is limited to depth <= {EXACT_MAX_DEPTH} "
-                         f"(65535 masks)")
-    masks = np.arange(1, 1 << obj.cells, dtype="<u2")      # depth <= 2: 16 cells at most
-    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 2), axis=1, bitorder="little")
-    bits = bits[:, :obj.cells].view(bool)
-    ratios = obj.values(bits)
+                         "(15 unions of finest rectangles)")
+    finest = obj.incidence[[r.x.level == r.y.level == obj.depth - 1
+                            for r in cancellative_rectangles(obj.depth)]]
+    picks = np.arange(1, 1 << len(finest))[:, None] >> np.arange(len(finest)) & 1
+    unions = picks.astype(bool) @ finest
+    ratios = obj.values(unions)
     idx = int(np.argmax(ratios))
-    return float(ratios[idx]), bits[idx]
+    if ratios[idx] == 0.0:
+        return 0.0, np.arange(obj.cells) == 0
+    return float(ratios[idx]), unions[idx]
 
 
 def _grow_greedily(obj: _MaskObjective, mask: np.ndarray) -> tuple[float, np.ndarray]:
@@ -237,7 +248,9 @@ def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                         seed: int | np.random.Generator | None = 0) -> BmoResult:
     """Two-weight product BMO norm of a symbol, with witness shadow.
 
-    ``strategy="exact"`` enumerates all cell masks (depth <= 2);
+    ``strategy="exact"`` takes the supremum over all ``2^(4^N) - 1``
+    non-empty cell masks (depth <= 2) by scoring the ``2^(4^(N-1)) - 1``
+    unions of finest rectangles, where it is attained;
     ``"heuristic"`` runs the candidate/greedy search at any depth the
     desk-scale budget allows.
     """

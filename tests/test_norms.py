@@ -170,10 +170,26 @@ def test_mask_objective_matches_the_literal_ratio(p):
             assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_mask_scores_do_not_depend_on_the_stack(p):
+    rng = np.random.default_rng(44)
+    for depth in (1, 2, 3):
+        cells = 4 ** depth
+        b = random_symbol(depth, rng)
+        mu = random_cascade_weight(depth, 0.7, rng)
+        lam = random_cascade_weight(depth, 0.7, rng)
+        masks = rng.random((300, cells)) < rng.uniform(0.3, 0.95, (300, 1))
+        masks[:, 0] = True
+        obj = norms._MaskObjective(b, mu, lam, p)
+        stacked = obj.values(masks)
+        alone = np.array([obj.values(m[None])[0] for m in masks])
+        np.testing.assert_array_equal(stacked, alone)
+
+
 def test_exact_search_does_not_depend_on_the_block_size(monkeypatch):
     rng = np.random.default_rng(43)
     draws = [(random_symbol(2, rng), random_cascade_weight(2, 0.7, rng),
-              random_cascade_weight(2, 0.7, rng), p) for p in (1.5, 2.0, 3.0)]
+              random_cascade_weight(2, 0.7, rng), p) for p in (1.5, 2.0, 3.0) * 10]
     default = [bmo_prod_two_weight(*d, "exact") for d in draws]
     monkeypatch.setattr(norms, "BLOCK_CELLS", 16 * 7)      # 7 masks per block
     for d, want in zip(draws, default):
@@ -182,10 +198,35 @@ def test_exact_search_does_not_depend_on_the_block_size(monkeypatch):
         assert got.witness.to_hex() == want.witness.to_hex()
 
 
+def _brute_force_search(b, mu, lam, p):
+    """First maximiser in integer order over every non-empty cell mask."""
+    cells = 4 ** b.depth
+    masks = (np.arange(1, 1 << cells)[:, None] >> np.arange(cells) & 1).astype(bool)
+    ratios = norms._MaskObjective(b, mu, lam, p).values(masks)
+    idx = int(np.argmax(ratios))
+    return float(ratios[idx]), Shadow(masks[idx].reshape(1 << b.depth, -1)).to_hex()
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_exact_search_matches_the_brute_force_over_every_mask(depth):
+    rng = np.random.default_rng(45 + depth)
+    symbols = ([random_symbol(depth, rng) for _ in range(4)] + [GridFunction2D.zeros(depth)]
+               + [haar_function(r, depth) for r in cancellative_rectangles(depth)])
+    for i, b in enumerate(symbols):
+        p = (1.5, 2.0, 3.0)[i % 3]
+        mu = random_cascade_weight(depth, 0.7, rng)
+        lam = random_cascade_weight(depth, 0.7, rng)
+        got = bmo_prod_two_weight(b, mu, lam, p, "exact")
+        assert (got.value, got.witness.to_hex()) == _brute_force_search(b, mu, lam, p)
+        if not b.values.any():
+            assert got.witness.to_hex() == "1"
+
+
 def test_bmo_degenerate_symbol():
     b = GridFunction2D.zeros(2)
     res = bmo_prod_two_weight(b, constant_weight(2), constant_weight(2), 2, "exact")
     assert res.value == 0.0
+    assert res.witness.to_hex() == "1"
     heur = bmo_prod_two_weight(b, constant_weight(2), constant_weight(2), 2, "heuristic")
     assert heur.value == 0.0
 
