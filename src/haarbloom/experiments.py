@@ -76,7 +76,9 @@ IDENTITY_TOL = 1e-11
 SAMPLED_PAIRS = 16
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
-#: deepest grid for the identity suite, which walks all 4^(2^N - 1) sign pairs
+#: deepest grid for the identity suite, which scores all 4^(2^N - 1) sign pairs:
+#: one draw takes about 0.8 s at depth 3, while depth 4 has 2^30 pairs
+#: (a 17 GB matrix stack per x-axis sign row)
 IDENTITIES_MAX_DEPTH = 3
 
 CSV_HEADER = "trial,ap_mu,ap_lambda,a2_nu,left,right,mid,ratio_lr,ratio_lm,flag"
@@ -187,6 +189,22 @@ def _draw_pair(depth: int, delta: float, rng: np.random.Generator):
 # identities
 # ---------------------------------------------------------------------------
 
+def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
+    """``||[T1_sx, [T2_sy, M_b]] f||^2`` for every pair of axis sign rows.
+
+    Entry ``(i, j)`` pairs x-row ``i`` with y-row ``j`` of
+    :func:`axis_sign_rows`.  One :func:`commutator_matrices` call per
+    x-row covers all y-rows (a stack of 4 MB at depth 3).
+    """
+    rows = axis_sign_rows(b.depth)
+    fv = f.values.ravel()
+    out = np.empty((len(rows), len(rows)))
+    for i, sx in enumerate(rows):
+        g = commutator_matrices(b, np.broadcast_to(sx, rows.shape), rows) @ fv
+        out[i] = (g * g).mean(axis=1)
+    return out
+
+
 def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]:
     """One random draw of every exact identity; returns absolute gaps.
 
@@ -224,8 +242,10 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     gaps["lambda_two_forms"] = (lambda_apply(b, f_cc) - second).max_abs()
 
     # nested commutators cannot tell b from its paraproduct sum
+    # ... and their squares sum to the right side of the sign-average check
     lam_op = lambda_operator(b)
     worst = 0.0
+    projection_square_sum = 0.0
     for p in range(1, n):
         for q in range(1, n):
             ix, jy = slot_interval(p), slot_interval(q)
@@ -234,6 +254,7 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
                 lambda g: haar_project_x(g, ix), lambda g: haar_project_y(g, jy),
                 lam_op, f_any)
             worst = max(worst, (got - via).max_abs())
+            projection_square_sum += (got * got).integral()
     gaps["commutator_projection_replacement"] = worst
 
     sx, sy = SignChoice1D.random(depth, rng), SignChoice1D.random(depth, rng)
@@ -281,20 +302,10 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     gaps["multiplier_is_projection_sum"] = (haar_multiplier_x(f_any, sx) - total).max_abs()
 
     # averaged sign supremum consistency: the mean squared commutator norm
-    # over all sign pairs equals the sum over interval pairs
-    lhs = 0.0
-    axis_signs = [SignChoice1D(depth, row) for row in axis_sign_rows(depth)]
-    for cx in axis_signs:
-        for cy in axis_signs:
-            g = iterated_commutator(b, f_any, cx, cy)
-            lhs += (g * g).integral()
-    lhs /= len(axis_signs) ** 2
-    rhs = 0.0
-    for p in range(1, n):
-        for q in range(1, n):
-            g = iterated_projection_commutator(b, f_any, slot_interval(p), slot_interval(q))
-            rhs += (g * g).integral()
-    gaps["khintchine_consistency"] = abs(lhs - rhs)
+    # over all sign pairs (from the commutator matrices) equals the sum
+    # over interval pairs (from the literal projection commutators)
+    lhs = float(_sign_pair_square_norms(b, f_any).mean())
+    gaps["khintchine_consistency"] = abs(lhs - projection_square_sum)
     return gaps
 
 
@@ -303,9 +314,11 @@ def run_identities(cfg: ExperimentConfig) -> dict:
     for trial in range(cfg.trials):
         gaps = identity_gap_suite(cfg.depth, cfg.rng_for(0, trial))
         for name, gap in gaps.items():
-            worst[name] = max(worst.get(name, 0.0), gap)
+            prev = worst.get(name, 0.0)
+            # a nan gap must stick, and max(0.0, nan) is 0.0
+            worst[name] = gap if math.isnan(gap) or gap > prev else prev
     violations = [f"{name}: gap {gap:.3e} exceeds {IDENTITY_TOL}"
-                  for name, gap in sorted(worst.items()) if gap > IDENTITY_TOL]
+                  for name, gap in sorted(worst.items()) if not gap <= IDENTITY_TOL]
     return {
         "config": cfg.echo(),
         "tolerance": IDENTITY_TOL,

@@ -104,6 +104,16 @@ def _symbol_cc(b: GridFunction2D) -> np.ndarray:
     return table
 
 
+def _paraproduct_from_cc(kind: str, cc: np.ndarray, f: GridFunction2D) -> GridFunction2D:
+    """Paraproduct of one kind, given the symbol's :func:`_symbol_cc` table."""
+    hc, hn, sc = _axis_bases(f.depth)
+    coef = cc * sc * _mixed_table(f, kind[0] == "1", kind[1] == "1")
+    out_x = hc if kind[0] == "1" else hn   # output carries the complementary type
+    out_y = hc if kind[1] == "1" else hn
+    values = np.einsum("pq,pi,qj->ij", coef[1:, 1:], out_x[1:], out_y[1:])
+    return GridFunction2D(f.depth, values)
+
+
 def paraproduct_apply(kind: str, b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
     """One of the four biparameter paraproducts with symbol ``b`` applied to ``f``.
 
@@ -115,19 +125,17 @@ def paraproduct_apply(kind: str, b: GridFunction2D, f: GridFunction2D) -> GridFu
         raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
     if b.depth != f.depth:
         raise ValueError("symbol and argument live on different grids")
-    hc, hn, sc = _axis_bases(b.depth)
-    coef = _symbol_cc(b) * sc * _mixed_table(f, kind[0] == "1", kind[1] == "1")
-    out_x = hc if kind[0] == "1" else hn   # output carries the complementary type
-    out_y = hc if kind[1] == "1" else hn
-    values = np.einsum("pq,pi,qj->ij", coef[1:, 1:], out_x[1:], out_y[1:])
-    return GridFunction2D(b.depth, values)
+    return _paraproduct_from_cc(kind, _symbol_cc(b), f)
 
 
 def lambda_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
     """Sum of the four paraproducts: the symbol side of the commutator calculus."""
-    out = paraproduct_apply("00", b, f)
+    if b.depth != f.depth:
+        raise ValueError("symbol and argument live on different grids")
+    cc = _symbol_cc(b)
+    out = _paraproduct_from_cc("00", cc, f)
     for kind in ("10", "01", "11"):
-        out = out + paraproduct_apply(kind, b, f)
+        out = out + _paraproduct_from_cc(kind, cc, f)
     return out
 
 

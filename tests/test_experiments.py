@@ -1,11 +1,15 @@
+import itertools
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from haarbloom import experiments
 from haarbloom.cli import main
+from haarbloom.dyadic import random_grid
 from haarbloom.experiments import (
     COMMANDS,
     CSV_HEADER,
@@ -21,7 +25,9 @@ from haarbloom.experiments import (
     run_khintchine,
     run_paraproduct,
     write_records_csv,
+    _sign_pair_square_norms,
 )
+from haarbloom.operators import SignChoice1D, axis_sign_rows, iterated_commutator
 
 
 def test_identity_suite_all_small():
@@ -35,6 +41,47 @@ def test_identity_suite_all_small():
         "khintchine_consistency",
     }
     assert max(gaps.values()) < IDENTITY_TOL
+
+
+def test_sign_pair_square_norms_match_the_literal_walk():
+    rng = np.random.default_rng(3)
+    for depth in (1, 2):
+        b, f = random_grid(depth, rng), random_grid(depth, rng)
+        got = _sign_pair_square_norms(b, f)
+        rows = axis_sign_rows(depth)
+        assert got.shape == (len(rows), len(rows))
+        for i, j in itertools.product(range(len(rows)), repeat=2):
+            g = iterated_commutator(b, f, SignChoice1D(depth, rows[i]),
+                                    SignChoice1D(depth, rows[j]))
+            assert got[i, j] == pytest.approx((g * g).integral(), rel=1e-12, abs=0.0)
+
+
+def test_identity_suite_depth_3():
+    names = set(identity_gap_suite(2, np.random.default_rng(0)))
+    for seed in (0, 1, 2):
+        gaps = identity_gap_suite(3, np.random.default_rng(seed))
+        assert set(gaps) == names
+        assert max(gaps.values()) < IDENTITY_TOL
+
+
+def test_run_identities_keeps_a_nan_gap(monkeypatch, capsys):
+    real = experiments.identity_gap_suite
+    calls = []
+
+    def suite(depth, rng):
+        gaps = real(depth, rng)
+        if not calls:                  # only the first trial: nan must survive the next
+            gaps["plancherel"] = float("nan")
+        calls.append(depth)
+        return gaps
+
+    monkeypatch.setattr(experiments, "identity_gap_suite", suite)
+    code = main(["identities", "--depth", "2", "--trials", "2", "--seed", "1"])
+    assert code == 1 and len(calls) == 2
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["pass"] is False
+    assert math.isnan(printed["max_gaps"]["plancherel"])
+    assert [v.split(":")[0] for v in printed["violations"]] == ["plancherel"]
 
 
 def test_run_identities_report():

@@ -117,6 +117,18 @@ def test_lambda_two_forms_agree_on_bi_cancellative_input():
         assert (got - want).max_abs() < 1e-12
 
 
+def test_lambda_apply_is_the_sum_of_the_four_paraproducts_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for depth in (1, 2, 3):
+        b, f = random_grid(depth, rng), random_grid(depth, rng)
+        want = paraproduct_apply("00", b, f)
+        for kind in ("10", "01", "11"):
+            want = want + paraproduct_apply(kind, b, f)
+        assert np.array_equal(lambda_apply(b, f).values, want.values)
+    with pytest.raises(ValueError):
+        lambda_apply(random_grid(2, rng), random_grid(3, rng))
+
+
 def test_lambda_two_forms_differ_off_the_cancellative_span():
     # deliberate negative control: with a non-trivial scaling component in
     # the argument the two expressions are genuinely different operators
