@@ -4,7 +4,9 @@ Everything downstream works on a grid of 2^N x 2^N congruent cells of
 [0,1)^2.  This module owns the interval/rectangle types, grid functions,
 the tensor Haar basis with its fast forward/inverse transform, one- and
 two-parameter Haar projections, partial sums over a rectangle, cell
-masks ("shadows"), and CSV round-tripping of grids.
+masks ("shadows"), and CSV round-tripping of grids.  Every per-rectangle
+loop goes through the pyramid (:func:`rectangle_sums`,
+:func:`rectangle_means`) and the cached :func:`rectangle_table`.
 
 Orientation convention used everywhere: ``values[i, j]`` is the value on
 the cell with x-index ``i`` and y-index ``j``.
@@ -17,8 +19,9 @@ is indexed ``table[x_slot, y_slot]``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -106,6 +109,9 @@ class DyadicRectangle:
     def cell_box(self, depth: int) -> tuple[slice, slice]:
         return self.x.cell_slice(depth), self.y.cell_slice(depth)
 
+    def as_dict(self) -> dict:
+        return {"lx": self.x.level, "ix": self.x.index, "ly": self.y.level, "iy": self.y.index}
+
     def __str__(self) -> str:
         return f"{self.x} x {self.y}"
 
@@ -128,30 +134,22 @@ def slot_interval(slot: int) -> DyadicInterval:
 
 
 def all_rectangles(depth: int) -> list[DyadicRectangle]:
-    """Every dyadic rectangle resolved on the grid.
+    """Every dyadic rectangle resolved on the grid, the rows of :func:`rectangle_table`.
 
     Enumeration order is the canonical one used for arg-max reporting:
     x-level, then y-level, then x-index, then y-index, all ascending -- so
     ties are broken towards coarse rectangles, and [0,1)^2 comes first.
     """
-    out = []
-    for lx in range(depth + 1):
-        for ly in range(depth + 1):
-            for ix in range(1 << lx):
-                for iy in range(1 << ly):
-                    out.append(DyadicRectangle(DyadicInterval(lx, ix), DyadicInterval(ly, iy)))
-    return out
+    return list(rectangle_table(depth).rects)
 
 
 def cancellative_rectangles(depth: int) -> list[DyadicRectangle]:
-    """Rectangles both of whose Haar functions are resolved (levels <= depth-1)."""
-    out = []
-    for lx in range(depth):
-        for ly in range(depth):
-            for ix in range(1 << lx):
-                for iy in range(1 << ly):
-                    out.append(DyadicRectangle(DyadicInterval(lx, ix), DyadicInterval(ly, iy)))
-    return out
+    """Rectangles both of whose Haar functions are resolved (levels <= depth-1).
+
+    They keep their :func:`all_rectangles` order.
+    """
+    table = rectangle_table(depth)
+    return [r for r, keep in zip(table.rects, table.cancellative.tolist()) if keep]
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +213,74 @@ class GridFunction2D:
         return float(np.abs(self.values).max())
 
 
-def block_means(values: np.ndarray, lx: int, ly: int) -> np.ndarray:
-    """Averages of a cell array over every level-(lx, ly) rectangle.
+def rectangle_sums(values: np.ndarray) -> np.ndarray:
+    """Sums over every rectangle in :func:`all_rectangles` order, one reshape per level pair.
 
-    Returns a 2^lx x 2^ly array; entry (ix, iy) is the mean over the cells
-    of the rectangle with those indices.
+    ``values`` is a cell array, or one per level pair (the layout of
+    ``per_rect[rectangle_table(N).owner]``), each summed over its own pair.
     """
-    n = values.shape[0]
-    sx, sy = n >> lx, n >> ly
-    return values.reshape(1 << lx, sx, 1 << ly, sy).mean(axis=(1, 3))
+    n = values.shape[-1]
+    stack = itertools.cycle(values.reshape(-1, n, n))
+    pairs = itertools.product(range(n.bit_length()), repeat=2)
+    return np.concatenate([np.add.reduce(v.reshape(1 << lx, n >> lx, 1 << ly, n >> ly), (1, 3))
+                           .ravel() for v, (lx, ly) in zip(stack, pairs)])
+
+
+def rectangle_means(values: np.ndarray) -> np.ndarray:
+    """Average over every rectangle: a sum over a cell count, the bits of ``ndarray.mean``."""
+    depth = values.shape[-1].bit_length() - 1
+    return rectangle_sums(values) / (rectangle_table(depth).area * 4.0 ** depth)
+
+
+class RectangleTable:
+    """Every dyadic rectangle of a depth-N grid, one row each in :func:`all_rectangles` order.
+
+    Read-only arrays: each row's x and y ``levels`` and Haar ``slots``
+    (``2^level + index``), ``area``, and whether it is ``cancellative``;
+    ``owner[k, i, j]`` is the row of the level-pair-k rectangle holding cell
+    (i, j), so ``per_rect[owner]`` spreads per-rectangle values onto the grid.
+    ``cells`` and the tuple ``rects`` are built on first use.
+    """
+
+    def __init__(self, depth: int):
+        pairs = np.array(list(itertools.product(range(depth + 1), repeat=2)))
+        sizes = 1 << pairs.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        self.depth, self.levels = depth, np.repeat(pairs, sizes, axis=0)
+        local, ly = np.arange(len(self.levels)) - np.repeat(starts, sizes), self.levels[:, 1]
+        self.slots = (1 << self.levels) + np.stack([local >> ly, local & ((1 << ly) - 1)], axis=1)
+        self.area = np.ldexp(1.0, -self.levels.sum(axis=1))
+        self.cancellative = (self.levels < depth).all(axis=1)
+        lx, ly = pairs.T[:, :, None, None]
+        cell = np.arange(1 << depth)
+        self.owner = (starts[:, None, None] + ((cell[:, None] >> depth - lx) << ly)
+                      + (cell >> depth - ly))
+        for table in (self.levels, self.slots, self.area, self.cancellative, self.owner):
+            table.flags.writeable = False
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """``cells[r, i * 2^N + j]``: cell (i, j) lies in rectangle r."""
+        owner = self.owner.reshape(len(self.owner), -1)
+        out = np.zeros((len(self.levels), owner.shape[1]), bool)
+        out[owner, np.arange(owner.shape[1])] = True
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def rects(self) -> tuple[DyadicRectangle, ...]:
+        return tuple(DyadicRectangle(slot_interval(px), slot_interval(py))
+                     for px, py in self.slots.tolist())
+
+    def row(self, rect: DyadicRectangle) -> int:
+        """Row of a rectangle resolved on the grid (levels <= N)."""
+        x, y = rect.x.cell_slice(self.depth), rect.y.cell_slice(self.depth)
+        return int(self.owner[rect.x.level * (self.depth + 1) + rect.y.level, x.start, y.start])
+
+
+@lru_cache(maxsize=None)
+def rectangle_table(depth: int) -> RectangleTable:
+    return RectangleTable(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -494,20 +551,14 @@ class RectangleCollection:
     def __len__(self) -> int:
         return len(self.rects)
 
-    def shadow(self, depth: int) -> Shadow:
-        return Shadow.from_rectangles(self.rects, depth)
-
 
 @lru_cache(maxsize=None)
 def rectangle_incidence(depth: int) -> np.ndarray:
-    """Cached read-only table: row r marks the cells of cancellative rectangle r.
-
-    Rows follow :func:`cancellative_rectangles`; cell ``(i, j)`` is column ``i * 2^N + j``.
-    """
-    table = np.array([Shadow.from_rectangles([r], depth).mask.ravel()
-                      for r in cancellative_rectangles(depth)])
-    table.flags.writeable = False
-    return table
+    """Cached read-only cancellative rows of ``rectangle_table(depth).cells``, in their order."""
+    table = rectangle_table(depth)
+    rows = table.cells[table.cancellative]
+    rows.flags.writeable = False
+    return rows
 
 
 def rectangles_inside(masks: np.ndarray, depth: int) -> np.ndarray:

@@ -65,6 +65,7 @@ from .operators import (
     nested_commutator_apply,
     paraproduct_matrix,
     restricted_projection,
+    sign_rows,
     theta_operator,
 )
 from .opnorm import EXHAUSTIVE_MAX_DEPTH, opnorm, opnorm_p2_exact, sup_commutator_norm
@@ -471,18 +472,13 @@ def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
 # sign-average moments
 # ---------------------------------------------------------------------------
 
-def _sign_matrix(count: int) -> np.ndarray:
-    """All 2^count sign vectors of length count, one per row."""
-    grid = ((np.arange(1 << count)[:, None] >> np.arange(count)) & 1)
-    return 2.0 * grid - 1.0
-
-
 def rademacher_moment_exhaustive(a: np.ndarray, q: float) -> float:
     """Exact q-th absolute moment of the bilinear sign average of a matrix."""
     n1, n2 = a.shape
     if n1 > 4 or n2 > 4:
         raise ValueError("exhaustive moments are limited to 4 x 4 matrices")
-    vals = np.abs(_sign_matrix(n1) @ a @ _sign_matrix(n2).T) ** q
+    # fsum is exactly rounded, so the order of the sign rows cannot move the moment
+    vals = np.abs(sign_rows(n1) @ a @ sign_rows(n2).T) ** q
     return math.fsum(vals.ravel()) / vals.size
 
 

@@ -21,13 +21,12 @@ from .dyadic import (
     GridFunction2D,
     RectangleCollection,
     Shadow,
-    all_rectangles,
-    block_means,
-    cancellative_rectangles,
     ensure_rng,
     haar_forward,
     rectangle_incidence,
-    rectangles_in_shadow,
+    rectangle_means,
+    rectangle_sums,
+    rectangle_table,
     rectangles_inside,
 )
 from .weights import Weight
@@ -48,16 +47,16 @@ def lp_weighted_norm(f: GridFunction2D, w: Weight, p: float) -> float:
     return float((np.abs(f.values) ** p * w.values).sum() * area) ** (1.0 / p)
 
 
-def _included_rects(depth: int, region) -> list[DyadicRectangle]:
-    if region is None:
-        return cancellative_rectangles(depth)
-    if isinstance(region, Shadow):
-        if region.depth != depth:
-            raise ValueError("shadow and function disagree on depth")
-        return list(rectangles_in_shadow(region))
-    if isinstance(region, RectangleCollection):
-        return list(region)
-    raise TypeError(f"unsupported region {type(region).__name__}")
+def _energies(f: GridFunction2D) -> np.ndarray:
+    """``f_R^2 / |R|`` on every rectangle; zero padding of the table gives level-N ones none."""
+    table = rectangle_table(f.depth)
+    c = np.pad(haar_forward(f).table, (0, 1 << f.depth))[tuple(table.slots.T)]
+    return c * c / table.area
+
+
+def _square_sum(per_rect: np.ndarray, depth: int) -> GridFunction2D:
+    """Square root of the sum of ``per_rect[R] 1_R``, added level pair by level pair."""
+    return GridFunction2D(depth, np.sqrt(per_rect[rectangle_table(depth).owner].sum(axis=0)))
 
 
 def square_function(f: GridFunction2D,
@@ -66,41 +65,35 @@ def square_function(f: GridFunction2D,
 
     ``region=None`` sums over every cancellative rectangle; a shadow
     restricts to rectangles inside the mask; an explicit collection is
-    used as given (rectangles too fine for the grid contribute nothing).
+    used as given: a repeated rectangle counts once per occurrence, and
+    rectangles too fine for the grid contribute nothing.
     """
-    coeffs = haar_forward(f)
-    s2 = np.zeros_like(f.values)
-    for r in _included_rects(f.depth, region):
-        if r.x.level >= f.depth or r.y.level >= f.depth:
-            continue
-        c = coeffs.coefficient(r)
-        s2[r.cell_box(f.depth)] += c * c / r.area
-    return GridFunction2D(f.depth, np.sqrt(s2))
+    if region is None:
+        counts = 1.0
+    elif isinstance(region, Shadow):
+        if region.depth != f.depth:
+            raise ValueError("shadow and function disagree on depth")
+        counts = rectangle_sums(~region.mask) == 0
+    elif isinstance(region, RectangleCollection):
+        table = rectangle_table(f.depth)
+        rows = [table.row(r) for r in region if max(r.x.level, r.y.level) < f.depth]
+        counts = np.bincount(np.array(rows, dtype=int), minlength=len(table.area))
+    else:
+        raise TypeError(f"unsupported region {type(region).__name__}")
+    return _square_sum(_energies(f) * counts, f.depth)
 
 
 def triebel_lizorkin_square_function(f: GridFunction2D, w: Weight, p: float) -> GridFunction2D:
     """Square function with each rectangle term damped by <w>_R^{2/p}."""
     if w.depth != f.depth:
         raise ValueError("weight and function disagree on depth")
-    coeffs = haar_forward(f)
-    s2 = np.zeros_like(f.values)
-    for r in cancellative_rectangles(f.depth):
-        c = coeffs.coefficient(r)
-        damp = w.values[r.cell_box(f.depth)].mean() ** (2.0 / p)
-        s2[r.cell_box(f.depth)] += c * c / r.area * damp
-    return GridFunction2D(f.depth, np.sqrt(s2))
+    return _square_sum(_energies(f) * rectangle_means(w.values) ** (2.0 / p), f.depth)
 
 
 def strong_maximal(f: GridFunction2D) -> GridFunction2D:
     """Pointwise sup over dyadic rectangles through the point of |average of f|."""
-    out = np.zeros_like(f.values)
-    absf = np.abs(f.values)
-    for lx in range(f.depth + 1):
-        for ly in range(f.depth + 1):
-            means = block_means(absf, lx, ly)
-            sx, sy = f.values.shape[0] >> lx, f.values.shape[1] >> ly
-            np.maximum(out, np.kron(means, np.ones((sx, sy))), out=out)
-    return GridFunction2D(f.depth, out)
+    means = rectangle_means(np.abs(f.values))
+    return GridFunction2D(f.depth, means[rectangle_table(f.depth).owner].max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +112,7 @@ class BmoResult:
         if isinstance(self.witness, Shadow):
             wit = {"mask": self.witness.to_hex()}
         else:
-            wit = {"rect": {"lx": self.witness.x.level, "ix": self.witness.x.index,
-                            "ly": self.witness.y.level, "iy": self.witness.y.index}}
+            wit = {"rect": self.witness.as_dict()}
         return {"value": self.value, "strategy": self.strategy, "witness": wit}
 
 
@@ -135,10 +127,7 @@ class _MaskObjective:
         self.depth = b.depth
         self.p = p
         self.cells = 4 ** b.depth
-        rects = cancellative_rectangles(b.depth)
-        coeffs = haar_forward(b)
-        c = np.array([coeffs.coefficient(r) for r in rects])
-        self.energy = c * c / np.array([r.area for r in rects])
+        self.energy = _energies(b)[rectangle_table(b.depth).cancellative]
         self.incidence = rectangle_incidence(b.depth)
         # covers[g, c]: the g-th rectangle holding cell c, in rectangle order
         self.covers = np.nonzero(self.incidence.T)[1].reshape(self.cells, -1).T
@@ -181,8 +170,8 @@ def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
     if obj.depth > EXACT_MAX_DEPTH:
         raise ValueError(f"exact search is limited to depth <= {EXACT_MAX_DEPTH} "
                          "(15 unions of finest rectangles)")
-    finest = obj.incidence[[r.x.level == r.y.level == obj.depth - 1
-                            for r in cancellative_rectangles(obj.depth)]]
+    table = rectangle_table(obj.depth)
+    finest = table.cells[(table.levels == obj.depth - 1).all(axis=1)]
     picks = np.arange(1, 1 << len(finest))[:, None] >> np.arange(len(finest)) & 1
     unions = picks.astype(bool) @ finest
     ratios = obj.values(unions)
@@ -220,15 +209,10 @@ def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, 
     call; the best few are grown greedily.
     """
     rng = ensure_rng(seed)
-    n = 1 << obj.depth
-    rects = all_rectangles(obj.depth)
-    boxes = np.zeros((len(rects), n, n), bool)
-    for box, r in zip(boxes, rects):
-        box[r.cell_box(obj.depth)] = True
     first, second = np.triu_indices(len(obj.incidence), 1)
     cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
     candidates = np.concatenate(
-        [boxes.reshape(-1, obj.cells), obj.incidence[first] | obj.incidence[second]]
+        [rectangle_table(obj.depth).cells, obj.incidence[first] | obj.incidence[second]]
         + [field >= np.unique(field)[:, None]
            for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
         + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])
@@ -282,13 +266,10 @@ def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResul
     if not (b.depth == mu.depth == lam.depth):
         raise ValueError("symbol and weights disagree on depth")
     area = 4.0 ** (-b.depth)
-    best, best_rect = -np.inf, None
-    for r in all_rectangles(b.depth):
-        box = r.cell_box(b.depth)
-        osc = np.abs(b.values[box] - b.values[box].mean())
-        num = float((osc ** p * lam.values[box]).sum() * area) ** (1.0 / p)
-        den = float(mu.values[box].sum() * area) ** (1.0 / p)
-        ratio = num / den
-        if ratio > best:
-            best, best_rect = ratio, r
-    return BmoResult(best, "exact", best_rect)
+    table = rectangle_table(b.depth)
+    osc = np.abs(b.values - rectangle_means(b.values)[table.owner])
+    num = (rectangle_sums(osc ** p * lam.values) * area) ** (1.0 / p)
+    den = (rectangle_sums(mu.values) * area) ** (1.0 / p)
+    ratios = num / den
+    best = int(np.argmax(ratios))
+    return BmoResult(float(ratios[best]), "exact", table.rects[best])

@@ -41,12 +41,14 @@ from .dyadic import (
     RectangleCollection,
     Shadow,
     axis_haar_values,
-    block_means,
+    cancellative_rectangles,
     ensure_rng,
     haar_forward,
     haar_inverse,
     haar_project_x,
     haar_project_y,
+    rectangle_means,
+    rectangle_table,
     rectangles_in_shadow,
     slot_interval,
     slot_of,
@@ -96,16 +98,16 @@ def _mixed_table(f: GridFunction2D, x_scaling: bool, y_scaling: bool) -> np.ndar
 # paraproducts
 # ---------------------------------------------------------------------------
 
-def _symbol_cc(b: GridFunction2D) -> np.ndarray:
-    """Fully cancellative coefficient table of the symbol (slot-indexed, row/col 0 zero)."""
-    table = haar_forward(b).table.copy()
+def _cc_table(f: GridFunction2D) -> np.ndarray:
+    """Fully cancellative coefficient table (slot-indexed, row/col 0 zero)."""
+    table = haar_forward(f).table.copy()
     table[0, :] = 0.0
     table[:, 0] = 0.0
     return table
 
 
 def _paraproduct_from_cc(kind: str, cc: np.ndarray, f: GridFunction2D) -> GridFunction2D:
-    """Paraproduct of one kind, given the symbol's :func:`_symbol_cc` table."""
+    """Paraproduct of one kind, given the symbol's :func:`_cc_table`."""
     hc, hn, sc = _axis_bases(f.depth)
     coef = cc * sc * _mixed_table(f, kind[0] == "1", kind[1] == "1")
     out_x = hc if kind[0] == "1" else hn   # output carries the complementary type
@@ -125,14 +127,14 @@ def paraproduct_apply(kind: str, b: GridFunction2D, f: GridFunction2D) -> GridFu
         raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
     if b.depth != f.depth:
         raise ValueError("symbol and argument live on different grids")
-    return _paraproduct_from_cc(kind, _symbol_cc(b), f)
+    return _paraproduct_from_cc(kind, _cc_table(b), f)
 
 
 def lambda_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
     """Sum of the four paraproducts: the symbol side of the commutator calculus."""
     if b.depth != f.depth:
         raise ValueError("symbol and argument live on different grids")
-    cc = _symbol_cc(b)
+    cc = _cc_table(b)
     out = _paraproduct_from_cc("00", cc, f)
     for kind in ("10", "01", "11"):
         out = out + _paraproduct_from_cc(kind, cc, f)
@@ -205,6 +207,11 @@ class SignChoice1D:
 SIGN_SPACE_MAX_DEPTH = 4
 
 
+def sign_rows(count: int) -> np.ndarray:
+    """All ``2^count`` vectors of +-1 of length ``count``, in ``itertools.product`` order."""
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=count))).reshape(-1, count)
+
+
 def axis_sign_rows(depth: int) -> np.ndarray:
     """Every +-1 choice over the cancellative slots of one axis, one per row.
 
@@ -217,7 +224,7 @@ def axis_sign_rows(depth: int) -> np.ndarray:
                          f"{SIGN_SPACE_MAX_DEPTH}, got {depth}")
     n = 1 << depth
     rows = np.zeros((1 << (n - 1), n))
-    rows[:, 1:] = list(itertools.product((-1.0, 1.0), repeat=n - 1))
+    rows[:, 1:] = sign_rows(n - 1)
     return rows
 
 
@@ -252,15 +259,8 @@ class SignChoice2D:
         return cls(depth, rng.choice(values, size=(n, n)))
 
     def to_json(self) -> list[dict]:
-        out = []
-        n = 1 << self.depth
-        for p in range(1, n):
-            for q in range(1, n):
-                ix, iy = slot_interval(p), slot_interval(q)
-                out.append({"lx": ix.level, "ix": ix.index,
-                            "ly": iy.level, "iy": iy.index,
-                            "sign": float(self.signs[p, q])})
-        return out
+        """One entry per cancellative rectangle, in :func:`cancellative_rectangles` order."""
+        return [{**r.as_dict(), "sign": self.sign(r)} for r in cancellative_rectangles(self.depth)]
 
     @classmethod
     def from_json(cls, entries: list[dict], depth: int) -> "SignChoice2D":
@@ -346,24 +346,16 @@ def iterated_projection_commutator(b: GridFunction2D, f: GridFunction2D,
 
 def bi_cancellative_part(f: GridFunction2D) -> GridFunction2D:
     """Projection onto the span of the fully cancellative tensor Haar functions."""
-    table = haar_forward(f).table.copy()
-    table[0, :] = 0.0
-    table[:, 0] = 0.0
-    return haar_inverse(HaarCoefficients2D(f.depth, table))
+    return haar_inverse(HaarCoefficients2D(f.depth, _cc_table(f)))
 
 
 def rectangle_average_table(f: GridFunction2D) -> np.ndarray:
     """Slot-pair indexed averages <f>_R (slot 0 along an axis means the root)."""
-    n = 1 << f.depth
-    out = np.empty((n, n))
-    for lx in range(f.depth):
-        for ly in range(f.depth):
-            means = block_means(f.values, lx, ly)
-            out[1 << lx: 2 << lx, 1 << ly: 2 << ly] = means
-            if lx == 0:
-                out[0, 1 << ly: 2 << ly] = means[0]
-            if ly == 0:
-                out[1 << lx: 2 << lx, 0] = means[:, 0]
+    rects = rectangle_table(f.depth)
+    keep = rects.cancellative
+    out = np.empty((1 << f.depth, 1 << f.depth))
+    out[tuple(rects.slots[keep].T)] = rectangle_means(f.values)[keep]
+    out[0], out[:, 0] = out[1], out[:, 1]      # slot 0 stands for the root interval
     out[0, 0] = f.values.mean()
     return out
 
@@ -376,9 +368,7 @@ def theta_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
     """
     if b.depth != f.depth:
         raise ValueError("symbol and argument live on different grids")
-    table = haar_forward(f).table.copy()
-    table[0, :] = 0.0
-    table[:, 0] = 0.0
+    table = _cc_table(f)
     avg_term = haar_inverse(HaarCoefficients2D(f.depth, table * rectangle_average_table(b)))
     return b * haar_inverse(HaarCoefficients2D(f.depth, table)) - avg_term
 
@@ -471,7 +461,7 @@ def _pairing_kernel(depth: int, kinds: str) -> np.ndarray:
 
 def _paraproduct_sum_matrix(b: GridFunction2D, x_kinds: str, y_kinds: str) -> OperatorMatrix:
     _, _, sc = _axis_bases(b.depth)
-    coef = (_symbol_cc(b) * sc)[1:, 1:]
+    coef = (_cc_table(b) * sc)[1:, 1:]
     mat = np.einsum("pq,pik,qjl->ijkl", coef, _pairing_kernel(b.depth, x_kinds),
                     _pairing_kernel(b.depth, y_kinds), optimize=True)
     m = 4 ** b.depth
@@ -522,5 +512,5 @@ def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,
     v = b.values
     diff = (v[:, :, None, None] - v[:, None, None, :]
             - v.T[None, :, :, None] + v[None, None, :, :])
-    mats = np.einsum("sik,sjl,ijkl->sijkl", tx, ty, diff)
+    mats = np.einsum("sik,sjl,ijkl->sijkl", tx, ty, diff, order="C")
     return mats.reshape(len(sx), n * n, n * n)

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (
-    DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
     Shadow,
-    all_rectangles,
-    block_means,
     ensure_rng,
+    rectangle_means,
+    rectangle_table,
 )
 
 #: hard clamp applied by the random generator so conjugations stay finite
@@ -42,14 +41,7 @@ class ApReport:
     rect: DyadicRectangle
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "characteristic": self.characteristic,
-            "rect": {
-                "lx": self.rect.x.level, "ix": self.rect.x.index,
-                "ly": self.rect.y.level, "iy": self.rect.y.index,
-            },
-        }
+        return {"p": self.p, "characteristic": self.characteristic, "rect": self.rect.as_dict()}
 
 
 @dataclass
@@ -103,21 +95,13 @@ def ap_characteristic(w: Weight, p: float) -> ApReport:
     _check_exponent(p)
     if p in w._ap_cache:
         return w._ap_cache[p]
-    depth = w.depth
     recip = w.values ** (-1.0 / (p - 1.0))
-    best = -np.inf
-    best_rect = None
-    for lx in range(depth + 1):
-        for ly in range(depth + 1):
-            prod = block_means(w.values, lx, ly) * block_means(recip, lx, ly) ** (p - 1.0)
-            flat = int(np.argmax(prod))
-            if prod.flat[flat] > best:
-                best = float(prod.flat[flat])
-                ix, iy = divmod(flat, prod.shape[1])
-                best_rect = DyadicRectangle(DyadicInterval(lx, ix), DyadicInterval(ly, iy))
+    prod = rectangle_means(w.values) * rectangle_means(recip) ** (p - 1.0)
+    row = int(np.argmax(prod))
+    best = float(prod[row])
     if not best >= 1.0 - 1e-12:
         raise RuntimeError(f"characteristic {best} below the Jensen floor")
-    report = ApReport(p, best, best_rect)
+    report = ApReport(p, best, rectangle_table(w.depth).rects[row])
     w._ap_cache[p] = report
     return report
 
@@ -180,28 +164,18 @@ def average_comparability_report(w: Weight, p: float) -> AverageComparabilityRep
     raising RuntimeError otherwise.
     """
     _check_exponent(p)
-    rects = tuple(all_rectangles(w.depth))
-    pows = {
-        "q1": w.values ** (1.0 / p),
-        "q2": w.values,
-        "q3": w.values ** (-1.0 / (p - 1.0)),
-        "q4": w.values ** (-1.0 / p),
-    }
-    rows = []
-    for r in rects:
-        box = r.cell_box(w.depth)
-        q1 = pows["q1"][box].mean()
-        q2 = pows["q2"][box].mean() ** (1.0 / p)
-        q3 = pows["q3"][box].mean() ** (-(p - 1.0) / p)
-        q4 = 1.0 / pows["q4"][box].mean()
-        rows.append((q1, q2, q3, q4))
-    table = np.array(rows)
+    table = np.stack([
+        rectangle_means(w.values ** (1.0 / p)),
+        rectangle_means(w.values) ** (1.0 / p),
+        rectangle_means(w.values ** (-1.0 / (p - 1.0))) ** (-(p - 1.0) / p),
+        1.0 / rectangle_means(w.values ** (-1.0 / p)),
+    ], axis=1)
     slack = 1.0 + 1e-12
     if not np.all(table[:, 0] <= table[:, 1] * slack):
         raise RuntimeError("found <w^{1/p}> above <w>^{1/p}")
     if not np.all(table[:, 3] <= table[:, 0] * slack):
         raise RuntimeError("harmonic average above direct average")
-    return AverageComparabilityReport(p, rects, table)
+    return AverageComparabilityReport(p, rectangle_table(w.depth).rects, table)
 
 
 def random_cascade_weight(depth: int, strength: float,

@@ -10,7 +10,6 @@ from haarbloom.dyadic import (
     Shadow,
     all_rectangles,
     axis_haar_values,
-    block_means,
     cancellative_rectangles,
     grid_from_csv,
     grid_to_csv,
@@ -24,6 +23,8 @@ from haarbloom.dyadic import (
     partial_haar_sum,
     random_grid,
     random_symbol,
+    rectangle_means,
+    rectangle_table,
     rectangles_in_shadow,
     slot_interval,
     slot_of,
@@ -288,11 +289,11 @@ def test_indicator():
 
 def test_block_means_and_average():
     f = random_grid(2, rng=30)
-    m = block_means(f.values, 1, 2)
-    assert m.shape == (2, 4)
+    m = rectangle_means(f.values)
+    assert m.shape == (49,)
     r = rect(1, 1, 2, 3)
-    assert abs(f.average(r) - m[1, 3]) < 1e-15
-    np.testing.assert_allclose(block_means(f.values, 0, 0)[0, 0], f.values.mean())
+    assert abs(f.average(r) - m[rectangle_table(2).row(r)]) < 1e-15
+    np.testing.assert_allclose(m[0], f.values.mean())
 
 
 def test_csv_round_trip(tmp_path):

@@ -25,6 +25,7 @@ from haarbloom.norms import (
     strong_maximal,
     triebel_lizorkin_square_function,
 )
+from haarbloom.operators import restricted_projection
 from haarbloom.weights import Weight, constant_weight, random_cascade_weight
 
 
@@ -65,6 +66,32 @@ def test_square_function_localized():
     coll = RectangleCollection([unit_square()])
     c = coeffs.coefficient(unit_square())
     np.testing.assert_allclose(square_function(f, coll).values, abs(c), atol=1e-14)
+
+
+def test_square_function_counts_a_repeated_rectangle_per_occurrence():
+    f = random_grid(2, 14)
+    r = rect(1, 0, 0, 0)
+    c = haar_forward(f).coefficient(r)
+    once = square_function(f, RectangleCollection([r])).values
+    twice = square_function(f, RectangleCollection([r, unit_square(), r])).values
+    expect = np.zeros((4, 4))
+    expect[r.cell_box(2)] = 2 * c * c / r.area
+    expect += haar_forward(f).coefficient(unit_square()) ** 2
+    np.testing.assert_allclose(twice, np.sqrt(expect), rtol=1e-14)
+    np.testing.assert_allclose(once[r.cell_box(2)], abs(c) / np.sqrt(r.area), rtol=1e-14)
+
+
+def test_square_function_skips_rectangles_too_fine_for_the_grid():
+    f = random_grid(2, 15)
+    fine = [rect(2, 1, 0, 0), rect(0, 0, 2, 3), rect(3, 5, 1, 1)]
+    zero = square_function(f, RectangleCollection(fine)).values
+    np.testing.assert_array_equal(zero, 0.0)
+    base = square_function(f, RectangleCollection([rect(1, 1, 1, 0)])).values
+    np.testing.assert_array_equal(
+        square_function(f, RectangleCollection(fine + [rect(1, 1, 1, 0)])).values, base)
+    # the projection onto the same family refuses them instead
+    with pytest.raises(ValueError, match="no resolved Haar function"):
+        restricted_projection(f, RectangleCollection(fine[:1]))
 
 
 def test_weighted_square_function_identity():

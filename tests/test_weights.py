@@ -166,7 +166,7 @@ def test_guards_raise_instead_of_asserting(monkeypatch):
     # the checks must survive ``python -O``, so they are exceptions, not asserts
     weights = importlib.import_module("haarbloom.weights")
     w = random_cascade_weight(2, 0.5, 3)
-    monkeypatch.setattr(weights, "block_means", lambda v, lx, ly: np.zeros((1, 1)))
+    monkeypatch.setattr(weights, "rectangle_means", lambda values: np.zeros(1))
     with pytest.raises(RuntimeError, match="Jensen floor"):
         ap_characteristic(w, 2.0)
     monkeypatch.undo()
