@@ -366,15 +366,22 @@ def theta_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
     Splitting off the average term turns it into ``b`` times the fully
     cancellative part of ``f`` minus a multiplier with weights <b>_R.
     """
-    if b.depth != f.depth:
-        raise ValueError("symbol and argument live on different grids")
-    table = _cc_table(f)
-    avg_term = haar_inverse(HaarCoefficients2D(f.depth, table * rectangle_average_table(b)))
-    return b * haar_inverse(HaarCoefficients2D(f.depth, table)) - avg_term
+    return theta_operator(b)(f)
 
 
 def theta_operator(b: GridFunction2D) -> Operator:
-    return lambda f: theta_apply(b, f)
+    """Theta of a read-only snapshot of ``b``, whose average table is built once."""
+    b = b.copy()
+    b.values.flags.writeable = False
+    averages = rectangle_average_table(b)
+
+    def apply(f: GridFunction2D) -> GridFunction2D:
+        if b.depth != f.depth:
+            raise ValueError("symbol and argument live on different grids")
+        table = _cc_table(f)
+        avg_term = haar_inverse(HaarCoefficients2D(f.depth, table * averages))
+        return b * haar_inverse(HaarCoefficients2D(f.depth, table)) - avg_term
+    return apply
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ A dense operator matrix in the cell-values basis is conjugated by
 diagonal weight factors so that the weighted L^p -> L^p norm becomes a
 plain l^p -> l^p matrix norm.  At p = 2 that norm is the top singular
 value (exact); away from 2 the package reports a certified bracket: a
-nonlinear power-iteration lower bound plus an interpolation upper bound.
+nonlinear power-iteration lower bound plus a Riesz-Thorin upper bound
+interpolated through the exact l^2 norm.
 
 Both kernels work on stacks of matrices.  The sign supremum builds the
 commutator matrices of all its sign pairs at once
 (:func:`~haarbloom.operators.commutator_matrices`) and scores them in
 one batched SVD or one batched power iteration; a single operator is the
-stack of one.
+stack of one.  Away from 2 only the matrices whose upper bound reaches
+the stack's best warm-start ratio are iterated; the rest are pruned.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class OpNormResult:
     singular value, or an exhaustive sign supremum of such), otherwise
     "lower_bound".  ``witness`` is a unit-norm input realizing ``value``;
     ``upper_bound`` brackets lower bounds from above; ``sign_pair`` is
-    set by the sign supremum.
+    set by the sign supremum; ``pruned`` counts matrices the bound skipped.
     """
 
     value: float
@@ -49,9 +51,11 @@ class OpNormResult:
     witness: GridFunction2D | None = None
     upper_bound: float | None = None
     sign_pair: tuple[SignChoice1D, SignChoice1D] | None = None
+    pruned: int | None = None
 
     def as_dict(self, witness_csv_path: str | None = None) -> dict:
         out = {"value": self.value, "kind": self.kind, "iterations": self.iterations}
+        out |= {k: v for k in ("upper_bound", "pruned") if (v := getattr(self, k)) is not None}
         if witness_csv_path is not None:
             out["witness_csv_path"] = witness_csv_path
         return out
@@ -85,15 +89,18 @@ def opnorm_p2_exact(mat: OperatorMatrix, mu: Weight, lam: Weight) -> OpNormResul
 
 
 def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
-    """Interpolation bound of plain matrices: l^1 and l^infty norms bracket every p."""
-    a = np.abs(b)
-    col = a.sum(axis=-2).max(axis=-1)      # l^1 -> l^1
-    row = a.sum(axis=-1).max(axis=-1)      # l^inf -> l^inf
-    return col ** (1.0 / p) * row ** (1.0 - 1.0 / p)
+    """Riesz-Thorin bound of plain matrices through the exact l^2 norm and the l^1
+    (p < 2) or l^inf (p > 2) norm; never looser than l^1/l^inf, as |B|_2^2 <= |B|_1 |B|_inf."""
+    two = np.linalg.svd(b, compute_uv=False)[..., 0]
+    if p < 2:
+        one = np.abs(b).sum(axis=-2).max(axis=-1)      # l^1 -> l^1
+        return one ** (2.0 / p - 1.0) * two ** (2.0 - 2.0 / p)
+    inf = np.abs(b).sum(axis=-1).max(axis=-1)          # l^inf -> l^inf
+    return two ** (2.0 / p) * inf ** (1.0 - 2.0 / p)
 
 
 def opnorm_upper_bracket(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float) -> float:
-    """Interpolation bound: the l^1 and l^infty matrix norms bracket every p."""
+    """Interpolation bound through the l^1, l^2 and l^infty matrix norms."""
     return float(_upper_brackets(weighted_p_matrix(mat, mu, lam, p), p))
 
 
@@ -110,36 +117,33 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
     weight the output by its (p-1)-st power, pull back through the
     adjoint and invert the gauge with the dual exponent.  A trajectory
     stops once its ratio moves by at most ``tol`` (relative above 1) or
-    its iterate vanishes.  Returns, per trajectory, the best ratio over
-    its iterates, the first iterate reaching it, and how many ratios it
-    evaluated.
+    its iterate vanishes; the live stacks are gathered again only then.
+    Returns, per trajectory, the best ratio over its iterates, the first
+    iterate reaching it, and how many ratios it evaluated.
     """
     pp = p / (p - 1.0)
-    u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    ul = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
     best = np.full(len(b), -np.inf)
-    best_u = u.copy()
+    best_u = ul.copy()
     count = np.zeros(len(b), dtype=int)
-    prev = np.full(len(b), -np.inf)
-    live = np.arange(len(b))
+    live, bl, prev = np.arange(len(b)), b, best.copy()
     for _ in range(max_iter):
         if live.size == 0:
             break
-        bl, ul = b[live], u[live]
         out = np.einsum("tij,tj->ti", bl, ul)
         r = _lp_norms(out, p) / _lp_norms(ul, p)
         count[live] += 1
         up = r > best[live]
         best[live[up]] = r[up]
         best_u[live[up]] = ul[up]
-        moving = np.abs(r - prev[live]) > tol * np.maximum(1.0, np.abs(r))
-        live, bl, out = live[moving], bl[moving], out[moving]
-        prev[live] = r[moving]
+        moving = np.abs(r - prev) > tol * np.maximum(1.0, np.abs(r))
         y = np.einsum("tji,tj->ti", bl, np.sign(out) * np.abs(out) ** (p - 1.0))
         nxt = np.sign(y) * np.abs(y) ** (pp - 1.0)
         norm = _lp_norms(nxt, p)
-        alive = norm != 0.0
-        live = live[alive]
-        u[live] = nxt[alive] / norm[alive, None]
+        keep = moving & (norm != 0.0)
+        if not keep.all():
+            live, bl, r, nxt, norm = live[keep], bl[keep], r[keep], nxt[keep], norm[keep]
+        prev, ul = r, nxt / norm[:, None]
     return best, best_u, count
 
 
@@ -150,10 +154,12 @@ def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: fl
 
     Every matrix is warm-started from its p = 2 maximizer and that
     vector's absolute value, plus ``restarts - 2`` random starts shared by
-    all matrices.  Returns per matrix the lower bound, its unit l^p
-    maximizer (None where the matrix is zero), the iteration count and
-    the interpolation upper bound.  A lower bound above its bracket
-    raises: it means the arithmetic, not the operator, went wrong.
+    all matrices.  A matrix whose upper bound is below the best warm-start
+    ratio at p is pruned: it keeps its best warm ratio, with 0 iterations.
+    Returns per matrix the lower bound, its unit l^p maximizer (None where
+    the matrix is zero), the iteration count and the upper bound, plus the
+    number pruned.  A lower bound above its bracket raises: it means the
+    arithmetic, not the operator, went wrong.
     """
     if p <= 1:
         raise ValueError(f"the iteration needs p > 1, got {p}")
@@ -166,7 +172,7 @@ def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: fl
     iterations = np.zeros(count, dtype=int)
     nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
     if nonzero.size == 0:
-        return values, units, iterations, upper
+        return values, units, iterations, upper, 0
 
     warm = np.linalg.svd(_conjugated(mats[nonzero], depth, mu, lam, 2))[2][:, 0]
     starts = [warm, np.abs(warm)]
@@ -174,12 +180,17 @@ def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: fl
                for _ in range(max(0, restarts - len(starts)))]
     starts = np.stack(starts, axis=1)                      # (pairs, starts, m)
     per = starts.shape[1]
-    best, best_u, its = _power_iteration(np.repeat(b[nonzero], per, axis=0),
-                                         starts.reshape(-1, m), p, max_iter, tol)
-    best, best_u = best.reshape(-1, per), best_u.reshape(-1, per, m)
+    best = np.full(starts.shape[:2], -np.inf)
+    best_u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    best[:, :2] = (_lp_norms(np.einsum("tij,tsj->tsi", b[nonzero], best_u[:, :2]), p)
+                   / _lp_norms(best_u[:, :2], p))
+    run = upper[nonzero] * (1.0 + 1e-9) >= best[:, :2].max()
+    ran = _power_iteration(np.repeat(b[nonzero[run]], per, axis=0), starts[run].reshape(-1, m),
+                           p, max_iter, tol)
+    best[run], best_u[run], its = (a.reshape(-1, per, *a.shape[1:]) for a in ran)
     pick = np.argmax(best, axis=1)         # ties: the earliest start, as a sequential walk
     values[nonzero] = best[np.arange(nonzero.size), pick]
-    iterations[nonzero] = its.reshape(-1, per).sum(axis=1)
+    iterations[nonzero[run]] = its.sum(axis=1)
     escaped = values > upper * (1.0 + 1e-9)
     if escaped.any():
         i = int(np.argmax(escaped))
@@ -187,18 +198,18 @@ def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: fl
     for row, i in enumerate(nonzero):
         u = best_u[row, pick[row]]
         units[i] = u / _lp_norms(u, p)
-    return values, units, iterations, upper
+    return values, units, iterations, upper, int(nonzero.size - run.sum())
 
 
 def _lp_result(depth: int, mu: Weight, p: float, value: float, unit: np.ndarray | None,
-               iterations: int, upper: float) -> OpNormResult:
+               iterations: int, upper: float, pruned: int) -> OpNormResult:
     witness = None
     if unit is not None:
         n = 1 << depth
         f = unit / (mu.values.ravel() * 4.0 ** (-depth)) ** (1.0 / p)
         witness = GridFunction2D(depth, f.reshape(n, n))
     return OpNormResult(float(value), "lower_bound", int(iterations), witness,
-                        upper_bound=float(upper))
+                        upper_bound=float(upper), pruned=pruned)
 
 
 def opnorm_lp_lower(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float,
@@ -210,9 +221,9 @@ def opnorm_lp_lower(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float,
     random restarts; the best ratio over all iterates is returned, never
     exceeding the interpolation bracket.
     """
-    values, units, iterations, upper = _lp_lower_stack(
+    values, units, iterations, upper, pruned = _lp_lower_stack(
         mat.matrix[None], mat.depth, mu, lam, p, restarts, seed, max_iter, tol)
-    return _lp_result(mat.depth, mu, p, values[0], units[0], iterations[0], upper[0])
+    return _lp_result(mat.depth, mu, p, values[0], units[0], iterations[0], upper[0], pruned)
 
 
 def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, **kwargs) -> OpNormResult:
@@ -241,7 +252,9 @@ def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     ``"sampled"`` draws ``trials`` pairs from a seeded stream, so a longer
     run with the same seed extends a shorter one.  Ties go to the first
     pair in walk order.  ``iterations`` sums ``max(1, per-pair
-    iterations)``.  The result is exact only for an exhaustive walk at p = 2.
+    iterations)``; away from 2, a pair whose upper bound is below the best
+    warm-start ratio cannot win and is pruned, not iterated, counting 1.
+    The result is exact only for an exhaustive walk at p = 2.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -266,10 +279,10 @@ def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
         best = opnorm_p2_exact(OperatorMatrix(b.depth, mats[idx]), mu, lam)
         best.iterations = len(mats)        # max(1, 0) per pair
     else:
-        values, units, iterations, upper = _lp_lower_stack(mats, b.depth, mu, lam, p, restarts)
+        values, units, its, upper, pruned = _lp_lower_stack(mats, b.depth, mu, lam, p, restarts)
         idx = int(np.argmax(values))
-        best = _lp_result(b.depth, mu, p, values[idx], units[idx], iterations[idx], upper[idx])
-        best.iterations = int(np.maximum(1, iterations).sum())
+        best = _lp_result(b.depth, mu, p, values[idx], units[idx], its[idx], upper[idx], pruned)
+        best.iterations = int(np.maximum(1, its).sum())
     best.sign_pair = (SignChoice1D(b.depth, sx[idx]), SignChoice1D(b.depth, sy[idx]))
     best.kind = "exact" if (mode == "exhaustive" and p == 2) else "lower_bound"
     return best

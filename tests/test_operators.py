@@ -226,6 +226,16 @@ def test_theta_replaces_symbol_in_single_commutators():
         assert (with_b - with_theta).max_abs() < 1e-12
 
 
+def test_theta_operator_snapshots_its_symbol():
+    # the average table is built once, so later edits to b must not reach it
+    rng = np.random.default_rng(18)
+    b, f = random_grid(2, rng), random_grid(2, rng)
+    want = theta_apply(b, f)
+    th = theta_operator(b)
+    b.values[:] = 0.0
+    np.testing.assert_array_equal(th(f).values, want.values)
+
+
 def test_theta_sandwiched_by_one_rectangle_vanishes():
     rng = np.random.default_rng(17)
     b, f = random_grid(2, rng), random_grid(2, rng)   # no restriction here

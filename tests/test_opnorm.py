@@ -1,5 +1,9 @@
 import importlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from haarbloom.operators import (
     OperatorMatrix,
     SignChoice1D,
     axis_sign_rows,
+    commutator_matrices,
     lambda_operator,
     materialize,
     multiplication_operator,
@@ -271,3 +276,179 @@ def test_bracket_escape_raises(monkeypatch):
         opnorm_lp_lower(mat, one, one, 3.0)
     with pytest.raises(RuntimeError, match="escaped the bracket"):
         sup_commutator_norm(b, one, one, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# the l^2-interpolated bracket, pruning and the compacted iteration, each
+# against the code it replaced, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def l1_linf_brackets(b, p):
+    """The bracket the l^2 interpolation replaced: l^1 and l^infty norms only."""
+    a = np.abs(b)
+    col = a.sum(axis=-2).max(axis=-1)
+    row = a.sum(axis=-1).max(axis=-1)
+    return col ** (1.0 / p) * row ** (1.0 - 1.0 / p)
+
+
+def power_iteration_gathering(b, starts, p, max_iter, tol):
+    """The iteration before compaction: gathers b[live] and u[live] on every pass."""
+    lp = opnorm_module._lp_norms
+    pp = p / (p - 1.0)
+    u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    best = np.full(len(b), -np.inf)
+    best_u = u.copy()
+    count = np.zeros(len(b), dtype=int)
+    prev = np.full(len(b), -np.inf)
+    live = np.arange(len(b))
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        bl, ul = b[live], u[live]
+        out = np.einsum("tij,tj->ti", bl, ul)
+        r = lp(out, p) / lp(ul, p)
+        count[live] += 1
+        up = r > best[live]
+        best[live[up]] = r[up]
+        best_u[live[up]] = ul[up]
+        moving = np.abs(r - prev[live]) > tol * np.maximum(1.0, np.abs(r))
+        live, bl, out = live[moving], bl[moving], out[moving]
+        prev[live] = r[moving]
+        y = np.einsum("tji,tj->ti", bl, np.sign(out) * np.abs(out) ** (p - 1.0))
+        nxt = np.sign(y) * np.abs(y) ** (pp - 1.0)
+        norm = lp(nxt, p)
+        alive = norm != 0.0
+        live = live[alive]
+        u[live] = nxt[alive] / norm[alive, None]
+    return best, best_u, count
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+def test_l2_bracket_between_lower_bound_and_old_bracket(p):
+    rng = np.random.default_rng(40)
+    b = rng.standard_normal((64, 9, 9)) * rng.exponential(size=(64, 1, 9))
+    upper = opnorm_module._upper_brackets(b, p)
+    assert np.all(upper <= l1_linf_brackets(b, p) * (1 + 1e-12))
+    starts = rng.standard_normal((64, 9))
+    lower = opnorm_module._power_iteration(b, starts, p, 500, 1e-9)[0]
+    assert np.all(lower <= upper * (1 + 1e-12))
+    # at p = 2 both interpolation formulas collapse to the top singular value
+    np.testing.assert_allclose(opnorm_module._upper_brackets(b, 2.0),
+                               np.linalg.svd(b, compute_uv=False)[:, 0], rtol=1e-12)
+
+
+def singleton_supremum(b, mu, lam, p, sx, sy):
+    """The sign supremum one pair per ``_lp_lower_stack`` call: nothing to prune."""
+    mats = commutator_matrices(b, sx, sy)
+    best = None
+    for i in range(len(mats)):
+        values, units, its, upper, pruned = opnorm_module._lp_lower_stack(
+            mats[i:i + 1], b.depth, mu, lam, p, 2)
+        assert pruned == 0
+        if best is None or values[0] > best.value:
+            best = opnorm_module._lp_result(b.depth, mu, p, values[0], units[0], its[0],
+                                            upper[0], pruned)
+            best.sign_pair = (sx[i], sy[i])
+    return best
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("delta", [0.0, 0.6])
+def test_pruned_supremum_matches_unpruned_oracle(p, delta):
+    rng = np.random.default_rng(41)
+    rows = axis_sign_rows(2)
+    rows = rows[rows[:, 1] > 0]
+    pruned = 0
+    for _ in range(3):
+        b = random_symbol(2, rng)
+        mu = random_cascade_weight(2, delta, rng)
+        lam = random_cascade_weight(2, delta, rng)
+        draws = np.random.default_rng(7)
+        sampled = [SignChoice1D.random(2, draws).signs for _ in range(2 * 12)]
+        for mode, sx, sy in (
+                ("exhaustive", np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))),
+                ("sampled", np.array(sampled[0::2]), np.array(sampled[1::2]))):
+            res = sup_commutator_norm(b, mu, lam, p, mode=mode, trials=12, seed=7)
+            want = singleton_supremum(b, mu, lam, p, sx, sy)
+            assert res.value == want.value
+            np.testing.assert_array_equal(res.sign_pair[0].signs, want.sign_pair[0])
+            np.testing.assert_array_equal(res.sign_pair[1].signs, want.sign_pair[1])
+            np.testing.assert_array_equal(res.witness.values, want.witness.values)
+            assert res.upper_bound == want.upper_bound
+            assert 0 <= res.pruned < len(sx)
+            pruned += res.pruned
+    assert pruned > 0
+
+
+def test_compacted_iteration_matches_gathering_oracle():
+    rng = np.random.default_rng(42)
+    m = 6
+    b = rng.standard_normal((7, m, m))
+    b[1] = np.diag(np.arange(1.0, m + 1))       # stops within a few passes
+    b[2] = np.eye(m)                            # stops on the second pass
+    b[3][:, 0] = 0.0                            # kernel holds e_0 ...
+    starts = rng.standard_normal((7, m))
+    starts[3] = np.eye(m)[0]                    # ... so this iterate vanishes at once
+    for p in (1.3, 4.0):
+        for max_iter in (3, 500):
+            got = opnorm_module._power_iteration(b, starts.copy(), p, max_iter, 1e-9)
+            want = power_iteration_gathering(b, starts.copy(), p, max_iter, 1e-9)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            if max_iter == 500:
+                assert len(set(got[2])) >= 4 and got[2][3] == 1 and got[0][3] == 0.0
+
+
+def test_as_dict_reports_the_bracket_and_pruning():
+    b = random_symbol(2, 43)
+    one = constant_weight(2)
+    res = sup_commutator_norm(b, one, one, 3.0)
+    d = res.as_dict()
+    assert d["upper_bound"] == res.upper_bound >= res.value
+    assert d["pruned"] == res.pruned > 0
+    assert res.iterations >= 16
+
+
+ESCAPE_ALL_PRUNED = """
+import importlib
+import numpy as np
+from haarbloom.dyadic import random_symbol
+from haarbloom.weights import constant_weight
+opnorm = importlib.import_module("haarbloom.opnorm")
+real_upper, real_iteration = opnorm._upper_brackets, opnorm._power_iteration
+iterated = []
+opnorm._upper_brackets = lambda m, p: 0.5 * real_upper(m, p)
+opnorm._power_iteration = lambda b, *rest: iterated.append(len(b)) or real_iteration(b, *rest)
+one = constant_weight(2)
+try:
+    opnorm.sup_commutator_norm(random_symbol(2, 33), one, one, 1.5)
+except RuntimeError as exc:
+    print(iterated, exc)
+"""
+
+
+def test_bracket_escape_raises_when_every_pair_is_pruned(monkeypatch):
+    b = random_symbol(2, 33)
+    one = constant_weight(2)
+    real_upper, real_iteration = opnorm_module._upper_brackets, opnorm_module._power_iteration
+    iterated = []
+    monkeypatch.setattr(opnorm_module, "_upper_brackets", lambda m, p: 0.5 * real_upper(m, p))
+    monkeypatch.setattr(opnorm_module, "_power_iteration",
+                        lambda m, *rest: iterated.append(len(m)) or real_iteration(m, *rest))
+    for p in (1.5, 3.0):
+        with pytest.raises(RuntimeError, match="escaped the bracket"):
+            sup_commutator_norm(b, one, one, p)
+    assert iterated == [0, 0]                   # the halved bracket pruned every pair
+
+
+def test_pruning_and_escape_guards_survive_optimize_flag():
+    # python -O strips assert statements; both guards must still fire
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", ESCAPE_ALL_PRUNED],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[0] lower bound") and "escaped the bracket" in proc.stdout
