@@ -2,9 +2,10 @@
 
 Everything downstream works on a grid of 2^N x 2^N congruent cells of
 [0,1)^2.  This module owns the interval/rectangle types, grid functions,
-the tensor Haar basis with its fast forward/inverse transform, one- and
-two-parameter Haar projections, partial sums over a rectangle, cell
-masks ("shadows"), and CSV round-tripping of grids.  Every per-rectangle
+the tensor Haar basis with its forward/inverse transform (two products
+with cached per-depth matrices), one- and two-parameter Haar
+projections, partial sums over a rectangle, cell masks ("shadows"), and
+CSV round-tripping of grids.  Every per-rectangle
 loop goes through the pyramid (:func:`rectangle_sums`,
 :func:`rectangle_means`) and the cached :func:`rectangle_table`.
 
@@ -369,22 +370,40 @@ def _inverse_axis0(coeffs: np.ndarray) -> np.ndarray:
     return avg
 
 
+@lru_cache(maxsize=None)
+def _transform_matrices(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 1D analysis and synthesis matrices ``(A, S)`` of a depth-N axis.
+
+    Built once per depth by running the level loops on the identity, so
+    those loops stay the only definition of the transform:
+    :func:`haar_forward` is ``A f A^T`` and :func:`haar_inverse` is
+    ``S c S^T``.
+    """
+    eye = np.eye(1 << depth)
+    out = _forward_axis0(eye), _inverse_axis0(eye)
+    for mat in out:
+        mat.flags.writeable = False
+    return out
+
+
 def haar_forward(f: GridFunction2D) -> HaarCoefficients2D:
     """Full tensor Haar analysis of a grid function."""
-    tmp = _forward_axis0(f.values)
-    return HaarCoefficients2D(f.depth, _forward_axis0(tmp.T).T)
+    a, _ = _transform_matrices(f.depth)
+    return HaarCoefficients2D(f.depth, a @ f.values @ a.T)
 
 
 def haar_inverse(c: HaarCoefficients2D) -> GridFunction2D:
-    tmp = _inverse_axis0(c.table.T).T
-    return GridFunction2D(c.depth, _inverse_axis0(tmp))
+    _, s = _transform_matrices(c.depth)
+    return GridFunction2D(c.depth, s @ c.table @ s.T)
 
 
+@lru_cache(maxsize=None)
 def axis_haar_values(interval: DyadicInterval, depth: int, cancellative: bool = True) -> np.ndarray:
-    """Cell values of a 1D Haar (or L2-normalized indicator) function.
+    """Cell values of a 1D Haar (or L2-normalized indicator) function, cached read-only.
 
     Evaluated directly from the interval geometry, independently of the
-    fast transform, which makes it usable as a cross-check oracle.
+    transform and its level loops, which makes it usable as a
+    cross-check oracle.
     """
     out = np.zeros(1 << depth)
     scale = 2.0 ** (interval.level / 2)
@@ -398,6 +417,7 @@ def axis_haar_values(interval: DyadicInterval, depth: int, cancellative: bool = 
         out[hi.cell_slice(depth)] = scale
     else:
         out[interval.cell_slice(depth)] = scale
+    out.flags.writeable = False
     return out
 
 

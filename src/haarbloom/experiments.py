@@ -40,6 +40,7 @@ from .dyadic import (
 )
 from .norms import (
     EXACT_MAX_DEPTH,
+    HEURISTIC_MAX_DEPTH,
     bmo_prod_one_weight,
     bmo_prod_two_weight,
     little_bmo,
@@ -120,6 +121,10 @@ class ExperimentConfig:
             raise ValueError(f"--strategy exact scores every union of finest rectangles, "
                              f"where the supremum over all open sets is attained, and is "
                              f"limited to depth <= {EXACT_MAX_DEPTH}; use --strategy heuristic")
+        if (self.command in ("jn", "commutator", "paraproduct") and self.strategy == "heuristic"
+                and self.depth > HEURISTIC_MAX_DEPTH):
+            raise ValueError(f"--strategy heuristic scores every pair of cancellative "
+                             f"rectangles and is limited to depth <= {HEURISTIC_MAX_DEPTH}")
         if (self.command == "commutator" and self.mode == "exhaustive"
                 and self.depth > EXHAUSTIVE_MAX_DEPTH):
             raise ValueError(f"--mode exhaustive walks every sign pair and is limited "

@@ -33,6 +33,10 @@ from .weights import Weight
 
 #: deepest grid the exact BMO search runs on (2^4 - 1 unions of finest rectangles)
 EXACT_MAX_DEPTH = 2
+#: deepest grid the heuristic BMO search runs on: its pairwise-union candidates
+#: take about 0.5 s and three 6.5 MB tables per symbol at depth 4, three 0.47 GB
+#: tables at depth 5 and three of about 32 GB at depth 6
+HEURISTIC_MAX_DEPTH = 4
 #: cells (masks x cells per mask) the BMO objective scores in one block
 BLOCK_CELLS = 16384
 
@@ -235,9 +239,11 @@ def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     ``strategy="exact"`` takes the supremum over all ``2^(4^N) - 1``
     non-empty cell masks (depth <= 2) by scoring the ``2^(4^(N-1)) - 1``
     unions of finest rectangles, where it is attained;
-    ``"heuristic"`` runs the candidate/greedy search at any depth the
-    desk-scale budget allows.
+    ``"heuristic"`` runs the candidate/greedy search (depth <= 4).
     """
+    if strategy == "heuristic" and b.depth > HEURISTIC_MAX_DEPTH:
+        raise ValueError(f"heuristic search is limited to depth <= {HEURISTIC_MAX_DEPTH}: "
+                         f"its candidates are every pair of cancellative rectangles")
     obj = _MaskObjective(b, mu, lam, p)
     if strategy == "exact":
         value, mask = _exact_search(obj)

@@ -123,35 +123,54 @@ def paraproduct_apply(kind: str, b: GridFunction2D, f: GridFunction2D) -> GridFu
     comes out against the complementary type.  "0" = cancellative,
     "1" = scaling, first character is the x-axis.
     """
-    if kind not in PARAPRODUCT_KINDS:
-        raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
-    if b.depth != f.depth:
-        raise ValueError("symbol and argument live on different grids")
-    return _paraproduct_from_cc(kind, _cc_table(b), f)
+    return paraproduct_operator(kind, b)(f)
 
 
 def lambda_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
     """Sum of the four paraproducts: the symbol side of the commutator calculus."""
-    if b.depth != f.depth:
+    return lambda_operator(b)(f)
+
+
+def _snapshot(b: GridFunction2D) -> GridFunction2D:
+    """Read-only copy of a symbol, so an operator ignores later edits to ``b``."""
+    b = b.copy()
+    b.values.flags.writeable = False
+    return b
+
+
+def _check_grid(depth: int, f: GridFunction2D) -> None:
+    if depth != f.depth:
         raise ValueError("symbol and argument live on different grids")
-    cc = _cc_table(b)
-    out = _paraproduct_from_cc("00", cc, f)
-    for kind in ("10", "01", "11"):
-        out = out + _paraproduct_from_cc(kind, cc, f)
-    return out
 
 
 def paraproduct_operator(kind: str, b: GridFunction2D) -> Operator:
+    """One paraproduct of ``b``, whose coefficients are read once, here."""
     if kind not in PARAPRODUCT_KINDS:
         raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
-    return lambda f: paraproduct_apply(kind, b, f)
+    depth, cc = b.depth, _cc_table(b)
+
+    def apply(f: GridFunction2D) -> GridFunction2D:
+        _check_grid(depth, f)
+        return _paraproduct_from_cc(kind, cc, f)
+    return apply
 
 
 def lambda_operator(b: GridFunction2D) -> Operator:
-    return lambda f: lambda_apply(b, f)
+    """Lambda of ``b``, whose coefficients are read once, here."""
+    depth, cc = b.depth, _cc_table(b)
+
+    def apply(f: GridFunction2D) -> GridFunction2D:
+        _check_grid(depth, f)
+        out = _paraproduct_from_cc("00", cc, f)
+        for kind in ("10", "01", "11"):
+            out = out + _paraproduct_from_cc(kind, cc, f)
+        return out
+    return apply
 
 
 def multiplication_operator(b: GridFunction2D) -> Operator:
+    """Multiplication by a read-only snapshot of ``b``."""
+    b = _snapshot(b)
     return lambda f: b * f
 
 
@@ -371,13 +390,11 @@ def theta_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
 
 def theta_operator(b: GridFunction2D) -> Operator:
     """Theta of a read-only snapshot of ``b``, whose average table is built once."""
-    b = b.copy()
-    b.values.flags.writeable = False
+    b = _snapshot(b)
     averages = rectangle_average_table(b)
 
     def apply(f: GridFunction2D) -> GridFunction2D:
-        if b.depth != f.depth:
-            raise ValueError("symbol and argument live on different grids")
+        _check_grid(b.depth, f)
         table = _cc_table(f)
         avg_term = haar_inverse(HaarCoefficients2D(f.depth, table * averages))
         return b * haar_inverse(HaarCoefficients2D(f.depth, table)) - avg_term

@@ -30,6 +30,8 @@ from haarbloom.dyadic import (
     slot_of,
     unit_square,
 )
+from haarbloom import dyadic
+from haarbloom.operators import _axis_bases
 
 
 def rect(lx, ix, ly, iy):
@@ -161,6 +163,54 @@ def test_round_trip_and_plancherel():
         np.testing.assert_allclose(back.values, f.values, atol=1e-13)
         # Plancherel: the basis is orthonormal in L2 of the square
         assert abs(c.energy() - (f * f).integral()) < 1e-12
+
+
+def level_loop_forward(f):
+    """The transform as the per-level loops run it, axis 0 then axis 1."""
+    return dyadic._forward_axis0(dyadic._forward_axis0(f.values).T).T
+
+
+def level_loop_inverse(c):
+    return dyadic._inverse_axis0(dyadic._inverse_axis0(c.table.T).T)
+
+
+def test_transform_matrices_are_read_only_and_match_the_haar_bases():
+    # the cached matrices come from the level loops; the bases from the
+    # interval geometry (axis_haar_values), so the two are independent
+    for depth in range(1, 7):
+        a, s = dyadic._transform_matrices(depth)
+        assert dyadic._transform_matrices(depth)[0] is a
+        for mat in (a, s):
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 0.0
+        hc = _axis_bases(depth)[0]
+        np.testing.assert_allclose(a, hc / (1 << depth), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s, hc.T, rtol=0, atol=1e-15)
+
+
+def test_transform_matches_the_level_loops():
+    rng = np.random.default_rng(21)
+    for depth in range(1, 7):
+        for _ in range(3):
+            f = random_grid(depth, rng)
+            want = level_loop_forward(f)
+            got = haar_forward(f).table
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            c = HaarCoefficients2D(depth, rng.standard_normal(f.values.shape))
+            want = level_loop_inverse(c)
+            got = haar_inverse(c).values
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_axis_values_are_cached_read_only():
+    iv = DyadicInterval(1, 1)
+    v = axis_haar_values(iv, 3)
+    assert axis_haar_values(iv, 3) is v
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+    assert axis_haar_values(iv, 3, cancellative=False) is not v
 
 
 def test_block_views():

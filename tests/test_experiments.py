@@ -232,6 +232,15 @@ def test_config_validation():
         ExperimentConfig("identities", depth=4)
 
 
+def test_config_refuses_heuristic_search_beyond_its_limit():
+    ExperimentConfig("jn", depth=4, strategy="heuristic")
+    for command in ("jn", "commutator", "paraproduct"):
+        with pytest.raises(ValueError, match="heuristic"):
+            ExperimentConfig(command, depth=5, strategy="heuristic", mode="sampled")
+    # the limit binds only where a BMO search runs
+    ExperimentConfig("khintchine", depth=5, strategy="heuristic")
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -287,6 +296,9 @@ def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
     ["jn", "--p", "2,inf"],
     ["jn", "--delta", "-0.5"],
     ["identities", "--depth", "5"],
+    ["jn", "--strategy", "heuristic", "--depth", "5"],
+    ["paraproduct", "--strategy", "heuristic", "--depth", "5"],
+    ["commutator", "--strategy", "heuristic", "--mode", "sampled", "--depth", "5"],
 ])
 def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
     def boom(cfg):

@@ -258,6 +258,19 @@ def test_bmo_degenerate_symbol():
     assert heur.value == 0.0
 
 
+def test_heuristic_search_refuses_depths_beyond_its_limit(monkeypatch):
+    # patched so that a missing guard fails here instead of allocating gigabytes
+    def boom(*args, **kwargs):
+        raise AssertionError("the search ran")
+    monkeypatch.setattr(norms, "_MaskObjective", boom)
+    depth = norms.HEURISTIC_MAX_DEPTH + 1
+    b, one = random_grid(depth, 1), constant_weight(depth)
+    with pytest.raises(ValueError, match="limited to depth <= 4"):
+        bmo_prod_two_weight(b, one, one, 2.0, "heuristic")
+    with pytest.raises(ValueError, match="limited to depth <= 4"):
+        bmo_prod_one_weight(b, one, "heuristic")
+
+
 def test_bmo_one_weight_delegation():
     b = random_symbol(2, 10)
     res1 = bmo_prod_one_weight(b, constant_weight(2))

@@ -236,6 +236,19 @@ def test_theta_operator_snapshots_its_symbol():
     np.testing.assert_array_equal(th(f).values, want.values)
 
 
+@pytest.mark.parametrize("name", ["lambda", "multiplication", "00", "10", "01", "11"])
+def test_symbol_operators_ignore_later_edits_to_their_symbol(name):
+    # like Theta: each operator reads its symbol once, when it is built
+    factory = {"lambda": lambda_operator, "multiplication": multiplication_operator}.get(
+        name, lambda b: paraproduct_operator(name, b))
+    rng = np.random.default_rng(19)
+    b, f = random_grid(2, rng), random_grid(2, rng)
+    want = factory(b.copy())(f)
+    op = factory(b)
+    b.values[:] = 0.0
+    np.testing.assert_array_equal(op(f).values, want.values)
+
+
 def test_theta_sandwiched_by_one_rectangle_vanishes():
     rng = np.random.default_rng(17)
     b, f = random_grid(2, rng), random_grid(2, rng)   # no restriction here
