@@ -13,6 +13,7 @@ they selected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,30 +203,55 @@ def _grow_greedily(obj: _MaskObjective, mask: np.ndarray) -> tuple[float, np.nda
         best = gain_value
 
 
+@lru_cache(maxsize=None)
+def _candidate_table(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached read-only distinct symbol-free candidates of the heuristic search.
+
+    The candidates are every rectangle's cells, then the pairwise unions
+    of the cancellative ones; ``rows[inverse]`` rebuilds that list.
+    """
+    incidence = rectangle_incidence(depth)
+    first, second = np.triu_indices(len(incidence), 1)
+    masks = np.concatenate([rectangle_table(depth).cells, incidence[first] | incidence[second]])
+    # np.unique sorts rows of uint64 words about 40 times as fast as rows of bools at depth 4
+    words = np.packbits(masks, axis=1)
+    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+    _, keep, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    rows, inverse = masks[keep], inverse.reshape(-1)
+    rows.flags.writeable = inverse.flags.writeable = False
+    return rows, inverse
+
+
 def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, np.ndarray]:
     """Candidate shadows + steepest-ascent growth; exact-search oracle's cheap rival.
 
     Candidate families: every dyadic rectangle, pairwise unions of the
-    cancellative ones, superlevel sets of the squared square function of
-    the symbol and of the pointwise maximum rectangle energy
-    ``max_R b_R^2 / |R|`` over the rectangles holding a cell, the full
-    square, and seeded random masks.  All candidates are scored in one
-    call; the best few are grown greedily.
+    cancellative ones (both from ``_candidate_table``), superlevel sets of
+    the squared square function of the symbol and of the pointwise
+    maximum rectangle energy ``max_R b_R^2 / |R|`` over the rectangles
+    holding a cell, the full square, and seeded random masks.  Each
+    distinct mask is scored once, all in one call; the best five
+    candidates (ties to the later one) are grown greedily, each distinct
+    start once: a repeat would return the same value, which cannot beat
+    the best strictly.
     """
     rng = ensure_rng(seed)
-    first, second = np.triu_indices(len(obj.incidence), 1)
+    rows, inverse = _candidate_table(obj.depth)
     cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
-    candidates = np.concatenate(
-        [rectangle_table(obj.depth).cells, obj.incidence[first] | obj.incidence[second]]
-        + [field >= np.unique(field)[:, None]
-           for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
+    own = np.concatenate(
+        [field >= np.unique(field)[:, None]
+         for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
         + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])
-    candidates = candidates[candidates.any(axis=1)]
+    masks = np.concatenate([rows, own[own.any(axis=1)]])
+    # candidate i is masks[index[i]]; scores do not depend on the stack
+    index = np.concatenate([inverse, np.arange(len(rows), len(masks))])
+    values = obj.values(masks)[index]
 
-    scored = sorted(zip(obj.values(candidates).tolist(), range(len(candidates))), reverse=True)
-    best, best_mask = scored[0][0], candidates[scored[0][1]]
-    for _, i in scored[:5]:
-        value, mask = _grow_greedily(obj, candidates[i])
+    top = np.lexsort((np.arange(len(index)), values))[::-1][:5]
+    best, best_mask = float(values[top[0]]), masks[index[top[0]]]
+    starts = masks[index[top]]
+    for start in starts[np.sort(np.unique(starts, axis=0, return_index=True)[1])]:
+        value, mask = _grow_greedily(obj, start)
         if value > best:
             best, best_mask = value, mask
     return best, best_mask

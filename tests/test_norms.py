@@ -8,15 +8,19 @@ from haarbloom.dyadic import (
     RectangleCollection,
     Shadow,
     cancellative_rectangles,
+    ensure_rng,
     haar_forward,
     haar_function,
     random_grid,
     random_symbol,
+    rectangle_incidence,
+    rectangle_table,
     unit_square,
 )
 from haarbloom import norms
 from haarbloom.norms import (
     BmoResult,
+    _grow_greedily,
     bmo_prod_one_weight,
     bmo_prod_two_weight,
     little_bmo,
@@ -247,6 +251,88 @@ def test_exact_search_matches_the_brute_force_over_every_mask(depth):
         assert (got.value, got.witness.to_hex()) == _brute_force_search(b, mu, lam, p)
         if not b.values.any():
             assert got.witness.to_hex() == "1"
+
+
+def _heuristic_search_oracle(obj, restarts, seed):
+    """The search before distinct candidates were scored once, word for word."""
+    rng = ensure_rng(seed)
+    first, second = np.triu_indices(len(obj.incidence), 1)
+    cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
+    candidates = np.concatenate(
+        [rectangle_table(obj.depth).cells, obj.incidence[first] | obj.incidence[second]]
+        + [field >= np.unique(field)[:, None]
+           for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
+        + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])
+    candidates = candidates[candidates.any(axis=1)]
+
+    scored = sorted(zip(obj.values(candidates).tolist(), range(len(candidates))), reverse=True)
+    best, best_mask = scored[0][0], candidates[scored[0][1]]
+    for _, i in scored[:5]:
+        value, mask = _grow_greedily(obj, candidates[i])
+        if value > best:
+            best, best_mask = value, mask
+    return best, best_mask
+
+
+def _heuristic_draws():
+    """Depths 1-3 over several seeds at every p in {1.5, 2, 3} and delta in {0, 0.5, 1};
+    one depth-4 draw (about 0.8 s per search pair there)."""
+    rng = np.random.default_rng(47)
+    grid = [(delta, p) for delta in (0.0, 0.5, 1.0) for p in (1.5, 2.0, 3.0)]
+    for depth, seeds, combos in ((1, range(6), grid), (2, range(4), grid), (3, range(2), grid),
+                                 (4, range(1), [(1.0, 3.0)])):
+        for seed in seeds:
+            b = random_symbol(depth, rng)
+            for delta, p in combos:
+                mu = random_cascade_weight(depth, delta, rng)
+                lam = random_cascade_weight(depth, delta, rng)
+                yield norms._MaskObjective(b, mu, lam, p), seed
+
+
+def test_heuristic_search_matches_the_search_that_scored_every_candidate():
+    for obj, seed in _heuristic_draws():
+        value, mask = norms._heuristic_search(obj, 8, seed)
+        want_value, want_mask = _heuristic_search_oracle(obj, 8, seed)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        np.testing.assert_array_equal(mask, want_mask)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_candidate_table_holds_each_symbol_free_candidate_once(depth):
+    rows, inverse = norms._candidate_table(depth)
+    assert norms._candidate_table(depth) is norms._candidate_table(depth)
+    assert not rows.flags.writeable and not inverse.flags.writeable
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    incidence = rectangle_incidence(depth)
+    literal = [rectangle_table(depth).cells] + [incidence[i] | incidence[j][None]
+                                                 for i in range(len(incidence))
+                                                 for j in range(i + 1, len(incidence))]
+    np.testing.assert_array_equal(rows[inverse], np.concatenate(literal))
+
+
+def test_heuristic_search_grows_each_distinct_start_once(monkeypatch):
+    grown = []
+
+    def counting(obj, mask):
+        grown.append(mask.tobytes())
+        return norms_grow(obj, mask)
+
+    norms_grow = norms._grow_greedily
+    monkeypatch.setattr(norms, "_grow_greedily", counting)
+    monkeypatch.setitem(globals(), "_grow_greedily", counting)
+    repeats = 0
+    rng = np.random.default_rng(48)
+    for trial in range(6):
+        obj = norms._MaskObjective(random_symbol(3, rng), random_cascade_weight(3, 0.5, rng),
+                                   random_cascade_weight(3, 0.5, rng), (1.5, 2.0, 3.0)[trial % 3])
+        grown.clear()
+        _heuristic_search_oracle(obj, 8, trial)
+        want = list(dict.fromkeys(grown))
+        repeats += len(grown) - len(want)
+        grown.clear()
+        norms._heuristic_search(obj, 8, trial)
+        assert grown == want
+    assert repeats > 0      # the oracle did regrow some start
 
 
 def test_bmo_degenerate_symbol():
