@@ -79,7 +79,7 @@ SAMPLED_PAIRS = 16
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
 #: deepest grid for the identity suite, which scores all 4^(2^N - 1) sign pairs:
-#: one draw takes about 0.8 s at depth 3, while depth 4 has 2^30 pairs
+#: one draw takes about 0.45 s at depth 3, while depth 4 has 2^30 pairs
 #: (a 17 GB matrix stack per x-axis sign row)
 IDENTITIES_MAX_DEPTH = 3
 
