@@ -311,13 +311,12 @@ def test_candidate_table_holds_each_symbol_free_candidate_once(depth):
 
 
 def test_heuristic_search_grows_each_distinct_start_once(monkeypatch):
-    grown = []
+    grown, grow = [], norms._grow_greedily
 
     def counting(obj, mask):
         grown.append(mask.tobytes())
-        return norms_grow(obj, mask)
+        return grow(obj, mask)
 
-    norms_grow = norms._grow_greedily
     monkeypatch.setattr(norms, "_grow_greedily", counting)
     monkeypatch.setitem(globals(), "_grow_greedily", counting)
     repeats = 0
