@@ -69,8 +69,14 @@ from .operators import (
     sign_rows,
     theta_operator,
 )
-from .opnorm import EXHAUSTIVE_MAX_DEPTH, opnorm, opnorm_p2_exact, sup_commutator_norm
-from .weights import ap_characteristic, bloom_weight, random_cascade_weight
+from .opnorm import (
+    EXHAUSTIVE_MAX_DEPTH,
+    opnorm_job,
+    opnorm_p2_exact,
+    solve,
+    sup_commutator_job,
+)
+from .weights import Weight, ap_characteristic, bloom_weight, random_cascade_weight
 
 #: absolute gap below which an exact identity counts as holding
 IDENTITY_TOL = 1e-11
@@ -82,6 +88,13 @@ MC_DRAWS = 20000
 #: one draw takes about 0.45 s at depth 3, while depth 4 has 2^30 pairs
 #: (a 17 GB matrix stack per x-axis sign row)
 IDENTITIES_MAX_DEPTH = 3
+#: exponents the l^p arithmetic stays finite for: |u|^p overflows in the power
+#: iteration at p = 300 and the BMO energies at p = 1000, while the dual power
+#: |y|^(p'-1) overflows at p = 1.01 on depth-3 weights of strength 2
+P_RANGE = (1.05, 100.0)
+#: bytes of operator matrices a sweep holds before it solves its pending norms
+#: (one depth-3 sampled commutator trial holds under 1 MB)
+PENDING_BYTES = 32 << 20
 
 CSV_HEADER = "trial,ap_mu,ap_lambda,a2_nu,left,right,mid,ratio_lr,ratio_lm,flag"
 
@@ -109,8 +122,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not all(1.0 < p < math.inf for p in self.p_values):
-            raise ValueError(f"every --p must lie in (1, inf), got {list(self.p_values)}")
+        if not all(P_RANGE[0] <= p <= P_RANGE[1] for p in self.p_values):
+            raise ValueError(f"every --p must lie in [{P_RANGE[0]}, {P_RANGE[1]}], "
+                             f"got {list(self.p_values)}")
         if not all(0.0 <= d < math.inf for d in self.deltas):
             raise ValueError(f"every --delta must be finite and >= 0, got {list(self.deltas)}")
         if self.command == "identities" and self.depth > IDENTITIES_MAX_DEPTH:
@@ -338,15 +352,44 @@ def run_identities(cfg: ExperimentConfig) -> dict:
 # ratio experiments
 # ---------------------------------------------------------------------------
 
+def _ratio_record(row: int, mu: Weight, lam: Weight, nu: Weight, p: float,
+                  left: float, right: float, mid: float) -> RatioRecord:
+    """A ratio row: the three characteristics, and ``left`` over ``right`` and ``mid``."""
+    return RatioRecord(
+        row, ap_characteristic(mu, p).characteristic, ap_characteristic(lam, p).characteristic,
+        ap_characteristic(nu, 2).characteristic, left, right, mid,
+        left / right if right > 0 else math.nan, left / mid if mid > 0 else math.nan,
+        "ok" if right > 0 else "degenerate")
+
+
+def _solved_trials(cfg: ExperimentConfig, combo: int, build) -> list:
+    """``build(trial, rng)`` for every trial of one combination, in trial order.
+
+    Each call returns ``(jobs, state)``.  The pending norm jobs of
+    consecutive trials are finished together by one :func:`solve`: at the
+    end of the combination, or sooner once their matrices pass
+    ``PENDING_BYTES``.  Returns the states, every job solved.
+    """
+    states, pending, held = [], [], 0
+    for trial in range(cfg.trials):
+        jobs, state = build(trial, cfg.rng_for(combo, trial))
+        states.append(state)
+        pending += jobs
+        held += sum(job.nbytes for job in jobs)
+        if held > PENDING_BYTES:
+            solve(pending)
+            pending, held = [], 0
+    solve(pending)
+    return states
+
+
 def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     """One-weight against two-weight BMO norms over random symbols and weights."""
     records: list[RatioRecord] = []
     combos_out = []
     violations: list[str] = []
-    row = 0
     for ci, (p, delta) in enumerate(cfg.combos()):
-        start = row
-        ratios = []
+        start = len(records)
         for trial in range(cfg.trials):
             rng = cfg.rng_for(ci, trial)
             b = random_symbol(cfg.depth, rng)
@@ -354,20 +397,13 @@ def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
             nu = bloom_weight(mu, lam, p)
             left = bmo_prod_one_weight(b, nu, cfg.strategy, seed=rng).value
             right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
-            flag = "ok" if right > 0 else "degenerate"
-            ratio = left / right if right > 0 else math.nan
-            if p == 2 and delta == 0 and flag == "ok" and abs(ratio - 1.0) > 1e-12:
-                violations.append(
-                    f"p=2 delta=0 trial {trial}: one- and two-weight norms differ ({ratio})")
-            records.append(RatioRecord(
-                row, ap_characteristic(mu, p).characteristic,
-                ap_characteristic(lam, p).characteristic,
-                ap_characteristic(nu, 2).characteristic,
-                left, right, math.nan, ratio, math.nan, flag))
-            ratios.append(ratio)
-            row += 1
-        combos_out.append({"p": p, "delta": delta, "rows": [start, row],
-                           "ratio_lr": _finite_stats(ratios)})
+            rec = _ratio_record(len(records), mu, lam, nu, p, left, right, math.nan)
+            if p == 2 and delta == 0 and rec.flag == "ok" and abs(rec.ratio_lr - 1.0) > 1e-12:
+                violations.append(f"p=2 delta=0 trial {trial}: one- and two-weight "
+                                  f"norms differ ({rec.ratio_lr})")
+            records.append(rec)
+        combos_out.append({"p": p, "delta": delta, "rows": [start, len(records)],
+                           "ratio_lr": _finite_stats([r.ratio_lr for r in records[start:]])})
     report = {"config": cfg.echo(), "combos": combos_out,
               "violations": violations, "pass": not violations}
     return report, records
@@ -378,46 +414,41 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     records: list[RatioRecord] = []
     combos_out = []
     violations: list[str] = []
-    row = 0
     for ci, (p, delta) in enumerate(cfg.combos()):
-        start = row
-        lr, lm = [], []
-        spotcheck = 0.0
-        for trial in range(cfg.trials):
-            rng = cfg.rng_for(ci, trial)
+        def build(trial, rng):
             b = random_symbol(cfg.depth, rng)
             mu, lam = _draw_pair(cfg.depth, delta, rng)
-            nu = bloom_weight(mu, lam, p)
-            sup = sup_commutator_norm(b, mu, lam, p, mode=cfg.mode,
-                                      trials=SAMPLED_PAIRS, seed=rng)
-            mid = opnorm(lambda_matrix(b), mu, lam, p).value
+            sup = sup_commutator_job(b, mu, lam, p, mode=cfg.mode,
+                                     trials=SAMPLED_PAIRS, seed=rng)
+            mid = opnorm_job(lambda_matrix(b), mu, lam, p)
             right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
-            if (p == 2 and delta == 0 and cfg.mode == "exhaustive"
-                    and sup.value > 4.0 * mid * (1.0 + 1e-9)):
-                violations.append(
-                    f"p=2 delta=0 trial {trial}: supremum {sup.value} exceeds 4x {mid}")
+            spot = ()
             if trial == 0 and p == 2:
                 # informational only: how close do {-1,0,1} signs come?
                 draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
                          for _ in range(10)]
-                mats = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
-                for mat in mats:
-                    v = opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value
-                    if sup.value > 0:
-                        spotcheck = max(spotcheck, v / sup.value)
-            flag = "ok" if right > 0 else "degenerate"
-            rl = sup.value / right if right > 0 else math.nan
-            rm = sup.value / mid if mid > 0 else math.nan
-            records.append(RatioRecord(
-                row, ap_characteristic(mu, p).characteristic,
-                ap_characteristic(lam, p).characteristic,
-                ap_characteristic(nu, 2).characteristic,
-                sup.value, right, mid, rl, rm, flag))
-            lr.append(rl)
-            lm.append(rm)
-            row += 1
-        combos_out.append({"p": p, "delta": delta, "rows": [start, row],
-                           "ratio_lr": _finite_stats(lr), "ratio_lm": _finite_stats(lm),
+                spot = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
+            return [sup, mid], (mu, lam, sup, mid, right, spot)
+
+        start = len(records)
+        spotcheck = 0.0
+        for trial, (mu, lam, sup, mid, right, spot) in enumerate(
+                _solved_trials(cfg, ci, build)):
+            sup, mid = sup.result.value, mid.result.value
+            if (p == 2 and delta == 0 and cfg.mode == "exhaustive"
+                    and sup > 4.0 * mid * (1.0 + 1e-9)):
+                violations.append(
+                    f"p=2 delta=0 trial {trial}: supremum {sup} exceeds 4x {mid}")
+            for mat in spot:
+                v = opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value
+                if sup > 0:
+                    spotcheck = max(spotcheck, v / sup)
+            records.append(_ratio_record(len(records), mu, lam, bloom_weight(mu, lam, p), p,
+                                         sup, right, mid))
+        rows = records[start:]
+        combos_out.append({"p": p, "delta": delta, "rows": [start, len(records)],
+                           "ratio_lr": _finite_stats([r.ratio_lr for r in rows]),
+                           "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
                            "zero_sign_spotcheck_max_ratio": spotcheck})
     report = {"config": cfg.echo(), "combos": combos_out,
               "violations": violations, "pass": not violations}
@@ -429,44 +460,37 @@ def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     records: list[RatioRecord] = []
     combos_out = []
     violations: list[str] = []
-    row = 0
     for ci, (p, delta) in enumerate(cfg.combos()):
-        start = row
-        lr, lm, tested = [], [], []
-        for trial in range(cfg.trials):
-            rng = cfg.rng_for(ci, trial)
+        def build(trial, rng):
             b = random_symbol(cfg.depth, rng)
             mu, lam = _draw_pair(cfg.depth, delta, rng)
-            nu = bloom_weight(mu, lam, p)
             pi = paraproduct_matrix("11", b)
-            left = opnorm(pi, mu, lam, p).value
+            left = opnorm_job(pi, mu, lam, p)
             bmo = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng)
-            right = bmo.value
             mid = little_bmo(b, mu, lam, p).value
             # drive the operator with the indicator of the witness shadow
             one_omega = indicator(bmo.witness)
             t = (lp_weighted_norm(pi.apply(one_omega), lam, p)
                  / lp_weighted_norm(one_omega, mu, p))
+            return [left], (mu, lam, left, bmo.value, mid, t)
+
+        start = len(records)
+        tested = []
+        for trial, (mu, lam, left, right, mid, t) in enumerate(_solved_trials(cfg, ci, build)):
+            left = left.result.value
             if p == 2 and t > left * (1.0 + 1e-9):
                 violations.append(
                     f"trial {trial}: testing-function ratio {t} above the exact norm {left}")
             if p == 2 and delta == 0 and left < right * (1.0 - 1e-9):
                 violations.append(
                     f"p=2 delta=0 trial {trial}: norm {left} below the BMO norm {right}")
-            flag = "ok" if right > 0 else "degenerate"
-            rl = left / right if right > 0 else math.nan
-            rm = left / mid if mid > 0 else math.nan
-            records.append(RatioRecord(
-                row, ap_characteristic(mu, p).characteristic,
-                ap_characteristic(lam, p).characteristic,
-                ap_characteristic(nu, 2).characteristic,
-                left, right, mid, rl, rm, flag))
-            lr.append(rl)
-            lm.append(rm)
+            records.append(_ratio_record(len(records), mu, lam, bloom_weight(mu, lam, p), p,
+                                         left, right, mid))
             tested.append(t / left if left > 0 else math.nan)
-            row += 1
-        combos_out.append({"p": p, "delta": delta, "rows": [start, row],
-                           "ratio_lr": _finite_stats(lr), "ratio_lm": _finite_stats(lm),
+        rows = records[start:]
+        combos_out.append({"p": p, "delta": delta, "rows": [start, len(records)],
+                           "ratio_lr": _finite_stats([r.ratio_lr for r in rows]),
+                           "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
                            "testing_ratio": _finite_stats(tested)})
     report = {"config": cfg.echo(), "combos": combos_out,
               "violations": violations, "pass": not violations}

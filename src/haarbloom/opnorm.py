@@ -13,10 +13,14 @@ commutator matrices of all its sign pairs at once
 one batched SVD or one batched power iteration; a single operator is the
 stack of one.  Away from 2 only the matrices whose upper bound reaches
 the stack's best warm-start ratio are iterated; the rest are pruned.
+A norm can also be built as a :class:`NormJob` and finished later:
+:func:`solve` runs the trajectories of many jobs of one exponent in a
+single power iteration, as the experiment sweeps do per combination.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +46,9 @@ class OpNormResult:
     singular value, or an exhaustive sign supremum of such), otherwise
     "lower_bound".  ``witness`` is a unit-norm input realizing ``value``;
     ``upper_bound`` brackets lower bounds from above; ``sign_pair`` is
-    set by the sign supremum; ``pruned`` counts matrices the bound skipped.
+    set by the sign supremum; ``pruned`` counts matrices the bound skipped;
+    ``converged`` (lower bounds only) is False when an iterated start of
+    the reported matrix stopped at ``max_iter``.
     """
 
     value: float
@@ -52,10 +58,12 @@ class OpNormResult:
     upper_bound: float | None = None
     sign_pair: tuple[SignChoice1D, SignChoice1D] | None = None
     pruned: int | None = None
+    converged: bool | None = None
 
     def as_dict(self, witness_csv_path: str | None = None) -> dict:
         out = {"value": self.value, "kind": self.kind, "iterations": self.iterations}
-        out |= {k: v for k in ("upper_bound", "pruned") if (v := getattr(self, k)) is not None}
+        out |= {k: v for k in ("upper_bound", "pruned", "converged")
+                if (v := getattr(self, k)) is not None}
         if witness_csv_path is not None:
             out["witness_csv_path"] = witness_csv_path
         return out
@@ -147,6 +155,89 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
     return best, best_u, count
 
 
+@dataclass
+class _LpStack:
+    """A stack of conjugated matrices between warm starts and the power iteration.
+
+    ``best``/``best_u`` hold the ratio and unit iterate of every start of
+    every non-zero matrix (the warm starts already scored); ``live`` and
+    ``starts`` the matrices whose bracket reaches the best warm ratio, and
+    their starts, still to iterate.
+    """
+
+    depth: int
+    mu: Weight
+    p: float
+    max_iter: int
+    tol: float
+    upper: np.ndarray
+    nonzero: np.ndarray
+    run: np.ndarray
+    best: np.ndarray
+    best_u: np.ndarray
+    live: np.ndarray
+    starts: np.ndarray
+
+
+def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
+                restarts: int, seed: int | np.random.Generator | None = 0,
+                max_iter: int = 500, tol: float = 1e-9) -> _LpStack:
+    """Conjugate, bracket, warm-start and prune a stack (see :func:`_lp_lower_stack`)."""
+    if p <= 1:
+        raise ValueError(f"the iteration needs p > 1, got {p}")
+    b = _conjugated(mats, depth, mu, lam, p)
+    upper = _upper_brackets(b, p)
+    rng = ensure_rng(seed)
+    count, m = b.shape[0], b.shape[-1]
+    nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
+    per = max(2, restarts)
+    if nonzero.size == 0:
+        empty = np.zeros((0, per, m))
+        return _LpStack(depth, mu, p, max_iter, tol, upper, nonzero, np.zeros(0, bool),
+                        empty[..., 0], empty, b[:0], empty)
+
+    warm = np.linalg.svd(_conjugated(mats[nonzero], depth, mu, lam, 2))[2][:, 0]
+    starts = [warm, np.abs(warm)]
+    starts += [np.broadcast_to(rng.standard_normal(m), warm.shape)
+               for _ in range(per - len(starts))]
+    starts = np.stack(starts, axis=1)                      # (pairs, starts, m)
+    best = np.full(starts.shape[:2], -np.inf)
+    best_u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    best[:, :2] = (_lp_norms(np.einsum("tij,tsj->tsi", b[nonzero], best_u[:, :2]), p)
+                   / _lp_norms(best_u[:, :2], p))
+    run = upper[nonzero] * (1.0 + 1e-9) >= best[:, :2].max()
+    return _LpStack(depth, mu, p, max_iter, tol, upper, nonzero, run, best, best_u,
+                    b[nonzero[run]], starts[run])
+
+
+def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray):
+    """Fold the iterated trajectories into ``stack``; returns what
+    :func:`_lp_lower_stack` returns, plus per matrix whether no iterated
+    start stopped at ``max_iter``."""
+    count, per = len(stack.upper), stack.best_u.shape[1]
+    values = np.zeros(count)
+    units: list[np.ndarray | None] = [None] * count
+    iterations = np.zeros(count, dtype=int)
+    converged = np.ones(count, dtype=bool)
+    best, best_u = stack.best, stack.best_u
+    iterated = stack.nonzero[stack.run]
+    best[stack.run], best_u[stack.run], its = (
+        a.reshape(-1, per, *a.shape[1:]) for a in (ran_best, ran_u, ran_its))
+    pick = np.argmax(best, axis=1)         # ties: the earliest start, as a sequential walk
+    values[stack.nonzero] = best[np.arange(stack.nonzero.size), pick]
+    iterations[iterated] = its.sum(axis=1)
+    converged[iterated] = (its < stack.max_iter).all(axis=1)
+    escaped = values > stack.upper * (1.0 + 1e-9)
+    if escaped.any():
+        i = int(np.argmax(escaped))
+        raise RuntimeError(f"lower bound {values[i]} escaped the bracket {stack.upper[i]}")
+    for row, i in enumerate(stack.nonzero):
+        u = best_u[row, pick[row]]
+        units[i] = u / _lp_norms(u, stack.p)
+    pruned = int(stack.nonzero.size - stack.run.sum())
+    return values, units, iterations, stack.upper, pruned, converged
+
+
 def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
                     restarts: int, seed: int | np.random.Generator | None = 0,
                     max_iter: int = 500, tol: float = 1e-9):
@@ -161,44 +252,8 @@ def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: fl
     number pruned.  A lower bound above its bracket raises: it means the
     arithmetic, not the operator, went wrong.
     """
-    if p <= 1:
-        raise ValueError(f"the iteration needs p > 1, got {p}")
-    b = _conjugated(mats, depth, mu, lam, p)
-    upper = _upper_brackets(b, p)
-    rng = ensure_rng(seed)
-    count, m = b.shape[0], b.shape[-1]
-    values = np.zeros(count)
-    units: list[np.ndarray | None] = [None] * count
-    iterations = np.zeros(count, dtype=int)
-    nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
-    if nonzero.size == 0:
-        return values, units, iterations, upper, 0
-
-    warm = np.linalg.svd(_conjugated(mats[nonzero], depth, mu, lam, 2))[2][:, 0]
-    starts = [warm, np.abs(warm)]
-    starts += [np.broadcast_to(rng.standard_normal(m), warm.shape)
-               for _ in range(max(0, restarts - len(starts)))]
-    starts = np.stack(starts, axis=1)                      # (pairs, starts, m)
-    per = starts.shape[1]
-    best = np.full(starts.shape[:2], -np.inf)
-    best_u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
-    best[:, :2] = (_lp_norms(np.einsum("tij,tsj->tsi", b[nonzero], best_u[:, :2]), p)
-                   / _lp_norms(best_u[:, :2], p))
-    run = upper[nonzero] * (1.0 + 1e-9) >= best[:, :2].max()
-    ran = _power_iteration(np.repeat(b[nonzero[run]], per, axis=0), starts[run].reshape(-1, m),
-                           p, max_iter, tol)
-    best[run], best_u[run], its = (a.reshape(-1, per, *a.shape[1:]) for a in ran)
-    pick = np.argmax(best, axis=1)         # ties: the earliest start, as a sequential walk
-    values[nonzero] = best[np.arange(nonzero.size), pick]
-    iterations[nonzero[run]] = its.sum(axis=1)
-    escaped = values > upper * (1.0 + 1e-9)
-    if escaped.any():
-        i = int(np.argmax(escaped))
-        raise RuntimeError(f"lower bound {values[i]} escaped the bracket {upper[i]}")
-    for row, i in enumerate(nonzero):
-        u = best_u[row, pick[row]]
-        units[i] = u / _lp_norms(u, p)
-    return values, units, iterations, upper, int(nonzero.size - run.sum())
+    stack = _lp_prepare(mats, depth, mu, lam, p, restarts, seed, max_iter, tol)
+    return _lp_finish(stack, *_iterate([stack])[0])[:5]
 
 
 def _lp_result(depth: int, mu: Weight, p: float, value: float, unit: np.ndarray | None,
@@ -212,6 +267,79 @@ def _lp_result(depth: int, mu: Weight, p: float, value: float, unit: np.ndarray 
                         upper_bound=float(upper), pruned=pruned)
 
 
+@dataclass
+class NormJob:
+    """A weighted operator norm still to finish: one matrix, or a sign supremum's stack.
+
+    At p = 2 ``result`` is set when the job is built (SVD); otherwise
+    ``stack`` holds the trajectories left after pruning, and :func:`solve`
+    sets ``result`` and drops the stack.  ``signs`` holds a supremum's
+    sign rows.
+    """
+
+    p: float
+    result: OpNormResult | None = None
+    stack: _LpStack | None = None
+    signs: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the matrices still to iterate."""
+        return 0 if self.stack is None else self.stack.live.nbytes
+
+
+def _iterate(stacks: list[_LpStack]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run the live trajectories of all ``stacks`` through one :func:`_power_iteration`
+    call, even when none is left; returns each stack's slice of its output."""
+    if len({(s.p, s.max_iter, s.tol) for s in stacks}) > 1:
+        raise ValueError("stacks iterated together must share p, max_iter and tol")
+    first = stacks[0]
+    starts = [s.starts.reshape(-1, s.starts.shape[-1]) for s in stacks]
+    ran = _power_iteration(
+        np.concatenate([s.live.repeat(s.starts.shape[1], axis=0) for s in stacks]),
+        np.concatenate(starts), first.p, first.max_iter, first.tol)
+    sizes = [len(u) for u in starts]
+    return [tuple(a[end - size:end] for a in ran)
+            for size, end in zip(sizes, itertools.accumulate(sizes))]
+
+
+def solve(jobs: list[NormJob]) -> None:
+    """Finish every pending job with a single :func:`_power_iteration` call.
+
+    The jobs must share ``p``; a mixed list raises ``ValueError``.  A
+    trajectory does not depend on the others it runs with, so each job
+    gets the bits it would get alone.
+    """
+    if len({job.p for job in jobs}) > 1:
+        raise ValueError(f"solve takes jobs of one p, got {sorted({job.p for job in jobs})}")
+    pending = [job for job in jobs if job.stack is not None]
+    if not pending:
+        return
+    for job, ran in zip(pending, _iterate([job.stack for job in pending])):
+        stack = job.stack
+        values, units, its, upper, pruned, converged = _lp_finish(stack, *ran)
+        idx = int(values.argmax())
+        job.result = _lp_result(stack.depth, stack.mu, stack.p, values[idx], units[idx],
+                                its[idx], upper[idx], pruned)
+        job.result.converged = bool(converged[idx])
+        if job.signs is not None:
+            job.result.iterations = int(np.maximum(1, its).sum())
+            job.result.sign_pair = tuple(SignChoice1D(stack.depth, s[idx]) for s in job.signs)
+        job.stack = None
+
+
+def _solved(job: NormJob) -> OpNormResult:
+    solve([job])
+    return job.result
+
+
+def _lp_job(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
+            seed: int | np.random.Generator | None = 0, max_iter: int = 500,
+            tol: float = 1e-9) -> NormJob:
+    return NormJob(p, stack=_lp_prepare(mat.matrix[None], mat.depth, mu, lam, p, restarts,
+                                        seed, max_iter, tol))
+
+
 def opnorm_lp_lower(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float,
                     restarts: int = 4, seed: int | np.random.Generator | None = 0,
                     max_iter: int = 500, tol: float = 1e-9) -> OpNormResult:
@@ -221,21 +349,58 @@ def opnorm_lp_lower(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float,
     random restarts; the best ratio over all iterates is returned, never
     exceeding the interpolation bracket.
     """
-    values, units, iterations, upper, pruned = _lp_lower_stack(
-        mat.matrix[None], mat.depth, mu, lam, p, restarts, seed, max_iter, tol)
-    return _lp_result(mat.depth, mu, p, values[0], units[0], iterations[0], upper[0], pruned)
+    return _solved(_lp_job(mat, mu, lam, p, restarts, seed, max_iter, tol))
 
 
 def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, **kwargs) -> OpNormResult:
     """Dispatch: exact singular value at p = 2, certified bracket otherwise."""
+    return _solved(opnorm_job(mat, mu, lam, p, **kwargs))
+
+
+def opnorm_job(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, **kwargs) -> NormJob:
+    """:func:`opnorm` as a job: solved when built at p = 2, by :func:`solve` otherwise."""
     if p == 2:
-        return opnorm_p2_exact(mat, mu, lam)
-    return opnorm_lp_lower(mat, mu, lam, p, **kwargs)
+        return NormJob(p, opnorm_p2_exact(mat, mu, lam))
+    return _lp_job(mat, mu, lam, p, **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # supremum over sign choices of the iterated commutator norm
 # ---------------------------------------------------------------------------
+
+def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
+                       mode: str = "exhaustive", trials: int = 64,
+                       seed: int | np.random.Generator | None = 0,
+                       restarts: int = 2) -> NormJob:
+    """:func:`sup_commutator_norm` as a job; sampled sign pairs are drawn when it is built."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "exhaustive":
+        if b.depth > EXHAUSTIVE_MAX_DEPTH:
+            raise ValueError(f"exhaustive sign enumeration is limited to depth "
+                             f"<= {EXHAUSTIVE_MAX_DEPTH}")
+        rows = axis_sign_rows(b.depth)
+        rows = rows[rows[:, 1] > 0]
+        sx = np.repeat(rows, len(rows), axis=0)
+        sy = np.tile(rows, (len(rows), 1))
+    else:
+        rng = ensure_rng(seed)
+        draws = [SignChoice1D.random(b.depth, rng) for _ in range(2 * trials)]
+        sx = np.array([s.signs for s in draws[0::2]])
+        sy = np.array([s.signs for s in draws[1::2]])
+
+    mats = commutator_matrices(b, sx, sy)
+    if p != 2:
+        return NormJob(p, stack=_lp_prepare(mats, b.depth, mu, lam, p, restarts),
+                       signs=(sx, sy))
+    tops = np.linalg.svd(_conjugated(mats, b.depth, mu, lam, 2), compute_uv=False)[:, 0]
+    idx = int(np.argmax(tops))
+    best = opnorm_p2_exact(OperatorMatrix(b.depth, mats[idx]), mu, lam)
+    best.iterations = len(mats)        # max(1, 0) per pair
+    best.sign_pair = (SignChoice1D(b.depth, sx[idx]), SignChoice1D(b.depth, sy[idx]))
+    best.kind = "exact" if mode == "exhaustive" else "lower_bound"
+    return NormJob(p, best)
+
 
 def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                         mode: str = "exhaustive", trials: int = 64,
@@ -256,33 +421,4 @@ def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     warm-start ratio cannot win and is pruned, not iterated, counting 1.
     The result is exact only for an exhaustive walk at p = 2.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if mode == "exhaustive":
-        if b.depth > EXHAUSTIVE_MAX_DEPTH:
-            raise ValueError(f"exhaustive sign enumeration is limited to depth "
-                             f"<= {EXHAUSTIVE_MAX_DEPTH}")
-        rows = axis_sign_rows(b.depth)
-        rows = rows[rows[:, 1] > 0]
-        sx = np.repeat(rows, len(rows), axis=0)
-        sy = np.tile(rows, (len(rows), 1))
-    else:
-        rng = ensure_rng(seed)
-        draws = [SignChoice1D.random(b.depth, rng) for _ in range(2 * trials)]
-        sx = np.array([s.signs for s in draws[0::2]])
-        sy = np.array([s.signs for s in draws[1::2]])
-
-    mats = commutator_matrices(b, sx, sy)
-    if p == 2:
-        tops = np.linalg.svd(_conjugated(mats, b.depth, mu, lam, 2), compute_uv=False)[:, 0]
-        idx = int(np.argmax(tops))
-        best = opnorm_p2_exact(OperatorMatrix(b.depth, mats[idx]), mu, lam)
-        best.iterations = len(mats)        # max(1, 0) per pair
-    else:
-        values, units, its, upper, pruned = _lp_lower_stack(mats, b.depth, mu, lam, p, restarts)
-        idx = int(np.argmax(values))
-        best = _lp_result(b.depth, mu, p, values[idx], units[idx], its[idx], upper[idx], pruned)
-        best.iterations = int(np.maximum(1, its).sum())
-    best.sign_pair = (SignChoice1D(b.depth, sx[idx]), SignChoice1D(b.depth, sy[idx]))
-    best.kind = "exact" if (mode == "exhaustive" and p == 2) else "lower_bound"
-    return best
+    return _solved(sup_commutator_job(b, mu, lam, p, mode, trials, seed, restarts))

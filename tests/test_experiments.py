@@ -222,7 +222,7 @@ def test_config_validation():
         ExperimentConfig("jn", strategy="magic")
     with pytest.raises(ValueError):
         ExperimentConfig("jn", mode="magic")
-    for bad in (1.0, 0.5, float("inf"), float("nan")):
+    for bad in (1.0, 0.5, 1.002, 300.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             ExperimentConfig("jn", p_values=(2.0, bad))
     for bad in (-0.5, float("inf"), float("nan")):
@@ -299,6 +299,8 @@ def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
     ["jn", "--strategy", "heuristic", "--depth", "5"],
     ["paraproduct", "--strategy", "heuristic", "--depth", "5"],
     ["commutator", "--strategy", "heuristic", "--mode", "sampled", "--depth", "5"],
+    ["commutator", "--p", "300"],
+    ["commutator", "--p", "1.002"],
 ])
 def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
     def boom(cfg):
@@ -319,3 +321,138 @@ def test_cli_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["pass"] is True and rep["config"]["command"] == "khintchine"
+
+
+# ---------------------------------------------------------------------------
+# the sweeps solve their norms per combination; the per-trial loop is the oracle
+# ---------------------------------------------------------------------------
+
+def run_commutator_per_trial(cfg):
+    """``run_commutator`` with every norm finished inside its own trial."""
+    from haarbloom.dyadic import random_symbol
+    from haarbloom.norms import bmo_prod_two_weight
+    from haarbloom.operators import OperatorMatrix, commutator_matrices, lambda_matrix
+    from haarbloom.opnorm import opnorm, opnorm_p2_exact, sup_commutator_norm
+    from haarbloom.weights import ap_characteristic, bloom_weight
+    records, combos_out, violations = [], [], []
+    row = 0
+    for ci, (p, delta) in enumerate(cfg.combos()):
+        start = row
+        lr, lm = [], []
+        spotcheck = 0.0
+        for trial in range(cfg.trials):
+            rng = cfg.rng_for(ci, trial)
+            b = random_symbol(cfg.depth, rng)
+            mu, lam = experiments._draw_pair(cfg.depth, delta, rng)
+            nu = bloom_weight(mu, lam, p)
+            sup = sup_commutator_norm(b, mu, lam, p, mode=cfg.mode,
+                                      trials=experiments.SAMPLED_PAIRS, seed=rng)
+            mid = opnorm(lambda_matrix(b), mu, lam, p).value
+            right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
+            if (p == 2 and delta == 0 and cfg.mode == "exhaustive"
+                    and sup.value > 4.0 * mid * (1.0 + 1e-9)):
+                violations.append(
+                    f"p=2 delta=0 trial {trial}: supremum {sup.value} exceeds 4x {mid}")
+            if trial == 0 and p == 2:
+                draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
+                         for _ in range(10)]
+                mats = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
+                for mat in mats:
+                    v = opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value
+                    if sup.value > 0:
+                        spotcheck = max(spotcheck, v / sup.value)
+            flag = "ok" if right > 0 else "degenerate"
+            rl = sup.value / right if right > 0 else math.nan
+            rm = sup.value / mid if mid > 0 else math.nan
+            records.append(RatioRecord(
+                row, ap_characteristic(mu, p).characteristic,
+                ap_characteristic(lam, p).characteristic,
+                ap_characteristic(nu, 2).characteristic,
+                sup.value, right, mid, rl, rm, flag))
+            lr.append(rl)
+            lm.append(rm)
+            row += 1
+        combos_out.append({"p": p, "delta": delta, "rows": [start, row],
+                           "ratio_lr": experiments._finite_stats(lr),
+                           "ratio_lm": experiments._finite_stats(lm),
+                           "zero_sign_spotcheck_max_ratio": spotcheck})
+    return ({"config": cfg.echo(), "combos": combos_out,
+             "violations": violations, "pass": not violations}, records)
+
+
+def run_paraproduct_per_trial(cfg):
+    """``run_paraproduct`` with every norm finished inside its own trial."""
+    from haarbloom.dyadic import indicator, random_symbol
+    from haarbloom.norms import bmo_prod_two_weight, little_bmo, lp_weighted_norm
+    from haarbloom.operators import paraproduct_matrix
+    from haarbloom.opnorm import opnorm
+    from haarbloom.weights import ap_characteristic, bloom_weight
+    records, combos_out, violations = [], [], []
+    row = 0
+    for ci, (p, delta) in enumerate(cfg.combos()):
+        start = row
+        lr, lm, tested = [], [], []
+        for trial in range(cfg.trials):
+            rng = cfg.rng_for(ci, trial)
+            b = random_symbol(cfg.depth, rng)
+            mu, lam = experiments._draw_pair(cfg.depth, delta, rng)
+            nu = bloom_weight(mu, lam, p)
+            pi = paraproduct_matrix("11", b)
+            left = opnorm(pi, mu, lam, p).value
+            bmo = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng)
+            right = bmo.value
+            mid = little_bmo(b, mu, lam, p).value
+            one_omega = indicator(bmo.witness)
+            t = (lp_weighted_norm(pi.apply(one_omega), lam, p)
+                 / lp_weighted_norm(one_omega, mu, p))
+            if p == 2 and t > left * (1.0 + 1e-9):
+                violations.append(
+                    f"trial {trial}: testing-function ratio {t} above the exact norm {left}")
+            if p == 2 and delta == 0 and left < right * (1.0 - 1e-9):
+                violations.append(
+                    f"p=2 delta=0 trial {trial}: norm {left} below the BMO norm {right}")
+            flag = "ok" if right > 0 else "degenerate"
+            rl = left / right if right > 0 else math.nan
+            rm = left / mid if mid > 0 else math.nan
+            records.append(RatioRecord(
+                row, ap_characteristic(mu, p).characteristic,
+                ap_characteristic(lam, p).characteristic,
+                ap_characteristic(nu, 2).characteristic,
+                left, right, mid, rl, rm, flag))
+            lr.append(rl)
+            lm.append(rm)
+            tested.append(t / left if left > 0 else math.nan)
+            row += 1
+        combos_out.append({"p": p, "delta": delta, "rows": [start, row],
+                           "ratio_lr": experiments._finite_stats(lr),
+                           "ratio_lm": experiments._finite_stats(lm),
+                           "testing_ratio": experiments._finite_stats(tested)})
+    return ({"config": cfg.echo(), "combos": combos_out,
+             "violations": violations, "pass": not violations}, records)
+
+
+@pytest.mark.parametrize("budget", [experiments.PENDING_BYTES, 0])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("command", ["commutator", "paraproduct"])
+def test_sweeps_match_the_per_trial_loop(command, mode, budget, monkeypatch):
+    monkeypatch.setattr(experiments, "PENDING_BYTES", budget)
+    real_solve = experiments.solve
+    flushed = []
+    monkeypatch.setattr(experiments, "solve",
+                        lambda jobs: flushed.append(sum(job.stack is not None for job in jobs))
+                        or real_solve(jobs))
+    cfg = ExperimentConfig(command, depth=2, p_values=(1.5, 2.0, 3.0), deltas=(0.0, 0.6),
+                           trials=3, seed=5, mode=mode)
+    oracle = {"commutator": run_commutator_per_trial,
+              "paraproduct": run_paraproduct_per_trial}[command]
+    report, records = COMMANDS[command](cfg)
+    want_report, want_records = oracle(cfg)
+    assert json.dumps(report, sort_keys=True) == json.dumps(want_report, sort_keys=True)
+    assert [r.to_csv_row() for r in records] == [r.to_csv_row() for r in want_records]
+    per_trial = 2 if command == "commutator" else 1
+    # four p != 2 combinations, solved once each or flushed after every trial
+    pending = [n for n in flushed if n]
+    if budget:
+        assert pending == [3 * per_trial] * 4
+    else:
+        assert pending == [per_trial] * 12

@@ -452,3 +452,93 @@ def test_pruning_and_escape_guards_survive_optimize_flag():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("[0] lower bound") and "escaped the bracket" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# jobs finished together by one power iteration, against one-job solves
+# ---------------------------------------------------------------------------
+
+def mixed_jobs(p):
+    """A supremum stack, one operator with random restarts, an all-zero stack and a
+    stack whose every pair is pruned (by hand: a valid bracket never prunes them all)."""
+    rng = np.random.default_rng(50)
+    b = random_symbol(2, rng)
+    mu = random_cascade_weight(2, 0.6, rng)
+    lam = random_cascade_weight(2, 0.6, rng)
+    pruned = opnorm_module.sup_commutator_job(random_symbol(2, rng), mu, lam, p,
+                                              mode="sampled", trials=5, seed=3)
+    stack = pruned.stack
+    stack.run[:] = False
+    stack.live, stack.starts = stack.live[:0], stack.starts[:0]
+    return [opnorm_module.sup_commutator_job(b, mu, lam, p),
+            opnorm_module.opnorm_job(materialize(lambda_operator(b), 2), mu, lam, p,
+                                     restarts=6, seed=4),
+            opnorm_module.sup_commutator_job(GridFunction2D.zeros(2), mu, lam, p),
+            pruned]
+
+
+def assert_same_result(got, want):
+    for name in ("value", "kind", "iterations", "upper_bound", "pruned", "converged"):
+        assert getattr(got, name) == getattr(want, name), name
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        np.testing.assert_array_equal(got.witness.values, want.witness.values)
+    if want.sign_pair is None:
+        assert got.sign_pair is None
+    else:
+        for g, w in zip(got.sign_pair, want.sign_pair):
+            np.testing.assert_array_equal(g.signs, w.signs)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_batched_solve_matches_one_job_solves(p, monkeypatch):
+    alone = mixed_jobs(p)
+    for job in alone:
+        opnorm_module.solve([job])
+    real_iteration = opnorm_module._power_iteration
+    calls = []
+    monkeypatch.setattr(opnorm_module, "_power_iteration",
+                        lambda m, *rest: calls.append(len(m)) or real_iteration(m, *rest))
+    together = mixed_jobs(p)
+    opnorm_module.solve(together)
+    assert len(calls) == 1 and calls[0] > 0
+    for got, want in zip(together, alone):
+        assert got.stack is None and got.nbytes == 0
+        assert_same_result(got.result, want.result)
+    assert together[2].result.value == 0.0 and together[2].result.witness is None
+    assert together[3].result.pruned == 5 and together[3].result.iterations == 5
+    # the one-job entry points are one-job solves
+    rng = np.random.default_rng(50)
+    b = random_symbol(2, rng)
+    mu = random_cascade_weight(2, 0.6, rng)
+    lam = random_cascade_weight(2, 0.6, rng)
+    assert_same_result(sup_commutator_norm(b, mu, lam, p), together[0].result)
+    assert_same_result(opnorm(materialize(lambda_operator(b), 2), mu, lam, p,
+                              restarts=6, seed=4), together[1].result)
+
+
+def test_solve_refuses_mixed_exponents():
+    b = random_symbol(2, 51)
+    one = constant_weight(2)
+    jobs = [opnorm_module.sup_commutator_job(b, one, one, p) for p in (1.5, 3.0)]
+    with pytest.raises(ValueError, match="one p"):
+        opnorm_module.solve(jobs)
+    # at p = 2 a job is finished when it is built
+    job = opnorm_module.sup_commutator_job(b, one, one, 2.0)
+    assert job.stack is None and job.result.kind == "exact"
+
+
+def test_converged_reports_an_iteration_cut_short():
+    b = random_symbol(2, 52)
+    mu = random_cascade_weight(2, 0.6, 53)
+    lam = random_cascade_weight(2, 0.6, 54)
+    mat = materialize(lambda_operator(b), 2)
+    cut = opnorm_lp_lower(mat, mu, lam, 3.0, max_iter=1)
+    assert cut.converged is False and cut.as_dict()["converged"] is False
+    full = opnorm_lp_lower(mat, mu, lam, 3.0)
+    assert full.converged is True and full.as_dict()["converged"] is True
+    assert full.iterations < 4 * 500
+    assert sup_commutator_norm(b, mu, lam, 1.5).converged is True
+    # exact results carry no convergence flag
+    assert "converged" not in opnorm_p2_exact(mat, mu, lam).as_dict()
