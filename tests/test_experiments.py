@@ -9,7 +9,7 @@ import pytest
 
 from haarbloom import experiments
 from haarbloom.cli import main
-from haarbloom.dyadic import random_grid
+from haarbloom.dyadic import indicator, random_grid, random_symbol
 from haarbloom.experiments import (
     COMMANDS,
     CSV_HEADER,
@@ -27,7 +27,18 @@ from haarbloom.experiments import (
     write_records_csv,
     _sign_pair_square_norms,
 )
-from haarbloom.operators import SignChoice1D, axis_sign_rows, iterated_commutator
+from haarbloom.norms import bmo_prod_two_weight, little_bmo, lp_weighted_norm
+from haarbloom.operators import (
+    OperatorMatrix,
+    SignChoice1D,
+    axis_sign_rows,
+    commutator_matrices,
+    iterated_commutator,
+    lambda_matrix,
+    paraproduct_matrix,
+)
+from haarbloom.opnorm import opnorm, opnorm_p2_exact, sup_commutator_norm
+from haarbloom.weights import ap_characteristic, bloom_weight
 
 
 def test_identity_suite_all_small():
@@ -329,11 +340,6 @@ def test_cli_installed_entry_point(tmp_path):
 
 def run_commutator_per_trial(cfg):
     """``run_commutator`` with every norm finished inside its own trial."""
-    from haarbloom.dyadic import random_symbol
-    from haarbloom.norms import bmo_prod_two_weight
-    from haarbloom.operators import OperatorMatrix, commutator_matrices, lambda_matrix
-    from haarbloom.opnorm import opnorm, opnorm_p2_exact, sup_commutator_norm
-    from haarbloom.weights import ap_characteristic, bloom_weight
     records, combos_out, violations = [], [], []
     row = 0
     for ci, (p, delta) in enumerate(cfg.combos()):
@@ -382,11 +388,6 @@ def run_commutator_per_trial(cfg):
 
 def run_paraproduct_per_trial(cfg):
     """``run_paraproduct`` with every norm finished inside its own trial."""
-    from haarbloom.dyadic import indicator, random_symbol
-    from haarbloom.norms import bmo_prod_two_weight, little_bmo, lp_weighted_norm
-    from haarbloom.operators import paraproduct_matrix
-    from haarbloom.opnorm import opnorm
-    from haarbloom.weights import ap_characteristic, bloom_weight
     records, combos_out, violations = [], [], []
     row = 0
     for ci, (p, delta) in enumerate(cfg.combos()):
