@@ -118,6 +118,10 @@ class ExperimentConfig:
             raise ValueError("depth must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+        if self.out is not None and not Path(self.out).parent.is_dir():
+            raise ValueError(f"--out {self.out}: {Path(self.out).parent} is not a directory")
         if self.strategy not in ("exact", "heuristic"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("exhaustive", "sampled"):
@@ -352,149 +356,125 @@ def run_identities(cfg: ExperimentConfig) -> dict:
 # ratio experiments
 # ---------------------------------------------------------------------------
 
-def _ratio_record(row: int, mu: Weight, lam: Weight, nu: Weight, p: float,
-                  left: float, right: float, mid: float) -> RatioRecord:
-    """A ratio row: the three characteristics, and ``left`` over ``right`` and ``mid``."""
-    return RatioRecord(
-        row, ap_characteristic(mu, p).characteristic, ap_characteristic(lam, p).characteristic,
-        ap_characteristic(nu, 2).characteristic, left, right, mid,
-        left / right if right > 0 else math.nan, left / mid if mid > 0 else math.nan,
-        "ok" if right > 0 else "degenerate")
+def _ratio_sweep(cfg: ExperimentConfig, build, summary=None) -> tuple[dict, list[RatioRecord]]:
+    """The sweep shared by the ratio commands.
 
-
-def _solved_trials(cfg: ExperimentConfig, combo: int, build) -> list:
-    """``build(trial, rng)`` for every trial of one combination, in trial order.
-
-    Each call returns ``(jobs, state)``.  The pending norm jobs of
-    consecutive trials are finished together by one :func:`solve`: at the
-    end of the combination, or sooner once their matrices pass
-    ``PENDING_BYTES``.  Returns the states, every job solved.
+    Every trial draws, from its own generator, a symbol ``b`` and the
+    weight pair ``mu``, ``lam``; ``nu`` is their Bloom weight.  Then
+    ``build(p, delta, trial, b, mu, lam, nu, rng)`` returns ``(jobs,
+    finish)``.  The pending norm jobs of consecutive trials are finished
+    together by one :func:`solve`: at the end of the combination, or
+    sooner once their matrices pass ``PENDING_BYTES``.  Then, in trial
+    order, ``finish(violations)`` appends the trial's failed checks and
+    returns ``(left, right, mid, extra)`` for its row.  Each combination
+    reports its rows and ``ratio_lr``, plus ``summary(rows, extras)``.
     """
-    states, pending, held = [], [], 0
-    for trial in range(cfg.trials):
-        jobs, state = build(trial, cfg.rng_for(combo, trial))
-        states.append(state)
-        pending += jobs
-        held += sum(job.nbytes for job in jobs)
-        if held > PENDING_BYTES:
-            solve(pending)
-            pending, held = [], 0
-    solve(pending)
-    return states
-
-
-def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
-    """One-weight against two-weight BMO norms over random symbols and weights."""
     records: list[RatioRecord] = []
     combos_out = []
     violations: list[str] = []
     for ci, (p, delta) in enumerate(cfg.combos()):
-        start = len(records)
+        built, pending, held = [], [], 0
         for trial in range(cfg.trials):
             rng = cfg.rng_for(ci, trial)
             b = random_symbol(cfg.depth, rng)
             mu, lam = _draw_pair(cfg.depth, delta, rng)
             nu = bloom_weight(mu, lam, p)
-            left = bmo_prod_one_weight(b, nu, cfg.strategy, seed=rng).value
-            right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
-            rec = _ratio_record(len(records), mu, lam, nu, p, left, right, math.nan)
-            if p == 2 and delta == 0 and rec.flag == "ok" and abs(rec.ratio_lr - 1.0) > 1e-12:
-                violations.append(f"p=2 delta=0 trial {trial}: one- and two-weight "
-                                  f"norms differ ({rec.ratio_lr})")
-            records.append(rec)
+            jobs, finish = build(p, delta, trial, b, mu, lam, nu, rng)
+            built.append((mu, lam, nu, finish))
+            pending += jobs
+            held += sum(job.nbytes for job in jobs)
+            if held > PENDING_BYTES:
+                solve(pending)
+                pending, held = [], 0
+        solve(pending)
+        start, extras = len(records), []
+        for mu, lam, nu, finish in built:
+            left, right, mid, extra = finish(violations)
+            records.append(RatioRecord(
+                len(records), ap_characteristic(mu, p).characteristic,
+                ap_characteristic(lam, p).characteristic, ap_characteristic(nu, 2).characteristic,
+                left, right, mid, left / right if right > 0 else math.nan,
+                left / mid if mid > 0 else math.nan, "ok" if right > 0 else "degenerate"))
+            extras.append(extra)
+        rows = records[start:]
         combos_out.append({"p": p, "delta": delta, "rows": [start, len(records)],
-                           "ratio_lr": _finite_stats([r.ratio_lr for r in records[start:]])})
+                           "ratio_lr": _finite_stats([r.ratio_lr for r in rows]),
+                           **(summary(rows, extras) if summary else {})})
     report = {"config": cfg.echo(), "combos": combos_out,
               "violations": violations, "pass": not violations}
     return report, records
+
+
+def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
+    """One-weight against two-weight BMO norms over random symbols and weights."""
+    def build(p, delta, trial, b, mu, lam, nu, rng):
+        left = bmo_prod_one_weight(b, nu, cfg.strategy, seed=rng).value
+        right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
+
+        def finish(violations):
+            if p == 2 and delta == 0 and right > 0 and abs(left / right - 1.0) > 1e-12:
+                violations.append(f"p=2 delta=0 trial {trial}: one- and two-weight "
+                                  f"norms differ ({left / right})")
+            return left, right, math.nan, None
+        return [], finish
+
+    return _ratio_sweep(cfg, build)
 
 
 def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     """Sign-supremum commutator norm against the paraproduct-sum norm and BMO."""
-    records: list[RatioRecord] = []
-    combos_out = []
-    violations: list[str] = []
-    for ci, (p, delta) in enumerate(cfg.combos()):
-        def build(trial, rng):
-            b = random_symbol(cfg.depth, rng)
-            mu, lam = _draw_pair(cfg.depth, delta, rng)
-            sup = sup_commutator_job(b, mu, lam, p, mode=cfg.mode,
-                                     trials=SAMPLED_PAIRS, seed=rng)
-            mid = opnorm_job(lambda_matrix(b), mu, lam, p)
-            right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
-            spot = ()
-            if trial == 0 and p == 2:
-                # informational only: how close do {-1,0,1} signs come?
-                draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
-                         for _ in range(10)]
-                spot = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
-            return [sup, mid], (mu, lam, sup, mid, right, spot)
+    def build(p, delta, trial, b, mu, lam, nu, rng):
+        sup = sup_commutator_job(b, mu, lam, p, mode=cfg.mode, trials=SAMPLED_PAIRS, seed=rng)
+        sum_norm = opnorm_job(lambda_matrix(b), mu, lam, p)
+        right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
+        spot = ()
+        if trial == 0 and p == 2:
+            # informational only: how close do {-1,0,1} signs come?
+            draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
+                     for _ in range(10)]
+            spot = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
 
-        start = len(records)
-        spotcheck = 0.0
-        for trial, (mu, lam, sup, mid, right, spot) in enumerate(
-                _solved_trials(cfg, ci, build)):
-            sup, mid = sup.result.value, mid.result.value
+        def finish(violations):
+            left, mid = sup.result.value, sum_norm.result.value
             if (p == 2 and delta == 0 and cfg.mode == "exhaustive"
-                    and sup > 4.0 * mid * (1.0 + 1e-9)):
+                    and left > 4.0 * mid * (1.0 + 1e-9)):
                 violations.append(
-                    f"p=2 delta=0 trial {trial}: supremum {sup} exceeds 4x {mid}")
-            for mat in spot:
-                v = opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value
-                if sup > 0:
-                    spotcheck = max(spotcheck, v / sup)
-            records.append(_ratio_record(len(records), mu, lam, bloom_weight(mu, lam, p), p,
-                                         sup, right, mid))
-        rows = records[start:]
-        combos_out.append({"p": p, "delta": delta, "rows": [start, len(records)],
-                           "ratio_lr": _finite_stats([r.ratio_lr for r in rows]),
-                           "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
-                           "zero_sign_spotcheck_max_ratio": spotcheck})
-    report = {"config": cfg.echo(), "combos": combos_out,
-              "violations": violations, "pass": not violations}
-    return report, records
+                    f"p=2 delta=0 trial {trial}: supremum {left} exceeds 4x {mid}")
+            spots = [opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value / left
+                     for mat in spot if left > 0]
+            return left, right, mid, max([0.0, *spots])
+        return [sup, sum_norm], finish
+
+    return _ratio_sweep(cfg, build, lambda rows, spotchecks: {
+        "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
+        "zero_sign_spotcheck_max_ratio": max(spotchecks)})
 
 
 def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     """Paraproduct operator norm against the BMO norms, with explicit testing function."""
-    records: list[RatioRecord] = []
-    combos_out = []
-    violations: list[str] = []
-    for ci, (p, delta) in enumerate(cfg.combos()):
-        def build(trial, rng):
-            b = random_symbol(cfg.depth, rng)
-            mu, lam = _draw_pair(cfg.depth, delta, rng)
-            pi = paraproduct_matrix("11", b)
-            left = opnorm_job(pi, mu, lam, p)
-            bmo = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng)
-            mid = little_bmo(b, mu, lam, p).value
-            # drive the operator with the indicator of the witness shadow
-            one_omega = indicator(bmo.witness)
-            t = (lp_weighted_norm(pi.apply(one_omega), lam, p)
-                 / lp_weighted_norm(one_omega, mu, p))
-            return [left], (mu, lam, left, bmo.value, mid, t)
+    def build(p, delta, trial, b, mu, lam, nu, rng):
+        pi = paraproduct_matrix("11", b)
+        norm = opnorm_job(pi, mu, lam, p)
+        bmo = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng)
+        right, mid = bmo.value, little_bmo(b, mu, lam, p).value
+        # drive the operator with the indicator of the witness shadow
+        one_omega = indicator(bmo.witness)
+        t = lp_weighted_norm(pi.apply(one_omega), lam, p) / lp_weighted_norm(one_omega, mu, p)
 
-        start = len(records)
-        tested = []
-        for trial, (mu, lam, left, right, mid, t) in enumerate(_solved_trials(cfg, ci, build)):
-            left = left.result.value
+        def finish(violations):
+            left = norm.result.value
             if p == 2 and t > left * (1.0 + 1e-9):
                 violations.append(
                     f"trial {trial}: testing-function ratio {t} above the exact norm {left}")
             if p == 2 and delta == 0 and left < right * (1.0 - 1e-9):
                 violations.append(
                     f"p=2 delta=0 trial {trial}: norm {left} below the BMO norm {right}")
-            records.append(_ratio_record(len(records), mu, lam, bloom_weight(mu, lam, p), p,
-                                         left, right, mid))
-            tested.append(t / left if left > 0 else math.nan)
-        rows = records[start:]
-        combos_out.append({"p": p, "delta": delta, "rows": [start, len(records)],
-                           "ratio_lr": _finite_stats([r.ratio_lr for r in rows]),
-                           "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
-                           "testing_ratio": _finite_stats(tested)})
-    report = {"config": cfg.echo(), "combos": combos_out,
-              "violations": violations, "pass": not violations}
-    return report, records
+            return left, right, mid, t / left if left > 0 else math.nan
+        return [norm], finish
+
+    return _ratio_sweep(cfg, build, lambda rows, tested: {
+        "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
+        "testing_ratio": _finite_stats(tested)})
 
 
 # ---------------------------------------------------------------------------

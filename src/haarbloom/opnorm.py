@@ -182,7 +182,13 @@ class _LpStack:
 def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
                 restarts: int, seed: int | np.random.Generator | None = 0,
                 max_iter: int = 500, tol: float = 1e-9) -> _LpStack:
-    """Conjugate, bracket, warm-start and prune a stack (see :func:`_lp_lower_stack`)."""
+    """Conjugate, bracket, warm-start and prune a stack of operator matrices.
+
+    Every matrix is warm-started from its p = 2 maximizer and that
+    vector's absolute value, plus ``restarts - 2`` random starts shared by
+    all matrices.  A matrix whose upper bound is below the best warm-start
+    ratio at p is pruned: it keeps its best warm ratio, with 0 iterations.
+    """
     if p <= 1:
         raise ValueError(f"the iteration needs p > 1, got {p}")
     b = _conjugated(mats, depth, mu, lam, p)
@@ -211,9 +217,14 @@ def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
 
 
 def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray):
-    """Fold the iterated trajectories into ``stack``; returns what
-    :func:`_lp_lower_stack` returns, plus per matrix whether no iterated
-    start stopped at ``max_iter``."""
+    """Fold the iterated trajectories into ``stack``: certified lower bounds.
+
+    Returns per matrix the lower bound, its unit l^p maximizer (None where
+    the matrix is zero), the iteration count and the upper bound, then the
+    number pruned, then per matrix whether no iterated start stopped at
+    ``max_iter``.  A lower bound above its bracket raises: it means the
+    arithmetic, not the operator, went wrong.
+    """
     count, per = len(stack.upper), stack.best_u.shape[1]
     values = np.zeros(count)
     units: list[np.ndarray | None] = [None] * count
@@ -236,24 +247,6 @@ def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its
         units[i] = u / _lp_norms(u, stack.p)
     pruned = int(stack.nonzero.size - stack.run.sum())
     return values, units, iterations, stack.upper, pruned, converged
-
-
-def _lp_lower_stack(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
-                    restarts: int, seed: int | np.random.Generator | None = 0,
-                    max_iter: int = 500, tol: float = 1e-9):
-    """Certified lower bounds for a stack of operator matrices.
-
-    Every matrix is warm-started from its p = 2 maximizer and that
-    vector's absolute value, plus ``restarts - 2`` random starts shared by
-    all matrices.  A matrix whose upper bound is below the best warm-start
-    ratio at p is pruned: it keeps its best warm ratio, with 0 iterations.
-    Returns per matrix the lower bound, its unit l^p maximizer (None where
-    the matrix is zero), the iteration count and the upper bound, plus the
-    number pruned.  A lower bound above its bracket raises: it means the
-    arithmetic, not the operator, went wrong.
-    """
-    stack = _lp_prepare(mats, depth, mu, lam, p, restarts, seed, max_iter, tol)
-    return _lp_finish(stack, *_iterate([stack])[0])[:5]
 
 
 def _lp_result(depth: int, mu: Weight, p: float, value: float, unit: np.ndarray | None,

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from haarbloom.experiments import (
     write_records_csv,
     _sign_pair_square_norms,
 )
-from haarbloom.norms import bmo_prod_two_weight, little_bmo, lp_weighted_norm
+from haarbloom.norms import (
+    bmo_prod_one_weight,
+    bmo_prod_two_weight,
+    little_bmo,
+    lp_weighted_norm,
+)
 from haarbloom.operators import (
     OperatorMatrix,
     SignChoice1D,
@@ -312,6 +318,8 @@ def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
     ["commutator", "--strategy", "heuristic", "--mode", "sampled", "--depth", "5"],
     ["commutator", "--p", "300"],
     ["commutator", "--p", "1.002"],
+    ["jn", "--seed", "-1"],
+    ["jn", "--out", str(Path(__file__).with_name("no-such-dir") / "rows.csv")],
 ])
 def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
     def boom(cfg):
@@ -337,6 +345,35 @@ def test_cli_installed_entry_point(tmp_path):
 # ---------------------------------------------------------------------------
 # the sweeps solve their norms per combination; the per-trial loop is the oracle
 # ---------------------------------------------------------------------------
+
+def run_jn_per_trial(cfg):
+    """``run_jn`` as one loop per combination, as it was before the shared sweep."""
+    records, combos_out, violations = [], [], []
+    for ci, (p, delta) in enumerate(cfg.combos()):
+        start = len(records)
+        for trial in range(cfg.trials):
+            rng = cfg.rng_for(ci, trial)
+            b = random_symbol(cfg.depth, rng)
+            mu, lam = experiments._draw_pair(cfg.depth, delta, rng)
+            nu = bloom_weight(mu, lam, p)
+            left = bmo_prod_one_weight(b, nu, cfg.strategy, seed=rng).value
+            right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
+            rec = RatioRecord(
+                len(records), ap_characteristic(mu, p).characteristic,
+                ap_characteristic(lam, p).characteristic,
+                ap_characteristic(nu, 2).characteristic,
+                left, right, math.nan, left / right if right > 0 else math.nan,
+                math.nan, "ok" if right > 0 else "degenerate")
+            if p == 2 and delta == 0 and rec.flag == "ok" and abs(rec.ratio_lr - 1.0) > 1e-12:
+                violations.append(f"p=2 delta=0 trial {trial}: one- and two-weight "
+                                  f"norms differ ({rec.ratio_lr})")
+            records.append(rec)
+        combos_out.append({"p": p, "delta": delta, "rows": [start, len(records)],
+                           "ratio_lr": experiments._finite_stats(
+                               [r.ratio_lr for r in records[start:]])})
+    return ({"config": cfg.echo(), "combos": combos_out,
+             "violations": violations, "pass": not violations}, records)
+
 
 def run_commutator_per_trial(cfg):
     """``run_commutator`` with every norm finished inside its own trial."""
@@ -434,7 +471,7 @@ def run_paraproduct_per_trial(cfg):
 
 @pytest.mark.parametrize("budget", [experiments.PENDING_BYTES, 0])
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-@pytest.mark.parametrize("command", ["commutator", "paraproduct"])
+@pytest.mark.parametrize("command", ["commutator", "paraproduct", "jn"])
 def test_sweeps_match_the_per_trial_loop(command, mode, budget, monkeypatch):
     monkeypatch.setattr(experiments, "PENDING_BYTES", budget)
     real_solve = experiments.solve
@@ -444,12 +481,16 @@ def test_sweeps_match_the_per_trial_loop(command, mode, budget, monkeypatch):
                         or real_solve(jobs))
     cfg = ExperimentConfig(command, depth=2, p_values=(1.5, 2.0, 3.0), deltas=(0.0, 0.6),
                            trials=3, seed=5, mode=mode)
-    oracle = {"commutator": run_commutator_per_trial,
+    oracle = {"commutator": run_commutator_per_trial, "jn": run_jn_per_trial,
               "paraproduct": run_paraproduct_per_trial}[command]
     report, records = COMMANDS[command](cfg)
     want_report, want_records = oracle(cfg)
     assert json.dumps(report, sort_keys=True) == json.dumps(want_report, sort_keys=True)
     assert [r.to_csv_row() for r in records] == [r.to_csv_row() for r in want_records]
+    if command == "jn":
+        # no jobs: one empty solve per combination
+        assert flushed == [0] * 6
+        return
     per_trial = 2 if command == "commutator" else 1
     # four p != 2 combinations, solved once each or flushed after every trial
     pending = [n for n in flushed if n]

@@ -341,12 +341,14 @@ def test_l2_bracket_between_lower_bound_and_old_bracket(p):
 
 
 def singleton_supremum(b, mu, lam, p, sx, sy):
-    """The sign supremum one pair per ``_lp_lower_stack`` call: nothing to prune."""
+    """The sign supremum one pair per prepared, iterated and finished stack:
+    nothing to prune."""
     mats = commutator_matrices(b, sx, sy)
     best = None
     for i in range(len(mats)):
-        values, units, its, upper, pruned = opnorm_module._lp_lower_stack(
-            mats[i:i + 1], b.depth, mu, lam, p, 2)
+        stack = opnorm_module._lp_prepare(mats[i:i + 1], b.depth, mu, lam, p, 2)
+        values, units, its, upper, pruned, _ = opnorm_module._lp_finish(
+            stack, *opnorm_module._iterate([stack])[0])
         assert pruned == 0
         if best is None or values[0] > best.value:
             best = opnorm_module._lp_result(b.depth, mu, p, values[0], units[0], its[0],
