@@ -120,8 +120,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
-        if self.out is not None and not Path(self.out).parent.is_dir():
-            raise ValueError(f"--out {self.out}: {Path(self.out).parent} is not a directory")
+        if self.out is not None and (Path(self.out).is_dir()
+                                     or not Path(self.out).parent.is_dir()):
+            raise ValueError(f"--out {self.out} must name a file in an existing directory")
         if self.strategy not in ("exact", "heuristic"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("exhaustive", "sampled"):
@@ -380,7 +381,8 @@ def _ratio_sweep(cfg: ExperimentConfig, build, summary=None) -> tuple[dict, list
             mu, lam = _draw_pair(cfg.depth, delta, rng)
             nu = bloom_weight(mu, lam, p)
             jobs, finish = build(p, delta, trial, b, mu, lam, nu, rng)
-            built.append((mu, lam, nu, finish))
+            built.append((finish, [ap_characteristic(w, q).characteristic
+                                   for w, q in ((mu, p), (lam, p), (nu, 2))]))
             pending += jobs
             held += sum(job.nbytes for job in jobs)
             if held > PENDING_BYTES:
@@ -388,12 +390,10 @@ def _ratio_sweep(cfg: ExperimentConfig, build, summary=None) -> tuple[dict, list
                 pending, held = [], 0
         solve(pending)
         start, extras = len(records), []
-        for mu, lam, nu, finish in built:
+        for finish, aps in built:
             left, right, mid, extra = finish(violations)
             records.append(RatioRecord(
-                len(records), ap_characteristic(mu, p).characteristic,
-                ap_characteristic(lam, p).characteristic, ap_characteristic(nu, 2).characteristic,
-                left, right, mid, left / right if right > 0 else math.nan,
+                len(records), *aps, left, right, mid, left / right if right > 0 else math.nan,
                 left / mid if mid > 0 else math.nan, "ok" if right > 0 else "degenerate"))
             extras.append(extra)
         rows = records[start:]

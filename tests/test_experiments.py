@@ -320,6 +320,7 @@ def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
     ["commutator", "--p", "1.002"],
     ["jn", "--seed", "-1"],
     ["jn", "--out", str(Path(__file__).with_name("no-such-dir") / "rows.csv")],
+    ["jn", "--out", str(Path(__file__).parent)],
 ])
 def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
     def boom(cfg):

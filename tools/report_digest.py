@@ -11,9 +11,9 @@ The runs are ``jn`` (depth 2 exact, depth 3 heuristic), ``commutator``
 
 Run it at the parent and at the change, for instance on a ``git archive``
 export of the parent with ``--src <export>/src``: equal digests are the
-evidence that a refactor moved no stdout or CSV/JSON byte.  ``--verbose``
-also prints the package directory it imported and one digest per run, to
-find the run that moved.
+evidence that a refactor moved no stdout or CSV/JSON byte.  The digest is
+the one line on stdout; stderr names the package directory it imported,
+which shows that ``--src`` took effect.
 """
 
 from __future__ import annotations
@@ -56,20 +56,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the haarbloom package (default: src/ here)")
-    parser.add_argument("--verbose", action="store_true", help="print the package directory and each run's digest")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from haarbloom.cli import main as cli_main
-    if args.verbose:
-        print("package:", Path(sys.modules["haarbloom"].__file__).parent)
+    print("package:", Path(sys.modules["haarbloom"].__file__).parent, file=sys.stderr)
 
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as folder:
         for argv in RUNS:
-            data = run_bytes(cli_main, argv, Path(folder))
-            total.update(hashlib.sha256(data).digest())
-            if args.verbose:
-                print(hashlib.sha256(data).hexdigest()[:16], " ".join(argv))
+            total.update(hashlib.sha256(run_bytes(cli_main, argv, Path(folder))).digest())
     print(total.hexdigest())
 
 
