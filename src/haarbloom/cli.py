@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .experiments import COMMANDS, ExperimentConfig, write_records_csv
@@ -28,38 +29,63 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+#: every option with its argparse settings, in registration order
+_OPTIONS = {
+    "--depth": dict(type=int, default=2,
+                    help="grid refinement: 2^depth cells per axis (default 2)"),
+    "--p": dict(type=_float_list, default=(2.0,), metavar="P[,P...]",
+                help="integrability exponents, comma separated (default 2)"),
+    "--delta": dict(type=_float_list, default=(0.0,), metavar="D[,D...]",
+                    help="weight cascade strengths, comma separated (default 0)"),
+    "--trials": dict(type=int, default=10,
+                     help="trials per (p, delta) combination (default 10)"),
+    "--seed": dict(type=int, default=0,
+                   help="base seed; reports are reproducible bytes (default 0)"),
+    "--strategy": dict(choices=("exact", "heuristic"), default="exact",
+                       help="BMO search strategy (default exact)"),
+    "--mode": dict(choices=("exhaustive", "sampled"), default="exhaustive",
+                   help="sign supremum walk (default exhaustive)"),
+    "--out": dict(type=Path, default=None,
+                  help="artifact path: per-trial CSV for ratio commands, "
+                       "JSON report otherwise"),
+}
+
+_SWEEP_OPTIONS = ("--depth", "--p", "--delta", "--trials", "--seed", "--strategy", "--out")
+
+#: each command with its help and the options it reads; the others are refused
+_COMMANDS = {
+    "identities": ("check every exact operator identity on random draws",
+                   ("--depth", "--trials", "--seed", "--out")),
+    "jn": ("compare one-weight and two-weight product BMO norms", _SWEEP_OPTIONS),
+    "commutator": ("sign-supremum commutator norms against paraproduct and BMO norms",
+                   tuple(_OPTIONS)),
+    "khintchine": ("moment identities for bilinear sign averages",
+                   ("--trials", "--seed", "--out")),
+    "paraproduct": ("paraproduct operator norms against BMO and rectangle oscillation",
+                    _SWEEP_OPTIONS),
+}
+
+
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves no state in it.
+
+    An option a command does not read is not registered on it, so passing
+    it is a usage error; its default still fills the namespace, so every
+    report echoes the full config.
+    """
     parser = argparse.ArgumentParser(
         prog="haar-bloom",
         description="Seeded experiments for the dyadic biparameter Haar calculus "
                     "with weight pairs on the unit square.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "identities": "check every exact operator identity on random draws",
-        "jn": "compare one-weight and two-weight product BMO norms",
-        "commutator": "sign-supremum commutator norms against paraproduct and BMO norms",
-        "khintchine": "moment identities for bilinear sign averages",
-        "paraproduct": "paraproduct operator norms against BMO and rectangle oscillation",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--depth", type=int, default=2,
-                         help="grid refinement: 2^depth cells per axis (default 2)")
-        cmd.add_argument("--p", type=_float_list, default=(2.0,), metavar="P[,P...]",
-                         help="integrability exponents, comma separated (default 2)")
-        cmd.add_argument("--delta", type=_float_list, default=(0.0,), metavar="D[,D...]",
-                         help="weight cascade strengths, comma separated (default 0)")
-        cmd.add_argument("--trials", type=int, default=10,
-                         help="trials per (p, delta) combination (default 10)")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="base seed; reports are reproducible bytes (default 0)")
-        cmd.add_argument("--strategy", choices=("exact", "heuristic"), default="exact",
-                         help="BMO search strategy (default exact)")
-        cmd.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
-                         help="sign supremum walk (default exhaustive)")
-        cmd.add_argument("--out", type=Path, default=None,
-                         help="artifact path: per-trial CSV for ratio commands, "
-                              "JSON report otherwise")
+        for flag, settings in _OPTIONS.items():
+            if flag in options:
+                cmd.add_argument(flag, **settings)
+            else:
+                cmd.set_defaults(**{flag[2:]: settings["default"]})
     return parser
 
 

@@ -468,26 +468,38 @@ def materialize(op: Operator, depth: int) -> OperatorMatrix:
 # dense matrices from the Haar bases
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _pairing_kernel(depth: int, kinds: str) -> np.ndarray:
     """``K[p - 1, i, k]``: one axis of a paraproduct, input cell k to output cell i.
 
     Cancellative slot p pairs the input with the Haar type named by each
     character of ``kinds`` ("0" cancellative, "1" scaling) and emits the
-    complementary type; several characters add their kernels.
+    complementary type; several characters add their kernels.  Cached per
+    (depth, kinds) and read-only.
     """
     hc, hn, _ = _axis_bases(depth)
     out = np.zeros((hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
     for kind in kinds:
         inp, emit = (hn, hc) if kind == "1" else (hc, hn)
         out += emit[1:, :, None] * inp[1:, None, :]
+    out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def _paraproduct_path(depth: int) -> tuple:
+    """Contraction order of the paraproduct einsum, which depends only on the shapes."""
+    n = (1 << depth) - 1
+    kernel = np.empty((n, n + 1, n + 1))
+    return tuple(np.einsum_path("pq,pik,qjl->ijkl", np.empty((n, n)), kernel, kernel,
+                                optimize=True)[0])
 
 
 def _paraproduct_sum_matrix(b: GridFunction2D, x_kinds: str, y_kinds: str) -> OperatorMatrix:
     _, _, sc = _axis_bases(b.depth)
     coef = (_cc_table(b) * sc)[1:, 1:]
     mat = np.einsum("pq,pik,qjl->ijkl", coef, _pairing_kernel(b.depth, x_kinds),
-                    _pairing_kernel(b.depth, y_kinds), optimize=True)
+                    _pairing_kernel(b.depth, y_kinds), optimize=_paraproduct_path(b.depth))
     m = 4 ** b.depth
     return OperatorMatrix(b.depth, mat.reshape(m, m) * 4.0 ** (-b.depth))
 

@@ -200,16 +200,12 @@ def random_cascade_weight(depth: int, strength: float,
         flip = rng.integers(0, 2, (m, m))      # which half gets the boost
         up = np.where(flip == 0, 1.0 + eps, 1.0 / (1.0 + eps))
         down = np.where(flip == 0, 1.0 / (1.0 + eps), 1.0 + eps)
+        halves = np.stack([up, down])
         x_split = axis == 0
-        fx_lo = np.where(x_split, up, 1.0)
-        fx_hi = np.where(x_split, down, 1.0)
-        fy_lo = np.where(x_split, 1.0, up)
-        fy_hi = np.where(x_split, 1.0, down)
-        factors = np.empty((2 * m, 2 * m))
-        factors[0::2, 0::2] = fx_lo * fy_lo
-        factors[0::2, 1::2] = fx_lo * fy_hi
-        factors[1::2, 0::2] = fx_hi * fy_lo
-        factors[1::2, 1::2] = fx_hi * fy_hi
-        vals = np.kron(vals, np.ones((2, 2))) * factors
+        fx = np.where(x_split, halves, 1.0)
+        fy = np.where(x_split, 1.0, halves)
+        # child (2i + a, 2j + c) of cell (i, j) takes fx[a, i, j] * fy[c, i, j]
+        factors = (fx[:, None] * fy[None, :]).transpose(2, 0, 3, 1)
+        vals = (vals[:, None, :, None] * factors).reshape(2 * m, 2 * m)
     vals = np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL)
     return Weight(GridFunction2D(depth, vals), role)

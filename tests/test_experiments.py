@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from haarbloom import experiments
-from haarbloom.cli import main
+from haarbloom.cli import build_parser, main
 from haarbloom.dyadic import indicator, random_grid, random_symbol
 from haarbloom.experiments import (
     COMMANDS,
@@ -321,6 +321,12 @@ def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
     ["jn", "--seed", "-1"],
     ["jn", "--out", str(Path(__file__).with_name("no-such-dir") / "rows.csv")],
     ["jn", "--out", str(Path(__file__).parent)],
+    ["khintchine", "--depth", "40"],
+    ["identities", "--p", "1.5", "--strategy", "heuristic"],
+    ["jn", "--mode", "sampled"],
+    ["paraproduct", "--mode", "exhaustive"],
+    ["identities", "--delta", "0.5"],
+    ["khintchine", "--strategy", "exact"],
 ])
 def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
     def boom(cfg):
@@ -330,6 +336,28 @@ def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage:")
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_parses_each_call_afresh(capsys):
+    argv = ["jn", "--depth", "1", "--p", "1.5", "--delta", "0.5", "--trials", "1",
+            "--seed", "7", "--strategy", "heuristic"]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out)["config"]
+    assert first == ExperimentConfig("jn", depth=1, p_values=(1.5,), deltas=(0.5,), trials=1,
+                                     seed=7, strategy="heuristic").echo()
+    for bad in (["commutator", "--p", "1.5", "--depth", "9"], ["khintchine", "--depth", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    # nothing of the earlier calls carries over: every other field is back at its default
+    assert main(["khintchine", "--trials", "1"]) == 0
+    second = json.loads(capsys.readouterr().out)["config"]
+    assert second == ExperimentConfig("khintchine", trials=1).echo()
 
 
 def test_cli_installed_entry_point(tmp_path):

@@ -22,7 +22,11 @@ from haarbloom.dyadic import (
     unit_square,
 )
 from haarbloom.operators import (
+    PARAPRODUCT_KINDS,
     OperatorMatrix,
+    _axis_bases,
+    _cc_table,
+    _pairing_kernel,
     SignChoice1D,
     SignChoice2D,
     axis_sign_rows,
@@ -348,6 +352,43 @@ def test_paraproduct_matrices_match_the_literal_operators(depth):
     want = materialize(lambda_operator(b), depth).matrix
     np.testing.assert_allclose(lambda_matrix(b).matrix, want,
                                rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def uncached_paraproduct_matrix(b, x_kinds, y_kinds):
+    """Oracle: the pairing kernels and the einsum path built afresh on each call."""
+    hc, hn, sc = _axis_bases(b.depth)
+
+    def kernel(kinds):
+        out = np.zeros((hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
+        for kind in kinds:
+            inp, emit = (hn, hc) if kind == "1" else (hc, hn)
+            out += emit[1:, :, None] * inp[1:, None, :]
+        return out
+    coef = (_cc_table(b) * sc)[1:, 1:]
+    mat = np.einsum("pq,pik,qjl->ijkl", coef, kernel(x_kinds), kernel(y_kinds), optimize=True)
+    m = 4 ** b.depth
+    return mat.reshape(m, m) * 4.0 ** (-b.depth)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_paraproduct_matrices_match_the_uncached_einsum_bit_for_bit(depth):
+    for seed in range(3):
+        b = random_grid(depth, 70 + 10 * depth + seed)
+        for kind in PARAPRODUCT_KINDS:
+            want = uncached_paraproduct_matrix(b, kind[0], kind[1])
+            assert paraproduct_matrix(kind, b).matrix.tobytes() == want.tobytes()
+        want = uncached_paraproduct_matrix(b, "01", "01")
+        assert lambda_matrix(b).matrix.tobytes() == want.tobytes()
+
+
+def test_pairing_kernels_are_cached_read_only():
+    for depth in (1, 2, 3):
+        for kinds in ("0", "1", "01"):
+            kernel = _pairing_kernel(depth, kinds)
+            assert _pairing_kernel(depth, kinds) is kernel
+            assert not kernel.flags.writeable
+            with pytest.raises(ValueError):
+                kernel[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

@@ -5,6 +5,8 @@ import pytest
 
 from haarbloom.dyadic import DyadicInterval, DyadicRectangle, GridFunction2D, Shadow, unit_square
 from haarbloom.weights import (
+    WEIGHT_CEIL,
+    WEIGHT_FLOOR,
     ApReport,
     Weight,
     ap_characteristic,
@@ -125,6 +127,41 @@ def test_cascade_determinism_and_degenerate_strength():
     strong = random_cascade_weight(4, 5.0, 1)
     assert strong.values.min() >= 1e-8 and strong.values.max() <= 1e8
     assert ap_characteristic(strong, 2).characteristic > ap_characteristic(a, 2).characteristic
+
+
+def kron_cascade(depth, strength, rng):
+    """Oracle: the cascade drawn level by level with a Kronecker expansion."""
+    vals = np.ones((1, 1))
+    for lev in range(depth):
+        m = 1 << lev
+        eps = rng.uniform(0.0, strength, (m, m)) if strength > 0 else np.zeros((m, m))
+        axis = rng.integers(0, 2, (m, m))
+        flip = rng.integers(0, 2, (m, m))
+        up = np.where(flip == 0, 1.0 + eps, 1.0 / (1.0 + eps))
+        down = np.where(flip == 0, 1.0 / (1.0 + eps), 1.0 + eps)
+        x_split = axis == 0
+        fx_lo = np.where(x_split, up, 1.0)
+        fx_hi = np.where(x_split, down, 1.0)
+        fy_lo = np.where(x_split, 1.0, up)
+        fy_hi = np.where(x_split, 1.0, down)
+        factors = np.empty((2 * m, 2 * m))
+        factors[0::2, 0::2] = fx_lo * fy_lo
+        factors[0::2, 1::2] = fx_lo * fy_hi
+        factors[1::2, 0::2] = fx_hi * fy_lo
+        factors[1::2, 1::2] = fx_hi * fy_hi
+        vals = np.kron(vals, np.ones((2, 2))) * factors
+    return np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("strength", [0.0, 0.25, 2.0])
+def test_cascade_matches_the_kron_oracle_bit_for_bit(depth, strength):
+    for seed in range(20):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_cascade_weight(depth, strength, rng).values
+        assert got.tobytes() == kron_cascade(depth, strength, oracle_rng).tobytes()
+        # the same draws in the same order: the streams continue alike
+        assert rng.random() == oracle_rng.random()
 
 
 def test_measure():
