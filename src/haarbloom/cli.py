@@ -29,7 +29,7 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-#: every option with its argparse settings, in registration order
+#: every option with its argparse settings
 _OPTIONS = {
     "--depth": dict(type=int, default=2,
                     help="grid refinement: 2^depth cells per axis (default 2)"),
@@ -78,14 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="haar-bloom",
         description="Seeded experiments for the dyadic biparameter Haar calculus "
                     "with weight pairs on the unit square.")
+    parser.set_defaults(**{flag[2:]: settings["default"] for flag, settings in _OPTIONS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        for flag, settings in _OPTIONS.items():
-            if flag in options:
-                cmd.add_argument(flag, **settings)
-            else:
-                cmd.set_defaults(**{flag[2:]: settings["default"]})
+        for flag in options:
+            cmd.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 

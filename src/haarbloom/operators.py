@@ -70,7 +70,7 @@ def _axis_bases(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``HC[p]`` holds the cell values of the slot-p Haar function (row 0 the
     constant), ``HN[p]`` those of the L2-normalized indicator, and
     ``SC[p, q] = 2^{(level_p + level_q)/2}`` is the inverse square-root
-    area of the slot-pair rectangle.
+    area of the slot-pair rectangle.  All three are read-only.
     """
     n = 1 << depth
     hc = np.empty((n, n))
@@ -83,7 +83,10 @@ def _axis_bases(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hn[p] = axis_haar_values(iv, depth, cancellative=False)
     levels = np.array([0] + [slot_interval(p).level for p in range(1, n)])
     scale = 2.0 ** (levels / 2.0)
-    return hc, hn, np.outer(scale, scale)
+    bases = hc, hn, np.outer(scale, scale)
+    for table in bases:
+        table.flags.writeable = False
+    return bases
 
 
 def _mixed_table(f: GridFunction2D, x_scaling: bool, y_scaling: bool) -> np.ndarray:

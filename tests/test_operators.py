@@ -381,14 +381,15 @@ def test_paraproduct_matrices_match_the_uncached_einsum_bit_for_bit(depth):
         assert lambda_matrix(b).matrix.tobytes() == want.tobytes()
 
 
-def test_pairing_kernels_are_cached_read_only():
+def test_pairing_kernels_and_axis_bases_are_cached_read_only():
     for depth in (1, 2, 3):
-        for kinds in ("0", "1", "01"):
-            kernel = _pairing_kernel(depth, kinds)
-            assert _pairing_kernel(depth, kinds) is kernel
-            assert not kernel.flags.writeable
+        kernels = [_pairing_kernel(depth, kinds) for kinds in ("0", "1", "01")]
+        assert all(_pairing_kernel(depth, kinds) is kernel
+                   for kinds, kernel in zip(("0", "1", "01"), kernels))
+        for table in kernels + list(_axis_bases(depth)):
+            assert not table.flags.writeable
             with pytest.raises(ValueError):
-                kernel[0, 0, 0] = 1.0
+                table.flat[0] = 1.0
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
