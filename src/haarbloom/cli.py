@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     An option a command does not read is not registered on it, so passing
     it is a usage error; its default still fills the namespace, so every
-    report echoes the full config.
+    report echoes the full config.  A usage error goes through the
+    command's own parser (``usage_error``), so it shows that command's usage.
     """
     parser = argparse.ArgumentParser(
         prog="haar-bloom",
@@ -82,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(usage_error=cmd.error)
         for flag in options:
             cmd.add_argument(flag, **_OPTIONS[flag])
     return parser
@@ -89,15 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Parse arguments into a config; an unaffordable combination is a usage error."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return ExperimentConfig(
             command=args.command, depth=args.depth, p_values=args.p,
             deltas=args.delta, trials=args.trials, seed=args.seed,
             strategy=args.strategy, mode=args.mode, out=args.out)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -57,7 +57,6 @@ from .operators import (
     haar_multiplier_x,
     iterated_commutator,
     iterated_projection_commutator,
-    lambda_apply,
     lambda_matrix,
     lambda_operator,
     multiplication_operator,
@@ -85,8 +84,8 @@ SAMPLED_PAIRS = 16
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
 #: deepest grid for the identity suite, which scores all 4^(2^N - 1) sign pairs:
-#: one draw takes about 0.45 s at depth 3, while depth 4 has 2^30 pairs
-#: (a 17 GB matrix stack per x-axis sign row)
+#: one draw takes about 0.03 s at depth 3, while depth 4 has 2^30 pairs
+#: (2 TB of commutator images)
 IDENTITIES_MAX_DEPTH = 3
 #: exponents the l^p arithmetic stays finite for: |u|^p overflows in the power
 #: iteration at p = 300 and the BMO energies at p = 1000, while the dual power
@@ -218,16 +217,18 @@ def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
     """``||[T1_sx, [T2_sy, M_b]] f||^2`` for every pair of axis sign rows.
 
     Entry ``(i, j)`` pairs x-row ``i`` with y-row ``j`` of
-    :func:`axis_sign_rows`.  One :func:`commutator_matrices` call per
-    x-row covers all y-rows (a stack of 4 MB at depth 3).
+    :func:`axis_sign_rows`.  The commutator is bilinear in the two sign
+    rows, ``sum_pq sx(p) sy(q) C_pq f``, so the block images ``C_pq f`` are
+    taken once, from :func:`commutator_matrices` on unit sign rows, and
+    every pair of rows is contracted against them in one einsum.
     """
     rows = axis_sign_rows(b.depth)
-    fv = f.values.ravel()
-    out = np.empty((len(rows), len(rows)))
-    for i, sx in enumerate(rows):
-        g = commutator_matrices(b, np.broadcast_to(sx, rows.shape), rows) @ fv
-        out[i] = (g * g).mean(axis=1)
-    return out
+    n = 1 << b.depth
+    unit = np.eye(n)[1:]
+    blocks = commutator_matrices(b, np.repeat(unit, n - 1, axis=0), np.tile(unit, (n - 1, 1)))
+    images = (blocks @ f.values.ravel()).reshape(n - 1, n - 1, -1)
+    g = np.einsum("ip,jq,pqc->ijc", rows[:, 1:], rows[:, 1:], images, optimize=True)
+    return (g * g).mean(axis=2)
 
 
 def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]:
@@ -264,11 +265,11 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     fcoeffs = haar_forward(f_cc)
     for r in cancellative_rectangles(depth):
         second = second + partial_haar_sum(b, r) * haar_function(r, depth) * fcoeffs.coefficient(r)
-    gaps["lambda_two_forms"] = (lambda_apply(b, f_cc) - second).max_abs()
+    lam_op = lambda_operator(b)
+    gaps["lambda_two_forms"] = (lam_op(f_cc) - second).max_abs()
 
     # nested commutators cannot tell b from its paraproduct sum
     # ... and their squares sum to the right side of the sign-average check
-    lam_op = lambda_operator(b)
     worst = 0.0
     projection_square_sum = 0.0
     for p in range(1, n):
@@ -300,7 +301,7 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
         mask[0, 0] = True
     omega = Shadow(mask)
     left = restricted_projection(b, omega)
-    right = restricted_projection(lambda_apply(b, indicator(omega)), omega)
+    right = restricted_projection(lam_op(indicator(omega)), omega)
     gaps["restricted_projection_recovery"] = (left - right).max_abs()
 
     th = theta_operator(b)

@@ -8,12 +8,13 @@ replaces the symbol inside single commutators, and restricted
 projections onto rectangle families.
 
 Every operator is a linear map on the raveled cell values, ``R^(4^N)``.
-The norm computations use dense matrices built straight from the
-per-depth Haar bases: :func:`paraproduct_matrix`, :func:`lambda_matrix`
-and :func:`commutator_matrices`, the last for a whole stack of sign
-pairs at once.  The literal closures, together with :func:`materialize`
-(which probes a closure on every cell indicator), stay as the oracle
-those matrices are tested against.
+The paraproducts and Lambda are dense matrices from one einsum over the
+per-depth Haar bases (:func:`paraproduct_matrix`, :func:`lambda_matrix`);
+their operators apply read-only matrices built once per symbol, and
+:func:`commutator_matrices` builds a stack of sign pairs at once.
+Multiplication, the projections, the multipliers and Theta stay literal
+closures: composed into nested commutators and probed by
+:func:`materialize`, they are the oracle the matrices are tested against.
 
 All four paraproducts follow one normalization: the coefficient of the
 output against the complementary Haar type is ``b_R |R|^{-1/2} f_R``
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -89,14 +90,6 @@ def _axis_bases(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bases
 
 
-def _mixed_table(f: GridFunction2D, x_scaling: bool, y_scaling: bool) -> np.ndarray:
-    """Slot-indexed coefficients of f against the chosen tensor Haar types."""
-    hc, hn, _ = _axis_bases(f.depth)
-    left = hn if x_scaling else hc
-    right = hn if y_scaling else hc
-    return (left @ f.values @ right.T) * 4.0 ** (-f.depth)
-
-
 # ---------------------------------------------------------------------------
 # paraproducts
 # ---------------------------------------------------------------------------
@@ -107,16 +100,6 @@ def _cc_table(f: GridFunction2D) -> np.ndarray:
     table[0, :] = 0.0
     table[:, 0] = 0.0
     return table
-
-
-def _paraproduct_from_cc(kind: str, cc: np.ndarray, f: GridFunction2D) -> GridFunction2D:
-    """Paraproduct of one kind, given the symbol's :func:`_cc_table`."""
-    hc, hn, sc = _axis_bases(f.depth)
-    coef = cc * sc * _mixed_table(f, kind[0] == "1", kind[1] == "1")
-    out_x = hc if kind[0] == "1" else hn   # output carries the complementary type
-    out_y = hc if kind[1] == "1" else hn
-    values = np.einsum("pq,pi,qj->ij", coef[1:, 1:], out_x[1:], out_y[1:])
-    return GridFunction2D(f.depth, values)
 
 
 def paraproduct_apply(kind: str, b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
@@ -146,29 +129,30 @@ def _check_grid(depth: int, f: GridFunction2D) -> None:
         raise ValueError("symbol and argument live on different grids")
 
 
-def paraproduct_operator(kind: str, b: GridFunction2D) -> Operator:
-    """One paraproduct of ``b``, whose coefficients are read once, here."""
-    if kind not in PARAPRODUCT_KINDS:
-        raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
-    depth, cc = b.depth, _cc_table(b)
+def _stack_operator(depth: int, mats: np.ndarray) -> Operator:
+    """Apply a read-only ``(S, 4^N, 4^N)`` stack and add the ``S`` images in stack order."""
+    mats.flags.writeable = False
+    n = 1 << depth
 
     def apply(f: GridFunction2D) -> GridFunction2D:
         _check_grid(depth, f)
-        return _paraproduct_from_cc(kind, cc, f)
+        return GridFunction2D(depth, reduce(np.add, mats @ f.values.ravel()).reshape(n, n))
     return apply
+
+
+def paraproduct_operator(kind: str, b: GridFunction2D) -> Operator:
+    """One paraproduct of ``b``, applied as its matrix, which is built once, here."""
+    return _stack_operator(b.depth, paraproduct_matrix(kind, b).matrix[None])
 
 
 def lambda_operator(b: GridFunction2D) -> Operator:
-    """Lambda of ``b``, whose coefficients are read once, here."""
-    depth, cc = b.depth, _cc_table(b)
+    """Lambda of ``b``: the four paraproduct matrices, built once, here.
 
-    def apply(f: GridFunction2D) -> GridFunction2D:
-        _check_grid(depth, f)
-        out = _paraproduct_from_cc("00", cc, f)
-        for kind in ("10", "01", "11"):
-            out = out + _paraproduct_from_cc(kind, cc, f)
-        return out
-    return apply
+    They are applied as one stacked product whose images are added in
+    :data:`PARAPRODUCT_KINDS` order, so :func:`lambda_apply` is bit for bit
+    the sum of the four :func:`paraproduct_apply`.
+    """
+    return _stack_operator(b.depth, _paraproduct_matrices(b, PARAPRODUCT_KINDS))
 
 
 def multiplication_operator(b: GridFunction2D) -> Operator:
@@ -472,46 +456,55 @@ def materialize(op: Operator, depth: int) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pairing_kernel(depth: int, kinds: str) -> np.ndarray:
-    """``K[p - 1, i, k]``: one axis of a paraproduct, input cell k to output cell i.
+def _pairing_kernels(depth: int, stack: tuple[str, ...]) -> np.ndarray:
+    """``K[s, p - 1, i, k]``: one axis of paraproduct sum s, input cell k to output cell i.
 
     Cancellative slot p pairs the input with the Haar type named by each
-    character of ``kinds`` ("0" cancellative, "1" scaling) and emits the
-    complementary type; several characters add their kernels.  Cached per
-    (depth, kinds) and read-only.
+    character of ``stack[s]`` ("0" cancellative, "1" scaling) and emits
+    the complementary type; several characters add their kernels.  Cached
+    per (depth, stack) and read-only.
     """
     hc, hn, _ = _axis_bases(depth)
-    out = np.zeros((hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
-    for kind in kinds:
-        inp, emit = (hn, hc) if kind == "1" else (hc, hn)
-        out += emit[1:, :, None] * inp[1:, None, :]
+    out = np.zeros((len(stack), hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
+    for s, kinds in enumerate(stack):
+        for kind in kinds:
+            inp, emit = (hn, hc) if kind == "1" else (hc, hn)
+            out[s] += emit[1:, :, None] * inp[1:, None, :]
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
-def _paraproduct_path(depth: int) -> tuple:
+def _paraproduct_path(depth: int, count: int) -> tuple:
     """Contraction order of the paraproduct einsum, which depends only on the shapes."""
     n = (1 << depth) - 1
-    kernel = np.empty((n, n + 1, n + 1))
-    return tuple(np.einsum_path("pq,pik,qjl->ijkl", np.empty((n, n)), kernel, kernel,
+    kernels = np.empty((count, n, n + 1, n + 1))
+    return tuple(np.einsum_path("pq,spik,sqjl->sijkl", np.empty((n, n)), kernels, kernels,
                                 optimize=True)[0])
 
 
-def _paraproduct_sum_matrix(b: GridFunction2D, x_kinds: str, y_kinds: str) -> OperatorMatrix:
+def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
+    """Stacked matrices of paraproduct sums, shape ``(len(pairs), 4^N, 4^N)``.
+
+    Each pair ``(x_kinds, y_kinds)`` names the Haar types the input is
+    paired with along each axis; a one-kind name like ``"10"`` is itself
+    such a pair.  Every slice comes out of one einsum.
+    """
     _, _, sc = _axis_bases(b.depth)
     coef = (_cc_table(b) * sc)[1:, 1:]
-    mat = np.einsum("pq,pik,qjl->ijkl", coef, _pairing_kernel(b.depth, x_kinds),
-                    _pairing_kernel(b.depth, y_kinds), optimize=_paraproduct_path(b.depth))
+    mats = np.einsum("pq,spik,sqjl->sijkl", coef,
+                     _pairing_kernels(b.depth, tuple(x for x, _ in pairs)),
+                     _pairing_kernels(b.depth, tuple(y for _, y in pairs)),
+                     optimize=_paraproduct_path(b.depth, len(pairs)))
     m = 4 ** b.depth
-    return OperatorMatrix(b.depth, mat.reshape(m, m) * 4.0 ** (-b.depth))
+    return mats.reshape(len(pairs), m, m) * 4.0 ** (-b.depth)
 
 
 def paraproduct_matrix(kind: str, b: GridFunction2D) -> OperatorMatrix:
     """Dense matrix of :func:`paraproduct_apply` for one ``kind``."""
     if kind not in PARAPRODUCT_KINDS:
         raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
-    return _paraproduct_sum_matrix(b, kind[0], kind[1])
+    return OperatorMatrix(b.depth, _paraproduct_matrices(b, (kind,))[0])
 
 
 def lambda_matrix(b: GridFunction2D) -> OperatorMatrix:
@@ -520,7 +513,7 @@ def lambda_matrix(b: GridFunction2D) -> OperatorMatrix:
     The four kinds are every pairing of an x-type with a y-type, so their
     sum factors into one kernel per axis.
     """
-    return _paraproduct_sum_matrix(b, "01", "01")
+    return OperatorMatrix(b.depth, _paraproduct_matrices(b, (("01", "01"),))[0])
 
 
 def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,

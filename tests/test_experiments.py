@@ -73,6 +73,29 @@ def test_sign_pair_square_norms_match_the_literal_walk():
             assert got[i, j] == pytest.approx((g * g).integral(), rel=1e-12, abs=0.0)
 
 
+def sign_pair_square_norms_per_row(b, f):
+    """Oracle: one commutator stack per x-axis sign row, applied to ``f``."""
+    rows = axis_sign_rows(b.depth)
+    fv = f.values.ravel()
+    out = np.empty((len(rows), len(rows)))
+    for i, sx in enumerate(rows):
+        g = commutator_matrices(b, np.broadcast_to(sx, rows.shape), rows) @ fv
+        out[i] = (g * g).mean(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_bilinear_sign_average_matches_the_per_row_stacks(depth):
+    rng = np.random.default_rng(60 + depth)
+    for _ in range(3):
+        b, f = random_grid(depth, rng), random_grid(depth, rng)
+        got = _sign_pair_square_norms(b, f)
+        want = sign_pair_square_norms_per_row(b, f)
+        assert got.shape == want.shape == (2 ** (2 ** depth - 1),) * 2
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert got.mean() == pytest.approx(want.mean(), rel=1e-13, abs=0.0)
+
+
 def test_identity_suite_depth_3():
     names = set(identity_gap_suite(2, np.random.default_rng(0)))
     for seed in (0, 1, 2):
@@ -336,6 +359,21 @@ def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage:")
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["khintchine", "--depth", "40"], "usage: haar-bloom khintchine [-h] [--trials TRIALS]"),
+    (["identities", "--p", "1.5"], "usage: haar-bloom identities [-h] [--depth DEPTH]"),
+])
+def test_cli_reports_an_unrecognized_option_through_its_command(argv, usage, monkeypatch,
+                                                               capsys):
+    monkeypatch.setitem(COMMANDS, argv[0], lambda cfg: pytest.fail("a trial ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert f"haar-bloom {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 def test_cli_parser_is_built_once():

@@ -26,7 +26,8 @@ from haarbloom.operators import (
     OperatorMatrix,
     _axis_bases,
     _cc_table,
-    _pairing_kernel,
+    _pairing_kernels,
+    _paraproduct_matrices,
     SignChoice1D,
     SignChoice2D,
     axis_sign_rows,
@@ -64,6 +65,42 @@ def lambda_second_form(b, f):
         c = coeffs.coefficient(r)
         out = out + partial_haar_sum(b, r) * haar_function(r, f.depth) * c
     return out
+
+
+def mixed_table(f, x_scaling, y_scaling):
+    """Slot-indexed coefficients of f against the chosen tensor Haar types."""
+    hc, hn, _ = _axis_bases(f.depth)
+    left = hn if x_scaling else hc
+    right = hn if y_scaling else hc
+    return (left @ f.values @ right.T) * 4.0 ** (-f.depth)
+
+
+def paraproduct_from_cc(kind, cc, f):
+    """Literal paraproduct of one kind, given the symbol's fully cancellative table."""
+    hc, hn, sc = _axis_bases(f.depth)
+    coef = cc * sc * mixed_table(f, kind[0] == "1", kind[1] == "1")
+    out_x = hc if kind[0] == "1" else hn   # output carries the complementary type
+    out_y = hc if kind[1] == "1" else hn
+    values = np.einsum("pq,pi,qj->ij", coef[1:, 1:], out_x[1:], out_y[1:])
+    return GridFunction2D(f.depth, values)
+
+
+def literal_paraproduct(kind, b):
+    """Oracle closure: one paraproduct, evaluated from coefficient tables on every call."""
+    cc = _cc_table(b)
+    return lambda f: paraproduct_from_cc(kind, cc, f)
+
+
+def literal_lambda(b):
+    """Oracle closure: the four literal paraproducts, added in ``PARAPRODUCT_KINDS`` order."""
+    cc = _cc_table(b)
+
+    def apply(f):
+        out = paraproduct_from_cc("00", cc, f)
+        for kind in ("10", "01", "11"):
+            out = out + paraproduct_from_cc(kind, cc, f)
+        return out
+    return apply
 
 
 def theta_brute_force(b, f):
@@ -346,12 +383,60 @@ def test_transpose_is_unweighted_adjoint():
 def test_paraproduct_matrices_match_the_literal_operators(depth):
     b = random_grid(depth, 30 + depth)
     for kind in ("00", "10", "01", "11"):
-        want = materialize(paraproduct_operator(kind, b), depth).matrix
+        want = materialize(literal_paraproduct(kind, b), depth).matrix
         got = paraproduct_matrix(kind, b).matrix
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-    want = materialize(lambda_operator(b), depth).matrix
+        np.testing.assert_allclose(materialize(paraproduct_operator(kind, b), depth).matrix,
+                                   want, rtol=0, atol=1e-13 * np.abs(want).max())
+    want = materialize(literal_lambda(b), depth).matrix
     np.testing.assert_allclose(lambda_matrix(b).matrix, want,
                                rtol=0, atol=1e-13 * np.abs(want).max())
+    np.testing.assert_allclose(materialize(lambda_operator(b), depth).matrix, want,
+                               rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_paraproduct_and_lambda_operators_agree_with_the_literal_form():
+    rng = np.random.default_rng(35)
+    for depth in (1, 2, 3):
+        for _ in range(4):
+            b, f = random_grid(depth, rng), random_grid(depth, rng)
+            for kind in PARAPRODUCT_KINDS:
+                want = literal_paraproduct(kind, b)(f)
+                got = paraproduct_apply(kind, b, f)
+                assert (got - want).max_abs() <= 1e-13 * max(1.0, want.max_abs())
+            want = literal_lambda(b)(f)
+            assert (lambda_apply(b, f) - want).max_abs() <= 1e-13 * max(1.0, want.max_abs())
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_four_kind_stack_matches_each_paraproduct_matrix_bit_for_bit(depth):
+    for seed in range(3):
+        b = random_grid(depth, 90 + 10 * depth + seed)
+        stack = _paraproduct_matrices(b, PARAPRODUCT_KINDS)
+        assert stack.shape == (4, 4 ** depth, 4 ** depth)
+        for kind, got in zip(PARAPRODUCT_KINDS, stack):
+            assert got.tobytes() == paraproduct_matrix(kind, b).matrix.tobytes()
+
+
+def held_arrays(op):
+    """The arrays an operator closure holds."""
+    return [cell.cell_contents for cell in op.__closure__ or ()
+            if isinstance(cell.cell_contents, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", ["lambda", "00", "10", "01", "11"])
+def test_paraproduct_operators_hold_read_only_matrices(name):
+    rng = np.random.default_rng(36)
+    b, f = random_grid(2, rng), random_grid(2, rng)
+    op = lambda_operator(b) if name == "lambda" else paraproduct_operator(name, b)
+    want = op(f)
+    (mats,) = held_arrays(op)
+    assert mats.shape == (4 if name == "lambda" else 1, 16, 16)
+    assert not mats.flags.writeable
+    with pytest.raises(ValueError):
+        mats.flat[0] = 1.0
+    b.values[:] = 0.0
+    np.testing.assert_array_equal(op(f).values, want.values)
 
 
 def uncached_paraproduct_matrix(b, x_kinds, y_kinds):
@@ -383,9 +468,10 @@ def test_paraproduct_matrices_match_the_uncached_einsum_bit_for_bit(depth):
 
 def test_pairing_kernels_and_axis_bases_are_cached_read_only():
     for depth in (1, 2, 3):
-        kernels = [_pairing_kernel(depth, kinds) for kinds in ("0", "1", "01")]
-        assert all(_pairing_kernel(depth, kinds) is kernel
-                   for kinds, kernel in zip(("0", "1", "01"), kernels))
+        stacks = [("0", "1", "01"), ("01",), tuple(kind[0] for kind in PARAPRODUCT_KINDS)]
+        kernels = [_pairing_kernels(depth, stack) for stack in stacks]
+        assert all(_pairing_kernels(depth, stack) is kernel
+                   for stack, kernel in zip(stacks, kernels))
         for table in kernels + list(_axis_bases(depth)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):

@@ -11,9 +11,12 @@ The runs are ``jn`` (depth 2 exact, depth 3 heuristic), ``commutator``
 
 Run it at the parent and at the change, for instance on a ``git archive``
 export of the parent with ``--src <export>/src``: equal digests are the
-evidence that a refactor moved no stdout or CSV/JSON byte.  The digest is
-the one line on stdout; stderr names the package directory it imported,
-which shows that ``--src`` took effect.
+evidence that a refactor moved no stdout or CSV/JSON byte.  The first line
+on stdout is the digest of every run; one line per command follows,
+``<command> <digest>``, over that command's runs only, so a change that
+moves the bytes of one command shows that the others did not move.
+stderr names the package directory it imported, which shows that
+``--src`` took effect.
 """
 
 from __future__ import annotations
@@ -62,10 +65,15 @@ def main() -> None:
     print("package:", Path(sys.modules["haarbloom"].__file__).parent, file=sys.stderr)
 
     total = hashlib.sha256()
+    commands = {argv[0]: hashlib.sha256() for argv in RUNS}
     with tempfile.TemporaryDirectory() as folder:
         for argv in RUNS:
-            total.update(hashlib.sha256(run_bytes(cli_main, argv, Path(folder))).digest())
+            run = hashlib.sha256(run_bytes(cli_main, argv, Path(folder))).digest()
+            total.update(run)
+            commands[argv[0]].update(run)
     print(total.hexdigest())
+    for command, digest in commands.items():
+        print(command, digest.hexdigest())
 
 
 if __name__ == "__main__":
