@@ -84,7 +84,7 @@ SAMPLED_PAIRS = 16
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
 #: deepest grid for the identity suite, which scores all 4^(2^N - 1) sign pairs:
-#: one draw takes about 0.03 s at depth 3, while depth 4 has 2^30 pairs
+#: one draw takes about 0.035 s at depth 3, while depth 4 has 2^30 pairs
 #: (2 TB of commutator images)
 IDENTITIES_MAX_DEPTH = 3
 #: exponents the l^p arithmetic stays finite for: |u|^p overflows in the power

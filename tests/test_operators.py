@@ -395,19 +395,6 @@ def test_paraproduct_matrices_match_the_literal_operators(depth):
                                rtol=0, atol=1e-13 * np.abs(want).max())
 
 
-def test_paraproduct_and_lambda_operators_agree_with_the_literal_form():
-    rng = np.random.default_rng(35)
-    for depth in (1, 2, 3):
-        for _ in range(4):
-            b, f = random_grid(depth, rng), random_grid(depth, rng)
-            for kind in PARAPRODUCT_KINDS:
-                want = literal_paraproduct(kind, b)(f)
-                got = paraproduct_apply(kind, b, f)
-                assert (got - want).max_abs() <= 1e-13 * max(1.0, want.max_abs())
-            want = literal_lambda(b)(f)
-            assert (lambda_apply(b, f) - want).max_abs() <= 1e-13 * max(1.0, want.max_abs())
-
-
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_four_kind_stack_matches_each_paraproduct_matrix_bit_for_bit(depth):
     for seed in range(3):
@@ -426,17 +413,13 @@ def held_arrays(op):
 
 @pytest.mark.parametrize("name", ["lambda", "00", "10", "01", "11"])
 def test_paraproduct_operators_hold_read_only_matrices(name):
-    rng = np.random.default_rng(36)
-    b, f = random_grid(2, rng), random_grid(2, rng)
+    b = random_grid(2, 36)
     op = lambda_operator(b) if name == "lambda" else paraproduct_operator(name, b)
-    want = op(f)
     (mats,) = held_arrays(op)
     assert mats.shape == (4 if name == "lambda" else 1, 16, 16)
     assert not mats.flags.writeable
     with pytest.raises(ValueError):
         mats.flat[0] = 1.0
-    b.values[:] = 0.0
-    np.testing.assert_array_equal(op(f).values, want.values)
 
 
 def uncached_paraproduct_matrix(b, x_kinds, y_kinds):
