@@ -90,8 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_config(argv: list[str] | None = None) -> ExperimentConfig:
-    """Parse arguments into a config; an unaffordable combination is a usage error."""
-    args, unknown = build_parser().parse_known_args(argv)
+    """Parse arguments into a config; an unaffordable combination is a usage error.
+
+    The top level takes no option but ``-h``, so whatever stands before the
+    command is unknown and is reported through the top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    leading = argv[:argv.index(args.command)]
+    if leading:
+        parser.error(f"unrecognized arguments: {' '.join(leading)}")
     if unknown:
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

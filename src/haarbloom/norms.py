@@ -7,11 +7,14 @@ finite max over the ``2^(4^N) - 1`` non-empty cell masks, and it is
 attained on the ``2^(4^(N-1)) - 1`` unions of finest cancellative
 rectangles, so an exact (exponential) search exists at small depth
 alongside a practical heuristic search; both return the witness mask
-they selected.
+they selected.  Both score a mask cell by cell through a per-symbol table
+of the ``C(2N, N)`` sets of rectangles a mask can leave inside it at a
+cell, so the energies are summed once per table entry, not once per mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,10 +37,11 @@ from .weights import Weight
 
 #: deepest grid the exact BMO search runs on (2^4 - 1 unions of finest rectangles)
 EXACT_MAX_DEPTH = 2
-#: deepest grid the heuristic BMO search runs on: at depth 4 a symbol takes about
-#: 0.33 s, and its pairwise-union candidates fill a 5.8 MB table cached per depth
-#: (built once in about 0.05 s) and a 5.8 MB stack per symbol; each is 0.47 GB at
-#: depth 5 and about 32 GB at depth 6
+#: deepest grid the heuristic BMO search, and the mask scoring of both searches,
+#: run on: at depth 4 a symbol takes about 0.04 s, and the pairwise-union
+#: candidates fill a 5.6 MB table and their pattern ids another 5.6 MB, both
+#: cached per depth (built once in about 0.2 s); each is 0.47 GB at depth 5, whose
+#: 2^25 level-pair codes also outgrow the exact float32 product that finds them
 HEURISTIC_MAX_DEPTH = 4
 #: cells (masks x cells per mask) the BMO objective scores in one block
 BLOCK_CELLS = 16384
@@ -122,8 +126,55 @@ class BmoResult:
         return {"value": self.value, "strategy": self.strategy, "witness": wit}
 
 
+@lru_cache(maxsize=None)
+def _upset_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached read-only ``(members, weights, lookup)`` naming the pattern of each (mask, cell).
+
+    The cancellative rectangles through a cell that lie inside a mask form
+    an up-set of level pairs ``g = lx * N + ly``: a finer rectangle through
+    the cell lies inside a coarser one.  An up-set keeps, for each ``lx``,
+    the ``ly`` from a floor that does not rise with ``lx``, so there are
+    ``C(2N, N)`` of them; ``members[k, g]`` says whether up-set k holds
+    level pair g.  ``weights[r, c]`` is ``2^g`` on the cells of
+    cancellative rectangle r of level pair g, so ``rectangles_inside @
+    weights`` spells each pattern's level pairs in binary (exactly: a sum
+    of distinct powers of two below ``2^16``), and ``lookup`` maps that
+    code to the up-set's row.
+    """
+    if depth > HEURISTIC_MAX_DEPTH:
+        raise ValueError(f"BMO masks are scored up to depth <= {HEURISTIC_MAX_DEPTH}, "
+                         f"got {depth}")
+    floors = np.array(list(itertools.combinations_with_replacement(range(depth + 1), depth)))
+    members = (np.arange(depth) >= floors[:, ::-1, None]).reshape(len(floors), -1)
+    lookup = np.full(1 << depth * depth, 255, np.uint8)
+    lookup[members @ (1 << np.arange(depth * depth))] = np.arange(len(members))
+    table = rectangle_table(depth)
+    levels = table.levels[table.cancellative]
+    weights = (rectangle_incidence(depth) * (1 << levels @ [depth, 1])[:, None]).astype(np.float32)
+    for array in (members, weights, lookup):
+        array.flags.writeable = False
+    return members, weights, lookup
+
+
+def _pattern_ids(masks: np.ndarray) -> np.ndarray:
+    """``ids[m, c]``: the up-set of raveled mask m's rectangles through cell c, as ``uint8``."""
+    depth = (masks.shape[1].bit_length() - 1) // 2
+    _, weights, lookup = _upset_tables(depth)
+    ids = np.empty(masks.shape, np.uint8)
+    step = max(1, BLOCK_CELLS // masks.shape[1])
+    for start in range(0, len(masks), step):
+        codes = rectangles_inside(masks[start:start + step], depth).astype(np.float32) @ weights
+        ids[start:start + step] = lookup[codes.astype(np.intp)]
+    return ids
+
+
 class _MaskObjective:
-    """The localized ratio ``||S_mask b||_{L^p(lam)} / mu(mask)^{1/p}`` on stacks of cell masks."""
+    """The localized ratio ``||S_mask b||_{L^p(lam)} / mu(mask)^{1/p}`` on stacks of cell masks.
+
+    ``patterns[c, k]`` is ``(sum of the energies of up-set k's rectangles
+    through cell c) ** (p/2)``, summed in rectangle order: the bits a sum
+    over one mask's rectangles through c gives whenever they are up-set k.
+    """
 
     def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float):
         if p < 1:
@@ -135,28 +186,49 @@ class _MaskObjective:
         self.cells = 4 ** b.depth
         self.energy = _energies(b)[rectangle_table(b.depth).cancellative]
         self.incidence = rectangle_incidence(b.depth)
-        # covers[g, c]: the g-th rectangle holding cell c, in rectangle order
+        # covers[g, c]: the g-th rectangle holding cell c, in rectangle order (level pair g)
         self.covers = np.nonzero(self.incidence.T)[1].reshape(self.cells, -1).T
         self.lam_cell = lam.values.ravel() * 4.0 ** (-b.depth)
         self.mu_cell = mu.values.ravel() * 4.0 ** (-b.depth)
+        members = _upset_tables(b.depth)[0]
+        s2 = np.zeros((self.cells, len(members)))
+        for member, cover in zip(members.T, self.covers):
+            np.add(s2, self.energy[cover][:, None], out=s2, where=member)
+        # zeros stay zero, and pow is slow on them
+        np.power(s2, p / 2.0, out=s2, where=s2 > 0)
+        self.patterns = s2
+        # patterns.take(ids + offsets) reads patterns[c, ids[m, c]]
+        self.offsets = np.arange(self.cells) * len(members)
 
-    def values(self, masks: np.ndarray) -> np.ndarray:
-        """Ratios of a stack of raveled boolean masks, ``BLOCK_CELLS`` cells at a time."""
+    def values(self, masks: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+        """Ratios of a stack of raveled boolean masks, ``BLOCK_CELLS`` cells at a time.
+
+        ``ids`` are the masks' ``_pattern_ids``, computed here when not given.
+        """
         out = np.empty(len(masks))
         step = max(1, BLOCK_CELLS // self.cells)
         for start in range(0, len(masks), step):
             bits = masks[start:start + step]
-            inside = rectangles_inside(bits, self.depth)
-            s2 = np.zeros(bits.shape)
-            for cover in self.covers:       # rectangle order: blocking cannot move a bit
-                np.add(s2, self.energy[cover], out=s2, where=inside[:, cover])
-            # most cells see no rectangle; zeros stay zero, and pow is slow on them
-            np.power(s2, self.p / 2.0, out=s2, where=s2 > 0)
+            block = _pattern_ids(bits) if ids is None else ids[start:start + step]
+            s2 = self.patterns.take(block + self.offsets)
             # einsum sums each row alike whatever the stack; BLAS gemv does not
             nums = np.einsum("mc,c->m", s2, self.lam_cell) ** (1.0 / self.p)
             dens = np.einsum("mc,c->m", bits, self.mu_cell) ** (1.0 / self.p)
             out[start:start + step] = nums / dens
         return out
+
+
+@lru_cache(maxsize=None)
+def _finest_unions(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached read-only ``(unions, ids)``: every non-empty union of finest cancellative
+    rectangles, bit k of ``row + 1`` picking finest block k, with its ``_pattern_ids``."""
+    table = rectangle_table(depth)
+    finest = table.cells[(table.levels == depth - 1).all(axis=1)]
+    picks = np.arange(1, 1 << len(finest))[:, None] >> np.arange(len(finest)) & 1
+    unions = picks.astype(bool) @ finest
+    ids = _pattern_ids(unions)
+    unions.flags.writeable = ids.flags.writeable = False
+    return unions, ids
 
 
 def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
@@ -176,11 +248,8 @@ def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
     if obj.depth > EXACT_MAX_DEPTH:
         raise ValueError(f"exact search is limited to depth <= {EXACT_MAX_DEPTH} "
                          "(15 unions of finest rectangles)")
-    table = rectangle_table(obj.depth)
-    finest = table.cells[(table.levels == obj.depth - 1).all(axis=1)]
-    picks = np.arange(1, 1 << len(finest))[:, None] >> np.arange(len(finest)) & 1
-    unions = picks.astype(bool) @ finest
-    ratios = obj.values(unions)
+    unions, ids = _finest_unions(obj.depth)
+    ratios = obj.values(unions, ids)
     idx = int(np.argmax(ratios))
     if ratios[idx] == 0.0:
         return 0.0, np.arange(obj.cells) == 0
@@ -205,22 +274,28 @@ def _grow_greedily(obj: _MaskObjective, mask: np.ndarray) -> tuple[float, np.nda
 
 
 @lru_cache(maxsize=None)
-def _candidate_table(depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_table(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached read-only distinct symbol-free candidates of the heuristic search.
 
     The candidates are every rectangle's cells, then the pairwise unions
-    of the cancellative ones; ``rows[inverse]`` rebuilds that list.
+    of the cancellative ones; ``rows[inverse]`` rebuilds that list, and
+    ``ids`` are the rows' ``_pattern_ids``.
     """
     incidence = rectangle_incidence(depth)
     first, second = np.triu_indices(len(incidence), 1)
-    masks = np.concatenate([rectangle_table(depth).cells, incidence[first] | incidence[second]])
+    pairs = incidence[first]        # in place, and freed before the ids: 6.5 MB at depth 4
+    pairs |= incidence[second]
+    masks = np.concatenate([rectangle_table(depth).cells, pairs])
+    del pairs
     # np.unique sorts rows of uint64 words about 40 times as fast as rows of bools at depth 4
     words = np.packbits(masks, axis=1)
     words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
     _, keep, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
     rows, inverse = masks[keep], inverse.reshape(-1)
-    rows.flags.writeable = inverse.flags.writeable = False
-    return rows, inverse
+    del masks, words
+    ids = _pattern_ids(rows)
+    rows.flags.writeable = ids.flags.writeable = inverse.flags.writeable = False
+    return rows, ids, inverse
 
 
 def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, np.ndarray]:
@@ -231,26 +306,25 @@ def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, 
     the squared square function of the symbol and of the pointwise
     maximum rectangle energy ``max_R b_R^2 / |R|`` over the rectangles
     holding a cell, the full square, and seeded random masks.  Each
-    distinct mask is scored once, all in one call; the best five
-    candidates (ties to the later one) are grown greedily, each distinct
-    start once: a repeat would return the same value, which cannot beat
-    the best strictly.
+    distinct mask is scored once; the best five candidates (ties to the
+    later one) are grown greedily, each distinct start once: a repeat
+    would return the same value, which cannot beat the best strictly.
     """
     rng = ensure_rng(seed)
-    rows, inverse = _candidate_table(obj.depth)
-    cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
+    rows, ids, inverse = _candidate_table(obj.depth)
+    cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as patterns do
     own = np.concatenate(
         [field >= np.unique(field)[:, None]
          for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
         + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])
-    masks = np.concatenate([rows, own[own.any(axis=1)]])
-    # candidate i is masks[index[i]]; scores do not depend on the stack
-    index = np.concatenate([inverse, np.arange(len(rows), len(masks))])
-    values = obj.values(masks)[index]
+    own = own[own.any(axis=1)]
+    # candidate i is rows[inverse[i]], then own[i - len(inverse)]; scores do not depend on the stack
+    values = np.concatenate([obj.values(rows, ids)[inverse], obj.values(own)])
 
-    top = np.lexsort((np.arange(len(index)), values))[::-1][:5]
-    best, best_mask = float(values[top[0]]), masks[index[top[0]]]
-    starts = {mask.tobytes(): mask for mask in masks[index[top]]}     # distinct, first-seen order
+    top = np.lexsort((np.arange(len(values)), values))[::-1][:5]
+    candidate = [rows[inverse[i]] if i < len(inverse) else own[i - len(inverse)] for i in top]
+    best, best_mask = float(values[top[0]]), candidate[0]
+    starts = {mask.tobytes(): mask for mask in candidate}     # distinct, first-seen order
     for start in starts.values():
         value, mask = _grow_greedily(obj, start)
         if value > best:

@@ -56,6 +56,9 @@ from .dyadic import (
 )
 
 PARAPRODUCT_KINDS = ("00", "10", "01", "11")
+#: deepest grid whose paraproduct and Lambda matrices are built: a depth-5 matrix
+#: is 8 MB (16^5 entries) and Lambda stacks four; at depth 6 that stack is 512 MB
+MATRIX_MAX_DEPTH = 5
 
 Operator = Callable[[GridFunction2D], GridFunction2D]
 
@@ -488,8 +491,12 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
 
     Each pair ``(x_kinds, y_kinds)`` names the Haar types the input is
     paired with along each axis; a one-kind name like ``"10"`` is itself
-    such a pair.  Every slice comes out of one einsum.
+    such a pair.  Every slice comes out of one einsum.  Beyond
+    :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
     """
+    if b.depth > MATRIX_MAX_DEPTH:
+        raise ValueError(f"paraproduct matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
+                         f"(16^depth entries each), got {b.depth}")
     _, _, sc = _axis_bases(b.depth)
     coef = (_cc_table(b) * sc)[1:, 1:]
     mats = np.einsum("pq,spik,sqjl->sijkl", coef,

@@ -350,6 +350,7 @@ def test_cli_refuses_unaffordable_combinations(argv, monkeypatch, capsys):
     ["paraproduct", "--mode", "exhaustive"],
     ["identities", "--delta", "0.5"],
     ["khintchine", "--strategy", "exact"],
+    ["--bogus", "jn"],
 ])
 def test_cli_refuses_bad_values(argv, monkeypatch, capsys):
     def boom(cfg):
@@ -374,6 +375,16 @@ def test_cli_reports_an_unrecognized_option_through_its_command(argv, usage, mon
     err = capsys.readouterr().err
     assert err.startswith(usage)
     assert f"haar-bloom {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+def test_cli_reports_an_option_before_the_command_through_the_top_level(monkeypatch, capsys):
+    monkeypatch.setitem(COMMANDS, "jn", lambda cfg: pytest.fail("a trial ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "jn", "--depth", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: haar-bloom [-h] {identities,jn,")
+    assert "haar-bloom: error: unrecognized arguments: --bogus\n" in err
 
 
 def test_cli_parser_is_built_once():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from haarbloom.dyadic import (
     random_symbol,
     rectangle_incidence,
     rectangle_table,
+    rectangles_inside,
     unit_square,
 )
 from haarbloom import norms
@@ -229,6 +232,95 @@ def test_exact_search_does_not_depend_on_the_block_size(monkeypatch):
         assert got.witness.to_hex() == want.witness.to_hex()
 
 
+def _masked_add_values(obj, masks):
+    """The objective before per-symbol pattern tables, word for word: ``N^2`` masked adds
+    over every block of masks."""
+    out = np.empty(len(masks))
+    step = max(1, norms.BLOCK_CELLS // obj.cells)
+    for start in range(0, len(masks), step):
+        bits = masks[start:start + step]
+        inside = rectangles_inside(bits, obj.depth)
+        s2 = np.zeros(bits.shape)
+        for cover in obj.covers:       # rectangle order: blocking cannot move a bit
+            np.add(s2, obj.energy[cover], out=s2, where=inside[:, cover])
+        # most cells see no rectangle; zeros stay zero, and pow is slow on them
+        np.power(s2, obj.p / 2.0, out=s2, where=s2 > 0)
+        # einsum sums each row alike whatever the stack; BLAS gemv does not
+        nums = np.einsum("mc,c->m", s2, obj.lam_cell) ** (1.0 / obj.p)
+        dens = np.einsum("mc,c->m", bits, obj.mu_cell) ** (1.0 / obj.p)
+        out[start:start + step] = nums / dens
+    return out
+
+
+ORACLE_PS = (1.05, 1.5, 2.0, 3.0, 7.0)
+
+
+def _objective(depth, p, rng):
+    return norms._MaskObjective(random_symbol(depth, rng), random_cascade_weight(depth, 0.7, rng),
+                                random_cascade_weight(depth, 0.7, rng), p)
+
+
+def _assert_same_bits(obj, masks, ids=None):
+    with np.errstate(invalid="ignore"):        # the empty mask scores 0 / 0
+        got, want = obj.values(masks, ids), _masked_add_values(obj, masks)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", ORACLE_PS)
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_pattern_table_scores_random_masks_as_the_masked_adds(depth, p):
+    rng = np.random.default_rng(60 + depth)
+    cells = 4 ** depth
+    for _ in range(3):
+        masks = rng.random((150, cells)) < rng.uniform(0.3, 0.98, (150, 1))
+        masks[0], masks[1] = False, True        # the empty mask and the full square
+        _assert_same_bits(_objective(depth, p, rng), masks)
+
+
+@pytest.mark.parametrize("p", ORACLE_PS)
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_pattern_table_scores_the_candidate_table_as_the_masked_adds(depth, p):
+    rows, ids, _ = norms._candidate_table(depth)
+    _assert_same_bits(_objective(depth, p, np.random.default_rng(70 + depth)), rows, ids)
+
+
+@pytest.mark.parametrize("p", ORACLE_PS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_pattern_table_scores_the_finest_unions_as_the_masked_adds(depth, p):
+    unions, ids = norms._finest_unions(depth)
+    assert len(unions) == (1 << 4 ** (depth - 1)) - 1
+    _assert_same_bits(_objective(depth, p, np.random.default_rng(80 + depth)), unions, ids)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_pattern_ids_name_the_up_set_of_rectangles_inside(depth):
+    members, weights, lookup = norms._upset_tables(depth)
+    assert norms._upset_tables(depth) is norms._upset_tables(depth)
+    assert len(members) == math.comb(2 * depth, depth)
+    assert len(np.unique(members, axis=0)) == len(members)
+    grid = members.reshape(-1, depth, depth)        # [k, lx, ly]
+    assert (grid[:, 1:] >= grid[:, :-1]).all() and (grid[:, :, 1:] >= grid[:, :, :-1]).all()
+    unions, finest_ids = norms._finest_unions(min(depth, 3))
+    rows, row_ids, _ = norms._candidate_table(depth)
+    for array in (members, weights, lookup, unions, finest_ids, rows, row_ids):
+        assert not array.flags.writeable
+    rng = np.random.default_rng(90 + depth)
+    masks = rng.random((200, 4 ** depth)) < rng.uniform(0.3, 0.98, (200, 1))
+    masks[0], masks[1] = False, True
+    ids = norms._pattern_ids(masks)
+    assert ids.dtype == np.uint8 and ids.max() < len(members)
+    inside = rectangles_inside(masks, depth)
+    covers = np.nonzero(rectangle_incidence(depth).T)[1].reshape(4 ** depth, -1).T
+    # members[ids[m, c], g]: the level-pair-g rectangle through cell c lies inside mask m
+    np.testing.assert_array_equal(members[ids], inside[:, covers].transpose(0, 2, 1))
+    assert not members[ids[0]].any() and members[ids[1]].all()     # empty mask, full square
+
+
+def test_pattern_tables_refuse_depths_beyond_the_heuristic_limit():
+    with pytest.raises(ValueError, match="depth <= 4"):
+        norms._upset_tables(norms.HEURISTIC_MAX_DEPTH + 1)
+
+
 def _brute_force_search(b, mu, lam, p):
     """First maximiser in integer order over every non-empty cell mask."""
     cells = 4 ** b.depth
@@ -299,9 +391,11 @@ def test_heuristic_search_matches_the_search_that_scored_every_candidate():
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_candidate_table_holds_each_symbol_free_candidate_once(depth):
-    rows, inverse = norms._candidate_table(depth)
+    rows, ids, inverse = norms._candidate_table(depth)
     assert norms._candidate_table(depth) is norms._candidate_table(depth)
     assert not rows.flags.writeable and not inverse.flags.writeable
+    assert not ids.flags.writeable and ids.dtype == np.uint8
+    np.testing.assert_array_equal(ids, norms._pattern_ids(rows))
     assert len(np.unique(rows, axis=0)) == len(rows)
     incidence = rectangle_incidence(depth)
     literal = [rectangle_table(depth).cells] + [incidence[i] | incidence[j][None]

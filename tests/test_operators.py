@@ -518,3 +518,23 @@ def test_validation():
         commutator_matrices(f, np.ones((2, 4)), np.ones((3, 4)))
     with pytest.raises(ValueError):
         commutator_matrices(f, np.ones((2, 2)), np.ones((2, 2)))
+
+
+def test_paraproduct_matrices_refuse_depths_beyond_their_limit(monkeypatch):
+    # patched so that a missing guard fails here instead of allocating 512 MB
+    from haarbloom import operators
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+    for name in ("_axis_bases", "_cc_table", "_pairing_kernels"):
+        monkeypatch.setattr(operators, name, boom)
+    depth = operators.MATRIX_MAX_DEPTH + 1
+    b, f = random_grid(depth, 1), random_grid(depth, 2)
+    calls = [lambda: lambda_apply(b, f), lambda: lambda_operator(b), lambda: lambda_matrix(b)]
+    for kind in PARAPRODUCT_KINDS:
+        calls += [lambda kind=kind: paraproduct_apply(kind, b, f),
+                  lambda kind=kind: paraproduct_operator(kind, b),
+                  lambda kind=kind: paraproduct_matrix(kind, b)]
+    for call in calls:
+        with pytest.raises(ValueError, match="limited to depth <= 5"):
+            call()
