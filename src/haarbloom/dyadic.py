@@ -159,7 +159,12 @@ def cancellative_rectangles(depth: int) -> list[DyadicRectangle]:
 
 @dataclass
 class GridFunction2D:
-    """A function on [0,1)^2 constant on the 2^depth x 2^depth dyadic cells."""
+    """A function on [0,1)^2 constant on the 2^depth x 2^depth dyadic cells.
+
+    The constructor converts and checks what it is given; inside the
+    package, arrays it has just built itself as float64 ``(2^N, 2^N)`` are
+    wrapped by :meth:`_of`, without a copy or a check.
+    """
 
     depth: int
     values: np.ndarray
@@ -171,6 +176,13 @@ class GridFunction2D:
         n = 1 << self.depth
         if self.values.shape != (n, n):
             raise ValueError(f"expected values of shape {(n, n)}, got {self.values.shape}")
+
+    @classmethod
+    def _of(cls, depth: int, values: np.ndarray) -> "GridFunction2D":
+        """Wrap a float64 ``(2^depth, 2^depth)`` array as is: no copy, no check."""
+        out = object.__new__(cls)
+        out.depth, out.values = depth, values
+        return out
 
     @classmethod
     def zeros(cls, depth: int) -> "GridFunction2D":
@@ -192,7 +204,9 @@ class GridFunction2D:
         if isinstance(other, GridFunction2D):
             if other.depth != self.depth:
                 raise ValueError("depth mismatch")
-            return GridFunction2D(self.depth, op(self.values, other.values))
+            return GridFunction2D._of(self.depth, op(self.values, other.values))
+        if isinstance(other, float):        # a Python float or np.float64
+            return GridFunction2D._of(self.depth, op(self.values, other))
         return GridFunction2D(self.depth, op(self.values, other))
 
     def __add__(self, other):
@@ -208,7 +222,7 @@ class GridFunction2D:
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction2D":
-        return GridFunction2D(self.depth, -self.values)
+        return GridFunction2D._of(self.depth, -self.values)
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
@@ -313,6 +327,13 @@ class HaarCoefficients2D:
             raise ValueError(f"expected table of shape {(n, n)}, got {self.table.shape}")
 
     @classmethod
+    def _of(cls, depth: int, table: np.ndarray) -> "HaarCoefficients2D":
+        """Wrap a float64 ``(2^depth, 2^depth)`` table as is: no copy, no check."""
+        out = object.__new__(cls)
+        out.depth, out.table = depth, table
+        return out
+
+    @classmethod
     def zeros(cls, depth: int) -> "HaarCoefficients2D":
         n = 1 << depth
         return cls(depth, np.zeros((n, n)))
@@ -389,12 +410,17 @@ def _transform_matrices(depth: int) -> tuple[np.ndarray, np.ndarray]:
 def haar_forward(f: GridFunction2D) -> HaarCoefficients2D:
     """Full tensor Haar analysis of a grid function."""
     a, _ = _transform_matrices(f.depth)
-    return HaarCoefficients2D(f.depth, a @ f.values @ a.T)
+    return HaarCoefficients2D._of(f.depth, a @ f.values @ a.T)
 
 
 def haar_inverse(c: HaarCoefficients2D) -> GridFunction2D:
-    _, s = _transform_matrices(c.depth)
-    return GridFunction2D(c.depth, s @ c.table @ s.T)
+    return haar_synthesis(c.depth, c.table)
+
+
+def haar_synthesis(depth: int, table: np.ndarray) -> GridFunction2D:
+    """:func:`haar_inverse` of a float64 ``(2^depth, 2^depth)`` table, taken unchecked."""
+    _, s = _transform_matrices(depth)
+    return GridFunction2D._of(depth, s @ table @ s.T)
 
 
 @lru_cache(maxsize=None)
@@ -450,7 +476,7 @@ def haar_function(spec: HaarFunctionSpec | DyadicRectangle, depth: int,
         raise TypeError("pass kind inside the HaarFunctionSpec")
     vx = axis_haar_values(spec.rect.x, depth, cancellative=spec.kind[0] == "0")
     vy = axis_haar_values(spec.rect.y, depth, cancellative=spec.kind[1] == "0")
-    return GridFunction2D(depth, np.outer(vx, vy))
+    return GridFunction2D._of(depth, vx[:, None] * vy)
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +488,20 @@ def haar_project(f: GridFunction2D, rect: DyadicRectangle) -> GridFunction2D:
     vx = axis_haar_values(rect.x, f.depth)
     vy = axis_haar_values(rect.y, f.depth)
     coef = float(vx @ f.values @ vy) * 4.0 ** (-f.depth)
-    return GridFunction2D(f.depth, coef * np.outer(vx, vy))
+    return GridFunction2D._of(f.depth, coef * (vx[:, None] * vy))
 
 
 def haar_project_x(f: GridFunction2D, interval: DyadicInterval) -> GridFunction2D:
     """One-parameter Haar projection in x only: h_I(x) <f(., y), h_I>."""
     vx = axis_haar_values(interval, f.depth)
     per_y = (vx @ f.values) * 2.0 ** (-f.depth)
-    return GridFunction2D(f.depth, np.outer(vx, per_y))
+    return GridFunction2D._of(f.depth, vx[:, None] * per_y)
 
 
 def haar_project_y(f: GridFunction2D, interval: DyadicInterval) -> GridFunction2D:
     vy = axis_haar_values(interval, f.depth)
     per_x = (f.values @ vy) * 2.0 ** (-f.depth)
-    return GridFunction2D(f.depth, np.outer(per_x, vy))
+    return GridFunction2D._of(f.depth, per_x[:, None] * vy)
 
 
 def descendant_slot_mask(interval: DyadicInterval, depth: int) -> np.ndarray:
@@ -497,8 +523,7 @@ def partial_haar_sum(f: GridFunction2D, rect: DyadicRectangle) -> GridFunction2D
     """
     mx = descendant_slot_mask(rect.x, f.depth)
     my = descendant_slot_mask(rect.y, f.depth)
-    table = haar_forward(f).table * np.outer(mx, my)
-    return haar_inverse(HaarCoefficients2D(f.depth, table))
+    return haar_synthesis(f.depth, haar_forward(f).table * np.outer(mx, my))
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +606,17 @@ def rectangle_incidence(depth: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _incidence_columns(depth: int) -> np.ndarray:
+    """Cached read-only ``float32`` transpose of :func:`rectangle_incidence`, the matmul operand."""
+    cols = np.ascontiguousarray(rectangle_incidence(depth).T, dtype=np.float32)
+    cols.flags.writeable = False
+    return cols
+
+
 def rectangles_inside(masks: np.ndarray, depth: int) -> np.ndarray:
     """``out[m, r]``: every cell of cancellative rectangle r lies in raveled mask ``masks[m]``."""
-    return (~masks).astype(np.float32) @ rectangle_incidence(depth).T == 0
+    return (~masks).astype(np.float32) @ _incidence_columns(depth) == 0
 
 
 def rectangles_in_shadow(shadow: Shadow) -> RectangleCollection:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +200,7 @@ def _finite_stats(values: list[float]) -> dict:
     return {
         "count": len(good),
         "min": min(good),
-        "median": float(np.median(good)),
+        "median": float(statistics.median(good)),
         "max": max(good),
     }
 
@@ -212,6 +214,14 @@ def _draw_pair(depth: int, delta: float, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _sign_pair_path(depth: int) -> tuple:
+    """Contraction order of the sign-average einsum, which depends only on the depth."""
+    rows = np.empty((1 << ((1 << depth) - 1), (1 << depth) - 1))
+    images = np.empty(rows.shape[1:] * 2 + (4 ** depth,))
+    return tuple(np.einsum_path("ip,jq,pqc->ijc", rows, rows, images, optimize=True)[0])
+
 
 def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
     """``||[T1_sx, [T2_sy, M_b]] f||^2`` for every pair of axis sign rows.
@@ -227,7 +237,8 @@ def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
     unit = np.eye(n)[1:]
     blocks = commutator_matrices(b, np.repeat(unit, n - 1, axis=0), np.tile(unit, (n - 1, 1)))
     images = (blocks @ f.values.ravel()).reshape(n - 1, n - 1, -1)
-    g = np.einsum("ip,jq,pqc->ijc", rows[:, 1:], rows[:, 1:], images, optimize=True)
+    g = np.einsum("ip,jq,pqc->ijc", rows[:, 1:], rows[:, 1:], images,
+                  optimize=_sign_pair_path(b.depth))
     return (g * g).mean(axis=2)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -38,16 +38,15 @@ from .dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
-    HaarCoefficients2D,
     RectangleCollection,
     Shadow,
     axis_haar_values,
     cancellative_rectangles,
     ensure_rng,
     haar_forward,
-    haar_inverse,
     haar_project_x,
     haar_project_y,
+    haar_synthesis,
     rectangle_means,
     rectangle_table,
     rectangles_in_shadow,
@@ -133,13 +132,18 @@ def _check_grid(depth: int, f: GridFunction2D) -> None:
 
 
 def _stack_operator(depth: int, mats: np.ndarray) -> Operator:
-    """Apply a read-only ``(S, 4^N, 4^N)`` stack and add the ``S`` images in stack order."""
+    """Apply a read-only ``(S, 4^N, 4^N)`` stack and add the ``S`` images in stack order.
+
+    ``np.add.reduce`` over the stack axis adds one image after another,
+    left to right, like a Python fold.
+    """
     mats.flags.writeable = False
     n = 1 << depth
 
     def apply(f: GridFunction2D) -> GridFunction2D:
         _check_grid(depth, f)
-        return GridFunction2D(depth, reduce(np.add, mats @ f.values.ravel()).reshape(n, n))
+        return GridFunction2D._of(depth, np.add.reduce(mats @ f.values.ravel(), axis=0)
+                                  .reshape(n, n))
     return apply
 
 
@@ -289,23 +293,20 @@ def haar_multiplier_x(f: GridFunction2D, sigma: SignChoice1D) -> GridFunction2D:
     """
     if sigma.depth != f.depth:
         raise ValueError("sign choice and function disagree on depth")
-    table = haar_forward(f).table * sigma.signs[:, None]
-    return haar_inverse(HaarCoefficients2D(f.depth, table))
+    return haar_synthesis(f.depth, haar_forward(f).table * sigma.signs[:, None])
 
 
 def haar_multiplier_y(f: GridFunction2D, sigma: SignChoice1D) -> GridFunction2D:
     if sigma.depth != f.depth:
         raise ValueError("sign choice and function disagree on depth")
-    table = haar_forward(f).table * sigma.signs[None, :]
-    return haar_inverse(HaarCoefficients2D(f.depth, table))
+    return haar_synthesis(f.depth, haar_forward(f).table * sigma.signs[None, :])
 
 
 def haar_multiplier(f: GridFunction2D, sigma: SignChoice2D) -> GridFunction2D:
     """Biparameter multiplier: acts on the fully cancellative block, kills the rest."""
     if sigma.depth != f.depth:
         raise ValueError("sign choice and function disagree on depth")
-    table = haar_forward(f).table * sigma.signs
-    return haar_inverse(HaarCoefficients2D(f.depth, table))
+    return haar_synthesis(f.depth, haar_forward(f).table * sigma.signs)
 
 
 def multiplier_operator_x(sigma: SignChoice1D) -> Operator:
@@ -355,7 +356,7 @@ def iterated_projection_commutator(b: GridFunction2D, f: GridFunction2D,
 
 def bi_cancellative_part(f: GridFunction2D) -> GridFunction2D:
     """Projection onto the span of the fully cancellative tensor Haar functions."""
-    return haar_inverse(HaarCoefficients2D(f.depth, _cc_table(f)))
+    return haar_synthesis(f.depth, _cc_table(f))
 
 
 def rectangle_average_table(f: GridFunction2D) -> np.ndarray:
@@ -386,8 +387,8 @@ def theta_operator(b: GridFunction2D) -> Operator:
     def apply(f: GridFunction2D) -> GridFunction2D:
         _check_grid(b.depth, f)
         table = _cc_table(f)
-        avg_term = haar_inverse(HaarCoefficients2D(f.depth, table * averages))
-        return b * haar_inverse(HaarCoefficients2D(f.depth, table)) - avg_term
+        avg_term = haar_synthesis(f.depth, table * averages)
+        return b * haar_synthesis(f.depth, table) - avg_term
     return apply
 
 
@@ -411,8 +412,7 @@ def restricted_projection(f: GridFunction2D, region: Shadow | RectangleCollectio
         if rect.x.level >= f.depth or rect.y.level >= f.depth:
             raise ValueError(f"{rect} has no resolved Haar function at depth {f.depth}")
         keep[slot_of(rect.x), slot_of(rect.y)] = True
-    table = haar_forward(f).table * keep
-    return haar_inverse(HaarCoefficients2D(f.depth, table))
+    return haar_synthesis(f.depth, haar_forward(f).table * keep)
 
 
 # ---------------------------------------------------------------------------

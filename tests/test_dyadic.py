@@ -368,3 +368,126 @@ def test_grid_validation():
         GridFunction2D(2, np.ones((2, 2)))
     with pytest.raises(ValueError):
         GridFunction2D(1, np.ones((2, 2))) + GridFunction2D(2, np.ones((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# unchecked internal wraps against the checked forms they replaced
+# ---------------------------------------------------------------------------
+
+def assert_same_grid(got, want):
+    assert got.depth == want.depth
+    assert got.values.dtype == want.values.dtype == np.float64
+    assert got.values.shape == want.values.shape == (1 << got.depth,) * 2
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+def test_of_wraps_without_copy_or_check():
+    for depth in (1, 2, 3, 4):
+        values = np.random.default_rng(depth).standard_normal((1 << depth,) * 2)
+        g = GridFunction2D._of(depth, values)
+        c = HaarCoefficients2D._of(depth, values)
+        assert g.depth == c.depth == depth and g.values is values and c.table is values
+
+
+def test_internal_results_are_float64_grids_of_the_grid_shape():
+    rng = np.random.default_rng(80)
+    for depth in (1, 2, 3, 4):
+        f, g = random_grid(depth, rng), random_grid(depth, rng)
+        iv = DyadicInterval(depth - 1, 0)
+        r = DyadicRectangle(iv, iv)
+        results = [f + g, f - g, f * g, f * 0.5, 2.0 * f, f + np.float64(3.0), -f,
+                   haar_inverse(haar_forward(f)),
+                   dyadic.haar_synthesis(depth, haar_forward(f).table),
+                   haar_function(r, depth), haar_project(f, r), haar_project_x(f, iv),
+                   haar_project_y(f, iv), partial_haar_sum(f, r)]
+        for out in results + [haar_forward(f)]:
+            arr = out.table if isinstance(out, HaarCoefficients2D) else out.values
+            assert out.depth == depth
+            assert arr.dtype == np.float64 and arr.shape == (1 << depth,) * 2
+
+
+def test_operands_other_than_grids_and_floats_stay_checked():
+    f = random_grid(2, rng=81)
+    assert_same_grid(f + 1, GridFunction2D(2, f.values + 1))
+    assert_same_grid(f * np.float32(0.5), GridFunction2D(2, f.values * np.float32(0.5)))
+    assert_same_grid(f * np.ones(4), GridFunction2D(2, f.values))
+    with pytest.raises(ValueError):
+        f + np.ones((1, 4, 4))                 # broadcasts to the wrong shape
+    with pytest.raises(ValueError):
+        HaarCoefficients2D(2, np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        HaarCoefficients2D(2, np.ones((4, 4, 1)))
+    with pytest.raises(ValueError):
+        GridFunction2D(2, np.ones(16))
+    with pytest.raises(ValueError):
+        GridFunction2D(0, np.ones((1, 1)))
+    assert HaarCoefficients2D(1, [[1, 2], [3, 4]]).table.dtype == np.float64
+    assert GridFunction2D(1, [[1, 2], [3, 4]]).values.dtype == np.float64
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_rank_one_broadcasts_match_np_outer(depth):
+    rng = np.random.default_rng(90 + depth)
+    for _ in range(3):
+        f = random_grid(depth, rng)
+        for s in range(1, 1 << depth):
+            iv = slot_interval(s)
+            vx = axis_haar_values(iv, depth)
+            r = DyadicRectangle(iv, slot_interval(int(rng.integers(1, 1 << depth))))
+            vy = axis_haar_values(r.y, depth)
+            coef = float(vx @ f.values @ vy) * 4.0 ** (-depth)
+            assert_same_grid(haar_project(f, r), GridFunction2D(depth, coef * np.outer(vx, vy)))
+            per = (vx @ f.values) * 2.0 ** (-depth)
+            assert_same_grid(haar_project_x(f, iv), GridFunction2D(depth, np.outer(vx, per)))
+            per = (f.values @ vx) * 2.0 ** (-depth)
+            assert_same_grid(haar_project_y(f, iv), GridFunction2D(depth, np.outer(per, vx)))
+            for kind in ("00", "10", "01", "11"):
+                ax = axis_haar_values(r.x, depth, cancellative=kind[0] == "0")
+                ay = axis_haar_values(r.y, depth, cancellative=kind[1] == "0")
+                assert_same_grid(haar_function(r, depth, kind),
+                                 GridFunction2D(depth, np.outer(ax, ay)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_synthesis_matches_the_checked_inverse(depth):
+    rng = np.random.default_rng(100 + depth)
+    _, s = dyadic._transform_matrices(depth)
+    for _ in range(5):
+        table = rng.standard_normal((1 << depth,) * 2)
+        want = GridFunction2D(depth, s @ HaarCoefficients2D(depth, table).table @ s.T)
+        assert_same_grid(dyadic.haar_synthesis(depth, table), want)
+        assert_same_grid(haar_inverse(HaarCoefficients2D(depth, table)), want)
+        f = random_grid(depth, rng)
+        a, _ = dyadic._transform_matrices(depth)
+        got = haar_forward(f)
+        assert got.table.dtype == np.float64
+        np.testing.assert_array_equal(got.table, HaarCoefficients2D(depth, a @ f.values @ a.T).table)
+        iv = slot_interval(int(rng.integers(1, 1 << depth)))
+        r = DyadicRectangle(iv, DyadicInterval(0, 0))
+        masks = np.outer(dyadic.descendant_slot_mask(r.x, depth),
+                         dyadic.descendant_slot_mask(r.y, depth))
+        want = haar_inverse(HaarCoefficients2D(depth, haar_forward(f).table * masks))
+        assert_same_grid(partial_haar_sum(f, r), want)
+
+
+def test_incidence_columns_are_cached_read_only():
+    for depth in (1, 2, 3):
+        cols = dyadic._incidence_columns(depth)
+        assert dyadic._incidence_columns(depth) is cols
+        assert cols.dtype == np.float32
+        np.testing.assert_array_equal(cols, dyadic.rectangle_incidence(depth).T)
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_rectangles_inside_matches_the_per_call_conversion(depth):
+    rng = np.random.default_rng(110 + depth)
+    incidence = dyadic.rectangle_incidence(depth)
+    for density in (0.3, 0.7, 0.95, 1.0):
+        masks = rng.random((40, 4 ** depth)) < density
+        want = (~masks).astype(np.float32) @ incidence.T == 0
+        got = dyadic.rectangles_inside(masks, depth)
+        assert got.dtype == bool and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)

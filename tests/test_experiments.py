@@ -96,6 +96,36 @@ def test_bilinear_sign_average_matches_the_per_row_stacks(depth):
         assert got.mean() == pytest.approx(want.mean(), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sign_average_with_the_cached_path_matches_a_fresh_search(depth, monkeypatch):
+    assert experiments._sign_pair_path(depth) is experiments._sign_pair_path(depth)
+    rng = np.random.default_rng(70 + depth)
+    pairs = [(random_grid(depth, rng), random_grid(depth, rng)) for _ in range(3)]
+    got = [_sign_pair_square_norms(b, f) for b, f in pairs]
+    monkeypatch.setattr(experiments, "_sign_pair_path", lambda depth: True)
+    for (b, f), cached in zip(pairs, got):
+        want = _sign_pair_square_norms(b, f)       # optimize=True: the path searched per call
+        assert cached.dtype == want.dtype and cached.shape == want.shape
+        np.testing.assert_array_equal(cached, want)
+
+
+def test_finite_stats_median_matches_numpy():
+    rng = np.random.default_rng(5)
+    for _ in range(5_000):
+        size = int(rng.integers(1, 12))
+        scale = 10.0 ** rng.integers(-3, 4)
+        values = (rng.standard_normal(size) * scale).tolist()
+        if rng.random() < 0.3:
+            values += values[: int(rng.integers(1, size + 1))]     # ties
+        if rng.random() < 0.2:
+            values.append(math.inf if rng.random() < 0.5 else math.nan)
+        good = [v for v in values if math.isfinite(v)]
+        stats = experiments._finite_stats(values)
+        assert stats["median"] == float(np.median(good))
+        assert type(stats["median"]) is float
+    assert experiments._finite_stats([math.nan, math.inf]) == {"count": 0}
+
+
 def test_identity_suite_depth_3():
     names = set(identity_gap_suite(2, np.random.default_rng(0)))
     for seed in (0, 1, 2):

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from haarbloom.dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
+    HaarCoefficients2D,
     Shadow,
     cancellative_rectangles,
     haar_forward,
     haar_function,
+    haar_inverse,
     haar_project,
     haar_project_x,
     haar_project_y,
@@ -18,7 +21,9 @@ from haarbloom.dyadic import (
     partial_haar_sum,
     random_grid,
     random_symbol,
+    rectangles_in_shadow,
     slot_interval,
+    slot_of,
     unit_square,
 )
 from haarbloom.operators import (
@@ -538,3 +543,59 @@ def test_paraproduct_matrices_refuse_depths_beyond_their_limit(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="limited to depth <= 5"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# unchecked synthesis and stack sums against the checked forms they replaced
+# ---------------------------------------------------------------------------
+
+def assert_same_grid(got, want):
+    assert got.depth == want.depth
+    assert got.values.dtype == want.values.dtype == np.float64
+    assert got.values.shape == want.values.shape == (1 << got.depth,) * 2
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+def checked_inverse(depth, table):
+    """Oracle: the validated coefficient table, then the public inverse transform."""
+    return haar_inverse(HaarCoefficients2D(depth, table))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_literal_operators_match_the_checked_synthesis(depth):
+    rng = np.random.default_rng(120 + depth)
+    n = 1 << depth
+    for _ in range(3):
+        b, f = random_grid(depth, rng), random_grid(depth, rng)
+        sx, sy = SignChoice1D.random(depth, rng), SignChoice1D.random(depth, rng)
+        sigma = SignChoice2D.random(depth, rng)
+        table = haar_forward(f).table
+        assert_same_grid(haar_multiplier_x(f, sx),
+                         checked_inverse(depth, table * sx.signs[:, None]))
+        assert_same_grid(haar_multiplier_y(f, sy),
+                         checked_inverse(depth, table * sy.signs[None, :]))
+        assert_same_grid(haar_multiplier(f, sigma), checked_inverse(depth, table * sigma.signs))
+        assert_same_grid(bi_cancellative_part(f), checked_inverse(depth, _cc_table(f)))
+        cc = _cc_table(f)
+        want = (b * checked_inverse(depth, cc)
+                - checked_inverse(depth, cc * rectangle_average_table(b)))
+        assert_same_grid(theta_operator(b)(f), want)
+        omega = Shadow(rng.random((n, n)) < 0.6)
+        keep = np.zeros((n, n), bool)
+        for r in rectangles_in_shadow(omega):
+            keep[slot_of(r.x), slot_of(r.y)] = True
+        assert_same_grid(restricted_projection(f, omega), checked_inverse(depth, table * keep))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_stack_operators_add_their_images_like_a_python_fold(depth):
+    rng = np.random.default_rng(130 + depth)
+    n = 1 << depth
+    b = random_grid(depth, rng)
+    ops = [lambda_operator(b)] + [paraproduct_operator(kind, b) for kind in PARAPRODUCT_KINDS]
+    for _ in range(3):
+        f = random_grid(depth, rng)
+        for op in ops:
+            (mats,) = held_arrays(op)
+            want = GridFunction2D(depth, reduce(np.add, mats @ f.values.ravel()).reshape(n, n))
+            assert_same_grid(op(f), want)
