@@ -11,8 +11,9 @@ Both kernels work on stacks of matrices.  The sign supremum builds the
 commutator matrices of all its sign pairs at once
 (:func:`~haarbloom.operators.commutator_matrices`) and scores them in
 one batched SVD or one batched power iteration; a single operator is the
-stack of one.  Away from 2 only the matrices whose upper bound reaches
-the stack's best warm-start ratio are iterated; the rest are pruned.
+stack of one.  Away from 2 the matrix with the highest upper bound is
+warm-started first, then only those whose bound reaches its warm ratio;
+those whose bound reaches the best warm ratio are iterated, the rest pruned.
 A norm can also be built as a :class:`NormJob` and finished later:
 :func:`solve` runs the trajectories of many jobs of one exponent in a
 single power iteration, as the experiment sweeps do per combination.
@@ -33,6 +34,9 @@ from .operators import (
     commutator_matrices,
 )
 from .weights import Weight
+
+#: the C kernel behind ``np.einsum`` (same bits), without its Python argument handling
+_einsum = (np._core if hasattr(np, "_core") else np.core).multiarray.c_einsum
 
 #: deepest grid on which the sign supremum walks every sign pair
 EXHAUSTIVE_MAX_DEPTH = 2
@@ -113,7 +117,7 @@ def opnorm_upper_bracket(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float)
 
 
 def _lp_norms(u: np.ndarray, p: float) -> np.ndarray:
-    return (np.abs(u) ** p).sum(axis=-1) ** (1.0 / p)
+    return np.add.reduce(np.abs(u) ** p, axis=-1) ** (1.0 / p)
 
 
 def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
@@ -125,33 +129,37 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
     weight the output by its (p-1)-st power, pull back through the
     adjoint and invert the gauge with the dual exponent.  A trajectory
     stops once its ratio moves by at most ``tol`` (relative above 1) or
-    its iterate vanishes; the live stacks are gathered again only then.
-    Returns, per trajectory, the best ratio over its iterates, the first
-    iterate reaching it, and how many ratios it evaluated.
+    its iterate vanishes; the live stacks and best ratios are gathered
+    again only then.  Returns, per trajectory, the best ratio over its
+    iterates, the first iterate reaching it, and how many ratios it
+    evaluated.
     """
     pp = p / (p - 1.0)
     ul = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
-    best = np.full(len(b), -np.inf)
-    best_u = ul.copy()
-    count = np.zeros(len(b), dtype=int)
-    live, bl, prev = np.arange(len(b)), b, best.copy()
-    for _ in range(max_iter):
+    best, best_u, count = np.full(len(b), -np.inf), ul.copy(), np.full(len(b), max_iter)
+    live, bl, prev, lbest, lbest_u = np.arange(len(b)), b, best.copy(), best.copy(), ul.copy()
+    for k in range(max_iter):
         if live.size == 0:
             break
-        out = np.einsum("tij,tj->ti", bl, ul)
-        r = _lp_norms(out, p) / _lp_norms(ul, p)
-        count[live] += 1
-        up = r > best[live]
-        best[live[up]] = r[up]
-        best_u[live[up]] = ul[up]
+        out = _einsum("tij,tj->ti", bl, ul)
+        a = np.abs(out)
+        r = np.add.reduce(a ** p, axis=-1) ** (1.0 / p) / _lp_norms(ul, p)
+        up = r > lbest
+        np.copyto(lbest, r, where=up)
+        np.copyto(lbest_u, ul, where=up[:, None])
         moving = np.abs(r - prev) > tol * np.maximum(1.0, np.abs(r))
-        y = np.einsum("tji,tj->ti", bl, np.sign(out) * np.abs(out) ** (p - 1.0))
-        nxt = np.sign(y) * np.abs(y) ** (pp - 1.0)
+        # copysign(|x|^e, x) is sign(x) * |x|^e bit for bit: einsum never returns -0.0
+        y = _einsum("tji,tj->ti", bl, np.copysign(a ** (p - 1.0), out))
+        nxt = np.copysign(np.abs(y) ** (pp - 1.0), y)
         norm = _lp_norms(nxt, p)
         keep = moving & (norm != 0.0)
         if not keep.all():
-            live, bl, r, nxt, norm = live[keep], bl[keep], r[keep], nxt[keep], norm[keep]
+            gone = live[~keep]
+            best[gone], best_u[gone], count[gone] = lbest[~keep], lbest_u[~keep], k + 1
+            live, bl, r, nxt, norm, lbest, lbest_u = (
+                x[keep] for x in (live, bl, r, nxt, norm, lbest, lbest_u))
         prev, ul = r, nxt / norm[:, None]
+    best[live], best_u[live] = lbest, lbest_u
     return best, best_u, count
 
 
@@ -159,10 +167,10 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
 class _LpStack:
     """A stack of conjugated matrices between warm starts and the power iteration.
 
-    ``best``/``best_u`` hold the ratio and unit iterate of every start of
-    every non-zero matrix (the warm starts already scored); ``live`` and
-    ``starts`` the matrices whose bracket reaches the best warm ratio, and
-    their starts, still to iterate.
+    ``nonzero`` counts the non-zero matrices; ``warm`` indexes the ones
+    warm-started, whose every start's ratio and unit iterate ``best``/
+    ``best_u`` hold; ``run`` marks those whose bracket reaches the best
+    warm ratio, and ``live``/``starts`` their matrices and starts to iterate.
     """
 
     depth: int
@@ -171,7 +179,8 @@ class _LpStack:
     max_iter: int
     tol: float
     upper: np.ndarray
-    nonzero: np.ndarray
+    nonzero: int
+    warm: np.ndarray
     run: np.ndarray
     best: np.ndarray
     best_u: np.ndarray
@@ -179,74 +188,90 @@ class _LpStack:
     starts: np.ndarray
 
 
+def _warm_starts(b2: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: float):
+    """Starts of the matrices ``rows`` (``b2``, ``b``: conjugated at 2 and at p): the p = 2
+    maximizer, its absolute value, then ``extra``; raw, as units, and the warm ratios."""
+    warm = np.linalg.svd(b2[rows])[2][:, 0]
+    starts = np.stack([warm, np.abs(warm)] + [np.broadcast_to(e, warm.shape) for e in extra],
+                      axis=1)                              # (pairs, starts, m)
+    units = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    ratios = (_lp_norms(np.einsum("tij,tsj->tsi", b[rows], units[:, :2]), p)
+              / _lp_norms(units[:, :2], p))
+    return starts, units, ratios
+
+
 def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
                 restarts: int, seed: int | np.random.Generator | None = 0,
                 max_iter: int = 500, tol: float = 1e-9) -> _LpStack:
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
-    Every matrix is warm-started from its p = 2 maximizer and that
-    vector's absolute value, plus ``restarts - 2`` random starts shared by
-    all matrices.  A matrix whose upper bound is below the best warm-start
-    ratio at p is pruned: it keeps its best warm ratio, with 0 iterations.
+    The matrix with the highest upper bound, then only those whose bound
+    reaches its best warm ratio (no other can raise the best one or be
+    iterated), start from their p = 2 maximizer and its absolute value,
+    plus ``restarts - 2`` random starts shared by all.  A matrix whose
+    bound is below the best warm ratio keeps that, with 0 iterations.
     """
     if p <= 1:
         raise ValueError(f"the iteration needs p > 1, got {p}")
     b = _conjugated(mats, depth, mu, lam, p)
     upper = _upper_brackets(b, p)
-    rng = ensure_rng(seed)
     count, m = b.shape[0], b.shape[-1]
     nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
     per = max(2, restarts)
     if nonzero.size == 0:
         empty = np.zeros((0, per, m))
-        return _LpStack(depth, mu, p, max_iter, tol, upper, nonzero, np.zeros(0, bool),
+        return _LpStack(depth, mu, p, max_iter, tol, upper, 0, nonzero, np.zeros(0, bool),
                         empty[..., 0], empty, b[:0], empty)
 
-    warm = np.linalg.svd(_conjugated(mats[nonzero], depth, mu, lam, 2))[2][:, 0]
-    starts = [warm, np.abs(warm)]
-    starts += [np.broadcast_to(rng.standard_normal(m), warm.shape)
-               for _ in range(per - len(starts))]
-    starts = np.stack(starts, axis=1)                      # (pairs, starts, m)
-    best = np.full(starts.shape[:2], -np.inf)
-    best_u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
-    best[:, :2] = (_lp_norms(np.einsum("tij,tsj->tsi", b[nonzero], best_u[:, :2]), p)
-                   / _lp_norms(best_u[:, :2], p))
-    run = upper[nonzero] * (1.0 + 1e-9) >= best[:, :2].max()
-    return _LpStack(depth, mu, p, max_iter, tol, upper, nonzero, run, best, best_u,
-                    b[nonzero[run]], starts[run])
+    extra = ensure_rng(seed).standard_normal((per - 2, m)) if per > 2 else ()
+    b2, reach = _conjugated(mats, depth, mu, lam, 2), upper * (1.0 + 1e-9)
+    top = nonzero[np.argmax(upper[nonzero])]
+    parts = [_warm_starts(b2, b, top[None], extra, p)]
+    warm = np.union1d(nonzero[reach[nonzero] >= parts[0][2].max()], top)
+    others = warm[warm != top]
+    if others.size:
+        parts.append(_warm_starts(b2, b, others, extra, p))
+    order = np.argsort(np.append(top, others))
+    starts, best_u, ratios = (np.concatenate(arrays)[order] for arrays in zip(*parts))
+    best = np.full((warm.size, per), -np.inf)
+    best[:, :2] = ratios
+    run = reach[warm] >= ratios.max()
+    return _LpStack(depth, mu, p, max_iter, tol, upper, nonzero.size, warm, run, best, best_u,
+                    b[warm[run]], starts[run])
 
 
 def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray):
     """Fold the iterated trajectories into ``stack``: certified lower bounds.
 
-    Returns per matrix the lower bound, its unit l^p maximizer (None where
-    the matrix is zero), the iteration count and the upper bound, then the
-    number pruned, then per matrix whether no iterated start stopped at
-    ``max_iter``.  A lower bound above its bracket raises: it means the
+    Returns the matrix with the highest lower bound (ties: the first), that
+    bound and its unit l^p maximizer (None when every matrix is zero); then
+    per matrix the iteration count; then the number pruned, and whether no
+    iterated start of the winner stopped at ``max_iter``.  A warm-started
+    matrix whose lower bound is above its bracket raises: it means the
     arithmetic, not the operator, went wrong.
     """
-    count, per = len(stack.upper), stack.best_u.shape[1]
-    values = np.zeros(count)
-    units: list[np.ndarray | None] = [None] * count
-    iterations = np.zeros(count, dtype=int)
-    converged = np.ones(count, dtype=bool)
+    per = stack.best_u.shape[1]
     best, best_u = stack.best, stack.best_u
-    iterated = stack.nonzero[stack.run]
-    best[stack.run], best_u[stack.run], its = (
+    its = np.zeros(best.shape, dtype=int)
+    best[stack.run], best_u[stack.run], its[stack.run] = (
         a.reshape(-1, per, *a.shape[1:]) for a in (ran_best, ran_u, ran_its))
     pick = np.argmax(best, axis=1)         # ties: the earliest start, as a sequential walk
-    values[stack.nonzero] = best[np.arange(stack.nonzero.size), pick]
-    iterations[iterated] = its.sum(axis=1)
-    converged[iterated] = (its < stack.max_iter).all(axis=1)
-    escaped = values > stack.upper * (1.0 + 1e-9)
+    values = best[np.arange(stack.warm.size), pick]
+    bounds = stack.upper[stack.warm]
+    escaped = values > bounds * (1.0 + 1e-9)
     if escaped.any():
         i = int(np.argmax(escaped))
-        raise RuntimeError(f"lower bound {values[i]} escaped the bracket {stack.upper[i]}")
-    for row, i in enumerate(stack.nonzero):
-        u = best_u[row, pick[row]]
-        units[i] = u / _lp_norms(u, stack.p)
-    pruned = int(stack.nonzero.size - stack.run.sum())
-    return values, units, iterations, stack.upper, pruned, converged
+        raise RuntimeError(f"lower bound {values[i]} escaped the bracket {bounds[i]}")
+    iterations = np.zeros(len(stack.upper), dtype=int)
+    iterations[stack.warm] = its.sum(axis=1)
+    pruned = int(stack.nonzero - stack.run.sum())
+    if stack.warm.size == 0:
+        return 0, 0.0, None, iterations, pruned, True
+    row = int(np.argmax(values))
+    u = best_u[row, pick[row]]
+    converged = not stack.run[row] or bool((its[row] < stack.max_iter).all())
+    return (int(stack.warm[row]), values[row], u / _lp_norms(u, stack.p), iterations, pruned,
+            converged)
 
 
 def _lp_result(depth: int, mu: Weight, p: float, value: float, unit: np.ndarray | None,
@@ -310,11 +335,10 @@ def solve(jobs: list[NormJob]) -> None:
         return
     for job, ran in zip(pending, _iterate([job.stack for job in pending])):
         stack = job.stack
-        values, units, its, upper, pruned, converged = _lp_finish(stack, *ran)
-        idx = int(values.argmax())
-        job.result = _lp_result(stack.depth, stack.mu, stack.p, values[idx], units[idx],
-                                its[idx], upper[idx], pruned)
-        job.result.converged = bool(converged[idx])
+        idx, value, unit, its, pruned, converged = _lp_finish(stack, *ran)
+        job.result = _lp_result(stack.depth, stack.mu, stack.p, value, unit, its[idx],
+                                stack.upper[idx], pruned)
+        job.result.converged = converged
         if job.signs is not None:
             job.result.iterations = int(np.maximum(1, its).sum())
             job.result.sign_pair = tuple(SignChoice1D(stack.depth, s[idx]) for s in job.signs)

@@ -347,12 +347,12 @@ def singleton_supremum(b, mu, lam, p, sx, sy):
     best = None
     for i in range(len(mats)):
         stack = opnorm_module._lp_prepare(mats[i:i + 1], b.depth, mu, lam, p, 2)
-        values, units, its, upper, pruned, _ = opnorm_module._lp_finish(
+        idx, value, unit, its, pruned, _ = opnorm_module._lp_finish(
             stack, *opnorm_module._iterate([stack])[0])
-        assert pruned == 0
-        if best is None or values[0] > best.value:
-            best = opnorm_module._lp_result(b.depth, mu, p, values[0], units[0], its[0],
-                                            upper[0], pruned)
+        assert idx == 0 and pruned == 0
+        if best is None or value > best.value:
+            best = opnorm_module._lp_result(b.depth, mu, p, value, unit, its[0],
+                                            stack.upper[0], pruned)
             best.sign_pair = (sx[i], sy[i])
     return best
 
@@ -446,14 +446,51 @@ def test_bracket_escape_raises_when_every_pair_is_pruned(monkeypatch):
     assert iterated == [0, 0]                   # the halved bracket pruned every pair
 
 
+# a warm-started pair below the top one: its bracket is shrunk to the top pair's warm
+# ratio W0, so it is still warm-started, while its own warm ratio is above W0
+ESCAPE_BELOW_TOP = """
+import importlib
+import numpy as np
+from haarbloom.dyadic import random_symbol
+from haarbloom.weights import random_cascade_weight
+opnorm = importlib.import_module("haarbloom.opnorm")
+rng = np.random.default_rng(32)
+b = random_symbol(2, rng)
+mu, lam = random_cascade_weight(2, 0.6, rng), random_cascade_weight(2, 0.6, rng)
+stack = opnorm.sup_commutator_job(b, mu, lam, 1.5).stack
+ratios = stack.best[:, :2].max(axis=1)
+top, j = int(np.argmax(stack.upper)), int(stack.warm[np.argmax(ratios)])
+w0 = ratios[stack.warm == top][0]
+real_upper, real_warm = opnorm._upper_brackets, opnorm._warm_starts
+warmed = []
+opnorm._upper_brackets = lambda m, p: np.where(np.arange(len(m)) == j, w0, real_upper(m, p))
+opnorm._warm_starts = lambda mats, b, rows, *rest: (warmed.append(list(rows))
+                                                   or real_warm(mats, b, rows, *rest))
+try:
+    opnorm.sup_commutator_norm(b, mu, lam, 1.5)
+except RuntimeError as exc:
+    print(top != j, ratios.max() > w0 * (1 + 1e-6), warmed[0] == [top], j in warmed[1], exc)
+finally:
+    opnorm._upper_brackets, opnorm._warm_starts = real_upper, real_warm
+"""
+
+
+def test_bracket_escape_raises_below_the_top_pair(capsys):
+    exec(ESCAPE_BELOW_TOP, {})
+    out = capsys.readouterr().out
+    assert out.startswith("True True True True lower bound") and "escaped the bracket" in out
+
+
 def test_pruning_and_escape_guards_survive_optimize_flag():
-    # python -O strips assert statements; both guards must still fire
+    # python -O strips assert statements; the guards must still fire
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", ESCAPE_ALL_PRUNED],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("[0] lower bound") and "escaped the bracket" in proc.stdout
+    for script, start in ((ESCAPE_ALL_PRUNED, "[0] lower bound"),
+                          (ESCAPE_BELOW_TOP, "True True True True lower bound")):
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(start) and "escaped the bracket" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -544,3 +581,161 @@ def test_converged_reports_an_iteration_cut_short():
     assert sup_commutator_norm(b, mu, lam, 1.5).converged is True
     # exact results carry no convergence flag
     assert "converged" not in opnorm_p2_exact(mat, mu, lam).as_dict()
+
+
+# ---------------------------------------------------------------------------
+# warm starts only for the pairs their bracket can reach, against the
+# preparation that warm-started every pair, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+def lp_prepare_warming_every_pair(mats, depth, mu, lam, p, restarts, seed=0):
+    """The preparation before: every non-zero matrix warm-started and scored."""
+    conjugated, lp = opnorm_module._conjugated, opnorm_module._lp_norms
+    b = conjugated(mats, depth, mu, lam, p)
+    upper = opnorm_module._upper_brackets(b, p)
+    rng = opnorm_module.ensure_rng(seed)
+    count, m = b.shape[0], b.shape[-1]
+    nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
+    per = max(2, restarts)
+    if nonzero.size == 0:
+        empty = np.zeros((0, per, m))
+        return dict(upper=upper, nonzero=nonzero, run=np.zeros(0, bool), best=empty[..., 0],
+                    best_u=empty, live=b[:0], starts=empty)
+    warm = np.linalg.svd(conjugated(mats[nonzero], depth, mu, lam, 2))[2][:, 0]
+    starts = [warm, np.abs(warm)]
+    starts += [np.broadcast_to(rng.standard_normal(m), warm.shape)
+               for _ in range(per - len(starts))]
+    starts = np.stack(starts, axis=1)
+    best = np.full(starts.shape[:2], -np.inf)
+    best_u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    best[:, :2] = (lp(np.einsum("tij,tsj->tsi", b[nonzero], best_u[:, :2]), p)
+                   / lp(best_u[:, :2], p))
+    run = upper[nonzero] * (1.0 + 1e-9) >= best[:, :2].max()
+    return dict(upper=upper, nonzero=nonzero, run=run, best=best, best_u=best_u,
+                live=b[nonzero[run]], starts=starts[run])
+
+
+def solve_warming_every_pair(old, depth, mu, p, signs=None, max_iter=500, tol=1e-9):
+    """The finish and winner before: bounds of every non-zero matrix, then the argmax."""
+    per, m = old["best_u"].shape[1:]
+    ran = opnorm_module._power_iteration(old["live"].repeat(per, axis=0),
+                                         old["starts"].reshape(-1, m), p, max_iter, tol)
+    count = len(old["upper"])
+    values, iterations = np.zeros(count), np.zeros(count, dtype=int)
+    converged = np.ones(count, dtype=bool)
+    best, best_u, nonzero, run = old["best"], old["best_u"], old["nonzero"], old["run"]
+    best[run], best_u[run], its = (a.reshape(-1, per, *a.shape[1:]) for a in ran)
+    pick = np.argmax(best, axis=1)
+    values[nonzero] = best[np.arange(nonzero.size), pick]
+    iterations[nonzero[run]] = its.sum(axis=1)
+    converged[nonzero[run]] = (its < max_iter).all(axis=1)
+    assert not (values > old["upper"] * (1.0 + 1e-9)).any()
+    idx = int(values.argmax())
+    unit = None
+    if nonzero.size:
+        row = int(np.flatnonzero(nonzero == idx)[0])
+        u = best_u[row, pick[row]]
+        unit = u / opnorm_module._lp_norms(u, p)
+    res = opnorm_module._lp_result(depth, mu, p, values[idx], unit, iterations[idx],
+                                   old["upper"][idx], int(nonzero.size - run.sum()))
+    res.converged = bool(converged[idx])
+    if signs is not None:
+        res.iterations = int(np.maximum(1, iterations).sum())
+        res.sign_pair = tuple(SignChoice1D(depth, s[idx]) for s in signs)
+    return res
+
+
+def assert_same_stack(new, old):
+    """Same iterated set, pruned count, live matrices and starts, bit for bit."""
+    np.testing.assert_array_equal(new.warm[new.run], old["nonzero"][old["run"]])
+    assert new.nonzero - new.run.sum() == old["nonzero"].size - old["run"].sum()
+    assert set(new.warm) <= set(old["nonzero"]) and new.nonzero == old["nonzero"].size
+    for got, want in ((new.live, old["live"]), (new.starts, old["starts"])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_bits(got, want):
+    assert_same_result(got, want)
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    if want.witness is not None:
+        assert got.witness.values.tobytes() == want.witness.values.tobytes()
+
+
+def exhaustive_rows(depth):
+    """The sign pairs of an exhaustive walk: one per class, slot-1 signs +1."""
+    rows = axis_sign_rows(depth)
+    rows = rows[rows[:, 1] > 0]
+    return np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+
+
+def supremum_cases():
+    """Sign-supremum stacks at depths 1-2, exhaustive and sampled, weighted and not."""
+    rng = np.random.default_rng(60)
+    for depth, delta, mode in itertools.product((1, 2), (0.0, 0.6), ("exhaustive", "sampled")):
+        b = random_symbol(depth, rng)
+        mu = random_cascade_weight(depth, delta, rng)
+        lam = random_cascade_weight(depth, delta, rng)
+        if mode == "exhaustive":
+            sx, sy = exhaustive_rows(depth)
+        else:
+            draws = np.random.default_rng(9)
+            sampled = [SignChoice1D.random(depth, draws).signs for _ in range(2 * 12)]
+            sx, sy = np.array(sampled[0::2]), np.array(sampled[1::2])
+        yield b, mu, lam, mode, sx, sy
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+def test_reachable_warm_starts_match_warming_every_pair(p):
+    warmed = nonzero = 0
+    for b, mu, lam, mode, sx, sy in supremum_cases():
+        mats = commutator_matrices(b, sx, sy)
+        new = opnorm_module._lp_prepare(mats, b.depth, mu, lam, p, 2)
+        old = lp_prepare_warming_every_pair(mats, b.depth, mu, lam, p, 2)
+        assert_same_stack(new, old)
+        warmed, nonzero = warmed + new.warm.size, nonzero + new.nonzero
+        got = sup_commutator_norm(b, mu, lam, p, mode=mode, trials=12, seed=9)
+        assert_same_bits(got, solve_warming_every_pair(old, b.depth, mu, p, (sx, sy)))
+    assert warmed < nonzero                     # some pairs were never warm-started
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
+    rng = np.random.default_rng(61)
+    b = random_symbol(2, rng)
+    mu = random_cascade_weight(2, 0.6, rng)
+    lam = random_cascade_weight(2, 0.6, rng)
+    # one matrix with random restarts takes exactly one warm-start SVD
+    mat = materialize(lambda_operator(b), 2)
+    real_svd, warm_svds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, compute_uv=True, **kw: (
+        compute_uv and warm_svds.append(len(a))) or real_svd(a, *args, compute_uv=compute_uv, **kw))
+    new = opnorm_module._lp_prepare(mat.matrix[None], 2, mu, lam, p, 6, 4)
+    monkeypatch.undo()
+    assert warm_svds == [1]
+    old = lp_prepare_warming_every_pair(mat.matrix[None], 2, mu, lam, p, 6, 4)
+    assert_same_stack(new, old)
+    assert_same_bits(opnorm(mat, mu, lam, p, restarts=6, seed=4),
+                     solve_warming_every_pair(old, 2, mu, p))
+    # an all-zero stack
+    signs = exhaustive_rows(2)
+    zero = commutator_matrices(GridFunction2D.zeros(2), *signs)
+    new = opnorm_module._lp_prepare(zero, 2, mu, lam, p, 2)
+    old = lp_prepare_warming_every_pair(zero, 2, mu, lam, p, 2)
+    assert_same_stack(new, old)
+    assert_same_bits(sup_commutator_norm(GridFunction2D.zeros(2), mu, lam, p),
+                     solve_warming_every_pair(old, 2, mu, p, signs))
+    # two pairs tie for the highest bracket: negating one axis negates the commutator
+    sx, sy = axis_sign_rows(2)[:5], axis_sign_rows(2)[3:]
+    mats = commutator_matrices(b, sx, sy)
+    top = int(np.argmax(opnorm_module._upper_brackets(
+        opnorm_module._conjugated(mats, 2, mu, lam, p), p)))
+    mats = np.concatenate([mats[:2], -mats[top:top + 1], mats[2:]])
+    signs = (np.concatenate([sx[:2], -sx[top:top + 1], sx[2:]]),
+             np.concatenate([sy[:2], sy[top:top + 1], sy[2:]]))
+    new = opnorm_module._lp_prepare(mats, 2, mu, lam, p, 2)
+    assert new.upper[2] == new.upper.max() == new.upper[top + (top >= 2)]
+    old = lp_prepare_warming_every_pair(mats, 2, mu, lam, p, 2)
+    assert_same_stack(new, old)
+    job = opnorm_module.NormJob(p, stack=new, signs=signs)
+    opnorm_module.solve([job])
+    assert_same_bits(job.result, solve_warming_every_pair(old, 2, mu, p, signs))

@@ -3,13 +3,14 @@
     python3 tools/bench_pair.py --workload identities-d2 --parent HEAD~1 \
         --pairs 10 --seeds 3,4,5,6,7,8,9,10,11,12
 
-The committed files of ``--parent`` are exported with ``git archive`` into a
-temporary directory (so the parent side runs exactly what that commit holds,
-and nothing is registered in ``.git``).  Each pair then runs the unchanged
-``bench/run.py --trace 0`` once there and once in the working tree, with the
-same seed and the ``run_seconds`` of ``BENCHMARK.json``, alternating which
-side goes first.  Pair ``i`` uses seed
-``seeds[i % len(seeds)]``.
+The committed files of ``--parent`` and of ``HEAD`` are each exported with
+``git archive`` into a temporary directory, so both sides run exactly what
+their commit holds, from a fresh checkout alike, and nothing is registered in
+``.git``.  Uncommitted changes under ``src/`` or ``bench/`` are refused
+rather than left out of the run.  Each pair then runs the unchanged
+``bench/run.py --trace 0`` once in each export, with the same seed and the
+``run_seconds`` of ``BENCHMARK.json``, alternating which side goes first.
+Pair ``i`` uses seed ``seeds[i % len(seeds)]``.
 
 The output file holds, for every end-to-end metric, each side's runs,
 median and quartiles, how many pairs the change won (by the direction
@@ -42,14 +43,16 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def export(ref: str, dest: Path) -> None:
-    """Write the committed tree of ``ref`` into ``dest``."""
+def export(ref: str, dest: Path) -> Path:
+    """Write the committed tree of ``ref`` into ``dest/<ref's sha>`` and return that path."""
+    tree = dest / git("rev-parse", ref)
     archive = dest / "tree.tar"
     with open(archive, "wb") as fh:
         subprocess.run(["git", "archive", ref], cwd=ROOT, check=True, stdout=fh)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
+        tar.extractall(tree, filter="data")
     archive.unlink()
+    return tree
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,6 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if dirty := git("status", "--porcelain", "--", "src", "bench"):
+        parser.error(f"commit or stash the changes under src/ and bench/ first:\n{dirty}")
     out_path = args.out or ROOT / f"BENCH_{args.workload}.json"
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = float(bench["run_seconds"])
@@ -114,8 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     order = []
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        trees = {"parent": export(args.parent, Path(tmp)), "change": export("HEAD", Path(tmp))}
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -137,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         # the src/ tree hashes still identify what ran after a commit is amended
         "parent": {"ref": args.parent, "sha": git("rev-parse", args.parent),
                    "src_tree": git("rev-parse", f"{args.parent}:src")},
-        "change": {"sha": git("rev-parse", "HEAD"), "src_tree": git("rev-parse", "HEAD:src"),
-                   "dirty": bool(git("status", "--porcelain", "--", "src", "bench"))},
+        "change": {"sha": git("rev-parse", "HEAD"), "src_tree": git("rev-parse", "HEAD:src")},
         "environment": {k: env.get(k) for k in ("nproc", "cpu", "blas_threads", "python",
                                                 "numpy", "blas")},
         "metrics": summarise(runs, bench["end_to_end"]),
