@@ -464,8 +464,8 @@ w0 = ratios[stack.warm == top][0]
 real_upper, real_warm = opnorm._upper_brackets, opnorm._warm_starts
 warmed = []
 opnorm._upper_brackets = lambda m, p: np.where(np.arange(len(m)) == j, w0, real_upper(m, p))
-opnorm._warm_starts = lambda mats, b, rows, *rest: (warmed.append(list(rows))
-                                                   or real_warm(mats, b, rows, *rest))
+opnorm._warm_starts = lambda b2, b, rows, *rest: (warmed.append(list(rows))
+                                                 or real_warm(b2, b, rows, *rest))
 try:
     opnorm.sup_commutator_norm(b, mu, lam, 1.5)
 except RuntimeError as exc:
@@ -707,8 +707,13 @@ def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
     # one matrix with random restarts takes exactly one warm-start SVD
     mat = materialize(lambda_operator(b), 2)
     real_svd, warm_svds = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, compute_uv=True, **kw: (
-        compute_uv and warm_svds.append(len(a))) or real_svd(a, *args, compute_uv=compute_uv, **kw))
+
+    def counted_svd(a, *args, compute_uv=True, **kwargs):
+        if compute_uv:
+            warm_svds.append(len(a))
+        return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     new = opnorm_module._lp_prepare(mat.matrix[None], 2, mu, lam, p, 6, 4)
     monkeypatch.undo()
     assert warm_svds == [1]

@@ -139,9 +139,10 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs, "seeds": [seeds[i % len(seeds)] for i in range(args.pairs)],
         "order": order,
         # the src/ tree hashes still identify what ran after a commit is amended
-        "parent": {"ref": args.parent, "sha": git("rev-parse", args.parent),
-                   "src_tree": git("rev-parse", f"{args.parent}:src")},
-        "change": {"sha": git("rev-parse", "HEAD"), "src_tree": git("rev-parse", "HEAD:src")},
+        "parent": {"ref": args.parent, "sha": trees["parent"].name,
+                   "src_tree": git("rev-parse", f"{trees['parent'].name}:src")},
+        "change": {"sha": trees["change"].name,
+                   "src_tree": git("rev-parse", f"{trees['change'].name}:src")},
         "environment": {k: env.get(k) for k in ("nproc", "cpu", "blas_threads", "python",
                                                 "numpy", "blas")},
         "metrics": summarise(runs, bench["end_to_end"]),
