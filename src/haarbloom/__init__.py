@@ -40,24 +40,23 @@ from .norms import (
 from .operators import (
     SignChoice1D,
     SignChoice2D,
+    bi_cancellative_part,
     commutator_apply,
     commutator_matrices,
     haar_multiplier,
     iterated_commutator,
-    lambda_apply,
     lambda_matrix,
     lambda_operator,
     materialize,
-    paraproduct_apply,
     paraproduct_matrix,
     paraproduct_operator,
     restricted_projection,
-    theta_apply,
 )
 from .opnorm import opnorm, opnorm_p2_exact, sup_commutator_norm
 from .weights import (
     Weight,
     ap_characteristic,
+    average_comparability_report,
     bloom_weight,
     conjugate_weight,
     constant_weight,
@@ -78,6 +77,8 @@ __all__ = [
     "Weight",
     "all_rectangles",
     "ap_characteristic",
+    "average_comparability_report",
+    "bi_cancellative_part",
     "bloom_weight",
     "bmo_prod_one_weight",
     "bmo_prod_two_weight",
@@ -94,7 +95,6 @@ __all__ = [
     "haar_multiplier",
     "haar_project",
     "iterated_commutator",
-    "lambda_apply",
     "lambda_matrix",
     "lambda_operator",
     "little_bmo",
@@ -102,7 +102,6 @@ __all__ = [
     "materialize",
     "opnorm",
     "opnorm_p2_exact",
-    "paraproduct_apply",
     "paraproduct_matrix",
     "paraproduct_operator",
     "partial_haar_sum",
@@ -113,7 +112,6 @@ __all__ = [
     "square_function",
     "strong_maximal",
     "sup_commutator_norm",
-    "theta_apply",
     "triebel_lizorkin_square_function",
     "unit_square",
 ]

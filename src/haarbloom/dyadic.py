@@ -452,30 +452,12 @@ def axis_haar_values(interval: DyadicInterval, depth: int, cancellative: bool = 
 HAAR_KINDS = ("00", "10", "01", "11")
 
 
-@dataclass(frozen=True)
-class HaarFunctionSpec:
-    """A rectangle together with which tensor Haar type to take on it."""
-
-    rect: DyadicRectangle
-    kind: str = "00"
-
-    def __post_init__(self) -> None:
-        if self.kind not in HAAR_KINDS:
-            raise ValueError(f"kind must be one of {HAAR_KINDS}, got {self.kind!r}")
-
-
-def haar_function(spec: HaarFunctionSpec | DyadicRectangle, depth: int,
-                  kind: str | None = None) -> GridFunction2D:
-    """Evaluate a tensor Haar function on the grid.
-
-    Accepts either a :class:`HaarFunctionSpec` or a rectangle plus ``kind``.
-    """
-    if isinstance(spec, DyadicRectangle):
-        spec = HaarFunctionSpec(spec, "00" if kind is None else kind)
-    elif kind is not None:
-        raise TypeError("pass kind inside the HaarFunctionSpec")
-    vx = axis_haar_values(spec.rect.x, depth, cancellative=spec.kind[0] == "0")
-    vy = axis_haar_values(spec.rect.y, depth, cancellative=spec.kind[1] == "0")
+def haar_function(rect: DyadicRectangle, depth: int, kind: str = "00") -> GridFunction2D:
+    """Evaluate the tensor Haar function of type ``kind`` on ``rect`` on the grid."""
+    if kind not in HAAR_KINDS:
+        raise ValueError(f"kind must be one of {HAAR_KINDS}, got {kind!r}")
+    vx = axis_haar_values(rect.x, depth, cancellative=kind[0] == "0")
+    vy = axis_haar_values(rect.y, depth, cancellative=kind[1] == "0")
     return GridFunction2D._of(depth, vx[:, None] * vy)
 
 

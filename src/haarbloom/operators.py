@@ -104,21 +104,6 @@ def _cc_table(f: GridFunction2D) -> np.ndarray:
     return table
 
 
-def paraproduct_apply(kind: str, b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
-    """One of the four biparameter paraproducts with symbol ``b`` applied to ``f``.
-
-    ``kind`` names the Haar type the *input* is paired with; the output
-    comes out against the complementary type.  "0" = cancellative,
-    "1" = scaling, first character is the x-axis.
-    """
-    return paraproduct_operator(kind, b)(f)
-
-
-def lambda_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
-    """Sum of the four paraproducts: the symbol side of the commutator calculus."""
-    return lambda_operator(b)(f)
-
-
 def _snapshot(b: GridFunction2D) -> GridFunction2D:
     """Read-only copy of a symbol, so an operator ignores later edits to ``b``."""
     b = b.copy()
@@ -148,16 +133,20 @@ def _stack_operator(depth: int, mats: np.ndarray) -> Operator:
 
 
 def paraproduct_operator(kind: str, b: GridFunction2D) -> Operator:
-    """One paraproduct of ``b``, applied as its matrix, which is built once, here."""
+    """One of the four paraproducts of ``b``, applied as its matrix, built once, here.
+
+    ``kind`` names the Haar type the *input* is paired with; the output
+    comes out against the complementary type.  "0" = cancellative,
+    "1" = scaling, first character is the x-axis.
+    """
     return _stack_operator(b.depth, paraproduct_matrix(kind, b).matrix[None])
 
 
 def lambda_operator(b: GridFunction2D) -> Operator:
-    """Lambda of ``b``: the four paraproduct matrices, built once, here.
-
-    They are applied as one stacked product whose images are added in
-    :data:`PARAPRODUCT_KINDS` order, so :func:`lambda_apply` is bit for bit
-    the sum of the four :func:`paraproduct_apply`.
+    """Lambda of ``b``, the sum of the four paraproducts: the symbol side of the
+    commutator calculus.  Their matrices, built once, here, are applied as one
+    stacked product whose images are added in :data:`PARAPRODUCT_KINDS` order,
+    so each image is bit for bit the sum of the four :func:`paraproduct_operator` ones.
     """
     return _stack_operator(b.depth, _paraproduct_matrices(b, PARAPRODUCT_KINDS))
 
@@ -370,17 +359,13 @@ def rectangle_average_table(f: GridFunction2D) -> np.ndarray:
     return out
 
 
-def theta_apply(b: GridFunction2D, f: GridFunction2D) -> GridFunction2D:
-    """Oscillation operator: sum over rectangles of f_R (b - <b>_R) h_R.
+def theta_operator(b: GridFunction2D) -> Operator:
+    """Oscillation operator: f -> sum over rectangles of f_R (b - <b>_R) h_R.
 
     Splitting off the average term turns it into ``b`` times the fully
-    cancellative part of ``f`` minus a multiplier with weights <b>_R.
+    cancellative part of ``f`` minus a multiplier with weights <b>_R.  It
+    reads a read-only snapshot of ``b``, whose average table is built once.
     """
-    return theta_operator(b)(f)
-
-
-def theta_operator(b: GridFunction2D) -> Operator:
-    """Theta of a read-only snapshot of ``b``, whose average table is built once."""
     b = _snapshot(b)
     averages = rectangle_average_table(b)
 
@@ -508,14 +493,14 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
 
 
 def paraproduct_matrix(kind: str, b: GridFunction2D) -> OperatorMatrix:
-    """Dense matrix of :func:`paraproduct_apply` for one ``kind``."""
+    """Dense matrix of :func:`paraproduct_operator` for one ``kind``."""
     if kind not in PARAPRODUCT_KINDS:
         raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
     return OperatorMatrix(b.depth, _paraproduct_matrices(b, (kind,))[0])
 
 
 def lambda_matrix(b: GridFunction2D) -> OperatorMatrix:
-    """Dense matrix of :func:`lambda_apply`.
+    """Dense matrix of :func:`lambda_operator`.
 
     The four kinds are every pairing of an x-type with a y-type, so their
     sum factors into one kernel per axis.

@@ -64,12 +64,10 @@ class OpNormResult:
     pruned: int | None = None
     converged: bool | None = None
 
-    def as_dict(self, witness_csv_path: str | None = None) -> dict:
+    def as_dict(self) -> dict:
         out = {"value": self.value, "kind": self.kind, "iterations": self.iterations}
         out |= {k: v for k in ("upper_bound", "pruned", "converged")
                 if (v := getattr(self, k)) is not None}
-        if witness_csv_path is not None:
-            out["witness_csv_path"] = witness_csv_path
         return out
 
 
@@ -85,14 +83,9 @@ def _conjugated(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float)
     return out_w[:, None] * mats * in_w[None, :]
 
 
-def weighted_p_matrix(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float) -> np.ndarray:
-    """Diagonal conjugation turning the weighted norm into a plain l^p norm."""
-    return _conjugated(mat.matrix, mat.depth, mu, lam, p)
-
-
 def opnorm_p2_exact(mat: OperatorMatrix, mu: Weight, lam: Weight) -> OpNormResult:
     """Exact L^2(mu) -> L^2(lam) norm as a top singular value, with maximizer."""
-    b = weighted_p_matrix(mat, mu, lam, 2)
+    b = _conjugated(mat.matrix, mat.depth, mu, lam, 2)
     _, s, vt = np.linalg.svd(b)
     area = 4.0 ** (-mat.depth)
     n = 1 << mat.depth
@@ -109,11 +102,6 @@ def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
         return one ** (2.0 / p - 1.0) * two ** (2.0 - 2.0 / p)
     inf = np.abs(b).sum(axis=-1).max(axis=-1)          # l^inf -> l^inf
     return two ** (2.0 / p) * inf ** (1.0 - 2.0 / p)
-
-
-def opnorm_upper_bracket(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float) -> float:
-    """Interpolation bound through the l^1, l^2 and l^infty matrix norms."""
-    return float(_upper_brackets(weighted_p_matrix(mat, mu, lam, p), p))
 
 
 def _lp_norms(u: np.ndarray, p: float) -> np.ndarray:
@@ -350,35 +338,29 @@ def _solved(job: NormJob) -> OpNormResult:
     return job.result
 
 
-def _lp_job(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
-            seed: int | np.random.Generator | None = 0, max_iter: int = 500,
-            tol: float = 1e-9) -> NormJob:
-    return NormJob(p, stack=_lp_prepare(mat.matrix[None], mat.depth, mu, lam, p, restarts,
-                                        seed, max_iter, tol))
+def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
+           seed: int | np.random.Generator | None = 0, max_iter: int = 500,
+           tol: float = 1e-9) -> OpNormResult:
+    """The L^p(mu) -> L^p(lam) norm of one operator matrix.
 
-
-def opnorm_lp_lower(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float,
-                    restarts: int = 4, seed: int | np.random.Generator | None = 0,
-                    max_iter: int = 500, tol: float = 1e-9) -> OpNormResult:
-    """Certified lower bound on the L^p(mu) -> L^p(lam) norm.
-
-    Nonlinear power iteration warm-started from the p = 2 maximizer plus
-    random restarts; the best ratio over all iterates is returned, never
-    exceeding the interpolation bracket.
+    At p = 2 the exact top singular value (the other options are not read).
+    Otherwise a certified lower bound: the nonlinear power iteration,
+    warm-started from the p = 2 maximizer and its absolute value plus
+    ``restarts - 2`` random starts drawn from ``seed``, returns the best
+    ratio over all iterates, never above the interpolation bracket it
+    reports as ``upper_bound``.
     """
-    return _solved(_lp_job(mat, mu, lam, p, restarts, seed, max_iter, tol))
+    return _solved(opnorm_job(mat, mu, lam, p, restarts, seed, max_iter, tol))
 
 
-def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, **kwargs) -> OpNormResult:
-    """Dispatch: exact singular value at p = 2, certified bracket otherwise."""
-    return _solved(opnorm_job(mat, mu, lam, p, **kwargs))
-
-
-def opnorm_job(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, **kwargs) -> NormJob:
+def opnorm_job(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
+               seed: int | np.random.Generator | None = 0, max_iter: int = 500,
+               tol: float = 1e-9) -> NormJob:
     """:func:`opnorm` as a job: solved when built at p = 2, by :func:`solve` otherwise."""
     if p == 2:
         return NormJob(p, opnorm_p2_exact(mat, mu, lam))
-    return _lp_job(mat, mu, lam, p, **kwargs)
+    return NormJob(p, stack=_lp_prepare(mat.matrix[None], mat.depth, mu, lam, p, restarts,
+                                        seed, max_iter, tol))
 
 
 # ---------------------------------------------------------------------------

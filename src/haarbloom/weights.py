@@ -112,26 +112,24 @@ def conjugate_weight(w: Weight, p: float, role: str = "generic") -> Weight:
     return Weight(GridFunction2D(w.depth, w.values ** (-1.0 / (p - 1.0))), role)
 
 
-def bloom_weight(mu: Weight, lam: Weight, p: float, check: bool = True) -> Weight:
+def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
     """Intermediate weight nu = mu^{1/p} lambda^{-1/p} for a two-weight pair.
 
-    With ``check`` on, verifies the two structural bounds that make nu
-    usable: its 2-characteristic is at least 1 and at most
-    ([mu]_p [lam]_p)^{1/p} (both up to float slack), raising
-    RuntimeError otherwise.
+    Verifies the two structural bounds that make nu usable: its
+    2-characteristic is at least 1 and at most ([mu]_p [lam]_p)^{1/p}
+    (both up to float slack), raising RuntimeError otherwise.
     """
     _check_exponent(p)
     if mu.depth != lam.depth:
         raise ValueError("weights live on different grids")
     nu = Weight(GridFunction2D(mu.depth, (mu.values / lam.values) ** (1.0 / p)), "nu")
-    if check:
-        a2 = ap_characteristic(nu, 2).characteristic
-        cap = (ap_characteristic(mu, p).characteristic
-               * ap_characteristic(lam, p).characteristic) ** (1.0 / p)
-        if not a2 >= 1.0 - 1e-12:
-            raise RuntimeError(f"2-characteristic {a2} below the Jensen floor")
-        if not a2 <= cap * (1.0 + 1e-9):
-            raise RuntimeError(f"2-characteristic {a2} exceeds the cap {cap}")
+    a2 = ap_characteristic(nu, 2).characteristic
+    cap = (ap_characteristic(mu, p).characteristic
+           * ap_characteristic(lam, p).characteristic) ** (1.0 / p)
+    if not a2 >= 1.0 - 1e-12:
+        raise RuntimeError(f"2-characteristic {a2} below the Jensen floor")
+    if not a2 <= cap * (1.0 + 1e-9):
+        raise RuntimeError(f"2-characteristic {a2} exceeds the cap {cap}")
     return nu
 
 

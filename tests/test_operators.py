@@ -44,7 +44,6 @@ from haarbloom.operators import (
     haar_multiplier_y,
     iterated_commutator,
     iterated_projection_commutator,
-    lambda_apply,
     lambda_matrix,
     lambda_operator,
     materialize,
@@ -52,12 +51,10 @@ from haarbloom.operators import (
     nested_commutator_apply,
     multiplier_operator_x,
     multiplier_operator_y,
-    paraproduct_apply,
     paraproduct_matrix,
     paraproduct_operator,
     rectangle_average_table,
     restricted_projection,
-    theta_apply,
     theta_operator,
 )
 
@@ -126,17 +123,17 @@ def test_paraproduct_frozen_example():
     # reproduces the normalized indicator (constant 1), the other three
     # vanish, so the four-term sum is the constant function 1
     h = haar_function(unit_square(), 1)
-    np.testing.assert_allclose(paraproduct_apply("00", h, h).values, 1.0, atol=1e-14)
+    np.testing.assert_allclose(paraproduct_operator("00", h)(h).values, 1.0, atol=1e-14)
     for kind in ("10", "01", "11"):
-        assert paraproduct_apply(kind, h, h).max_abs() < 1e-14
-    np.testing.assert_allclose(lambda_apply(h, h).values, 1.0, atol=1e-14)
+        assert paraproduct_operator(kind, h)(h).max_abs() < 1e-14
+    np.testing.assert_allclose(lambda_operator(h)(h).values, 1.0, atol=1e-14)
 
 
 def test_paraproduct_11_coefficients():
     # the fully non-cancellative pairing is diagonal: output coefficient
     # on R is b_R <f>_R
     b, f = random_symbol(2, 1), random_grid(2, 2)
-    out = haar_forward(paraproduct_apply("11", b, f))
+    out = haar_forward(paraproduct_operator("11", b)(f))
     bcc = haar_forward(b)
     avg = rectangle_average_table(f)
     for r in cancellative_rectangles(2):
@@ -158,21 +155,21 @@ def test_lambda_two_forms_agree_on_bi_cancellative_input():
     for _ in range(10):
         b = random_grid(2, rng)            # arbitrary symbol
         f = random_symbol(2, rng)          # bi-cancellative argument
-        got = lambda_apply(b, f)
+        got = lambda_operator(b)(f)
         want = lambda_second_form(b, f)
         assert (got - want).max_abs() < 1e-12
 
 
-def test_lambda_apply_is_the_sum_of_the_four_paraproducts_bit_for_bit():
+def test_lambda_operator_is_the_sum_of_the_four_paraproducts_bit_for_bit():
     rng = np.random.default_rng(12)
     for depth in (1, 2, 3):
         b, f = random_grid(depth, rng), random_grid(depth, rng)
-        want = paraproduct_apply("00", b, f)
+        want = paraproduct_operator("00", b)(f)
         for kind in ("10", "01", "11"):
-            want = want + paraproduct_apply(kind, b, f)
-        assert np.array_equal(lambda_apply(b, f).values, want.values)
+            want = want + paraproduct_operator(kind, b)(f)
+        assert np.array_equal(lambda_operator(b)(f).values, want.values)
     with pytest.raises(ValueError):
-        lambda_apply(random_grid(2, rng), random_grid(3, rng))
+        lambda_operator(random_grid(2, rng))(random_grid(3, rng))
 
 
 def test_lambda_two_forms_differ_off_the_cancellative_span():
@@ -180,7 +177,7 @@ def test_lambda_two_forms_differ_off_the_cancellative_span():
     # the argument the two expressions are genuinely different operators
     b = random_symbol(2, 3)
     f = random_grid(2, 4)
-    gap = (lambda_apply(b, f) - lambda_second_form(b, f)).max_abs()
+    gap = (lambda_operator(b)(f) - lambda_second_form(b, f)).max_abs()
     assert gap > 1e-3
 
 
@@ -239,7 +236,7 @@ def test_restricted_projection_recovers_symbol_from_lambda():
             mask[0, 0] = True
         omega = Shadow(mask)
         left = restricted_projection(b, omega)
-        right = restricted_projection(lambda_apply(b, indicator(omega)), omega)
+        right = restricted_projection(lambda_operator(b)(indicator(omega)), omega)
         assert (left - right).max_abs() < 1e-12
 
 
@@ -251,7 +248,7 @@ def test_theta_matches_brute_force():
     rng = np.random.default_rng(15)
     for _ in range(5):
         b, f = random_grid(2, rng), random_grid(2, rng)
-        assert (theta_apply(b, f) - theta_brute_force(b, f)).max_abs() < 1e-12
+        assert (theta_operator(b)(f) - theta_brute_force(b, f)).max_abs() < 1e-12
 
 
 def test_theta_replaces_symbol_in_single_commutators():
@@ -276,7 +273,7 @@ def test_theta_operator_snapshots_its_symbol():
     # the average table is built once, so later edits to b must not reach it
     rng = np.random.default_rng(18)
     b, f = random_grid(2, rng), random_grid(2, rng)
-    want = theta_apply(b, f)
+    want = theta_operator(b)(f)
     th = theta_operator(b)
     b.values[:] = 0.0
     np.testing.assert_array_equal(th(f).values, want.values)
@@ -299,7 +296,7 @@ def test_theta_sandwiched_by_one_rectangle_vanishes():
     rng = np.random.default_rng(17)
     b, f = random_grid(2, rng), random_grid(2, rng)   # no restriction here
     for r in cancellative_rectangles(2):
-        out = haar_project(theta_apply(b, haar_project(f, r)), r)
+        out = haar_project(theta_operator(b)(haar_project(f, r)), r)
         assert out.max_abs() < 1e-13
 
 
@@ -508,13 +505,13 @@ def test_axis_sign_rows_enumeration_order():
 def test_validation():
     b, f = random_grid(1, 1), random_grid(2, 2)
     with pytest.raises(ValueError):
-        paraproduct_apply("11", b, f)
+        paraproduct_operator("11", b)(f)
     with pytest.raises(ValueError):
-        paraproduct_apply("2", b, b)
+        paraproduct_operator("2", b)
     with pytest.raises(ValueError):
         haar_multiplier_x(f, SignChoice1D.constant(1))
     with pytest.raises(ValueError):
-        theta_apply(b, f)
+        theta_operator(b)(f)
     with pytest.raises(ValueError):
         OperatorMatrix(1, np.ones((3, 3)))
     with pytest.raises(ValueError):
@@ -535,10 +532,9 @@ def test_paraproduct_matrices_refuse_depths_beyond_their_limit(monkeypatch):
         monkeypatch.setattr(operators, name, boom)
     depth = operators.MATRIX_MAX_DEPTH + 1
     b, f = random_grid(depth, 1), random_grid(depth, 2)
-    calls = [lambda: lambda_apply(b, f), lambda: lambda_operator(b), lambda: lambda_matrix(b)]
+    calls = [lambda: lambda_operator(b)(f), lambda: lambda_matrix(b)]
     for kind in PARAPRODUCT_KINDS:
-        calls += [lambda kind=kind: paraproduct_apply(kind, b, f),
-                  lambda kind=kind: paraproduct_operator(kind, b),
+        calls += [lambda kind=kind: paraproduct_operator(kind, b)(f),
                   lambda kind=kind: paraproduct_matrix(kind, b)]
     for call in calls:
         with pytest.raises(ValueError, match="limited to depth <= 5"):

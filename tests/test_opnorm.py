@@ -15,6 +15,7 @@ from haarbloom.operators import (
     SignChoice1D,
     axis_sign_rows,
     commutator_matrices,
+    lambda_matrix,
     lambda_operator,
     materialize,
     multiplication_operator,
@@ -22,11 +23,8 @@ from haarbloom.operators import (
 )
 from haarbloom.opnorm import (
     opnorm,
-    opnorm_lp_lower,
     opnorm_p2_exact,
-    opnorm_upper_bracket,
     sup_commutator_norm,
-    weighted_p_matrix,
 )
 from haarbloom.weights import Weight, constant_weight, random_cascade_weight
 
@@ -36,6 +34,11 @@ opnorm_module = importlib.import_module("haarbloom.opnorm")
 
 def inverse_weight(w, role="generic"):
     return Weight(GridFunction2D(w.depth, 1.0 / w.values), role)
+
+
+def conjugated(mat, mu, lam, p):
+    """The plain matrix whose l^p norm is the weighted L^p(mu) -> L^p(lam) norm of ``mat``."""
+    return opnorm_module._conjugated(mat.matrix, mat.depth, mu, lam, p)
 
 
 def test_multiplication_norm_is_sup_norm():
@@ -73,7 +76,10 @@ def test_lower_bound_matches_exact_at_p2():
         lam = random_cascade_weight(2, 0.6, rng)
         mat = materialize(lambda_operator(b), 2)
         exact = opnorm_p2_exact(mat, mu, lam).value
-        lower = opnorm_lp_lower(mat, mu, lam, 2.0)
+        job = opnorm_module.NormJob(2.0, stack=opnorm_module._lp_prepare(
+            mat.matrix[None], mat.depth, mu, lam, 2.0, 4))
+        opnorm_module.solve([job])
+        lower = job.result
         assert lower.value == pytest.approx(exact, rel=1e-6)
         assert lower.value <= exact * (1 + 1e-9)
         assert lower.kind == "lower_bound"
@@ -86,9 +92,9 @@ def test_bracket_contains_the_norm():
     lam = random_cascade_weight(2, 0.5, 10)
     mat = materialize(lambda_operator(b), 2)
     exact = opnorm_p2_exact(mat, mu, lam).value
-    assert opnorm_upper_bracket(mat, mu, lam, 2) >= exact * (1 - 1e-12)
+    assert opnorm_module._upper_brackets(conjugated(mat, mu, lam, 2), 2) >= exact * (1 - 1e-12)
     for p in (1.5, 3.0):
-        res = opnorm_lp_lower(mat, mu, lam, p)
+        res = opnorm(mat, mu, lam, p)
         assert res.value <= res.upper_bound * (1 + 1e-9)
         got = (lp_weighted_norm(mat.apply(res.witness), lam, p)
                / lp_weighted_norm(res.witness, mu, p))
@@ -101,6 +107,14 @@ def test_opnorm_dispatch():
     one = constant_weight(2)
     assert opnorm(mat, one, one, 2).kind == "exact"
     assert opnorm(mat, one, one, 1.5).kind == "lower_bound"
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_misspelled_options_raise_at_every_p(p):
+    mat, one = lambda_matrix(random_symbol(2, 11)), constant_weight(2)
+    for front_door in (opnorm, opnorm_module.opnorm_job):
+        with pytest.raises(TypeError, match="restrats"):
+            front_door(mat, one, one, p, restrats=3)
 
 
 def test_duality_p2():
@@ -121,8 +135,8 @@ def test_weighted_matrix_is_transpose_consistent():
     mu = random_cascade_weight(2, 0.5, 14)
     lam = random_cascade_weight(2, 0.5, 15)
     mat = materialize(lambda_operator(b), 2)
-    bmat = weighted_p_matrix(mat, mu, lam, 2)
-    dual = weighted_p_matrix(mat.transpose(), inverse_weight(lam), inverse_weight(mu), 2)
+    bmat = conjugated(mat, mu, lam, 2)
+    dual = conjugated(mat.transpose(), inverse_weight(lam), inverse_weight(mu), 2)
     np.testing.assert_allclose(dual, bmat.T, rtol=1e-12)
 
 
@@ -130,7 +144,7 @@ def test_zero_operator():
     zero = OperatorMatrix(1, np.zeros((4, 4)))
     one = constant_weight(1)
     assert opnorm_p2_exact(zero, one, one).value == 0.0
-    res = opnorm_lp_lower(zero, one, one, 1.5)
+    res = opnorm(zero, one, one, 1.5)
     assert res.value == 0.0 and res.witness is None
 
 
@@ -189,8 +203,6 @@ def test_result_serialization():
     res = sup_commutator_norm(b, one, one, 2)
     d = res.as_dict()
     assert set(d) == {"value", "kind", "iterations"}
-    d = res.as_dict(witness_csv_path="w.csv")
-    assert d["witness_csv_path"] == "w.csv"
 
 
 def test_validation():
@@ -203,11 +215,11 @@ def test_validation():
     mat = OperatorMatrix(1, np.eye(4))
     one = constant_weight(1)
     with pytest.raises(ValueError):
-        weighted_p_matrix(mat, one, one, 0.5)
+        conjugated(mat, one, one, 0.5)
     with pytest.raises(ValueError):
-        opnorm_lp_lower(mat, one, one, 1.0)
+        opnorm(mat, one, one, 1.0)
     with pytest.raises(ValueError):
-        weighted_p_matrix(mat, constant_weight(2), one, 2)
+        conjugated(mat, constant_weight(2), one, 2)
 
 
 def per_pair_supremum(b, mu, lam, p, restarts=2):
@@ -217,10 +229,7 @@ def per_pair_supremum(b, mu, lam, p, restarts=2):
     for rx, ry in itertools.product(rows, repeat=2):
         sx, sy = SignChoice1D(b.depth, rx), SignChoice1D(b.depth, ry)
         mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), b.depth)
-        if p == 2:
-            res = opnorm_p2_exact(mat, mu, lam)
-        else:
-            res = opnorm_lp_lower(mat, mu, lam, p, restarts=restarts)
+        res = opnorm(mat, mu, lam, p, restarts=restarts)
         total += max(1, res.iterations)
         if best is None or res.value > best.value:
             best = res
@@ -273,7 +282,7 @@ def test_bracket_escape_raises(monkeypatch):
     real = opnorm_module._upper_brackets
     monkeypatch.setattr(opnorm_module, "_upper_brackets", lambda m, p: 0.5 * real(m, p))
     with pytest.raises(RuntimeError, match="escaped the bracket"):
-        opnorm_lp_lower(mat, one, one, 3.0)
+        opnorm(mat, one, one, 3.0)
     with pytest.raises(RuntimeError, match="escaped the bracket"):
         sup_commutator_norm(b, one, one, 1.5)
 
@@ -573,9 +582,9 @@ def test_converged_reports_an_iteration_cut_short():
     mu = random_cascade_weight(2, 0.6, 53)
     lam = random_cascade_weight(2, 0.6, 54)
     mat = materialize(lambda_operator(b), 2)
-    cut = opnorm_lp_lower(mat, mu, lam, 3.0, max_iter=1)
+    cut = opnorm(mat, mu, lam, 3.0, max_iter=1)
     assert cut.converged is False and cut.as_dict()["converged"] is False
-    full = opnorm_lp_lower(mat, mu, lam, 3.0)
+    full = opnorm(mat, mu, lam, 3.0)
     assert full.converged is True and full.as_dict()["converged"] is True
     assert full.iterations < 4 * 500
     assert sup_commutator_norm(b, mu, lam, 1.5).converged is True

@@ -1,11 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
+import haarbloom
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "haarbloom"
 TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _trees(*folders):
@@ -23,19 +27,43 @@ def test_no_assert_statements_in_the_package():
     assert SRC.is_dir() and not found, found
 
 
-def test_every_module_level_function_and_class_is_used():
-    # a helper that nothing in src/ or tests/ names outside its own body is dead code
+def unused(*folders):
+    """Module-level functions and classes of src/ that nothing in ``folders`` names
+    outside their own body, as (file name, name)."""
     uses = defaultdict(list)
-    for path, tree in _trees(SRC, TESTS):
+    for path, tree in _trees(*folders):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses[node.id].append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].append((path, node.lineno))
-    dead = [f"{path.name}:{node.name}"
+    return [(path.name, node.name)
             for path, tree in _trees(SRC)
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and all(where == path and node.lineno <= line <= node.end_lineno
                     for where, line in uses[node.name])]
+
+
+def test_every_module_level_function_and_class_is_used():
+    # a helper that nothing in src/ or tests/ names outside its own body is dead code
+    dead = [f"{module}:{name}" for module, name in unused(SRC, TESTS)]
     assert SRC.is_dir() and not dead, dead
+
+
+def test_public_names_only_tests_use_are_exported():
+    # tests may keep alive only what the package exports: a public function or
+    # class that nothing in src/ names must be in haarbloom.__all__, or it is a
+    # wrapper that only tests call
+    exported = set(haarbloom.__all__)
+    stray = [f"{module}:{name}" for module, name in unused(SRC)
+             if not name.startswith("_") and name not in exported]
+    assert SRC.is_dir() and not stray, stray
+
+
+def test_readme_library_use_runs(capsys):
+    # the README example names public functions; deleting one must fail here
+    section = README.read_text().split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, f"{README.name} (Library use)", "exec"), {})
+    assert capsys.readouterr().out.split()[-1] == "True"

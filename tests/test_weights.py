@@ -95,7 +95,7 @@ def test_bloom_bounds_hold():
     for _ in range(10):
         mu = random_cascade_weight(2, 0.9, rng)
         lam = random_cascade_weight(2, 0.9, rng)
-        bloom_weight(mu, lam, 2.5, check=True)  # asserts internally
+        bloom_weight(mu, lam, 2.5)  # asserts internally
     # unweighted pair collapses to the constant 1
     nu = bloom_weight(constant_weight(2), constant_weight(2), 2)
     np.testing.assert_array_equal(nu.values, 1.0)
@@ -210,4 +210,8 @@ def test_guards_raise_instead_of_asserting(monkeypatch):
     fake = lambda w, p: ApReport(p, 2.0 if w.role == "nu" else 1.0, unit_square())
     monkeypatch.setattr(weights, "ap_characteristic", fake)
     with pytest.raises(RuntimeError, match="exceeds the cap"):
+        bloom_weight(w, constant_weight(2), 2.0)
+    fake = lambda w, p: ApReport(p, 0.5 if w.role == "nu" else 1.0, unit_square())
+    monkeypatch.setattr(weights, "ap_characteristic", fake)
+    with pytest.raises(RuntimeError, match="below the Jensen floor"):
         bloom_weight(w, constant_weight(2), 2.0)
