@@ -2,10 +2,12 @@
 
 Everything downstream works on a grid of 2^N x 2^N congruent cells of
 [0,1)^2.  This module owns the interval/rectangle types, grid functions,
-the tensor Haar basis with its forward/inverse transform (two products
-with cached per-depth matrices), one- and two-parameter Haar
-projections, partial sums over a rectangle, cell masks ("shadows"), and
-CSV round-tripping of grids.  Every per-rectangle
+the tensor Haar basis, one- and two-parameter Haar projections, partial
+sums over a rectangle, cell masks ("shadows"), and CSV round-tripping of
+grids.  The 1D Haar system of each depth is one cached read-only
+:func:`axis_table`: the forward/inverse transform is two products with
+its analysis and synthesis matrices, and the projections read their rows
+from it by slot.  Every per-rectangle
 loop goes through the pyramid (:func:`rectangle_sums`,
 :func:`rectangle_means`) and the cached :func:`rectangle_table`.
 
@@ -366,50 +368,62 @@ class HaarCoefficients2D:
         return float(np.square(self.table).sum())
 
 
-def _forward_axis0(values: np.ndarray) -> np.ndarray:
-    """1D Haar analysis along axis 0, slot layout as in the module docstring."""
-    out = np.empty_like(values)
-    avg = values
-    depth = values.shape[0].bit_length() - 1
-    for lev in range(depth - 1, -1, -1):
-        even, odd = avg[0::2], avg[1::2]
-        out[1 << lev: 2 << lev] = (odd - even) * 2.0 ** (-lev / 2 - 1)
-        avg = (even + odd) * 0.5
-    out[0] = avg[0]
+def axis_haar_values(interval: DyadicInterval, depth: int, cancellative: bool = True) -> np.ndarray:
+    """Cell values of a 1D Haar (or L2-normalized indicator) function, from the geometry."""
+    out = np.zeros(1 << depth)
+    scale = 2.0 ** (interval.level / 2)
+    if cancellative:
+        if interval.level >= depth:
+            raise ValueError(f"level-{interval.level} Haar function is not resolved at depth {depth}")
+        lo, hi = interval.halves()
+        out[lo.cell_slice(depth)] = -scale
+        out[hi.cell_slice(depth)] = scale
+    else:
+        out[interval.cell_slice(depth)] = scale
     return out
 
 
-def _inverse_axis0(coeffs: np.ndarray) -> np.ndarray:
-    depth = coeffs.shape[0].bit_length() - 1
-    avg = coeffs[0:1].copy()
-    for lev in range(depth):
-        step = coeffs[1 << lev: 2 << lev] * 2.0 ** (lev / 2)
-        nxt = np.empty((2 << lev,) + coeffs.shape[1:], dtype=coeffs.dtype)
-        nxt[0::2] = avg - step
-        nxt[1::2] = avg + step
-        avg = nxt
-    return avg
+class AxisTable:
+    """The 1D Haar system of a depth-N axis, one row per flat slot, read-only.
+
+    ``hc[p]`` holds the cell values of the slot-p Haar function (row 0 the
+    constant), ``hn[p]`` those of the L2-normalized indicator, and
+    ``scale[p, q] = 2^((level_p + level_q)/2)`` is the inverse square-root
+    area of the slot-pair rectangle.  ``analysis = hc / 2^N`` and
+    ``synthesis = hc^T`` are the transform matrices: :func:`haar_forward`
+    is ``A f A^T`` and :func:`haar_synthesis` is ``S c S^T``.
+    """
+
+    def __init__(self, depth: int):
+        n = 1 << depth
+        self.hc, self.hn = np.ones((n, n)), np.ones((n, n))
+        for p in range(1, n):
+            iv = slot_interval(p)
+            self.hc[p] = axis_haar_values(iv, depth)
+            self.hn[p] = axis_haar_values(iv, depth, cancellative=False)
+        scale = 2.0 ** (np.array([max(p.bit_length() - 1, 0) for p in range(n)]) / 2.0)
+        self.scale = np.outer(scale, scale)
+        self.analysis, self.synthesis = self.hc / n, np.ascontiguousarray(self.hc.T)
+        for table in (self.hc, self.hn, self.scale, self.analysis, self.synthesis):
+            table.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
-def _transform_matrices(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only 1D analysis and synthesis matrices ``(A, S)`` of a depth-N axis.
+def axis_table(depth: int) -> AxisTable:
+    return AxisTable(depth)
 
-    Built once per depth by running the level loops on the identity, so
-    those loops stay the only definition of the transform:
-    :func:`haar_forward` is ``A f A^T`` and :func:`haar_inverse` is
-    ``S c S^T``.
-    """
-    eye = np.eye(1 << depth)
-    out = _forward_axis0(eye), _inverse_axis0(eye)
-    for mat in out:
-        mat.flags.writeable = False
-    return out
+
+def _axis_row(interval: DyadicInterval, depth: int, cancellative: bool = True) -> np.ndarray:
+    """:func:`axis_haar_values`, read from the axis table by slot where the table holds it."""
+    if interval.level >= depth:    # an unresolved Haar function (raises) or a cell indicator
+        return axis_haar_values(interval, depth, cancellative)
+    table = axis_table(depth)
+    return (table.hc if cancellative else table.hn)[slot_of(interval)]
 
 
 def haar_forward(f: GridFunction2D) -> HaarCoefficients2D:
     """Full tensor Haar analysis of a grid function."""
-    a, _ = _transform_matrices(f.depth)
+    a = axis_table(f.depth).analysis
     return HaarCoefficients2D._of(f.depth, a @ f.values @ a.T)
 
 
@@ -419,32 +433,8 @@ def haar_inverse(c: HaarCoefficients2D) -> GridFunction2D:
 
 def haar_synthesis(depth: int, table: np.ndarray) -> GridFunction2D:
     """:func:`haar_inverse` of a float64 ``(2^depth, 2^depth)`` table, taken unchecked."""
-    _, s = _transform_matrices(depth)
+    s = axis_table(depth).synthesis
     return GridFunction2D._of(depth, s @ table @ s.T)
-
-
-@lru_cache(maxsize=None)
-def axis_haar_values(interval: DyadicInterval, depth: int, cancellative: bool = True) -> np.ndarray:
-    """Cell values of a 1D Haar (or L2-normalized indicator) function, cached read-only.
-
-    Evaluated directly from the interval geometry, independently of the
-    transform and its level loops, which makes it usable as a
-    cross-check oracle.
-    """
-    out = np.zeros(1 << depth)
-    scale = 2.0 ** (interval.level / 2)
-    if cancellative:
-        if interval.level >= depth:
-            raise ValueError(
-                f"level-{interval.level} Haar function is not resolved at depth {depth}"
-            )
-        lo, hi = interval.halves()
-        out[lo.cell_slice(depth)] = -scale
-        out[hi.cell_slice(depth)] = scale
-    else:
-        out[interval.cell_slice(depth)] = scale
-    out.flags.writeable = False
-    return out
 
 
 #: the four tensor Haar types; first character is the x-axis, "0" =
@@ -456,8 +446,8 @@ def haar_function(rect: DyadicRectangle, depth: int, kind: str = "00") -> GridFu
     """Evaluate the tensor Haar function of type ``kind`` on ``rect`` on the grid."""
     if kind not in HAAR_KINDS:
         raise ValueError(f"kind must be one of {HAAR_KINDS}, got {kind!r}")
-    vx = axis_haar_values(rect.x, depth, cancellative=kind[0] == "0")
-    vy = axis_haar_values(rect.y, depth, cancellative=kind[1] == "0")
+    vx = _axis_row(rect.x, depth, cancellative=kind[0] == "0")
+    vy = _axis_row(rect.y, depth, cancellative=kind[1] == "0")
     return GridFunction2D._of(depth, vx[:, None] * vy)
 
 
@@ -467,21 +457,20 @@ def haar_function(rect: DyadicRectangle, depth: int, kind: str = "00") -> GridFu
 
 def haar_project(f: GridFunction2D, rect: DyadicRectangle) -> GridFunction2D:
     """Rank-one projection onto the fully cancellative Haar function of ``rect``."""
-    vx = axis_haar_values(rect.x, f.depth)
-    vy = axis_haar_values(rect.y, f.depth)
+    vx, vy = _axis_row(rect.x, f.depth), _axis_row(rect.y, f.depth)
     coef = float(vx @ f.values @ vy) * 4.0 ** (-f.depth)
     return GridFunction2D._of(f.depth, coef * (vx[:, None] * vy))
 
 
 def haar_project_x(f: GridFunction2D, interval: DyadicInterval) -> GridFunction2D:
     """One-parameter Haar projection in x only: h_I(x) <f(., y), h_I>."""
-    vx = axis_haar_values(interval, f.depth)
+    vx = _axis_row(interval, f.depth)
     per_y = (vx @ f.values) * 2.0 ** (-f.depth)
     return GridFunction2D._of(f.depth, vx[:, None] * per_y)
 
 
 def haar_project_y(f: GridFunction2D, interval: DyadicInterval) -> GridFunction2D:
-    vy = axis_haar_values(interval, f.depth)
+    vy = _axis_row(interval, f.depth)
     per_x = (f.values @ vy) * 2.0 ** (-f.depth)
     return GridFunction2D._of(f.depth, per_x[:, None] * vy)
 
@@ -649,7 +638,7 @@ def grid_to_csv(f: GridFunction2D, path: str | Path) -> None:
 
 def grid_from_csv(path: str | Path) -> GridFunction2D:
     lines = Path(path).read_text().strip().splitlines()
-    head = lines[0].strip()
+    head = lines[0].strip() if lines else ""
     if not head.startswith("# depth="):
         raise ValueError(f"missing '# depth=N' header in {path}")
     depth = int(head.removeprefix("# depth="))

@@ -9,7 +9,9 @@ projections onto rectangle families.
 
 Every operator is a linear map on the raveled cell values, ``R^(4^N)``.
 The paraproducts and Lambda are dense matrices from one einsum over the
-per-depth Haar bases (:func:`paraproduct_matrix`, :func:`lambda_matrix`);
+rows of :func:`~haarbloom.dyadic.axis_table`, the cached 1D Haar system
+the transform also multiplies by (:func:`paraproduct_matrix`,
+:func:`lambda_matrix`);
 their operators apply read-only matrices built once per symbol, and
 :func:`commutator_matrices` builds a stack of sign pairs at once.
 Multiplication, the projections, the multipliers and Theta stay literal
@@ -39,8 +41,9 @@ from .dyadic import (
     DyadicRectangle,
     GridFunction2D,
     RectangleCollection,
+    HAAR_KINDS,
     Shadow,
-    axis_haar_values,
+    axis_table,
     cancellative_rectangles,
     ensure_rng,
     haar_forward,
@@ -54,42 +57,11 @@ from .dyadic import (
     slot_of,
 )
 
-PARAPRODUCT_KINDS = ("00", "10", "01", "11")
 #: deepest grid whose paraproduct and Lambda matrices are built: a depth-5 matrix
 #: is 8 MB (16^5 entries) and Lambda stacks four; at depth 6 that stack is 512 MB
 MATRIX_MAX_DEPTH = 5
 
 Operator = Callable[[GridFunction2D], GridFunction2D]
-
-
-# ---------------------------------------------------------------------------
-# cached per-depth evaluation matrices
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _axis_bases(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(HC, HN, SC): cancellative rows, normalized-indicator rows, |R|^{-1/2} grid.
-
-    ``HC[p]`` holds the cell values of the slot-p Haar function (row 0 the
-    constant), ``HN[p]`` those of the L2-normalized indicator, and
-    ``SC[p, q] = 2^{(level_p + level_q)/2}`` is the inverse square-root
-    area of the slot-pair rectangle.  All three are read-only.
-    """
-    n = 1 << depth
-    hc = np.empty((n, n))
-    hn = np.empty((n, n))
-    hc[0] = 1.0
-    hn[0] = 1.0
-    for p in range(1, n):
-        iv = slot_interval(p)
-        hc[p] = axis_haar_values(iv, depth)
-        hn[p] = axis_haar_values(iv, depth, cancellative=False)
-    levels = np.array([0] + [slot_interval(p).level for p in range(1, n)])
-    scale = 2.0 ** (levels / 2.0)
-    bases = hc, hn, np.outer(scale, scale)
-    for table in bases:
-        table.flags.writeable = False
-    return bases
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +117,10 @@ def paraproduct_operator(kind: str, b: GridFunction2D) -> Operator:
 def lambda_operator(b: GridFunction2D) -> Operator:
     """Lambda of ``b``, the sum of the four paraproducts: the symbol side of the
     commutator calculus.  Their matrices, built once, here, are applied as one
-    stacked product whose images are added in :data:`PARAPRODUCT_KINDS` order,
+    stacked product whose images are added in :data:`~haarbloom.dyadic.HAAR_KINDS` order,
     so each image is bit for bit the sum of the four :func:`paraproduct_operator` ones.
     """
-    return _stack_operator(b.depth, _paraproduct_matrices(b, PARAPRODUCT_KINDS))
+    return _stack_operator(b.depth, _paraproduct_matrices(b, HAAR_KINDS))
 
 
 def multiplication_operator(b: GridFunction2D) -> Operator:
@@ -452,7 +424,8 @@ def _pairing_kernels(depth: int, stack: tuple[str, ...]) -> np.ndarray:
     the complementary type; several characters add their kernels.  Cached
     per (depth, stack) and read-only.
     """
-    hc, hn, _ = _axis_bases(depth)
+    table = axis_table(depth)
+    hc, hn = table.hc, table.hn
     out = np.zeros((len(stack), hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
     for s, kinds in enumerate(stack):
         for kind in kinds:
@@ -482,8 +455,7 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
     if b.depth > MATRIX_MAX_DEPTH:
         raise ValueError(f"paraproduct matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
                          f"(16^depth entries each), got {b.depth}")
-    _, _, sc = _axis_bases(b.depth)
-    coef = (_cc_table(b) * sc)[1:, 1:]
+    coef = (_cc_table(b) * axis_table(b.depth).scale)[1:, 1:]
     mats = np.einsum("pq,spik,sqjl->sijkl", coef,
                      _pairing_kernels(b.depth, tuple(x for x, _ in pairs)),
                      _pairing_kernels(b.depth, tuple(y for _, y in pairs)),
@@ -494,8 +466,8 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
 
 def paraproduct_matrix(kind: str, b: GridFunction2D) -> OperatorMatrix:
     """Dense matrix of :func:`paraproduct_operator` for one ``kind``."""
-    if kind not in PARAPRODUCT_KINDS:
-        raise ValueError(f"kind must be one of {PARAPRODUCT_KINDS}, got {kind!r}")
+    if kind not in HAAR_KINDS:
+        raise ValueError(f"kind must be one of {HAAR_KINDS}, got {kind!r}")
     return OperatorMatrix(b.depth, _paraproduct_matrices(b, (kind,))[0])
 
 
@@ -530,7 +502,7 @@ def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,
     sy = np.asarray(sigma_y, dtype=float)
     if sx.ndim != 2 or sx.shape[1] != n or sy.shape != sx.shape:
         raise ValueError(f"need two equal stacks of sign rows of length {n}")
-    hc = _axis_bases(b.depth)[0][1:]
+    hc = axis_table(b.depth).hc[1:]
     tx = np.einsum("sp,pi,pk->sik", sx[:, 1:], hc, hc) / n
     ty = np.einsum("sp,pj,pl->sjl", sy[:, 1:], hc, hc) / n
     v = b.values

@@ -40,6 +40,10 @@ _einsum = (np._core if hasattr(np, "_core") else np.core).multiarray.c_einsum
 
 #: deepest grid on which the sign supremum walks every sign pair
 EXHAUSTIVE_MAX_DEPTH = 2
+#: passes of the power iteration before a trajectory is cut short, and the
+#: relative change of its ratio below which it stops
+MAX_ITER = 500
+TOL = 1e-9
 
 
 @dataclass
@@ -52,7 +56,7 @@ class OpNormResult:
     ``upper_bound`` brackets lower bounds from above; ``sign_pair`` is
     set by the sign supremum; ``pruned`` counts matrices the bound skipped;
     ``converged`` (lower bounds only) is False when an iterated start of
-    the reported matrix stopped at ``max_iter``.
+    the reported matrix stopped at :data:`MAX_ITER`.
     """
 
     value: float
@@ -164,8 +168,6 @@ class _LpStack:
     depth: int
     mu: Weight
     p: float
-    max_iter: int
-    tol: float
     upper: np.ndarray
     nonzero: int
     warm: np.ndarray
@@ -189,8 +191,7 @@ def _warm_starts(b2: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: floa
 
 
 def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
-                restarts: int, seed: int | np.random.Generator | None = 0,
-                max_iter: int = 500, tol: float = 1e-9) -> _LpStack:
+                restarts: int, seed: int | np.random.Generator | None = 0) -> _LpStack:
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
     The matrix with the highest upper bound, then only those whose bound
@@ -208,7 +209,7 @@ def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
     per = max(2, restarts)
     if nonzero.size == 0:
         empty = np.zeros((0, per, m))
-        return _LpStack(depth, mu, p, max_iter, tol, upper, 0, nonzero, np.zeros(0, bool),
+        return _LpStack(depth, mu, p, upper, 0, nonzero, np.zeros(0, bool),
                         empty[..., 0], empty, b[:0], empty)
 
     extra = ensure_rng(seed).standard_normal((per - 2, m)) if per > 2 else ()
@@ -224,7 +225,7 @@ def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
     best = np.full((warm.size, per), -np.inf)
     best[:, :2] = ratios
     run = reach[warm] >= ratios.max()
-    return _LpStack(depth, mu, p, max_iter, tol, upper, nonzero.size, warm, run, best, best_u,
+    return _LpStack(depth, mu, p, upper, nonzero.size, warm, run, best, best_u,
                     b[warm[run]], starts[run])
 
 
@@ -234,7 +235,7 @@ def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its
     Returns the matrix with the highest lower bound (ties: the first), that
     bound and its unit l^p maximizer (None when every matrix is zero); then
     per matrix the iteration count; then the number pruned, and whether no
-    iterated start of the winner stopped at ``max_iter``.  A warm-started
+    iterated start of the winner stopped at :data:`MAX_ITER`.  A warm-started
     matrix whose lower bound is above its bracket raises: it means the
     arithmetic, not the operator, went wrong.
     """
@@ -257,7 +258,7 @@ def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its
         return 0, 0.0, None, iterations, pruned, True
     row = int(np.argmax(values))
     u = best_u[row, pick[row]]
-    converged = not stack.run[row] or bool((its[row] < stack.max_iter).all())
+    converged = not stack.run[row] or bool((its[row] < MAX_ITER).all())
     return (int(stack.warm[row]), values[row], u / _lp_norms(u, stack.p), iterations, pruned,
             converged)
 
@@ -297,13 +298,10 @@ class NormJob:
 def _iterate(stacks: list[_LpStack]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run the live trajectories of all ``stacks`` through one :func:`_power_iteration`
     call, even when none is left; returns each stack's slice of its output."""
-    if len({(s.p, s.max_iter, s.tol) for s in stacks}) > 1:
-        raise ValueError("stacks iterated together must share p, max_iter and tol")
-    first = stacks[0]
     starts = [s.starts.reshape(-1, s.starts.shape[-1]) for s in stacks]
     ran = _power_iteration(
         np.concatenate([s.live.repeat(s.starts.shape[1], axis=0) for s in stacks]),
-        np.concatenate(starts), first.p, first.max_iter, first.tol)
+        np.concatenate(starts), stacks[0].p, MAX_ITER, TOL)
     sizes = [len(u) for u in starts]
     return [tuple(a[end - size:end] for a in ran)
             for size, end in zip(sizes, itertools.accumulate(sizes))]
@@ -339,8 +337,7 @@ def _solved(job: NormJob) -> OpNormResult:
 
 
 def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
-           seed: int | np.random.Generator | None = 0, max_iter: int = 500,
-           tol: float = 1e-9) -> OpNormResult:
+           seed: int | np.random.Generator | None = 0) -> OpNormResult:
     """The L^p(mu) -> L^p(lam) norm of one operator matrix.
 
     At p = 2 the exact top singular value (the other options are not read).
@@ -350,17 +347,15 @@ def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int
     ratio over all iterates, never above the interpolation bracket it
     reports as ``upper_bound``.
     """
-    return _solved(opnorm_job(mat, mu, lam, p, restarts, seed, max_iter, tol))
+    return _solved(opnorm_job(mat, mu, lam, p, restarts, seed))
 
 
 def opnorm_job(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
-               seed: int | np.random.Generator | None = 0, max_iter: int = 500,
-               tol: float = 1e-9) -> NormJob:
+               seed: int | np.random.Generator | None = 0) -> NormJob:
     """:func:`opnorm` as a job: solved when built at p = 2, by :func:`solve` otherwise."""
     if p == 2:
         return NormJob(p, opnorm_p2_exact(mat, mu, lam))
-    return NormJob(p, stack=_lp_prepare(mat.matrix[None], mat.depth, mu, lam, p, restarts,
-                                        seed, max_iter, tol))
+    return NormJob(p, stack=_lp_prepare(mat.matrix[None], mat.depth, mu, lam, p, restarts, seed))
 
 
 # ---------------------------------------------------------------------------

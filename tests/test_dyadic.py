@@ -30,7 +30,6 @@ from haarbloom.dyadic import (
     unit_square,
 )
 from haarbloom import dyadic
-from haarbloom.operators import _axis_bases
 
 
 def rect(lx, ix, ly, iy):
@@ -170,28 +169,56 @@ def test_round_trip_and_plancherel():
         assert abs(c.energy() - (f * f).integral()) < 1e-12
 
 
+def forward_axis0(values):
+    """1D Haar analysis along axis 0 by per-level averages and differences."""
+    out = np.empty_like(values)
+    avg = values
+    depth = values.shape[0].bit_length() - 1
+    for lev in range(depth - 1, -1, -1):
+        even, odd = avg[0::2], avg[1::2]
+        out[1 << lev: 2 << lev] = (odd - even) * 2.0 ** (-lev / 2 - 1)
+        avg = (even + odd) * 0.5
+    out[0] = avg[0]
+    return out
+
+
+def inverse_axis0(coeffs):
+    depth = coeffs.shape[0].bit_length() - 1
+    avg = coeffs[0:1].copy()
+    for lev in range(depth):
+        step = coeffs[1 << lev: 2 << lev] * 2.0 ** (lev / 2)
+        nxt = np.empty((2 << lev,) + coeffs.shape[1:], dtype=coeffs.dtype)
+        nxt[0::2] = avg - step
+        nxt[1::2] = avg + step
+        avg = nxt
+    return avg
+
+
 def level_loop_forward(f):
     """The transform as the per-level loops run it, axis 0 then axis 1."""
-    return dyadic._forward_axis0(dyadic._forward_axis0(f.values).T).T
+    return forward_axis0(forward_axis0(f.values).T).T
 
 
 def level_loop_inverse(c):
-    return dyadic._inverse_axis0(dyadic._inverse_axis0(c.table.T).T)
+    return inverse_axis0(inverse_axis0(c.table.T).T)
 
 
 def test_transform_matrices_are_read_only_and_match_the_haar_bases():
-    # the cached matrices come from the level loops; the bases from the
-    # interval geometry (axis_haar_values), so the two are independent
-    for depth in range(1, 7):
-        a, s = dyadic._transform_matrices(depth)
-        assert dyadic._transform_matrices(depth)[0] is a
-        for mat in (a, s):
+    # the table's matrices come from the interval geometry (axis_haar_values);
+    # the level loops on the identity are an independent construction, and
+    # both give the same bits
+    for depth in range(1, 9):
+        table = dyadic.axis_table(depth)
+        assert dyadic.axis_table(depth) is table
+        eye = np.eye(1 << depth)
+        for got, want in ((table.analysis, forward_axis0(eye)),
+                          (table.synthesis, inverse_axis0(eye))):
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert table.analysis.tobytes() == (table.hc / (1 << depth)).tobytes()
+        for mat in (table.hc, table.hn, table.scale, table.analysis, table.synthesis):
             assert not mat.flags.writeable
             with pytest.raises(ValueError):
                 mat[0, 0] = 0.0
-        hc = _axis_bases(depth)[0]
-        np.testing.assert_allclose(a, hc / (1 << depth), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(s, hc.T, rtol=0, atol=1e-15)
 
 
 def test_transform_matches_the_level_loops():
@@ -208,14 +235,24 @@ def test_transform_matches_the_level_loops():
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_axis_values_are_cached_read_only():
-    iv = DyadicInterval(1, 1)
-    v = axis_haar_values(iv, 3)
-    assert axis_haar_values(iv, 3) is v
-    assert not v.flags.writeable
-    with pytest.raises(ValueError):
-        v[0] = 1.0
-    assert axis_haar_values(iv, 3, cancellative=False) is not v
+def test_axis_table_rows_are_the_axis_values():
+    # one row per slot, each the geometry's values; the scale grid is
+    # 2^((level_p + level_q) / 2), slot 0 standing for the root level
+    for depth in range(1, 5):
+        table = dyadic.axis_table(depth)
+        np.testing.assert_array_equal(table.hc[0], 1.0)
+        np.testing.assert_array_equal(table.hn[0], 1.0)
+        levels = [0]
+        for p in range(1, 1 << depth):
+            iv = slot_interval(p)
+            np.testing.assert_array_equal(table.hc[p], axis_haar_values(iv, depth))
+            np.testing.assert_array_equal(table.hn[p],
+                                          axis_haar_values(iv, depth, cancellative=False))
+            np.testing.assert_array_equal(dyadic._axis_row(iv, depth), table.hc[p])
+            np.testing.assert_array_equal(dyadic._axis_row(iv, depth, False), table.hn[p])
+            levels.append(iv.level)
+        half = 2.0 ** (np.array(levels) / 2.0)
+        np.testing.assert_array_equal(table.scale, np.outer(half, half))
 
 
 def test_block_views():
@@ -249,6 +286,36 @@ def test_haar_project():
     assert haar_project(p, other).max_abs() < 1e-14
     with pytest.raises(ValueError):
         haar_project(f, rect(2, 0, 0, 0))  # finest level: no resolved children
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_projections_refuse_unresolved_intervals(depth):
+    # an interval at level >= depth has no cancellative Haar function on the
+    # grid, and its slot lies past the table's last row
+    f = random_grid(depth, rng=depth)
+    root = DyadicInterval(0, 0)
+    for level in (depth, depth + 1):
+        iv = DyadicInterval(level, (1 << level) - 1)
+        for call in (lambda: haar_project(f, DyadicRectangle(iv, root)),
+                     lambda: haar_project(f, DyadicRectangle(root, iv)),
+                     lambda: haar_project_x(f, iv),
+                     lambda: haar_project_y(f, iv)):
+            with pytest.raises(ValueError, match="not resolved at depth"):
+                call()
+
+
+def test_haar_function_scaling_rows_reach_the_finest_level():
+    # a scaling axis may sit on a single cell (level N), a row the axis table
+    # does not hold
+    depth = 2
+    cell = np.array([0.0, 0.0, 0.0, 2.0])
+    h = np.array([-np.sqrt(2), np.sqrt(2), 0.0, 0.0])
+    r = rect(2, 3, 1, 0)
+    np.testing.assert_array_equal(haar_function(r, depth, "10").values, np.outer(cell, h))
+    np.testing.assert_array_equal(haar_function(rect(2, 3, 2, 3), depth, "11").values,
+                                  np.outer(cell, cell))
+    with pytest.raises(ValueError, match="not resolved at depth"):
+        haar_function(r, depth, "01")
 
 
 def test_one_parameter_projections():
@@ -366,6 +433,14 @@ def test_csv_round_trip(tmp_path):
     assert q.read_text() == text
 
 
+def test_csv_without_a_depth_header_is_refused(tmp_path):
+    for text in ("", "\n  \n", "1,2\n3,4\n"):
+        p = tmp_path / "grid.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="# depth=N"):
+            grid_from_csv(p)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridFunction2D(0, np.ones((1, 1)))
@@ -456,7 +531,7 @@ def test_rank_one_broadcasts_match_np_outer(depth):
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_synthesis_matches_the_checked_inverse(depth):
     rng = np.random.default_rng(100 + depth)
-    a, s = dyadic._transform_matrices(depth)
+    a, s = dyadic.axis_table(depth).analysis, dyadic.axis_table(depth).synthesis
     for _ in range(5):
         table = rng.standard_normal((1 << depth,) * 2)
         want = GridFunction2D(depth, s @ HaarCoefficients2D(depth, table).table @ s.T)

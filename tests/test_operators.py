@@ -8,8 +8,10 @@ from haarbloom.dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
+    HAAR_KINDS,
     HaarCoefficients2D,
     Shadow,
+    axis_table,
     cancellative_rectangles,
     haar_forward,
     haar_function,
@@ -27,9 +29,7 @@ from haarbloom.dyadic import (
     unit_square,
 )
 from haarbloom.operators import (
-    PARAPRODUCT_KINDS,
     OperatorMatrix,
-    _axis_bases,
     _cc_table,
     _pairing_kernels,
     _paraproduct_matrices,
@@ -71,16 +71,17 @@ def lambda_second_form(b, f):
 
 def mixed_table(f, x_scaling, y_scaling):
     """Slot-indexed coefficients of f against the chosen tensor Haar types."""
-    hc, hn, _ = _axis_bases(f.depth)
-    left = hn if x_scaling else hc
-    right = hn if y_scaling else hc
+    table = axis_table(f.depth)
+    left = table.hn if x_scaling else table.hc
+    right = table.hn if y_scaling else table.hc
     return (left @ f.values @ right.T) * 4.0 ** (-f.depth)
 
 
 def paraproduct_from_cc(kind, cc, f):
     """Literal paraproduct of one kind, given the symbol's fully cancellative table."""
-    hc, hn, sc = _axis_bases(f.depth)
-    coef = cc * sc * mixed_table(f, kind[0] == "1", kind[1] == "1")
+    table = axis_table(f.depth)
+    hc, hn = table.hc, table.hn
+    coef = cc * table.scale * mixed_table(f, kind[0] == "1", kind[1] == "1")
     out_x = hc if kind[0] == "1" else hn   # output carries the complementary type
     out_y = hc if kind[1] == "1" else hn
     values = np.einsum("pq,pi,qj->ij", coef[1:, 1:], out_x[1:], out_y[1:])
@@ -94,7 +95,7 @@ def literal_paraproduct(kind, b):
 
 
 def literal_lambda(b):
-    """Oracle closure: the four literal paraproducts, added in ``PARAPRODUCT_KINDS`` order."""
+    """Oracle closure: the four literal paraproducts, added in ``HAAR_KINDS`` order."""
     cc = _cc_table(b)
 
     def apply(f):
@@ -401,9 +402,9 @@ def test_paraproduct_matrices_match_the_literal_operators(depth):
 def test_four_kind_stack_matches_each_paraproduct_matrix_bit_for_bit(depth):
     for seed in range(3):
         b = random_grid(depth, 90 + 10 * depth + seed)
-        stack = _paraproduct_matrices(b, PARAPRODUCT_KINDS)
+        stack = _paraproduct_matrices(b, HAAR_KINDS)
         assert stack.shape == (4, 4 ** depth, 4 ** depth)
-        for kind, got in zip(PARAPRODUCT_KINDS, stack):
+        for kind, got in zip(HAAR_KINDS, stack):
             assert got.tobytes() == paraproduct_matrix(kind, b).matrix.tobytes()
 
 
@@ -426,7 +427,8 @@ def test_paraproduct_operators_hold_read_only_matrices(name):
 
 def uncached_paraproduct_matrix(b, x_kinds, y_kinds):
     """Oracle: the pairing kernels and the einsum path built afresh on each call."""
-    hc, hn, sc = _axis_bases(b.depth)
+    table = axis_table(b.depth)
+    hc, hn = table.hc, table.hn
 
     def kernel(kinds):
         out = np.zeros((hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
@@ -434,7 +436,7 @@ def uncached_paraproduct_matrix(b, x_kinds, y_kinds):
             inp, emit = (hn, hc) if kind == "1" else (hc, hn)
             out += emit[1:, :, None] * inp[1:, None, :]
         return out
-    coef = (_cc_table(b) * sc)[1:, 1:]
+    coef = (_cc_table(b) * table.scale)[1:, 1:]
     mat = np.einsum("pq,pik,qjl->ijkl", coef, kernel(x_kinds), kernel(y_kinds), optimize=True)
     m = 4 ** b.depth
     return mat.reshape(m, m) * 4.0 ** (-b.depth)
@@ -444,7 +446,7 @@ def uncached_paraproduct_matrix(b, x_kinds, y_kinds):
 def test_paraproduct_matrices_match_the_uncached_einsum_bit_for_bit(depth):
     for seed in range(3):
         b = random_grid(depth, 70 + 10 * depth + seed)
-        for kind in PARAPRODUCT_KINDS:
+        for kind in HAAR_KINDS:
             want = uncached_paraproduct_matrix(b, kind[0], kind[1])
             assert paraproduct_matrix(kind, b).matrix.tobytes() == want.tobytes()
         want = uncached_paraproduct_matrix(b, "01", "01")
@@ -453,11 +455,12 @@ def test_paraproduct_matrices_match_the_uncached_einsum_bit_for_bit(depth):
 
 def test_pairing_kernels_and_axis_bases_are_cached_read_only():
     for depth in (1, 2, 3):
-        stacks = [("0", "1", "01"), ("01",), tuple(kind[0] for kind in PARAPRODUCT_KINDS)]
+        stacks = [("0", "1", "01"), ("01",), tuple(kind[0] for kind in HAAR_KINDS)]
         kernels = [_pairing_kernels(depth, stack) for stack in stacks]
         assert all(_pairing_kernels(depth, stack) is kernel
                    for stack, kernel in zip(stacks, kernels))
-        for table in kernels + list(_axis_bases(depth)):
+        axes = axis_table(depth)
+        for table in kernels + [axes.hc, axes.hn, axes.scale]:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table.flat[0] = 1.0
@@ -528,12 +531,12 @@ def test_paraproduct_matrices_refuse_depths_beyond_their_limit(monkeypatch):
 
     def boom(*args, **kwargs):
         raise AssertionError("a matrix was built")
-    for name in ("_axis_bases", "_cc_table", "_pairing_kernels"):
+    for name in ("axis_table", "_cc_table", "_pairing_kernels"):
         monkeypatch.setattr(operators, name, boom)
     depth = operators.MATRIX_MAX_DEPTH + 1
     b, f = random_grid(depth, 1), random_grid(depth, 2)
     calls = [lambda: lambda_operator(b)(f), lambda: lambda_matrix(b)]
-    for kind in PARAPRODUCT_KINDS:
+    for kind in HAAR_KINDS:
         calls += [lambda kind=kind: paraproduct_operator(kind, b)(f),
                   lambda kind=kind: paraproduct_matrix(kind, b)]
     for call in calls:
@@ -588,7 +591,7 @@ def test_stack_operators_add_their_images_like_a_python_fold(depth):
     rng = np.random.default_rng(130 + depth)
     n = 1 << depth
     b = random_grid(depth, rng)
-    ops = [lambda_operator(b)] + [paraproduct_operator(kind, b) for kind in PARAPRODUCT_KINDS]
+    ops = [lambda_operator(b)] + [paraproduct_operator(kind, b) for kind in HAAR_KINDS]
     for _ in range(3):
         f = random_grid(depth, rng)
         for op in ops:

@@ -577,12 +577,14 @@ def test_solve_refuses_mixed_exponents():
     assert job.stack is None and job.result.kind == "exact"
 
 
-def test_converged_reports_an_iteration_cut_short():
+def test_converged_reports_an_iteration_cut_short(monkeypatch):
     b = random_symbol(2, 52)
     mu = random_cascade_weight(2, 0.6, 53)
     lam = random_cascade_weight(2, 0.6, 54)
     mat = materialize(lambda_operator(b), 2)
-    cut = opnorm(mat, mu, lam, 3.0, max_iter=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(opnorm_module, "MAX_ITER", 1)
+        cut = opnorm(mat, mu, lam, 3.0)
     assert cut.converged is False and cut.as_dict()["converged"] is False
     full = opnorm(mat, mu, lam, 3.0)
     assert full.converged is True and full.as_dict()["converged"] is True

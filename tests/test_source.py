@@ -67,3 +67,40 @@ def test_readme_library_use_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, f"{README.name} (Library use)", "exec"), {})
     assert capsys.readouterr().out.split()[-1] == "True"
+
+
+PLAIN_KEYS = {"int", "str", "bool"}
+
+
+def _plain(annotation):
+    """An annotation naming ``int``, ``str``, ``bool`` or a tuple of those."""
+    if isinstance(annotation, ast.Name):
+        return annotation.id in PLAIN_KEYS
+    if (isinstance(annotation, ast.Subscript) and isinstance(annotation.value, ast.Name)
+            and annotation.value.id == "tuple"):
+        items = getattr(annotation.slice, "elts", [annotation.slice])
+        return all(_plain(item) or isinstance(item, ast.Constant) and item.value is Ellipsis
+                   for item in items)
+    return False
+
+
+def _is_lru_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name in ("lru_cache", "cache")
+
+
+def test_every_cache_is_keyed_on_plain_values():
+    # a cache keyed on a dataclass runs its generated __hash__ and __eq__ in
+    # Python on every lookup; plain ints, strings and bools hash in C
+    found = []
+    for path, tree in _trees(SRC):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and any(_is_lru_cache(d) for d in node.decorator_list)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                found += [f"{path.name}:{node.name}({a.arg})" for a in params
+                          if a.annotation is None or not _plain(a.annotation)]
+    assert SRC.is_dir() and not found, found
