@@ -374,7 +374,8 @@ def axis_haar_values(interval: DyadicInterval, depth: int, cancellative: bool = 
     scale = 2.0 ** (interval.level / 2)
     if cancellative:
         if interval.level >= depth:
-            raise ValueError(f"level-{interval.level} Haar function is not resolved at depth {depth}")
+            raise ValueError(f"level-{interval.level} Haar function is not resolved "
+                             f"at depth {depth}")
         lo, hi = interval.halves()
         out[lo.cell_slice(depth)] = -scale
         out[hi.cell_slice(depth)] = scale

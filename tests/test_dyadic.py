@@ -214,7 +214,6 @@ def test_transform_matrices_are_read_only_and_match_the_haar_bases():
         for got, want in ((table.analysis, forward_axis0(eye)),
                           (table.synthesis, inverse_axis0(eye))):
             assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
-        assert table.analysis.tobytes() == (table.hc / (1 << depth)).tobytes()
         for mat in (table.hc, table.hn, table.scale, table.analysis, table.synthesis):
             assert not mat.flags.writeable
             with pytest.raises(ValueError):
