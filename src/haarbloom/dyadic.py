@@ -243,6 +243,15 @@ def rectangle_sums(values: np.ndarray) -> np.ndarray:
                            .ravel() for v, (lx, ly) in zip(stack, pairs)])
 
 
+def stacked_rectangle_sums(stack: np.ndarray) -> np.ndarray:
+    """:func:`rectangle_sums` of each slice of a ``(S, 2^N, 2^N)`` stack, as ``(S, rows)``:
+    one reshape-reduce per level pair for the whole stack, with the same bits."""
+    s, n = len(stack), stack.shape[-1]
+    pairs = itertools.product(range(n.bit_length()), repeat=2)
+    return np.concatenate([np.add.reduce(stack.reshape(s, 1 << lx, n >> lx, 1 << ly, n >> ly),
+                                         (2, 4)).reshape(s, -1) for lx, ly in pairs], axis=1)
+
+
 def rectangle_means(values: np.ndarray) -> np.ndarray:
     """Average over every rectangle: a sum over a cell count, the bits of ``ndarray.mean``."""
     depth = values.shape[-1].bit_length() - 1

@@ -17,7 +17,6 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +65,7 @@ from .operators import (
     multiplier_operator_y,
     nested_commutator_apply,
     paraproduct_matrix,
+    planned_einsum,
     restricted_projection,
     sign_rows,
     theta_operator,
@@ -89,9 +89,9 @@ MC_DRAWS = 20000
 #: one draw takes about 0.035 s at depth 3, while depth 4 has 2^30 pairs
 #: (2 TB of commutator images)
 IDENTITIES_MAX_DEPTH = 3
-#: exponents the l^p arithmetic stays finite for: |u|^p overflows in the power
-#: iteration at p = 300 and the BMO energies at p = 1000, while the dual power
-#: |y|^(p'-1) overflows at p = 1.01 on depth-3 weights of strength 2
+#: exponents the l^p arithmetic stays finite for on moderate weights: |u|^p overflows in
+#: the power iteration at p = 300, the BMO energies at p = 1000, |y|^(p'-1) at p = 1.01 on
+#: strength-2 depth-3 weights and at p = 1.05 on strength 1e300 (reported not converged)
 P_RANGE = (1.05, 100.0)
 #: bytes of operator matrices a sweep holds before it solves its pending norms
 #: (one depth-3 sampled commutator trial holds under 1 MB)
@@ -215,14 +215,6 @@ def _draw_pair(depth: int, delta: float, rng: np.random.Generator):
 # identities
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _sign_pair_path(depth: int) -> tuple:
-    """Contraction order of the sign-average einsum, which depends only on the depth."""
-    rows = np.empty((1 << ((1 << depth) - 1), (1 << depth) - 1))
-    images = np.empty(rows.shape[1:] * 2 + (4 ** depth,))
-    return tuple(np.einsum_path("ip,jq,pqc->ijc", rows, rows, images, optimize=True)[0])
-
-
 def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
     """``||[T1_sx, [T2_sy, M_b]] f||^2`` for every pair of axis sign rows.
 
@@ -237,8 +229,7 @@ def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
     unit = np.eye(n)[1:]
     blocks = commutator_matrices(b, np.repeat(unit, n - 1, axis=0), np.tile(unit, (n - 1, 1)))
     images = (blocks @ f.values.ravel()).reshape(n - 1, n - 1, -1)
-    g = np.einsum("ip,jq,pqc->ijc", rows[:, 1:], rows[:, 1:], images,
-                  optimize=_sign_pair_path(b.depth))
+    g = planned_einsum("ip,jq,pqc->ijc", rows[:, 1:], rows[:, 1:], images)
     return (g * g).mean(axis=2)
 
 

@@ -435,13 +435,25 @@ def _pairing_kernels(depth: int, stack: tuple[str, ...]) -> np.ndarray:
     return out
 
 
+#: numpy's pairwise step behind ``np.einsum(optimize=...)`` from numpy 2.4 on, else None
+_bmm_einsum = getattr(getattr(getattr(np, "_core", None), "einsumfunc", None), "bmm_einsum", None)
+
+
 @lru_cache(maxsize=None)
-def _paraproduct_path(depth: int, count: int) -> tuple:
-    """Contraction order of the paraproduct einsum, which depends only on the shapes."""
-    n = (1 << depth) - 1
-    kernels = np.empty((count, n, n + 1, n + 1))
-    return tuple(np.einsum_path("pq,spik,sqjl->sijkl", np.empty((n, n)), kernels, kernels,
-                                optimize=True)[0])
+def _einsum_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The pairwise steps ``(positions, subscripts)`` ``np.einsum(optimize=True)`` takes."""
+    steps = np.einsum_path(spec, *map(np.empty, shapes), optimize=True, einsum_call=True)[1]
+    return tuple(step[:2] for step in steps)
+
+
+def planned_einsum(spec: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, *operands, optimize=True)`` bit for bit, its pairwise plan made once."""
+    if _bmm_einsum is None:
+        return np.einsum(spec, *operands, optimize=True)
+    ops = list(operands)
+    for positions, subscripts in _einsum_steps(spec, tuple(a.shape for a in operands)):
+        ops.append(_bmm_einsum(subscripts, *[ops.pop(i) for i in positions]))
+    return ops[0]
 
 
 def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
@@ -456,10 +468,9 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
         raise ValueError(f"paraproduct matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
                          f"(16^depth entries each), got {b.depth}")
     coef = (_cc_table(b) * axis_table(b.depth).scale)[1:, 1:]
-    mats = np.einsum("pq,spik,sqjl->sijkl", coef,
-                     _pairing_kernels(b.depth, tuple(x for x, _ in pairs)),
-                     _pairing_kernels(b.depth, tuple(y for _, y in pairs)),
-                     optimize=_paraproduct_path(b.depth, len(pairs)))
+    mats = planned_einsum("pq,spik,sqjl->sijkl", coef,
+                          _pairing_kernels(b.depth, tuple(x for x, _ in pairs)),
+                          _pairing_kernels(b.depth, tuple(y for _, y in pairs)))
     m = 4 ** b.depth
     return mats.reshape(len(pairs), m, m) * 4.0 ** (-b.depth)
 

@@ -112,8 +112,9 @@ def _lp_norms(u: np.ndarray, p: float) -> np.ndarray:
     return np.add.reduce(np.abs(u) ** p, axis=-1) ** (1.0 / p)
 
 
+@np.errstate(all="ignore")          # an overflow shows as a non-finite ratio, returned
 def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
-                     tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nonlinear power iteration, one trajectory per start, all run together.
 
     ``b`` is a stack of plain matrices ``(T, m, m)`` and ``starts`` one
@@ -123,12 +124,13 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
     stops once its ratio moves by at most ``tol`` (relative above 1) or
     its iterate vanishes; the live stacks and best ratios are gathered
     again only then.  Returns, per trajectory, the best ratio over its
-    iterates, the first iterate reaching it, and how many ratios it
-    evaluated.
+    iterates, the first iterate reaching it, how many ratios it evaluated,
+    and whether it left on a non-finite ratio (the arithmetic overflowed).
     """
     pp = p / (p - 1.0)
     ul = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
     best, best_u, count = np.full(len(b), -np.inf), ul.copy(), np.full(len(b), max_iter)
+    broke = np.zeros(len(b), dtype=bool)
     live, bl, prev, lbest, lbest_u = np.arange(len(b)), b, best.copy(), best.copy(), ul.copy()
     for k in range(max_iter):
         if live.size == 0:
@@ -148,11 +150,12 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
         if not keep.all():
             gone = live[~keep]
             best[gone], best_u[gone], count[gone] = lbest[~keep], lbest_u[~keep], k + 1
+            broke[gone] = ~np.isfinite(r[~keep])
             live, bl, r, nxt, norm, lbest, lbest_u = (
                 x[keep] for x in (live, bl, r, nxt, norm, lbest, lbest_u))
         prev, ul = r, nxt / norm[:, None]
     best[live], best_u[live] = lbest, lbest_u
-    return best, best_u, count
+    return best, best_u, count, broke
 
 
 @dataclass
@@ -229,15 +232,16 @@ def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
                     b[warm[run]], starts[run])
 
 
-def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray):
+def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray,
+               ran_broke: np.ndarray):
     """Fold the iterated trajectories into ``stack``: certified lower bounds.
 
     Returns the matrix with the highest lower bound (ties: the first), that
     bound and its unit l^p maximizer (None when every matrix is zero); then
     per matrix the iteration count; then the number pruned, and whether no
-    iterated start of the winner stopped at :data:`MAX_ITER`.  A warm-started
-    matrix whose lower bound is above its bracket raises: it means the
-    arithmetic, not the operator, went wrong.
+    iterated start of the winner stopped at :data:`MAX_ITER` and no trajectory
+    left on a non-finite ratio.  A warm-started matrix whose lower bound is
+    above its bracket raises: it means the arithmetic, not the operator, went wrong.
     """
     per = stack.best_u.shape[1]
     best, best_u = stack.best, stack.best_u
@@ -258,7 +262,7 @@ def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its
         return 0, 0.0, None, iterations, pruned, True
     row = int(np.argmax(values))
     u = best_u[row, pick[row]]
-    converged = not stack.run[row] or bool((its[row] < MAX_ITER).all())
+    converged = (not stack.run[row] or bool((its[row] < MAX_ITER).all())) and not ran_broke.any()
     return (int(stack.warm[row]), values[row], u / _lp_norms(u, stack.p), iterations, pruned,
             converged)
 

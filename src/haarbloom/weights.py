@@ -21,6 +21,7 @@ from .dyadic import (
     ensure_rng,
     rectangle_means,
     rectangle_table,
+    stacked_rectangle_sums,
 )
 
 #: hard clamp applied by the random generator so conjugations stay finite
@@ -64,6 +65,14 @@ class Weight:
         v.flags.writeable = False
         self.grid = GridFunction2D(self.grid.depth, v)
 
+    @classmethod
+    def _of(cls, depth: int, values: np.ndarray, role: str) -> "Weight":
+        """Wrap a positive float64 ``(2^depth, 2^depth)`` array read-only: no copy, no check."""
+        values.flags.writeable = False
+        out = object.__new__(cls)
+        out.grid, out.role, out._ap_cache = GridFunction2D._of(depth, values), role, {}
+        return out
+
     @property
     def depth(self) -> int:
         return self.grid.depth
@@ -93,17 +102,24 @@ def ap_characteristic(w: Weight, p: float) -> ApReport:
     value below that floor raises RuntimeError.
     """
     _check_exponent(p)
-    if p in w._ap_cache:
-        return w._ap_cache[p]
-    recip = w.values ** (-1.0 / (p - 1.0))
-    prod = rectangle_means(w.values) * rectangle_means(recip) ** (p - 1.0)
-    row = int(np.argmax(prod))
-    best = float(prod[row])
-    if not best >= 1.0 - 1e-12:
-        raise RuntimeError(f"characteristic {best} below the Jensen floor")
-    report = ApReport(p, best, rectangle_table(w.depth).rects[row])
-    w._ap_cache[p] = report
-    return report
+    return _characteristics([(w, p)])[0]
+
+
+def _characteristics(pairs: list[tuple[Weight, float]]) -> list[ApReport]:
+    """Each ``(w, p)``'s cached :func:`ap_characteristic`, the rest from one stacked pass."""
+    todo = [(w, p) for w, p in pairs if p not in w._ap_cache]
+    if todo:
+        depth = todo[0][0].depth
+        stack = np.stack([v for w, p in todo for v in (w.values, w.values ** (-1.0 / (p - 1.0)))])
+        # a sum over a cell count: the bits of rectangle_means
+        means = stacked_rectangle_sums(stack) / (rectangle_table(depth).area * 4.0 ** depth)
+        for (w, p), direct, recip in zip(todo, means[0::2], means[1::2]):
+            prod = direct * recip ** (p - 1.0)
+            row = int(np.argmax(prod))
+            if not prod[row] >= 1.0 - 1e-12:
+                raise RuntimeError(f"characteristic {prod[row]} below the Jensen floor")
+            w._ap_cache[p] = ApReport(p, float(prod[row]), rectangle_table(depth).rects[row])
+    return [w._ap_cache[p] for w, p in pairs]
 
 
 def conjugate_weight(w: Weight, p: float, role: str = "generic") -> Weight:
@@ -117,17 +133,15 @@ def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
 
     Verifies the two structural bounds that make nu usable: its
     2-characteristic is at least 1 and at most ([mu]_p [lam]_p)^{1/p}
-    (both up to float slack), raising RuntimeError otherwise.
+    (both up to float slack), raising RuntimeError otherwise; the three
+    characteristics come from one stacked pass, which fills the caches.
     """
     _check_exponent(p)
     if mu.depth != lam.depth:
         raise ValueError("weights live on different grids")
-    nu = Weight(GridFunction2D(mu.depth, (mu.values / lam.values) ** (1.0 / p)), "nu")
-    a2 = ap_characteristic(nu, 2).characteristic
-    cap = (ap_characteristic(mu, p).characteristic
-           * ap_characteristic(lam, p).characteristic) ** (1.0 / p)
-    if not a2 >= 1.0 - 1e-12:
-        raise RuntimeError(f"2-characteristic {a2} below the Jensen floor")
+    nu = Weight._of(mu.depth, (mu.values / lam.values) ** (1.0 / p), "nu")
+    ap_mu, ap_lam, a2 = (r.characteristic for r in _characteristics([(mu, p), (lam, p), (nu, 2)]))
+    cap = (ap_mu * ap_lam) ** (1.0 / p)
     if not a2 <= cap * (1.0 + 1e-9):
         raise RuntimeError(f"2-characteristic {a2} exceeds the cap {cap}")
     return nu
@@ -205,5 +219,4 @@ def random_cascade_weight(depth: int, strength: float,
         # child (2i + a, 2j + c) of cell (i, j) takes fx[a, i, j] * fy[c, i, j]
         factors = (fx[:, None] * fy[None, :]).transpose(2, 0, 3, 1)
         vals = (vals[:, None, :, None] * factors).reshape(2 * m, 2 * m)
-    vals = np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL)
-    return Weight(GridFunction2D(depth, vals), role)
+    return Weight._of(depth, np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL), role)

@@ -98,11 +98,11 @@ def test_bilinear_sign_average_matches_the_per_row_stacks(depth):
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_sign_average_with_the_cached_path_matches_a_fresh_search(depth, monkeypatch):
-    assert experiments._sign_pair_path(depth) is experiments._sign_pair_path(depth)
     rng = np.random.default_rng(70 + depth)
     pairs = [(random_grid(depth, rng), random_grid(depth, rng)) for _ in range(3)]
     got = [_sign_pair_square_norms(b, f) for b, f in pairs]
-    monkeypatch.setattr(experiments, "_sign_pair_path", lambda depth: True)
+    monkeypatch.setattr(experiments, "planned_einsum",
+                        lambda spec, *ops: np.einsum(spec, *ops, optimize=True))
     for (b, f), cached in zip(pairs, got):
         want = _sign_pair_square_norms(b, f)       # optimize=True: the path searched per call
         assert cached.dtype == want.dtype and cached.shape == want.shape

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,6 @@ from haarbloom.dyadic import (
 from haarbloom import norms
 from haarbloom.norms import (
     BmoResult,
-    _grow_greedily,
     bmo_prod_one_weight,
     bmo_prod_two_weight,
     little_bmo,
@@ -280,7 +283,7 @@ def test_pattern_table_scores_random_masks_as_the_masked_adds(depth, p):
 @pytest.mark.parametrize("p", ORACLE_PS)
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_pattern_table_scores_the_candidate_table_as_the_masked_adds(depth, p):
-    rows, ids, _ = norms._candidate_table(depth)
+    rows, ids, _, _ = norms._candidate_table(depth)
     _assert_same_bits(_objective(depth, p, np.random.default_rng(70 + depth)), rows, ids)
 
 
@@ -301,7 +304,7 @@ def test_pattern_ids_name_the_up_set_of_rectangles_inside(depth):
     grid = members.reshape(-1, depth, depth)        # [k, lx, ly]
     assert (grid[:, 1:] >= grid[:, :-1]).all() and (grid[:, :, 1:] >= grid[:, :, :-1]).all()
     unions, finest_ids = norms._finest_unions(min(depth, 3))
-    rows, row_ids, _ = norms._candidate_table(depth)
+    rows, row_ids, _, _ = norms._candidate_table(depth)
     for array in (members, weights, lookup, unions, finest_ids, rows, row_ids):
         assert not array.flags.writeable
     rng = np.random.default_rng(90 + depth)
@@ -345,8 +348,26 @@ def test_exact_search_matches_the_brute_force_over_every_mask(depth):
             assert got.witness.to_hex() == "1"
 
 
+def _grow_greedily(obj, mask):
+    """The sequential steepest ascent before the starts grew in lockstep, word for word."""
+    mask = mask.copy()
+    best = float(obj.values(mask[None])[0])
+    while True:
+        free = np.flatnonzero(~mask)
+        grown = mask | np.eye(obj.cells, dtype=bool)[free]
+        gain_cell, gain_value = -1, best
+        for cell, v in zip(free, obj.values(grown).tolist()):
+            if v > gain_value * (1.0 + 1e-14):
+                gain_cell, gain_value = cell, v
+        if gain_cell < 0:
+            return best, mask
+        mask[gain_cell] = True
+        best = gain_value
+
+
 def _heuristic_search_oracle(obj, restarts, seed):
-    """The search before distinct candidates were scored once, word for word."""
+    """The search before distinct candidates were scored once, by ceiling, and grown in
+    lockstep, word for word."""
     rng = ensure_rng(seed)
     first, second = np.triu_indices(len(obj.incidence), 1)
     cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
@@ -368,11 +389,12 @@ def _heuristic_search_oracle(obj, restarts, seed):
 
 def _heuristic_draws():
     """Depths 1-3 over several seeds at every p in {1.5, 2, 3} and delta in {0, 0.5, 1};
-    one depth-4 draw (about 0.8 s per search pair there)."""
+    three depth-4 draws, at p = 3, 1.1 and 8, where the ceilings skip most rows (about
+    0.2 s per search pair there)."""
     rng = np.random.default_rng(47)
     grid = [(delta, p) for delta in (0.0, 0.5, 1.0) for p in (1.5, 2.0, 3.0)]
     for depth, seeds, combos in ((1, range(6), grid), (2, range(4), grid), (3, range(2), grid),
-                                 (4, range(1), [(1.0, 3.0)])):
+                                 (4, range(1), [(1.0, 3.0), (0.5, 1.1), (2.0, 8.0)])):
         for seed in seeds:
             b = random_symbol(depth, rng)
             for delta, p in combos:
@@ -389,9 +411,69 @@ def test_heuristic_search_matches_the_search_that_scored_every_candidate():
         np.testing.assert_array_equal(mask, want_mask)
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_heuristic_search_matches_the_oracle_when_every_score_ties_at_zero(depth):
+    rng = np.random.default_rng(49 + depth)
+    constant = GridFunction2D(depth, np.full((1 << depth,) * 2, 3.0))    # no cancellative energy
+    for b in (GridFunction2D.zeros(depth), constant):
+        for seed, p in enumerate((1.5, 2.0, 3.0)):
+            obj = norms._MaskObjective(b, random_cascade_weight(depth, 0.5, rng),
+                                       random_cascade_weight(depth, 0.5, rng), p)
+            value, mask = norms._heuristic_search(obj, 8, seed)
+            want_value, want_mask = _heuristic_search_oracle(obj, 8, seed)
+            assert value == want_value == 0.0
+            np.testing.assert_array_equal(mask, want_mask)
+
+
+def test_ceilings_bound_every_candidate_score():
+    rng = np.random.default_rng(52)
+    for depth in (1, 2, 3, 4):
+        rows, ids, _, parts = norms._candidate_table(depth)
+        for p in (1.1, 2.0, 8.0):
+            obj = _objective(depth, p, rng)
+            reach = norms._ceilings(obj, parts)
+            scores = obj.values(rows, ids)
+            assert (scores <= reach).all()
+            # without the slack the bound is still within rounding of the scores it bounds
+            assert (scores <= reach / (1.0 + 1e-12) * (1.0 + 1e-13)).all()
+
+
+CEILING_ESCAPE = """
+import numpy as np
+from haarbloom import norms
+from haarbloom.dyadic import DyadicInterval, DyadicRectangle, haar_function
+from haarbloom.weights import constant_weight
+one = constant_weight(2)
+rect = DyadicRectangle(DyadicInterval(1, 0), DyadicInterval(1, 1))
+obj = norms._MaskObjective(haar_function(rect, 2), one, one, 2.0)
+# every cell's full up-set reads half its value, so the rectangle's own row escapes
+halved = type("Halved", (np.ndarray,), {"max": lambda self, *a, **k: np.ndarray.max(self, *a, **k) / 2})
+obj.patterns = obj.patterns.view(halved)
+try:
+    norms._heuristic_search(obj, 8, 0)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_ceiling_escape_raises(capsys):
+    exec(CEILING_ESCAPE, {})
+    assert capsys.readouterr().out == "a BMO candidate scored above its ceiling\n"
+
+
+def test_ceiling_escape_raises_under_the_optimize_flag():
+    # python -O strips assert statements; the guard must still fire
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", CEILING_ESCAPE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "a BMO candidate scored above its ceiling\n"
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_candidate_table_holds_each_symbol_free_candidate_once(depth):
-    rows, ids, inverse = norms._candidate_table(depth)
+    rows, ids, inverse, parts = norms._candidate_table(depth)
     assert norms._candidate_table(depth) is norms._candidate_table(depth)
     assert not rows.flags.writeable and not inverse.flags.writeable
     assert not ids.flags.writeable and ids.dtype == np.uint8
@@ -405,13 +487,17 @@ def test_candidate_table_holds_each_symbol_free_candidate_once(depth):
 
 
 def test_heuristic_search_grows_each_distinct_start_once(monkeypatch):
-    grown, grow = [], norms._grow_greedily
+    grown, grow, together = [], _grow_greedily, norms._grow
 
     def counting(obj, mask):
         grown.append(mask.tobytes())
         return grow(obj, mask)
 
-    monkeypatch.setattr(norms, "_grow_greedily", counting)
+    def lockstep(obj, masks, best):
+        grown.append([mask.tobytes() for mask in masks])
+        return together(obj, masks, best)
+
+    monkeypatch.setattr(norms, "_grow", lockstep)
     monkeypatch.setitem(globals(), "_grow_greedily", counting)
     repeats = 0
     rng = np.random.default_rng(48)
@@ -424,7 +510,7 @@ def test_heuristic_search_grows_each_distinct_start_once(monkeypatch):
         repeats += len(grown) - len(want)
         grown.clear()
         norms._heuristic_search(obj, 8, trial)
-        assert grown == want
+        assert grown == [want]      # one lockstep growth of the distinct starts, in order
     assert repeats > 0      # the oracle did regrow some start
 
 

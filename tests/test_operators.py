@@ -408,6 +408,21 @@ def test_four_kind_stack_matches_each_paraproduct_matrix_bit_for_bit(depth):
             assert got.tobytes() == paraproduct_matrix(kind, b).matrix.tobytes()
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_paraproduct_matrices_match_einsum_planned_per_call_bit_for_bit(depth, monkeypatch):
+    from haarbloom import operators
+    stacks = [HAAR_KINDS, (("01", "01"),)] + [(kind,) for kind in HAAR_KINDS]
+    b = random_grid(depth, 140 + depth)
+    got = [_paraproduct_matrices(b, pairs) for pairs in stacks]
+    assert operators._einsum_steps.cache_info().currsize > 0
+    # np.einsum's own plan, searched on every call
+    monkeypatch.setattr(operators, "planned_einsum",
+                        lambda spec, *ops: np.einsum(spec, *ops, optimize=True))
+    for pairs, cached in zip(stacks, got):
+        want = _paraproduct_matrices(b, pairs)
+        assert cached.shape == want.shape and cached.tobytes() == want.tobytes()
+
+
 def held_arrays(op):
     """The arrays an operator closure holds."""
     return [cell.cell_contents for cell in op.__closure__ or ()

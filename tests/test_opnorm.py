@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,13 +305,15 @@ def l1_linf_brackets(b, p):
 
 
 def power_iteration_gathering(b, starts, p, max_iter, tol):
-    """The iteration before compaction: gathers b[live] and u[live] on every pass."""
+    """The iteration before compaction: gathers b[live] and u[live] on every pass; a
+    trajectory that stops on a non-finite ratio is flagged."""
     lp = opnorm_module._lp_norms
     pp = p / (p - 1.0)
     u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
     best = np.full(len(b), -np.inf)
     best_u = u.copy()
     count = np.zeros(len(b), dtype=int)
+    broke = np.zeros(len(b), dtype=bool)
     prev = np.full(len(b), -np.inf)
     live = np.arange(len(b))
     for _ in range(max_iter):
@@ -324,6 +327,7 @@ def power_iteration_gathering(b, starts, p, max_iter, tol):
         best[live[up]] = r[up]
         best_u[live[up]] = ul[up]
         moving = np.abs(r - prev[live]) > tol * np.maximum(1.0, np.abs(r))
+        broke[live[~moving]] = ~np.isfinite(r[~moving])
         live, bl, out = live[moving], bl[moving], out[moving]
         prev[live] = r[moving]
         y = np.einsum("tji,tj->ti", bl, np.sign(out) * np.abs(out) ** (p - 1.0))
@@ -332,7 +336,7 @@ def power_iteration_gathering(b, starts, p, max_iter, tol):
         alive = norm != 0.0
         live = live[alive]
         u[live] = nxt[alive] / norm[alive, None]
-    return best, best_u, count
+    return best, best_u, count, broke
 
 
 @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
@@ -403,14 +407,18 @@ def test_compacted_iteration_matches_gathering_oracle():
     b[3][:, 0] = 0.0                            # kernel holds e_0 ...
     starts = rng.standard_normal((7, m))
     starts[3] = np.eye(m)[0]                    # ... so this iterate vanishes at once
+    b[5] *= 1e200                               # overflows
     for p in (1.3, 4.0):
         for max_iter in (3, 500):
             got = opnorm_module._power_iteration(b, starts.copy(), p, max_iter, 1e-9)
-            want = power_iteration_gathering(b, starts.copy(), p, max_iter, 1e-9)
+            with np.errstate(all="ignore"):
+                want = power_iteration_gathering(b, starts.copy(), p, max_iter, 1e-9)
+            assert len(got) == len(want) == 4
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
             if max_iter == 500:
                 assert len(set(got[2])) >= 4 and got[2][3] == 1 and got[0][3] == 0.0
+                np.testing.assert_array_equal(got[3], np.arange(7) == 5)
 
 
 def test_as_dict_reports_the_bracket_and_pruning():
@@ -594,6 +602,26 @@ def test_converged_reports_an_iteration_cut_short(monkeypatch):
     assert "converged" not in opnorm_p2_exact(mat, mu, lam).as_dict()
 
 
+def test_converged_reports_a_trajectory_that_overflowed():
+    # at p = 1.05 the dual power |y|^(p'-1) overflows on weights of strength 1e300
+    flags = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        b = random_symbol(2, rng)
+        with np.errstate(over="ignore"):        # the cascade clamps what overflows
+            mu, lam = (random_cascade_weight(2, 1e300, rng) for _ in range(2))
+        job = opnorm_module.opnorm_job(lambda_matrix(b), mu, lam, 1.05)
+        stack = job.stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # the kernel warns about nothing
+            ran = opnorm_module._iterate([stack])[0]
+            opnorm_module.solve([job])
+        assert job.result.converged is not bool(ran[3].any())
+        assert np.isfinite(job.result.value)
+        flags.append(job.result.converged)
+    assert flags.count(False) == 24
+
+
 # ---------------------------------------------------------------------------
 # warm starts only for the pairs their bracket can reach, against the
 # preparation that warm-started every pair, kept here as the oracle
@@ -635,7 +663,7 @@ def solve_warming_every_pair(old, depth, mu, p, signs=None, max_iter=500, tol=1e
     values, iterations = np.zeros(count), np.zeros(count, dtype=int)
     converged = np.ones(count, dtype=bool)
     best, best_u, nonzero, run = old["best"], old["best_u"], old["nonzero"], old["run"]
-    best[run], best_u[run], its = (a.reshape(-1, per, *a.shape[1:]) for a in ran)
+    best[run], best_u[run], its, broke = (a.reshape(-1, per, *a.shape[1:]) for a in ran)
     pick = np.argmax(best, axis=1)
     values[nonzero] = best[np.arange(nonzero.size), pick]
     iterations[nonzero[run]] = its.sum(axis=1)
@@ -649,7 +677,7 @@ def solve_warming_every_pair(old, depth, mu, p, signs=None, max_iter=500, tol=1e
         unit = u / opnorm_module._lp_norms(u, p)
     res = opnorm_module._lp_result(depth, mu, p, values[idx], unit, iterations[idx],
                                    old["upper"][idx], int(nonzero.size - run.sum()))
-    res.converged = bool(converged[idx])
+    res.converged = bool(converged[idx]) and not broke.any()
     if signs is not None:
         res.iterations = int(np.maximum(1, iterations).sum())
         res.sign_pair = tuple(SignChoice1D(depth, s[idx]) for s in signs)

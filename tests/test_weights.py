@@ -3,7 +3,17 @@ import importlib
 import numpy as np
 import pytest
 
-from haarbloom.dyadic import DyadicInterval, DyadicRectangle, GridFunction2D, Shadow, unit_square
+from haarbloom.dyadic import (
+    DyadicInterval,
+    DyadicRectangle,
+    GridFunction2D,
+    Shadow,
+    rectangle_means,
+    rectangle_sums,
+    rectangle_table,
+    stacked_rectangle_sums,
+    unit_square,
+)
 from haarbloom.weights import (
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
@@ -203,15 +213,66 @@ def test_guards_raise_instead_of_asserting(monkeypatch):
     # the checks must survive ``python -O``, so they are exceptions, not asserts
     weights = importlib.import_module("haarbloom.weights")
     w = random_cascade_weight(2, 0.5, 3)
-    monkeypatch.setattr(weights, "rectangle_means", lambda values: np.zeros(1))
+    monkeypatch.setattr(weights, "stacked_rectangle_sums", lambda stack: np.zeros((len(stack), 1)))
     with pytest.raises(RuntimeError, match="Jensen floor"):
         ap_characteristic(w, 2.0)
     monkeypatch.undo()
-    fake = lambda w, p: ApReport(p, 2.0 if w.role == "nu" else 1.0, unit_square())
-    monkeypatch.setattr(weights, "ap_characteristic", fake)
+    fake = lambda pairs: [ApReport(p, 2.0 if w.role == "nu" else 1.0, unit_square())
+                          for w, p in pairs]
+    monkeypatch.setattr(weights, "_characteristics", fake)
     with pytest.raises(RuntimeError, match="exceeds the cap"):
         bloom_weight(w, constant_weight(2), 2.0)
-    fake = lambda w, p: ApReport(p, 0.5 if w.role == "nu" else 1.0, unit_square())
-    monkeypatch.setattr(weights, "ap_characteristic", fake)
-    with pytest.raises(RuntimeError, match="below the Jensen floor"):
+    monkeypatch.undo()
+    # nu's slices, last in the stacked pass, sum to zero: its characteristic reads 0
+    real = weights.stacked_rectangle_sums
+    monkeypatch.setattr(weights, "stacked_rectangle_sums",
+                        lambda stack: np.concatenate([real(stack[:-2]), 0.0 * real(stack[-2:])]))
+    with pytest.raises(RuntimeError, match="characteristic 0.0 below the Jensen floor"):
         bloom_weight(w, constant_weight(2), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# one stacked pass for a trial's characteristics, against the per-weight path
+# ---------------------------------------------------------------------------
+
+def characteristic_per_weight(w, p):
+    """The characteristic before the stacked pass: two rectangle_means calls per weight."""
+    prod = rectangle_means(w.values) * rectangle_means(w.values ** (-1.0 / (p - 1.0))) ** (p - 1.0)
+    row = int(np.argmax(prod))
+    return float(prod[row]), rectangle_table(w.depth).rects[row]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_stacked_rectangle_sums_match_each_slice_bit_for_bit(depth):
+    rng = np.random.default_rng(130 + depth)
+    for _ in range(10):
+        cascades = [random_cascade_weight(depth, 2.0, rng).values for _ in range(3)]
+        stack = np.stack([w ** e for w in cascades for e in (1.0, -2.0, -0.37)])
+        got = stacked_rectangle_sums(stack)
+        assert got.shape == (len(stack), len(rectangle_table(depth).area))
+        for row, values in zip(got, stack):
+            assert row.tobytes() == rectangle_sums(values).tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_bloom_weight_fills_the_per_weight_characteristics_bit_for_bit(depth):
+    rng = np.random.default_rng(140 + depth)
+    for p in (1.1, 1.5, 2.0, 3.0, 8.0):
+        mu, lam = random_cascade_weight(depth, 2.0, rng), random_cascade_weight(depth, 2.0, rng)
+        nu = bloom_weight(mu, lam, p)
+        for w, q in ((mu, p), (lam, p), (nu, 2)):
+            report = w._ap_cache[q]
+            assert ap_characteristic(w, q) is report       # read from the cache
+            value, rect = characteristic_per_weight(w, q)
+            assert np.float64(report.characteristic).tobytes() == np.float64(value).tobytes()
+            assert report.rect == rect and report.p == q
+
+
+def test_weights_the_package_builds_are_read_only():
+    mu, lam = random_cascade_weight(2, 0.5, 150), random_cascade_weight(2, 0.5, 151)
+    nu = bloom_weight(mu, lam, 1.5)
+    for w in (mu, lam, nu):
+        assert not w.values.flags.writeable and w.values.dtype == np.float64
+        assert w._ap_cache and isinstance(w.grid, GridFunction2D)
+    assert (mu.role, lam.role, nu.role) == ("generic", "generic", "nu")
+    np.testing.assert_array_equal(nu.values, (mu.values / lam.values) ** (1.0 / 1.5))

@@ -7,7 +7,8 @@ list, its exit status, its stdout and the bytes it wrote to ``--out``.
 The runs are ``jn`` (depth 2 exact, depth 3 heuristic), ``commutator``
 (depth 2 exhaustive, depth 3 sampled heuristic) and ``paraproduct``
 (depth 2), each with ``--p 1.5,2,3 --delta 0,0.5 --trials 3`` at seeds
-0-3, plus one ``identities --depth 2`` and one ``khintchine`` run.
+0-3; the same sweep of ``jn --depth 4 --strategy heuristic`` at seed 0;
+and one ``identities --depth 2`` and one ``khintchine`` run.
 
 Run it at the parent and at the change, for instance on a ``git archive``
 export of the parent with ``--src <export>/src``: equal digests are the
@@ -40,7 +41,8 @@ SHAPES = [
     ["paraproduct", "--depth", "2", "--strategy", "exact"],
 ]
 RUNS = ([shape + SWEEP + ["--seed", str(seed)] for shape in SHAPES for seed in range(4)]
-        + [["identities", "--depth", "2", "--seed", "0"],
+        + [["jn", "--depth", "4", "--strategy", "heuristic"] + SWEEP + ["--seed", "0"],
+           ["identities", "--depth", "2", "--seed", "0"],
            ["khintchine", "--seed", "0"]])
 
 
