@@ -390,7 +390,8 @@ def _heuristic_search_oracle(obj, restarts, seed):
 def _heuristic_draws():
     """Depths 1-3 over several seeds at every p in {1.5, 2, 3} and delta in {0, 0.5, 1};
     three depth-4 draws, at p = 3, 1.1 and 8, where the ceilings skip most rows (about
-    0.2 s per search pair there)."""
+    0.2 s per search pair there); and symbols without cancellative energy at depths 2
+    and 3, where every score ties at 0."""
     rng = np.random.default_rng(47)
     grid = [(delta, p) for delta in (0.0, 0.5, 1.0) for p in (1.5, 2.0, 3.0)]
     for depth, seeds, combos in ((1, range(6), grid), (2, range(4), grid), (3, range(2), grid),
@@ -401,6 +402,13 @@ def _heuristic_draws():
                 mu = random_cascade_weight(depth, delta, rng)
                 lam = random_cascade_weight(depth, delta, rng)
                 yield norms._MaskObjective(b, mu, lam, p), seed
+    rng = np.random.default_rng(49)
+    for depth in (2, 3):
+        constant = GridFunction2D(depth, np.full((1 << depth,) * 2, 3.0))
+        for b in (GridFunction2D.zeros(depth), constant):
+            for seed, p in enumerate((1.5, 2.0, 3.0)):
+                yield norms._MaskObjective(b, random_cascade_weight(depth, 0.5, rng),
+                                           random_cascade_weight(depth, 0.5, rng), p), seed
 
 
 def test_heuristic_search_matches_the_search_that_scored_every_candidate():
@@ -409,20 +417,6 @@ def test_heuristic_search_matches_the_search_that_scored_every_candidate():
         want_value, want_mask = _heuristic_search_oracle(obj, 8, seed)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         np.testing.assert_array_equal(mask, want_mask)
-
-
-@pytest.mark.parametrize("depth", [2, 3])
-def test_heuristic_search_matches_the_oracle_when_every_score_ties_at_zero(depth):
-    rng = np.random.default_rng(49 + depth)
-    constant = GridFunction2D(depth, np.full((1 << depth,) * 2, 3.0))    # no cancellative energy
-    for b in (GridFunction2D.zeros(depth), constant):
-        for seed, p in enumerate((1.5, 2.0, 3.0)):
-            obj = norms._MaskObjective(b, random_cascade_weight(depth, 0.5, rng),
-                                       random_cascade_weight(depth, 0.5, rng), p)
-            value, mask = norms._heuristic_search(obj, 8, seed)
-            want_value, want_mask = _heuristic_search_oracle(obj, 8, seed)
-            assert value == want_value == 0.0
-            np.testing.assert_array_equal(mask, want_mask)
 
 
 def test_ceilings_bound_every_candidate_score():
@@ -447,7 +441,8 @@ one = constant_weight(2)
 rect = DyadicRectangle(DyadicInterval(1, 0), DyadicInterval(1, 1))
 obj = norms._MaskObjective(haar_function(rect, 2), one, one, 2.0)
 # every cell's full up-set reads half its value, so the rectangle's own row escapes
-halved = type("Halved", (np.ndarray,), {"max": lambda self, *a, **k: np.ndarray.max(self, *a, **k) / 2})
+halve = lambda self, *args, **kwargs: np.ndarray.max(self, *args, **kwargs) / 2
+halved = type("Halved", (np.ndarray,), {"max": halve})
 obj.patterns = obj.patterns.view(halved)
 try:
     norms._heuristic_search(obj, 8, 0)
@@ -464,7 +459,8 @@ def test_ceiling_escape_raises(capsys):
 def test_ceiling_escape_raises_under_the_optimize_flag():
     # python -O strips assert statements; the guard must still fire
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", CEILING_ESCAPE],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
