@@ -7,22 +7,23 @@ value (exact); away from 2 the package reports a certified bracket: a
 nonlinear power-iteration lower bound plus a Riesz-Thorin upper bound
 interpolated through the exact l^2 norm.
 
-Both kernels work on stacks of matrices.  The sign supremum builds the
-commutator matrices of all its sign pairs at once
-(:func:`~haarbloom.operators.commutator_matrices`) and scores them in
-one batched SVD or one batched power iteration; a single operator is the
-stack of one.  Away from 2 the matrix with the highest upper bound is
-warm-started first, then only those whose bound reaches its warm ratio;
-those whose bound reaches the best warm ratio are iterated, the rest pruned.
-A norm can also be built as a :class:`NormJob` and finished later:
-:func:`solve` runs the trajectories of many jobs of one exponent in a
-single power iteration, as the experiment sweeps do per combination.
+Both kernels work on stacks of matrices.  The sign supremum builds the commutator
+matrices of all its sign pairs at once (:func:`~haarbloom.operators.commutator_matrices`)
+and scores them in one batched SVD or one batched power iteration; a single operator is
+the stack of one.  Away from 2 the matrix with the highest upper bound is warm-started
+first, then only those whose bound reaches its warm ratio: only these are conjugated at
+exponent 2, and an int seed's random starts come from a read-only cache.  Those whose
+bound reaches the best warm ratio are iterated, the rest pruned; each pass of the
+iteration takes the l^p norms of ``B u`` and ``u`` in one go.  A norm can also be built
+as a :class:`NormJob` and finished later: :func:`solve` runs the trajectories of many
+jobs of one exponent in one power iteration, as the experiment sweeps do per combination.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,24 +129,25 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
     and whether it left on a non-finite ratio (the arithmetic overflowed).
     """
     pp = p / (p - 1.0)
-    ul = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    buf = np.empty((2, *starts.shape))          # B u beside u: one pass norms both
+    ul = np.divide(starts, np.linalg.norm(starts, axis=-1, keepdims=True), out=buf[1])
     best, best_u, count = np.full(len(b), -np.inf), ul.copy(), np.full(len(b), max_iter)
     broke = np.zeros(len(b), dtype=bool)
     live, bl, prev, lbest, lbest_u = np.arange(len(b)), b, best.copy(), best.copy(), ul.copy()
     for k in range(max_iter):
         if live.size == 0:
             break
-        out = _einsum("tij,tj->ti", bl, ul)
-        a = np.abs(out)
-        r = np.add.reduce(a ** p, axis=-1) ** (1.0 / p) / _lp_norms(ul, p)
+        out = _einsum("tij,tj->ti", bl, ul, out=buf[0])
+        a = np.abs(buf)
+        r = np.divide(*np.add.reduce(a ** p, axis=-1) ** (1.0 / p))    # |Bu|_p / |u|_p >= 0
         up = r > lbest
         np.copyto(lbest, r, where=up)
         np.copyto(lbest_u, ul, where=up[:, None])
-        moving = np.abs(r - prev) > tol * np.maximum(1.0, np.abs(r))
+        moving = np.abs(r - prev) > tol * np.maximum(1.0, r)
         # copysign(|x|^e, x) is sign(x) * |x|^e bit for bit: einsum never returns -0.0
-        y = _einsum("tji,tj->ti", bl, np.copysign(a ** (p - 1.0), out))
-        nxt = np.copysign(np.abs(y) ** (pp - 1.0), y)
-        norm = _lp_norms(nxt, p)
+        y = _einsum("tji,tj->ti", bl, np.copysign(a[0] ** (p - 1.0), out))
+        nxt = np.copysign(mag := np.abs(y) ** (pp - 1.0), y)      # mag is |nxt|
+        norm = np.add.reduce(mag ** p, axis=-1) ** (1.0 / p)
         keep = moving & (norm != 0.0)
         if not keep.all():
             gone = live[~keep]
@@ -153,7 +155,8 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
             broke[gone] = ~np.isfinite(r[~keep])
             live, bl, r, nxt, norm, lbest, lbest_u = (
                 x[keep] for x in (live, bl, r, nxt, norm, lbest, lbest_u))
-        prev, ul = r, nxt / norm[:, None]
+            buf = np.empty((2, *nxt.shape))
+        prev, ul = r, np.divide(nxt, norm[:, None], out=buf[1])
     best[live], best_u[live] = lbest, lbest_u
     return best, best_u, count, broke
 
@@ -181,10 +184,10 @@ class _LpStack:
     starts: np.ndarray
 
 
-def _warm_starts(b2: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: float):
-    """Starts of the matrices ``rows`` (``b2``, ``b``: conjugated at 2 and at p): the p = 2
+def _warm_starts(mats: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: float, *weights):
+    """Starts of ``rows`` (at p in ``b``; at 2 by ``weights`` = depth, mu, lam): the p = 2
     maximizer, its absolute value, then ``extra``; raw, as units, and the warm ratios."""
-    warm = np.linalg.svd(b2[rows])[2][:, 0]
+    warm = np.linalg.svd(_conjugated(mats[rows], *weights, 2))[2][:, 0]
     starts = np.stack([warm, np.abs(warm)] + [np.broadcast_to(e, warm.shape) for e in extra],
                       axis=1)                              # (pairs, starts, m)
     units = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
@@ -193,15 +196,22 @@ def _warm_starts(b2: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: floa
     return starts, units, ratios
 
 
+@lru_cache(maxsize=64)
+def _seeded_starts(seed: int, count: int, m: int) -> np.ndarray:
+    """The ``count`` random starts of length ``m`` that ``seed`` draws first, read-only."""
+    starts = np.random.default_rng(seed).standard_normal((count, m))
+    return np.broadcast_to(starts, starts.shape)           # a read-only view
+
+
 def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
                 restarts: int, seed: int | np.random.Generator | None = 0) -> _LpStack:
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
     The matrix with the highest upper bound, then only those whose bound
     reaches its best warm ratio (no other can raise the best one or be
-    iterated), start from their p = 2 maximizer and its absolute value,
-    plus ``restarts - 2`` random starts shared by all.  A matrix whose
-    bound is below the best warm ratio keeps that, with 0 iterations.
+    iterated), are conjugated at 2 and start from their p = 2 maximizer and
+    its absolute value, plus ``restarts - 2`` random starts shared by all.  A
+    matrix whose bound is below the best warm ratio keeps that, with 0 iterations.
     """
     if p <= 1:
         raise ValueError(f"the iteration needs p > 1, got {p}")
@@ -215,19 +225,20 @@ def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
         return _LpStack(depth, mu, p, upper, 0, nonzero, np.zeros(0, bool),
                         empty[..., 0], empty, b[:0], empty)
 
-    extra = ensure_rng(seed).standard_normal((per - 2, m)) if per > 2 else ()
-    b2, reach = _conjugated(mats, depth, mu, lam, 2), upper * (1.0 + 1e-9)
-    top = nonzero[np.argmax(upper[nonzero])]
-    parts = [_warm_starts(b2, b, top[None], extra, p)]
-    warm = np.union1d(nonzero[reach[nonzero] >= parts[0][2].max()], top)
-    others = warm[warm != top]
-    if others.size:
-        parts.append(_warm_starts(b2, b, others, extra, p))
-    order = np.argsort(np.append(top, others))
-    starts, best_u, ratios = (np.concatenate(arrays)[order] for arrays in zip(*parts))
+    extra = (() if per == 2 else _seeded_starts(seed, per - 2, m) if isinstance(seed, int)
+             else ensure_rng(seed).standard_normal((per - 2, m)))
+    reach, top = upper[nonzero] * (1.0 + 1e-9), int(np.argmax(upper[nonzero]))  # top: in nonzero
+    parts = _warm_starts(mats, b, nonzero[top:top + 1], extra, p, depth, mu, lam)
+    sel = reach >= parts[2].max()
+    sel[top] = False
+    if sel.any():                                          # the others, around the top
+        rest, at = _warm_starts(mats, b, nonzero[sel], extra, p, depth, mu, lam), sel[:top].sum()
+        parts = [np.concatenate([o[:at], t, o[at:]]) for t, o in zip(parts, rest)]
+    sel[top] = True
+    warm, (starts, best_u, ratios) = nonzero[sel], parts
     best = np.full((warm.size, per), -np.inf)
     best[:, :2] = ratios
-    run = reach[warm] >= ratios.max()
+    run = reach[sel] >= ratios.max()
     return _LpStack(depth, mu, p, upper, nonzero.size, warm, run, best, best_u,
                     b[warm[run]], starts[run])
 
@@ -306,9 +317,8 @@ def _iterate(stacks: list[_LpStack]) -> list[tuple[np.ndarray, np.ndarray, np.nd
     ran = _power_iteration(
         np.concatenate([s.live.repeat(s.starts.shape[1], axis=0) for s in stacks]),
         np.concatenate(starts), stacks[0].p, MAX_ITER, TOL)
-    sizes = [len(u) for u in starts]
-    return [tuple(a[end - size:end] for a in ran)
-            for size, end in zip(sizes, itertools.accumulate(sizes))]
+    ends = itertools.accumulate(len(u) for u in starts)
+    return [tuple(a[end - len(u):end] for a in ran) for u, end in zip(starts, ends)]
 
 
 def solve(jobs: list[NormJob]) -> None:

@@ -204,19 +204,19 @@ def random_cascade_weight(depth: int, strength: float,
     if strength < 0:
         raise ValueError("strength must be non-negative")
     rng = ensure_rng(rng)
-    vals = np.ones((1, 1))
+    vals = np.ones((1, 1) if strength > 0 else (1 << depth,) * 2)
     for lev in range(depth):
         m = 1 << lev
-        eps = rng.uniform(0.0, strength, (m, m)) if strength > 0 else np.zeros((m, m))
-        axis = rng.integers(0, 2, (m, m))      # 0: split along x, 1: along y
-        flip = rng.integers(0, 2, (m, m))      # which half gets the boost
-        up = np.where(flip == 0, 1.0 + eps, 1.0 / (1.0 + eps))
-        down = np.where(flip == 0, 1.0 / (1.0 + eps), 1.0 + eps)
-        halves = np.stack([up, down])
-        x_split = axis == 0
-        fx = np.where(x_split, halves, 1.0)
-        fy = np.where(x_split, 1.0, halves)
-        # child (2i + a, 2j + c) of cell (i, j) takes fx[a, i, j] * fy[c, i, j]
-        factors = (fx[:, None] * fy[None, :]).transpose(2, 0, 3, 1)
-        vals = (vals[:, None, :, None] * factors).reshape(2 * m, 2 * m)
+        eps = rng.uniform(0.0, strength, (m, m)) if strength > 0 else None
+        x_split = rng.integers(0, 2, (m, m)) == 0      # else split along y
+        flip = rng.integers(0, 2, (m, m))              # which half gets the boost
+        if eps is None:                                # strength 0: no arithmetic
+            continue
+        boost = 1.0 + eps[:, None]
+        halves = np.where(flip[:, None] == [[0], [1]], boost, 1.0 / boost)    # [i, a, j]
+        # child (2i + a, 2j + c) of cell (i, j) takes half a on an x split, half c on a y split
+        factors = np.where(x_split[:, None, :, None], halves[..., None],
+                           halves.transpose(0, 2, 1)[:, None])
+        with np.errstate(over="ignore"):               # the clip below gives what overflows
+            vals = (vals[:, None, :, None] * factors).reshape(2 * m, 2 * m)
     return Weight._of(depth, np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL), role)

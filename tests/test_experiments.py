@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,23 @@ def test_cli_main_csv_artifact(capsys, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 3
 
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite value {name} printed as a number")
+
+
+@pytest.mark.parametrize("command", ["commutator", "jn", "paraproduct"])
+@pytest.mark.parametrize("p", ["1.05", "100"])
+@pytest.mark.parametrize("delta", ["0", "40", "1e300"])
+def test_cli_ratio_commands_run_clean_at_extreme_exponents_and_strengths(command, p, delta,
+                                                                         capsys):
+    # the cascade clamps what overflows and the power iteration reports it: nothing warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--depth", "2", "--p", p, "--delta", delta, "--trials", "1"])
+    assert code == 0 and not caught, [str(w.message) for w in caught]
+    json.loads(capsys.readouterr().out, parse_constant=_no_constant)
 
 def test_cli_rejects_bad_args():
     with pytest.raises(SystemExit):

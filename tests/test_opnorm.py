@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import os
@@ -547,6 +548,29 @@ def assert_same_result(got, want):
             np.testing.assert_array_equal(g.signs, w.signs)
 
 
+@pytest.mark.parametrize("p", [1.1, 3.0])
+@pytest.mark.parametrize("restarts", [3, 4, 6])
+def test_seeded_starts_come_from_a_read_only_cache(p, restarts):
+    rng = np.random.default_rng(71)
+    b = random_symbol(2, rng)
+    mu, lam = random_cascade_weight(2, 0.6, rng), random_cascade_weight(2, 0.6, rng)
+    mat = materialize(lambda_operator(b), 2)
+    cached = opnorm(mat, mu, lam, p, restarts=restarts, seed=0)
+    drawn = opnorm(mat, mu, lam, p, restarts=restarts, seed=np.random.default_rng(0))
+    for field in dataclasses.fields(opnorm_module.OpNormResult):
+        got, want = getattr(cached, field.name), getattr(drawn, field.name)
+        if field.name == "witness":
+            assert got.values.tobytes() == want.values.tobytes()
+        else:
+            assert type(got) is type(want) and got == want, field.name
+    starts = opnorm_module._seeded_starts(0, restarts - 2, 16)
+    assert starts is opnorm_module._seeded_starts(0, restarts - 2, 16)
+    assert not starts.flags.writeable
+    assert starts.tobytes() == np.random.default_rng(0).standard_normal((restarts - 2, 16)).tobytes()
+    with pytest.raises(ValueError):
+        starts[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_batched_solve_matches_one_job_solves(p, monkeypatch):
     alone = mixed_jobs(p)
@@ -623,6 +647,85 @@ def test_converged_reports_a_trajectory_that_overflowed():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass iteration step, against the compacted iteration it replaced,
+# kept here as the oracle
+# ---------------------------------------------------------------------------
+
+def power_iteration_compacted(b, starts, p, max_iter, tol):
+    """The compacted iteration before the one-pass step: ``B u`` and ``u`` are normed in
+    two passes, ``|nxt|`` is taken again for its norm, the ratio's ``abs`` is kept."""
+    pp = p / (p - 1.0)
+    ul = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    best, best_u, count = np.full(len(b), -np.inf), ul.copy(), np.full(len(b), max_iter)
+    broke = np.zeros(len(b), dtype=bool)
+    live, bl, prev, lbest, lbest_u = np.arange(len(b)), b, best.copy(), best.copy(), ul.copy()
+    for k in range(max_iter):
+        if live.size == 0:
+            break
+        out = np.einsum("tij,tj->ti", bl, ul)
+        a = np.abs(out)
+        r = np.add.reduce(a ** p, axis=-1) ** (1.0 / p) / opnorm_module._lp_norms(ul, p)
+        up = r > lbest
+        np.copyto(lbest, r, where=up)
+        np.copyto(lbest_u, ul, where=up[:, None])
+        moving = np.abs(r - prev) > tol * np.maximum(1.0, np.abs(r))
+        y = np.einsum("tji,tj->ti", bl, np.copysign(a ** (p - 1.0), out))
+        nxt = np.copysign(np.abs(y) ** (pp - 1.0), y)
+        norm = opnorm_module._lp_norms(nxt, p)
+        keep = moving & (norm != 0.0)
+        if not keep.all():
+            gone = live[~keep]
+            best[gone], best_u[gone], count[gone] = lbest[~keep], lbest_u[~keep], k + 1
+            broke[gone] = ~np.isfinite(r[~keep])
+            live, bl, r, nxt, norm, lbest, lbest_u = (
+                x[keep] for x in (live, bl, r, nxt, norm, lbest, lbest_u))
+        prev, ul = r, nxt / norm[:, None]
+    best[live], best_u[live] = lbest, lbest_u
+    return best, best_u, count, broke
+
+
+def overflowing_stack():
+    """The live matrices and starts of a p = 1.05 norm on strength-1e300 cascades."""
+    rng = np.random.default_rng(0)
+    b = random_symbol(2, rng)
+    mu, lam = (random_cascade_weight(2, 1e300, rng) for _ in range(2))
+    stack = opnorm_module.opnorm_job(lambda_matrix(b), mu, lam, 1.05).stack
+    per = stack.starts.shape[1]
+    return stack.live.repeat(per, axis=0), stack.starts.reshape(-1, stack.starts.shape[-1])
+
+
+def assert_same_iteration(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+def test_one_pass_iteration_matches_compacted_oracle(p):
+    rng = np.random.default_rng(70)
+    m = 9
+    b = rng.standard_normal((6, m, m)) * rng.exponential(size=(6, 1, m))
+    b[2] = 0.0                                  # a zero matrix: its iterate vanishes at once
+    b[4] = np.diag(np.arange(1.0, m + 1))       # stops within a few passes
+    starts = rng.standard_normal((6, m))
+    for max_iter in (3, 500):
+        got = opnorm_module._power_iteration(b, starts.copy(), p, max_iter, 1e-9)
+        assert_same_iteration(got, power_iteration_compacted(b, starts.copy(), p, max_iter,
+                                                             1e-9))
+        assert got[0][2] == 0.0 and got[2][2] == 1
+        assert (got[2] == 3).any() if max_iter == 3 else len(set(got[2])) >= 3
+
+
+def test_one_pass_iteration_matches_compacted_oracle_on_overflow():
+    b, starts = overflowing_stack()
+    got = opnorm_module._power_iteration(b, starts.copy(), 1.05, 500, 1e-9)
+    with np.errstate(all="ignore"):
+        want = power_iteration_compacted(b, starts.copy(), 1.05, 500, 1e-9)
+    assert_same_iteration(got, want)
+    assert got[3].any()                         # some trajectory left on a non-finite ratio
+
+
+# ---------------------------------------------------------------------------
 # warm starts only for the pairs their bracket can reach, against the
 # preparation that warm-started every pair, kept here as the oracle
 # ---------------------------------------------------------------------------
@@ -657,8 +760,9 @@ def lp_prepare_warming_every_pair(mats, depth, mu, lam, p, restarts, seed=0):
 def solve_warming_every_pair(old, depth, mu, p, signs=None, max_iter=500, tol=1e-9):
     """The finish and winner before: bounds of every non-zero matrix, then the argmax."""
     per, m = old["best_u"].shape[1:]
-    ran = opnorm_module._power_iteration(old["live"].repeat(per, axis=0),
-                                         old["starts"].reshape(-1, m), p, max_iter, tol)
+    with np.errstate(all="ignore"):
+        ran = power_iteration_compacted(old["live"].repeat(per, axis=0),
+                                        old["starts"].reshape(-1, m), p, max_iter, tol)
     count = len(old["upper"])
     values, iterations = np.zeros(count), np.zeros(count, dtype=int)
     converged = np.ones(count, dtype=bool)

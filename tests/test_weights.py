@@ -174,6 +174,39 @@ def test_cascade_matches_the_kron_oracle_bit_for_bit(depth, strength):
         assert rng.random() == oracle_rng.random()
 
 
+def broadcast_cascade(depth, strength, rng):
+    """Oracle: the broadcast cascade it replaced, each child's factor an x factor times a
+    y factor (one of them 1.0), every level's arithmetic run at strength 0 too."""
+    vals = np.ones((1, 1))
+    for lev in range(depth):
+        m = 1 << lev
+        eps = rng.uniform(0.0, strength, (m, m)) if strength > 0 else np.zeros((m, m))
+        axis = rng.integers(0, 2, (m, m))      # 0: split along x, 1: along y
+        flip = rng.integers(0, 2, (m, m))      # which half gets the boost
+        up = np.where(flip == 0, 1.0 + eps, 1.0 / (1.0 + eps))
+        down = np.where(flip == 0, 1.0 / (1.0 + eps), 1.0 + eps)
+        halves = np.stack([up, down])
+        x_split = axis == 0
+        fx = np.where(x_split, halves, 1.0)
+        fy = np.where(x_split, 1.0, halves)
+        # child (2i + a, 2j + c) of cell (i, j) takes fx[a, i, j] * fy[c, i, j]
+        factors = (fx[:, None] * fy[None, :]).transpose(2, 0, 3, 1)
+        with np.errstate(over="ignore"):
+            vals = (vals[:, None, :, None] * factors).reshape(2 * m, 2 * m)
+    return np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("strength", [0.0, 0.5, 2.0, 40.0, 1e300])
+def test_cascade_matches_the_broadcast_oracle_bit_for_bit(depth, strength):
+    # at 1e300 the products overflow and the clip gives WEIGHT_CEIL; no warning is raised
+    for seed in range(200):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_cascade_weight(depth, strength, rng).values
+        assert got.tobytes() == broadcast_cascade(depth, strength, oracle_rng).tobytes()
+        assert rng.random() == oracle_rng.random()
+
+
 def test_measure():
     w = make_weight(1, [[2.0, 2.0], [1.0, 1.0]])
     assert w.measure(unit_square()) == pytest.approx(1.5)
