@@ -337,7 +337,6 @@ def test_cli_main_csv_artifact(capsys, tmp_path):
     assert lines[0] == CSV_HEADER and len(lines) == 3
 
 
-
 def _no_constant(name):
     raise ValueError(f"non-finite value {name} printed as a number")
 
@@ -353,6 +352,7 @@ def test_cli_ratio_commands_run_clean_at_extreme_exponents_and_strengths(command
         code = main([command, "--depth", "2", "--p", p, "--delta", delta, "--trials", "1"])
     assert code == 0 and not caught, [str(w.message) for w in caught]
     json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+
 
 def test_cli_rejects_bad_args():
     with pytest.raises(SystemExit):

@@ -566,7 +566,8 @@ def test_seeded_starts_come_from_a_read_only_cache(p, restarts):
     starts = opnorm_module._seeded_starts(0, restarts - 2, 16)
     assert starts is opnorm_module._seeded_starts(0, restarts - 2, 16)
     assert not starts.flags.writeable
-    assert starts.tobytes() == np.random.default_rng(0).standard_normal((restarts - 2, 16)).tobytes()
+    want = np.random.default_rng(0).standard_normal((restarts - 2, 16))
+    assert starts.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         starts[0, 0] = 1.0
 

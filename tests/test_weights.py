@@ -175,8 +175,8 @@ def test_cascade_matches_the_kron_oracle_bit_for_bit(depth, strength):
 
 
 def broadcast_cascade(depth, strength, rng):
-    """Oracle: the broadcast cascade it replaced, each child's factor an x factor times a
-    y factor (one of them 1.0), every level's arithmetic run at strength 0 too."""
+    """Oracle: the cascade before each child's factor was picked by one ``np.where``; here
+    it is an x factor times a y factor (one of them 1.0), computed at strength 0 too."""
     vals = np.ones((1, 1))
     for lev in range(depth):
         m = 1 << lev
