@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -73,11 +73,6 @@ class DyadicInterval:
             DyadicInterval(self.level + 1, 2 * self.index),
             DyadicInterval(self.level + 1, 2 * self.index + 1),
         )
-
-    def parent(self) -> "DyadicInterval":
-        if self.level == 0:
-            raise ValueError("the unit interval has no parent")
-        return DyadicInterval(self.level - 1, self.index // 2)
 
     def contains(self, other: "DyadicInterval") -> bool:
         if other.level < self.level:
@@ -319,13 +314,7 @@ class HaarCoefficients2D:
 
     ``table[p, q]`` is the coefficient against ``u_p (x) u_q`` where slot 0
     is the constant scaling direction and slot 2**level + index the
-    cancellative Haar function of that interval.  Named block views (the
-    second letter refers to the y-axis; "1" marks the scaling direction):
-
-    - ``c00``: fully cancellative block, indexed (I, J);
-    - ``c10``: x-scaling block indexed by J (functions constant in x);
-    - ``c01``: y-scaling block indexed by I;
-    - ``c11``: the global mean, a scalar.
+    cancellative Haar function of that interval.
     """
 
     depth: int
@@ -348,25 +337,6 @@ class HaarCoefficients2D:
     def zeros(cls, depth: int) -> "HaarCoefficients2D":
         n = 1 << depth
         return cls(depth, np.zeros((n, n)))
-
-    def copy(self) -> "HaarCoefficients2D":
-        return HaarCoefficients2D(self.depth, self.table.copy())
-
-    @property
-    def c00(self) -> np.ndarray:
-        return self.table[1:, 1:]
-
-    @property
-    def c10(self) -> np.ndarray:
-        return self.table[0, 1:]
-
-    @property
-    def c01(self) -> np.ndarray:
-        return self.table[1:, 0]
-
-    @property
-    def c11(self) -> float:
-        return float(self.table[0, 0])
 
     def coefficient(self, rect: DyadicRectangle) -> float:
         """Fully cancellative coefficient of one rectangle."""
@@ -508,20 +478,20 @@ def partial_haar_sum(f: GridFunction2D, rect: DyadicRectangle) -> GridFunction2D
 
 
 # ---------------------------------------------------------------------------
-# shadows, rectangle collections, indicators
+# shadows and indicators
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Shadow:
-    """A union of depth-N cells, stored as a boolean mask ``mask[i, j]``."""
+    """A union of depth-N cells (N >= 1), stored as a boolean mask ``mask[i, j]``."""
 
     mask: np.ndarray
 
     def __post_init__(self) -> None:
         self.mask = np.asarray(self.mask, dtype=bool)
         n = self.mask.shape[0]
-        if self.mask.ndim != 2 or self.mask.shape != (n, n) or n & (n - 1):
-            raise ValueError("mask must be square with power-of-two side")
+        if self.mask.ndim != 2 or self.mask.shape != (n, n) or n < 2 or n & (n - 1):
+            raise ValueError("mask must be square with a power-of-two side of at least 2")
 
     @property
     def depth(self) -> int:
@@ -552,31 +522,6 @@ class Shadow:
                 value |= 1 << pos
         return format(value, "x")
 
-    @classmethod
-    def from_hex(cls, text: str, depth: int) -> "Shadow":
-        value = int(text, 16)
-        n = 1 << depth
-        bits = [(value >> pos) & 1 for pos in range(n * n)]
-        if value >> (n * n):
-            raise ValueError("hex mask has more bits than the grid has cells")
-        return cls(np.array(bits, bool).reshape(n, n))
-
-
-@dataclass
-class RectangleCollection:
-    """An explicit finite family of dyadic rectangles."""
-
-    rects: tuple[DyadicRectangle, ...]
-
-    def __init__(self, rects: Sequence[DyadicRectangle]):
-        self.rects = tuple(rects)
-
-    def __iter__(self) -> Iterator[DyadicRectangle]:
-        return iter(self.rects)
-
-    def __len__(self) -> int:
-        return len(self.rects)
-
 
 @lru_cache(maxsize=None)
 def rectangle_incidence(depth: int) -> np.ndarray:
@@ -600,23 +545,16 @@ def rectangles_inside(masks: np.ndarray, depth: int) -> np.ndarray:
     return (~masks).astype(np.float32) @ _incidence_columns(depth) == 0
 
 
-def rectangles_in_shadow(shadow: Shadow) -> RectangleCollection:
+def rectangles_in_shadow(shadow: Shadow) -> list[DyadicRectangle]:
     """All cancellative rectangles whose closure sits inside the mask."""
     rects = cancellative_rectangles(shadow.depth)
     inside = rectangles_inside(shadow.mask.reshape(1, -1), shadow.depth)[0]
-    return RectangleCollection([r for r, keep in zip(rects, inside) if keep])
+    return [r for r, keep in zip(rects, inside) if keep]
 
 
-def indicator(mask: Shadow | np.ndarray, depth: int | None = None) -> GridFunction2D:
+def indicator(shadow: Shadow) -> GridFunction2D:
     """Indicator grid function of a cell mask."""
-    if isinstance(mask, Shadow):
-        arr = mask.mask
-    else:
-        arr = np.asarray(mask, dtype=bool)
-    grid_depth = arr.shape[0].bit_length() - 1
-    if depth is not None and depth != grid_depth:
-        raise ValueError(f"mask has depth {grid_depth}, expected {depth}")
-    return GridFunction2D(grid_depth, arr.astype(float))
+    return GridFunction2D._of(shadow.depth, shadow.mask.astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from .norms import (
     lp_weighted_norm,
 )
 from .operators import (
-    OperatorMatrix,
     SignChoice1D,
     SignChoice2D,
     axis_sign_rows,
@@ -443,7 +442,7 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
                     and left > 4.0 * mid * (1.0 + 1e-9)):
                 violations.append(
                     f"p=2 delta=0 trial {trial}: supremum {left} exceeds 4x {mid}")
-            spots = [opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value / left
+            spots = [opnorm_p2_exact(mat, mu, lam).value / left
                      for mat in spot if left > 0]
             return left, right, mid, max([0.0, *spots])
         return [sup, sum_norm], finish
@@ -462,7 +461,8 @@ def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
         right, mid = bmo.value, little_bmo(b, mu, lam, p).value
         # drive the operator with the indicator of the witness shadow
         one_omega = indicator(bmo.witness)
-        t = lp_weighted_norm(pi.apply(one_omega), lam, p) / lp_weighted_norm(one_omega, mu, p)
+        image = GridFunction2D(b.depth, (pi @ one_omega.values.ravel()).reshape(b.values.shape))
+        t = lp_weighted_norm(image, lam, p) / lp_weighted_norm(one_omega, mu, p)
 
         def finish(violations):
             left = norm.result.value

@@ -23,7 +23,6 @@ import numpy as np
 from .dyadic import (
     DyadicRectangle,
     GridFunction2D,
-    RectangleCollection,
     Shadow,
     ensure_rng,
     haar_forward,
@@ -70,12 +69,12 @@ def _square_sum(per_rect: np.ndarray, depth: int) -> GridFunction2D:
 
 
 def square_function(f: GridFunction2D,
-                    region: Shadow | RectangleCollection | None = None) -> GridFunction2D:
+                    region: Shadow | list | tuple | None = None) -> GridFunction2D:
     """Rectangular Littlewood-Paley square function, optionally localized.
 
     ``region=None`` sums over every cancellative rectangle; a shadow
-    restricts to rectangles inside the mask; an explicit collection is
-    used as given: a repeated rectangle counts once per occurrence, and
+    restricts to rectangles inside the mask; a list or tuple of rectangles
+    is used as given: a repeated rectangle counts once per occurrence, and
     rectangles too fine for the grid contribute nothing.
     """
     if region is None:
@@ -84,7 +83,7 @@ def square_function(f: GridFunction2D,
         if region.depth != f.depth:
             raise ValueError("shadow and function disagree on depth")
         counts = rectangle_sums(~region.mask) == 0
-    elif isinstance(region, RectangleCollection):
+    elif isinstance(region, (list, tuple)):
         table = rectangle_table(f.depth)
         rows = [table.row(r) for r in region if max(r.x.level, r.y.level) < f.depth]
         counts = np.bincount(np.array(rows, dtype=int), minlength=len(table.area))
@@ -127,8 +126,9 @@ class BmoResult:
 
 
 @lru_cache(maxsize=None)
-def _upset_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached read-only ``(members, weights, lookup)`` naming the pattern of each (mask, cell).
+def _upset_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cached read-only ``(members, weights, lookup, covers)`` naming the pattern of each
+    (mask, cell).
 
     The cancellative rectangles through a cell that lie inside a mask form
     an up-set of level pairs ``g = lx * N + ly``: a finer rectangle through
@@ -139,7 +139,8 @@ def _upset_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cancellative rectangle r of level pair g, so ``rectangles_inside @
     weights`` spells each pattern's level pairs in binary (exactly: a sum
     of distinct powers of two below ``2^16``), and ``lookup`` maps that
-    code to the up-set's row.
+    code to the up-set's row.  ``covers[g, c]`` is the g-th rectangle holding
+    cell c, in rectangle order (level pair g).
     """
     if depth > HEURISTIC_MAX_DEPTH:
         raise ValueError(f"BMO masks are scored up to depth <= {HEURISTIC_MAX_DEPTH}, "
@@ -151,15 +152,16 @@ def _upset_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = rectangle_table(depth)
     levels = table.levels[table.cancellative]
     weights = (rectangle_incidence(depth) * (1 << levels @ [depth, 1])[:, None]).astype(np.float32)
-    for array in (members, weights, lookup):
+    covers = np.nonzero(rectangle_incidence(depth).T)[1].reshape(4 ** depth, -1).T
+    for array in (members, weights, lookup, covers):
         array.flags.writeable = False
-    return members, weights, lookup
+    return members, weights, lookup, covers
 
 
 def _pattern_ids(masks: np.ndarray) -> np.ndarray:
     """``ids[m, c]``: the up-set of raveled mask m's rectangles through cell c, as ``uint8``."""
     depth = (masks.shape[1].bit_length() - 1) // 2
-    _, weights, lookup = _upset_tables(depth)
+    _, weights, lookup, _ = _upset_tables(depth)
     ids = np.empty(masks.shape, np.uint8)
     step = max(1, BLOCK_CELLS // masks.shape[1])
     for start in range(0, len(masks), step):
@@ -185,12 +187,9 @@ class _MaskObjective:
         self.p = p
         self.cells = 4 ** b.depth
         self.energy = _energies(b)[rectangle_table(b.depth).cancellative]
-        self.incidence = rectangle_incidence(b.depth)
-        # covers[g, c]: the g-th rectangle holding cell c, in rectangle order (level pair g)
-        self.covers = np.nonzero(self.incidence.T)[1].reshape(self.cells, -1).T
+        members, _, _, self.covers = _upset_tables(b.depth)
         self.lam_cell = lam.values.ravel() * 4.0 ** (-b.depth)
         self.mu_cell = mu.values.ravel() * 4.0 ** (-b.depth)
-        members = _upset_tables(b.depth)[0]
         s2 = np.zeros((self.cells, len(members)))
         for member, cover in zip(members.T, self.covers):
             np.add(s2, self.energy[cover][:, None], out=s2, where=member)

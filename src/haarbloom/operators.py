@@ -40,7 +40,6 @@ from .dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
-    RectangleCollection,
     HAAR_KINDS,
     Shadow,
     axis_table,
@@ -111,7 +110,7 @@ def paraproduct_operator(kind: str, b: GridFunction2D) -> Operator:
     comes out against the complementary type.  "0" = cancellative,
     "1" = scaling, first character is the x-axis.
     """
-    return _stack_operator(b.depth, paraproduct_matrix(kind, b).matrix[None])
+    return _stack_operator(b.depth, paraproduct_matrix(kind, b)[None])
 
 
 def lambda_operator(b: GridFunction2D) -> Operator:
@@ -154,10 +153,6 @@ class SignChoice1D:
         return float(self.signs[slot_of(interval)])
 
     @classmethod
-    def constant(cls, depth: int, value: float = 1.0) -> "SignChoice1D":
-        return cls(depth, np.full(1 << depth, float(value)))
-
-    @classmethod
     def random(cls, depth: int, rng=None, values=(-1.0, 1.0)) -> "SignChoice1D":
         rng = ensure_rng(rng)
         return cls(depth, rng.choice(values, size=1 << depth))
@@ -168,13 +163,6 @@ class SignChoice1D:
             iv = slot_interval(p)
             out.append({"level": iv.level, "index": iv.index, "sign": float(self.signs[p])})
         return out
-
-    @classmethod
-    def from_json(cls, entries: list[dict], depth: int) -> "SignChoice1D":
-        signs = np.zeros(1 << depth)
-        for e in entries:
-            signs[slot_of(DyadicInterval(e["level"], e["index"]))] = e["sign"]
-        return cls(depth, signs)
 
 
 #: deepest grid whose full per-axis sign space is listed (2^15 rows)
@@ -235,15 +223,6 @@ class SignChoice2D:
     def to_json(self) -> list[dict]:
         """One entry per cancellative rectangle, in :func:`cancellative_rectangles` order."""
         return [{**r.as_dict(), "sign": self.sign(r)} for r in cancellative_rectangles(self.depth)]
-
-    @classmethod
-    def from_json(cls, entries: list[dict], depth: int) -> "SignChoice2D":
-        signs = np.zeros((1 << depth, 1 << depth))
-        for e in entries:
-            p = slot_of(DyadicInterval(e["lx"], e["ix"]))
-            q = slot_of(DyadicInterval(e["ly"], e["iy"]))
-            signs[p, q] = e["sign"]
-        return cls(depth, signs)
 
 
 def haar_multiplier_x(f: GridFunction2D, sigma: SignChoice1D) -> GridFunction2D:
@@ -353,11 +332,11 @@ def theta_operator(b: GridFunction2D) -> Operator:
 # restricted projections
 # ---------------------------------------------------------------------------
 
-def restricted_projection(f: GridFunction2D, region: Shadow | RectangleCollection) -> GridFunction2D:
+def restricted_projection(f: GridFunction2D, region: Shadow | list | tuple) -> GridFunction2D:
     """Sum of rectangle Haar projections over the family described by ``region``.
 
     A :class:`Shadow` stands for all cancellative rectangles contained in
-    the mask; a :class:`RectangleCollection` is used verbatim.
+    the mask; a list or tuple of rectangles is used verbatim.
     """
     if isinstance(region, Shadow):
         if region.depth != f.depth:
@@ -376,30 +355,14 @@ def restricted_projection(f: GridFunction2D, region: Shadow | RectangleCollectio
 # materialization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OperatorMatrix:
-    """Dense matrix of a linear operator acting on raveled cell values."""
+def materialize(op: Operator, depth: int) -> np.ndarray:
+    """Evaluate an operator on every cell indicator to obtain its dense ``(4^N, 4^N)`` matrix.
 
-    depth: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        m = 4 ** self.depth
-        if self.matrix.shape != (m, m):
-            raise ValueError(f"expected shape {(m, m)}, got {self.matrix.shape}")
-
-    def apply(self, f: GridFunction2D) -> GridFunction2D:
-        n = 1 << self.depth
-        return GridFunction2D(self.depth, (self.matrix @ f.values.ravel()).reshape(n, n))
-
-    def transpose(self) -> "OperatorMatrix":
-        """Adjoint with respect to the unweighted L2 pairing (cells share one area)."""
-        return OperatorMatrix(self.depth, self.matrix.T)
-
-
-def materialize(op: Operator, depth: int) -> OperatorMatrix:
-    """Evaluate an operator on every cell indicator to obtain its dense matrix."""
+    Beyond :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
+    """
+    if depth > MATRIX_MAX_DEPTH:
+        raise ValueError(f"materialized matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
+                         f"(16^depth entries each), got {depth}")
     n = 1 << depth
     m = n * n
     mat = np.empty((m, m))
@@ -408,7 +371,7 @@ def materialize(op: Operator, depth: int) -> OperatorMatrix:
         basis.flat[j] = 1.0
         mat[:, j] = op(GridFunction2D(depth, basis)).values.ravel()
         basis.flat[j] = 0.0
-    return OperatorMatrix(depth, mat)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -475,20 +438,20 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
     return mats.reshape(len(pairs), m, m) * 4.0 ** (-b.depth)
 
 
-def paraproduct_matrix(kind: str, b: GridFunction2D) -> OperatorMatrix:
-    """Dense matrix of :func:`paraproduct_operator` for one ``kind``."""
+def paraproduct_matrix(kind: str, b: GridFunction2D) -> np.ndarray:
+    """Dense ``(4^N, 4^N)`` matrix of :func:`paraproduct_operator` for one ``kind``."""
     if kind not in HAAR_KINDS:
         raise ValueError(f"kind must be one of {HAAR_KINDS}, got {kind!r}")
-    return OperatorMatrix(b.depth, _paraproduct_matrices(b, (kind,))[0])
+    return _paraproduct_matrices(b, (kind,))[0]
 
 
-def lambda_matrix(b: GridFunction2D) -> OperatorMatrix:
+def lambda_matrix(b: GridFunction2D) -> np.ndarray:
     """Dense matrix of :func:`lambda_operator`.
 
     The four kinds are every pairing of an x-type with a y-type, so their
     sum factors into one kernel per axis.
     """
-    return OperatorMatrix(b.depth, _paraproduct_matrices(b, (("01", "01"),))[0])
+    return _paraproduct_matrices(b, (("01", "01"),))[0]
 
 
 def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,

@@ -28,12 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import GridFunction2D, ensure_rng
-from .operators import (
-    OperatorMatrix,
-    SignChoice1D,
-    axis_sign_rows,
-    commutator_matrices,
-)
+from .operators import SignChoice1D, axis_sign_rows, commutator_matrices
 from .weights import Weight
 
 #: the C kernel behind ``np.einsum`` (same bits), without its Python argument handling
@@ -76,26 +71,26 @@ class OpNormResult:
         return out
 
 
-def _conjugated(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float) -> np.ndarray:
-    """Weight-conjugate one matrix or a stack of them (last two axes)."""
+def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarray:
+    """Weight-conjugate one ``(4^N, 4^N)`` matrix or a stack of them (last two axes)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not (depth == mu.depth == lam.depth):
+    if not (mats.shape[-2:] == (4 ** mu.depth,) * 2 and mu.depth == lam.depth):
         raise ValueError("operator and weights disagree on depth")
-    area = 4.0 ** (-depth)
+    area = 4.0 ** (-mu.depth)
     out_w = (lam.values.ravel() * area) ** (1.0 / p)
     in_w = (mu.values.ravel() * area) ** (-1.0 / p)
     return out_w[:, None] * mats * in_w[None, :]
 
 
-def opnorm_p2_exact(mat: OperatorMatrix, mu: Weight, lam: Weight) -> OpNormResult:
+def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
     """Exact L^2(mu) -> L^2(lam) norm as a top singular value, with maximizer."""
-    b = _conjugated(mat.matrix, mat.depth, mu, lam, 2)
+    b = _conjugated(mat, mu, lam, 2)
     _, s, vt = np.linalg.svd(b)
-    area = 4.0 ** (-mat.depth)
-    n = 1 << mat.depth
+    area = 4.0 ** (-mu.depth)
+    n = 1 << mu.depth
     f = vt[0] / np.sqrt(mu.values.ravel() * area)
-    return OpNormResult(float(s[0]), "exact", 0, GridFunction2D(mat.depth, f.reshape(n, n)))
+    return OpNormResult(float(s[0]), "exact", 0, GridFunction2D(mu.depth, f.reshape(n, n)))
 
 
 def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
@@ -171,7 +166,6 @@ class _LpStack:
     warm ratio, and ``live``/``starts`` their matrices and starts to iterate.
     """
 
-    depth: int
     mu: Weight
     p: float
     upper: np.ndarray
@@ -185,7 +179,7 @@ class _LpStack:
 
 
 def _warm_starts(mats: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: float, *weights):
-    """Starts of ``rows`` (at p in ``b``; at 2 by ``weights`` = depth, mu, lam): the p = 2
+    """Starts of ``rows`` (at p in ``b``; at 2 by ``weights`` = mu, lam): the p = 2
     maximizer, its absolute value, then ``extra``; raw, as units, and the warm ratios."""
     warm = np.linalg.svd(_conjugated(mats[rows], *weights, 2))[2][:, 0]
     starts = np.stack([warm, np.abs(warm)] + [np.broadcast_to(e, warm.shape) for e in extra],
@@ -203,7 +197,7 @@ def _seeded_starts(seed: int, count: int, m: int) -> np.ndarray:
     return np.broadcast_to(starts, starts.shape)           # a read-only view
 
 
-def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
+def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float,
                 restarts: int, seed: int | np.random.Generator | None = 0) -> _LpStack:
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
@@ -215,31 +209,31 @@ def _lp_prepare(mats: np.ndarray, depth: int, mu: Weight, lam: Weight, p: float,
     """
     if p <= 1:
         raise ValueError(f"the iteration needs p > 1, got {p}")
-    b = _conjugated(mats, depth, mu, lam, p)
+    b = _conjugated(mats, mu, lam, p)
     upper = _upper_brackets(b, p)
     count, m = b.shape[0], b.shape[-1]
     nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
     per = max(2, restarts)
     if nonzero.size == 0:
         empty = np.zeros((0, per, m))
-        return _LpStack(depth, mu, p, upper, 0, nonzero, np.zeros(0, bool),
+        return _LpStack(mu, p, upper, 0, nonzero, np.zeros(0, bool),
                         empty[..., 0], empty, b[:0], empty)
 
     extra = (() if per == 2 else _seeded_starts(seed, per - 2, m) if isinstance(seed, int)
              else ensure_rng(seed).standard_normal((per - 2, m)))
     reach, top = upper[nonzero] * (1.0 + 1e-9), int(np.argmax(upper[nonzero]))  # top: in nonzero
-    parts = _warm_starts(mats, b, nonzero[top:top + 1], extra, p, depth, mu, lam)
+    parts = _warm_starts(mats, b, nonzero[top:top + 1], extra, p, mu, lam)
     sel = reach >= parts[2].max()
     sel[top] = False
     if sel.any():                                          # the others, around the top
-        rest, at = _warm_starts(mats, b, nonzero[sel], extra, p, depth, mu, lam), sel[:top].sum()
+        rest, at = _warm_starts(mats, b, nonzero[sel], extra, p, mu, lam), sel[:top].sum()
         parts = [np.concatenate([o[:at], t, o[at:]]) for t, o in zip(parts, rest)]
     sel[top] = True
     warm, (starts, best_u, ratios) = nonzero[sel], parts
     best = np.full((warm.size, per), -np.inf)
     best[:, :2] = ratios
     run = reach[sel] >= ratios.max()
-    return _LpStack(depth, mu, p, upper, nonzero.size, warm, run, best, best_u,
+    return _LpStack(mu, p, upper, nonzero.size, warm, run, best, best_u,
                     b[warm[run]], starts[run])
 
 
@@ -278,13 +272,13 @@ def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its
             converged)
 
 
-def _lp_result(depth: int, mu: Weight, p: float, value: float, unit: np.ndarray | None,
+def _lp_result(mu: Weight, p: float, value: float, unit: np.ndarray | None,
                iterations: int, upper: float, pruned: int) -> OpNormResult:
     witness = None
     if unit is not None:
-        n = 1 << depth
-        f = unit / (mu.values.ravel() * 4.0 ** (-depth)) ** (1.0 / p)
-        witness = GridFunction2D(depth, f.reshape(n, n))
+        n = 1 << mu.depth
+        f = unit / (mu.values.ravel() * 4.0 ** (-mu.depth)) ** (1.0 / p)
+        witness = GridFunction2D(mu.depth, f.reshape(n, n))
     return OpNormResult(float(value), "lower_bound", int(iterations), witness,
                         upper_bound=float(upper), pruned=pruned)
 
@@ -336,12 +330,12 @@ def solve(jobs: list[NormJob]) -> None:
     for job, ran in zip(pending, _iterate([job.stack for job in pending])):
         stack = job.stack
         idx, value, unit, its, pruned, converged = _lp_finish(stack, *ran)
-        job.result = _lp_result(stack.depth, stack.mu, stack.p, value, unit, its[idx],
+        job.result = _lp_result(stack.mu, stack.p, value, unit, its[idx],
                                 stack.upper[idx], pruned)
         job.result.converged = converged
         if job.signs is not None:
             job.result.iterations = int(np.maximum(1, its).sum())
-            job.result.sign_pair = tuple(SignChoice1D(stack.depth, s[idx]) for s in job.signs)
+            job.result.sign_pair = tuple(SignChoice1D(stack.mu.depth, s[idx]) for s in job.signs)
         job.stack = None
 
 
@@ -350,9 +344,9 @@ def _solved(job: NormJob) -> OpNormResult:
     return job.result
 
 
-def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
+def opnorm(mat: np.ndarray, mu: Weight, lam: Weight, p: float, restarts: int = 4,
            seed: int | np.random.Generator | None = 0) -> OpNormResult:
-    """The L^p(mu) -> L^p(lam) norm of one operator matrix.
+    """The L^p(mu) -> L^p(lam) norm of one ``(4^N, 4^N)`` operator matrix.
 
     At p = 2 the exact top singular value (the other options are not read).
     Otherwise a certified lower bound: the nonlinear power iteration,
@@ -364,12 +358,12 @@ def opnorm(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int
     return _solved(opnorm_job(mat, mu, lam, p, restarts, seed))
 
 
-def opnorm_job(mat: OperatorMatrix, mu: Weight, lam: Weight, p: float, restarts: int = 4,
+def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float, restarts: int = 4,
                seed: int | np.random.Generator | None = 0) -> NormJob:
     """:func:`opnorm` as a job: solved when built at p = 2, by :func:`solve` otherwise."""
     if p == 2:
         return NormJob(p, opnorm_p2_exact(mat, mu, lam))
-    return NormJob(p, stack=_lp_prepare(mat.matrix[None], mat.depth, mu, lam, p, restarts, seed))
+    return NormJob(p, stack=_lp_prepare(mat[None], mu, lam, p, restarts, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +393,11 @@ def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
 
     mats = commutator_matrices(b, sx, sy)
     if p != 2:
-        return NormJob(p, stack=_lp_prepare(mats, b.depth, mu, lam, p, restarts),
+        return NormJob(p, stack=_lp_prepare(mats, mu, lam, p, restarts),
                        signs=(sx, sy))
-    tops = np.linalg.svd(_conjugated(mats, b.depth, mu, lam, 2), compute_uv=False)[:, 0]
+    tops = np.linalg.svd(_conjugated(mats, mu, lam, 2), compute_uv=False)[:, 0]
     idx = int(np.argmax(tops))
-    best = opnorm_p2_exact(OperatorMatrix(b.depth, mats[idx]), mu, lam)
+    best = opnorm_p2_exact(mats[idx], mu, lam)
     best.iterations = len(mats)        # max(1, 0) per pair
     best.sign_pair = (SignChoice1D(b.depth, sx[idx]), SignChoice1D(b.depth, sy[idx]))
     best.kind = "exact" if mode == "exhaustive" else "lower_bound"

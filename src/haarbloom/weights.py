@@ -17,7 +17,6 @@ import numpy as np
 from .dyadic import (
     DyadicRectangle,
     GridFunction2D,
-    Shadow,
     ensure_rng,
     rectangle_means,
     rectangle_table,
@@ -80,13 +79,6 @@ class Weight:
     @property
     def values(self) -> np.ndarray:
         return self.grid.values
-
-    def measure(self, region: Shadow | DyadicRectangle) -> float:
-        """Weighted measure of a cell mask or rectangle."""
-        area = 4.0 ** (-self.depth)
-        if isinstance(region, Shadow):
-            return float(self.values[region.mask].sum()) * area
-        return float(self.values[region.cell_box(self.depth)].sum()) * area
 
 
 def constant_weight(depth: int, value: float = 1.0, role: str = "generic") -> Weight:
@@ -158,14 +150,6 @@ class AverageComparabilityReport:
     p: float
     rects: tuple[DyadicRectangle, ...]
     table: np.ndarray
-
-    def worst_ratios(self) -> dict:
-        q1, q2, q3, q4 = self.table.T
-        return {
-            "max_q1_over_q2": float((q1 / q2).max()),
-            "max_q4_over_q1": float((q4 / q1).max()),
-            "max_q3_over_q4": float((q3 / q4).max()),
-        }
 
 
 def average_comparability_report(w: Weight, p: float) -> AverageComparabilityReport:

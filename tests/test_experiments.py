@@ -11,7 +11,7 @@ import pytest
 
 from haarbloom import experiments
 from haarbloom.cli import build_parser, main
-from haarbloom.dyadic import indicator, random_grid, random_symbol
+from haarbloom.dyadic import GridFunction2D, indicator, random_grid, random_symbol
 from haarbloom.experiments import (
     COMMANDS,
     CSV_HEADER,
@@ -36,7 +36,6 @@ from haarbloom.norms import (
     lp_weighted_norm,
 )
 from haarbloom.operators import (
-    OperatorMatrix,
     SignChoice1D,
     axis_sign_rows,
     commutator_matrices,
@@ -527,7 +526,7 @@ def run_commutator_per_trial(cfg):
                          for _ in range(10)]
                 mats = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
                 for mat in mats:
-                    v = opnorm_p2_exact(OperatorMatrix(cfg.depth, mat), mu, lam).value
+                    v = opnorm_p2_exact(mat, mu, lam).value
                     if sup.value > 0:
                         spotcheck = max(spotcheck, v / sup.value)
             flag = "ok" if right > 0 else "degenerate"
@@ -567,8 +566,9 @@ def run_paraproduct_per_trial(cfg):
             right = bmo.value
             mid = little_bmo(b, mu, lam, p).value
             one_omega = indicator(bmo.witness)
-            t = (lp_weighted_norm(pi.apply(one_omega), lam, p)
-                 / lp_weighted_norm(one_omega, mu, p))
+            image = GridFunction2D(b.depth, (pi @ one_omega.values.ravel())
+                                   .reshape(b.values.shape))
+            t = lp_weighted_norm(image, lam, p) / lp_weighted_norm(one_omega, mu, p)
             if p == 2 and t > left * (1.0 + 1e-9):
                 violations.append(
                     f"trial {trial}: testing-function ratio {t} above the exact norm {left}")

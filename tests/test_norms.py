@@ -11,7 +11,6 @@ from haarbloom.dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
-    RectangleCollection,
     Shadow,
     cancellative_rectangles,
     ensure_rng,
@@ -72,18 +71,20 @@ def test_square_function_localized():
             c = coeffs.coefficient(r)
             expect[r.cell_box(2)] += c * c / r.area
     np.testing.assert_allclose(s.values, np.sqrt(expect), atol=1e-14)
-    # an explicit collection is used verbatim
-    coll = RectangleCollection([unit_square()])
+    # an explicit list or tuple is used verbatim
     c = coeffs.coefficient(unit_square())
-    np.testing.assert_allclose(square_function(f, coll).values, abs(c), atol=1e-14)
+    for coll in ([unit_square()], (unit_square(),)):
+        np.testing.assert_allclose(square_function(f, coll).values, abs(c), atol=1e-14)
+    with pytest.raises(TypeError):
+        square_function(f, {unit_square()})
 
 
 def test_square_function_counts_a_repeated_rectangle_per_occurrence():
     f = random_grid(2, 14)
     r = rect(1, 0, 0, 0)
     c = haar_forward(f).coefficient(r)
-    once = square_function(f, RectangleCollection([r])).values
-    twice = square_function(f, RectangleCollection([r, unit_square(), r])).values
+    once = square_function(f, [r]).values
+    twice = square_function(f, [r, unit_square(), r]).values
     expect = np.zeros((4, 4))
     expect[r.cell_box(2)] = 2 * c * c / r.area
     expect += haar_forward(f).coefficient(unit_square()) ** 2
@@ -94,14 +95,13 @@ def test_square_function_counts_a_repeated_rectangle_per_occurrence():
 def test_square_function_skips_rectangles_too_fine_for_the_grid():
     f = random_grid(2, 15)
     fine = [rect(2, 1, 0, 0), rect(0, 0, 2, 3), rect(3, 5, 1, 1)]
-    zero = square_function(f, RectangleCollection(fine)).values
+    zero = square_function(f, fine).values
     np.testing.assert_array_equal(zero, 0.0)
-    base = square_function(f, RectangleCollection([rect(1, 1, 1, 0)])).values
-    np.testing.assert_array_equal(
-        square_function(f, RectangleCollection(fine + [rect(1, 1, 1, 0)])).values, base)
+    base = square_function(f, [rect(1, 1, 1, 0)]).values
+    np.testing.assert_array_equal(square_function(f, fine + [rect(1, 1, 1, 0)]).values, base)
     # the projection onto the same family refuses them instead
     with pytest.raises(ValueError, match="no resolved Haar function"):
-        restricted_projection(f, RectangleCollection(fine[:1]))
+        restricted_projection(f, fine[:1])
 
 
 def test_weighted_square_function_identity():
@@ -203,7 +203,7 @@ def test_mask_objective_matches_the_literal_ratio(p):
         for value, m in zip(got, masks):
             omega = Shadow(m.reshape(n, n))
             want = (lp_weighted_norm(square_function(b, omega), lam, p)
-                    / mu.measure(omega) ** (1.0 / p))
+                    / (mu.values[omega.mask].sum() * 4.0 ** -depth) ** (1.0 / p))
             assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
@@ -297,7 +297,7 @@ def test_pattern_table_scores_the_finest_unions_as_the_masked_adds(depth, p):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_pattern_ids_name_the_up_set_of_rectangles_inside(depth):
-    members, weights, lookup = norms._upset_tables(depth)
+    members, weights, lookup, covers = norms._upset_tables(depth)
     assert norms._upset_tables(depth) is norms._upset_tables(depth)
     assert len(members) == math.comb(2 * depth, depth)
     assert len(np.unique(members, axis=0)) == len(members)
@@ -305,7 +305,7 @@ def test_pattern_ids_name_the_up_set_of_rectangles_inside(depth):
     assert (grid[:, 1:] >= grid[:, :-1]).all() and (grid[:, :, 1:] >= grid[:, :, :-1]).all()
     unions, finest_ids = norms._finest_unions(min(depth, 3))
     rows, row_ids, _, _ = norms._candidate_table(depth)
-    for array in (members, weights, lookup, unions, finest_ids, rows, row_ids):
+    for array in (members, weights, lookup, covers, unions, finest_ids, rows, row_ids):
         assert not array.flags.writeable
     rng = np.random.default_rng(90 + depth)
     masks = rng.random((200, 4 ** depth)) < rng.uniform(0.3, 0.98, (200, 1))
@@ -313,7 +313,9 @@ def test_pattern_ids_name_the_up_set_of_rectangles_inside(depth):
     ids = norms._pattern_ids(masks)
     assert ids.dtype == np.uint8 and ids.max() < len(members)
     inside = rectangles_inside(masks, depth)
-    covers = np.nonzero(rectangle_incidence(depth).T)[1].reshape(4 ** depth, -1).T
+    # covers[g, c]: the level-pair-g rectangle through cell c
+    np.testing.assert_array_equal(covers, np.nonzero(rectangle_incidence(depth).T)[1]
+                                  .reshape(4 ** depth, -1).T)
     # members[ids[m, c], g]: the level-pair-g rectangle through cell c lies inside mask m
     np.testing.assert_array_equal(members[ids], inside[:, covers].transpose(0, 2, 1))
     assert not members[ids[0]].any() and members[ids[1]].all()     # empty mask, full square
@@ -369,10 +371,11 @@ def _heuristic_search_oracle(obj, restarts, seed):
     """The search before distinct candidates were scored once, by ceiling, and grown in
     lockstep, word for word."""
     rng = ensure_rng(seed)
-    first, second = np.triu_indices(len(obj.incidence), 1)
+    incidence = rectangle_incidence(obj.depth)
+    first, second = np.triu_indices(len(incidence), 1)
     cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
     candidates = np.concatenate(
-        [rectangle_table(obj.depth).cells, obj.incidence[first] | obj.incidence[second]]
+        [rectangle_table(obj.depth).cells, incidence[first] | incidence[second]]
         + [field >= np.unique(field)[:, None]
            for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
         + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])

@@ -29,7 +29,7 @@ from haarbloom.dyadic import (
     unit_square,
 )
 from haarbloom.operators import (
-    OperatorMatrix,
+    MATRIX_MAX_DEPTH,
     _cc_table,
     _pairing_kernels,
     _paraproduct_matrices,
@@ -223,8 +223,8 @@ def test_one_parameter_projections_annihilate_lambda():
         iv = slot_interval(p)
         m1 = materialize(lambda g: haar_project_x(lam(haar_project_x(g, iv)), iv), 2)
         m2 = materialize(lambda g: haar_project_y(lam(haar_project_y(g, iv)), iv), 2)
-        assert np.abs(m1.matrix).max() < 1e-13
-        assert np.abs(m2.matrix).max() < 1e-13
+        assert np.abs(m1).max() < 1e-13
+        assert np.abs(m2).max() < 1e-13
 
 
 def test_restricted_projection_recovers_symbol_from_lambda():
@@ -338,24 +338,25 @@ def test_pm_one_multiplier_squares_to_cancellative_projection():
     assert (twice - bi_cancellative_part(f)).max_abs() < 1e-13
 
 
-def test_sign_choice_json_round_trip():
+def test_sign_choice_json_entries():
+    # one entry per cancellative slot (pair), in slot (rectangle) order, with its sign
     sx = SignChoice1D.random(3, 22)
-    back = SignChoice1D.from_json(sx.to_json(), 3)
-    np.testing.assert_array_equal(back.signs, sx.signs)
+    intervals = [slot_interval(p) for p in range(1, 8)]
+    assert sx.to_json() == [{"level": iv.level, "index": iv.index, "sign": sign}
+                            for iv, sign in zip(intervals, sx.signs[1:])]
     s2 = SignChoice2D.random(2, 23)
-    back2 = SignChoice2D.from_json(s2.to_json(), 2)
-    np.testing.assert_array_equal(back2.signs, s2.signs)
-    entry = sx.to_json()[0]
-    assert set(entry) == {"level", "index", "sign"}
-    entry2 = s2.to_json()[0]
-    assert set(entry2) == {"lx", "ix", "ly", "iy", "sign"}
+    want2 = [{**r.as_dict(), "sign": s2.signs[slot_of(r.x), slot_of(r.y)]}
+             for r in cancellative_rectangles(2)]
+    assert s2.to_json() == want2
+    assert set(sx.to_json()[0]) == {"level", "index", "sign"}
+    assert set(s2.to_json()[0]) == {"lx", "ix", "ly", "iy", "sign"}
 
 
 def test_scaling_slot_is_forced_to_zero():
     s = SignChoice1D(1, np.array([5.0, 1.0]))
     assert s.signs[0] == 0.0
     f = random_grid(1, 24)
-    g = haar_multiplier_x(f, SignChoice1D.constant(1))
+    g = haar_multiplier_x(f, SignChoice1D(1, np.ones(2)))
     # constant-sign multiplier removes the x-average
     expect = f.values - f.values.mean(axis=0, keepdims=True)
     np.testing.assert_allclose(g.values, expect, atol=1e-14)
@@ -365,20 +366,26 @@ def test_scaling_slot_is_forced_to_zero():
 # materialization
 # ---------------------------------------------------------------------------
 
+def apply(mat, f):
+    """A dense matrix applied to a grid function's raveled cell values."""
+    return GridFunction2D(f.depth, (mat @ f.values.ravel()).reshape(f.values.shape))
+
+
 def test_materialize_round_trip():
     b = random_symbol(2, 25)
     op = lambda_operator(b)
     mat = materialize(op, 2)
+    assert mat.shape == (16, 16) and mat.dtype == float
     f = random_grid(2, 26)
-    assert (mat.apply(f) - op(f)).max_abs() < 1e-12
+    assert (apply(mat, f) - op(f)).max_abs() < 1e-12
 
 
 def test_transpose_is_unweighted_adjoint():
     b = random_symbol(2, 27)
     mat = materialize(lambda_operator(b), 2)
     f, g = random_grid(2, 28), random_grid(2, 29)
-    lhs = (mat.apply(f) * g).integral()
-    rhs = (f * mat.transpose().apply(g)).integral()
+    lhs = (apply(mat, f) * g).integral()
+    rhs = (f * apply(mat.transpose(), g)).integral()
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -386,15 +393,15 @@ def test_transpose_is_unweighted_adjoint():
 def test_paraproduct_matrices_match_the_literal_operators(depth):
     b = random_grid(depth, 30 + depth)
     for kind in ("00", "10", "01", "11"):
-        want = materialize(literal_paraproduct(kind, b), depth).matrix
-        got = paraproduct_matrix(kind, b).matrix
+        want = materialize(literal_paraproduct(kind, b), depth)
+        got = paraproduct_matrix(kind, b)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(materialize(paraproduct_operator(kind, b), depth).matrix,
+        np.testing.assert_allclose(materialize(paraproduct_operator(kind, b), depth),
                                    want, rtol=0, atol=1e-13 * np.abs(want).max())
-    want = materialize(literal_lambda(b), depth).matrix
-    np.testing.assert_allclose(lambda_matrix(b).matrix, want,
+    want = materialize(literal_lambda(b), depth)
+    np.testing.assert_allclose(lambda_matrix(b), want,
                                rtol=0, atol=1e-13 * np.abs(want).max())
-    np.testing.assert_allclose(materialize(lambda_operator(b), depth).matrix, want,
+    np.testing.assert_allclose(materialize(lambda_operator(b), depth), want,
                                rtol=0, atol=1e-13 * np.abs(want).max())
 
 
@@ -405,7 +412,7 @@ def test_four_kind_stack_matches_each_paraproduct_matrix_bit_for_bit(depth):
         stack = _paraproduct_matrices(b, HAAR_KINDS)
         assert stack.shape == (4, 4 ** depth, 4 ** depth)
         for kind, got in zip(HAAR_KINDS, stack):
-            assert got.tobytes() == paraproduct_matrix(kind, b).matrix.tobytes()
+            assert got.tobytes() == paraproduct_matrix(kind, b).tobytes()
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
@@ -463,9 +470,9 @@ def test_paraproduct_matrices_match_the_uncached_einsum_bit_for_bit(depth):
         b = random_grid(depth, 70 + 10 * depth + seed)
         for kind in HAAR_KINDS:
             want = uncached_paraproduct_matrix(b, kind[0], kind[1])
-            assert paraproduct_matrix(kind, b).matrix.tobytes() == want.tobytes()
+            assert paraproduct_matrix(kind, b).tobytes() == want.tobytes()
         want = uncached_paraproduct_matrix(b, "01", "01")
-        assert lambda_matrix(b).matrix.tobytes() == want.tobytes()
+        assert lambda_matrix(b).tobytes() == want.tobytes()
 
 
 def test_pairing_kernels_and_axis_bases_are_cached_read_only():
@@ -491,7 +498,7 @@ def test_commutator_blocks_match_literal_projection_commutators(depth):
     blocks = commutator_matrices(b, eye[[p for p, _ in pairs]], eye[[q for _, q in pairs]])
     for (p, q), got in zip(pairs, blocks):
         ix, jy = slot_interval(p), slot_interval(q)
-        want = materialize(lambda f: iterated_projection_commutator(b, f, ix, jy), depth).matrix
+        want = materialize(lambda f: iterated_projection_commutator(b, f, ix, jy), depth)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(b.values).max())
 
 
@@ -505,7 +512,7 @@ def test_commutator_matrices_match_literal_nested_commutators(depth):
                                np.array([s.signs for s in draws[1::2]]))
     assert mats.shape == (4, 4 ** depth, 4 ** depth)
     for sx, sy, got in zip(draws[0::2], draws[1::2], mats):
-        want = materialize(lambda f: iterated_commutator(b, f, sx, sy), depth).matrix
+        want = materialize(lambda f: iterated_commutator(b, f, sx, sy), depth)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(b.values).max())
 
 
@@ -527,13 +534,13 @@ def test_validation():
     with pytest.raises(ValueError):
         paraproduct_operator("2", b)
     with pytest.raises(ValueError):
-        haar_multiplier_x(f, SignChoice1D.constant(1))
+        haar_multiplier_x(f, SignChoice1D(1, np.ones(2)))
     with pytest.raises(ValueError):
         theta_operator(b)(f)
     with pytest.raises(ValueError):
-        OperatorMatrix(1, np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        SignChoice2D.from_tensor(SignChoice1D.constant(1), SignChoice1D.constant(2))
+        SignChoice2D.from_tensor(SignChoice1D(1, np.ones(2)), SignChoice1D(2, np.ones(4)))
+    with pytest.raises(ValueError):     # refused before allocating: 2 GiB at depth 7
+        materialize(lambda g: g, MATRIX_MAX_DEPTH + 1)
     with pytest.raises(ValueError):
         commutator_matrices(f, np.ones((2, 4)), np.ones((3, 4)))
     with pytest.raises(ValueError):

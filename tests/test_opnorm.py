@@ -13,7 +13,6 @@ import pytest
 from haarbloom.dyadic import GridFunction2D, random_grid, random_symbol
 from haarbloom.norms import lp_weighted_norm
 from haarbloom.operators import (
-    OperatorMatrix,
     SignChoice1D,
     axis_sign_rows,
     commutator_matrices,
@@ -40,7 +39,12 @@ def inverse_weight(w, role="generic"):
 
 def conjugated(mat, mu, lam, p):
     """The plain matrix whose l^p norm is the weighted L^p(mu) -> L^p(lam) norm of ``mat``."""
-    return opnorm_module._conjugated(mat.matrix, mat.depth, mu, lam, p)
+    return opnorm_module._conjugated(mat, mu, lam, p)
+
+
+def apply(mat, f):
+    """A dense matrix applied to a grid function's raveled cell values."""
+    return GridFunction2D(f.depth, (mat @ f.values.ravel()).reshape(f.values.shape))
 
 
 def test_multiplication_norm_is_sup_norm():
@@ -54,7 +58,7 @@ def test_multiplication_norm_is_sup_norm():
 def test_identity_norm_between_weights():
     mu = random_cascade_weight(2, 0.7, 2)
     lam = random_cascade_weight(2, 0.7, 3)
-    ident = OperatorMatrix(2, np.eye(16))
+    ident = np.eye(16)
     res = opnorm_p2_exact(ident, mu, lam)
     assert res.value == pytest.approx(np.sqrt(lam.values / mu.values).max(), rel=1e-12)
 
@@ -65,7 +69,7 @@ def test_witness_attains_the_value():
     lam = random_cascade_weight(2, 0.5, 6)
     mat = materialize(lambda_operator(b), 2)
     res = opnorm_p2_exact(mat, mu, lam)
-    ratio = lp_weighted_norm(mat.apply(res.witness), lam, 2) / lp_weighted_norm(res.witness, mu, 2)
+    ratio = lp_weighted_norm(apply(mat, res.witness), lam, 2) / lp_weighted_norm(res.witness, mu, 2)
     assert ratio == pytest.approx(res.value, rel=1e-10)
     assert lp_weighted_norm(res.witness, mu, 2) == pytest.approx(1.0, rel=1e-10)
 
@@ -79,7 +83,7 @@ def test_lower_bound_matches_exact_at_p2():
         mat = materialize(lambda_operator(b), 2)
         exact = opnorm_p2_exact(mat, mu, lam).value
         job = opnorm_module.NormJob(2.0, stack=opnorm_module._lp_prepare(
-            mat.matrix[None], mat.depth, mu, lam, 2.0, 4))
+            mat[None], mu, lam, 2.0, 4))
         opnorm_module.solve([job])
         lower = job.result
         assert lower.value == pytest.approx(exact, rel=1e-6)
@@ -98,7 +102,7 @@ def test_bracket_contains_the_norm():
     for p in (1.5, 3.0):
         res = opnorm(mat, mu, lam, p)
         assert res.value <= res.upper_bound * (1 + 1e-9)
-        got = (lp_weighted_norm(mat.apply(res.witness), lam, p)
+        got = (lp_weighted_norm(apply(mat, res.witness), lam, p)
                / lp_weighted_norm(res.witness, mu, p))
         assert got == pytest.approx(res.value, rel=1e-8)
 
@@ -143,7 +147,7 @@ def test_weighted_matrix_is_transpose_consistent():
 
 
 def test_zero_operator():
-    zero = OperatorMatrix(1, np.zeros((4, 4)))
+    zero = np.zeros((4, 4))
     one = constant_weight(1)
     assert opnorm_p2_exact(zero, one, one).value == 0.0
     res = opnorm(zero, one, one, 1.5)
@@ -214,7 +218,7 @@ def test_validation():
         sup_commutator_norm(b, one3, one3, 2, mode="exhaustive")
     with pytest.raises(ValueError):
         sup_commutator_norm(b, one3, one3, 2, mode="annealed")
-    mat = OperatorMatrix(1, np.eye(4))
+    mat = np.eye(4)
     one = constant_weight(1)
     with pytest.raises(ValueError):
         conjugated(mat, one, one, 0.5)
@@ -222,6 +226,15 @@ def test_validation():
         opnorm(mat, one, one, 1.0)
     with pytest.raises(ValueError):
         conjugated(mat, constant_weight(2), one, 2)
+    # a matrix whose shape does not fit the weights' depth
+    for bad in (np.ones((3, 3)), np.eye(16), np.ones((4, 16))):
+        with pytest.raises(ValueError, match="disagree on depth"):
+            opnorm_p2_exact(bad, one, one)
+        for p in (1.5, 2.0):
+            with pytest.raises(ValueError, match="disagree on depth"):
+                opnorm(bad, one, one, p)
+            with pytest.raises(ValueError, match="disagree on depth"):
+                opnorm_module.opnorm_job(bad, one, one, p)
 
 
 def per_pair_supremum(b, mu, lam, p, restarts=2):
@@ -257,7 +270,7 @@ def test_batched_sup_matches_per_pair_loop(p):
         # the reported pair and witness realize the reported value
         sx, sy = res.sign_pair
         mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), depth)
-        got = (lp_weighted_norm(mat.apply(res.witness), lam, p)
+        got = (lp_weighted_norm(apply(mat, res.witness), lam, p)
                / lp_weighted_norm(res.witness, mu, p))
         assert got == pytest.approx(res.value, rel=1e-8)
 
@@ -360,12 +373,12 @@ def singleton_supremum(b, mu, lam, p, sx, sy):
     mats = commutator_matrices(b, sx, sy)
     best = None
     for i in range(len(mats)):
-        stack = opnorm_module._lp_prepare(mats[i:i + 1], b.depth, mu, lam, p, 2)
+        stack = opnorm_module._lp_prepare(mats[i:i + 1], mu, lam, p, 2)
         idx, value, unit, its, pruned, _ = opnorm_module._lp_finish(
             stack, *opnorm_module._iterate([stack])[0])
         assert idx == 0 and pruned == 0
         if best is None or value > best.value:
-            best = opnorm_module._lp_result(b.depth, mu, p, value, unit, its[0],
+            best = opnorm_module._lp_result(mu, p, value, unit, its[0],
                                             stack.upper[0], pruned)
             best.sign_pair = (sx[i], sy[i])
     return best
@@ -731,10 +744,10 @@ def test_one_pass_iteration_matches_compacted_oracle_on_overflow():
 # preparation that warm-started every pair, kept here as the oracle
 # ---------------------------------------------------------------------------
 
-def lp_prepare_warming_every_pair(mats, depth, mu, lam, p, restarts, seed=0):
+def lp_prepare_warming_every_pair(mats, mu, lam, p, restarts, seed=0):
     """The preparation before: every non-zero matrix warm-started and scored."""
     conjugated, lp = opnorm_module._conjugated, opnorm_module._lp_norms
-    b = conjugated(mats, depth, mu, lam, p)
+    b = conjugated(mats, mu, lam, p)
     upper = opnorm_module._upper_brackets(b, p)
     rng = opnorm_module.ensure_rng(seed)
     count, m = b.shape[0], b.shape[-1]
@@ -744,7 +757,7 @@ def lp_prepare_warming_every_pair(mats, depth, mu, lam, p, restarts, seed=0):
         empty = np.zeros((0, per, m))
         return dict(upper=upper, nonzero=nonzero, run=np.zeros(0, bool), best=empty[..., 0],
                     best_u=empty, live=b[:0], starts=empty)
-    warm = np.linalg.svd(conjugated(mats[nonzero], depth, mu, lam, 2))[2][:, 0]
+    warm = np.linalg.svd(conjugated(mats[nonzero], mu, lam, 2))[2][:, 0]
     starts = [warm, np.abs(warm)]
     starts += [np.broadcast_to(rng.standard_normal(m), warm.shape)
                for _ in range(per - len(starts))]
@@ -780,7 +793,7 @@ def solve_warming_every_pair(old, depth, mu, p, signs=None, max_iter=500, tol=1e
         row = int(np.flatnonzero(nonzero == idx)[0])
         u = best_u[row, pick[row]]
         unit = u / opnorm_module._lp_norms(u, p)
-    res = opnorm_module._lp_result(depth, mu, p, values[idx], unit, iterations[idx],
+    res = opnorm_module._lp_result(mu, p, values[idx], unit, iterations[idx],
                                    old["upper"][idx], int(nonzero.size - run.sum()))
     res.converged = bool(converged[idx]) and not broke.any()
     if signs is not None:
@@ -833,8 +846,8 @@ def test_reachable_warm_starts_match_warming_every_pair(p):
     warmed = nonzero = 0
     for b, mu, lam, mode, sx, sy in supremum_cases():
         mats = commutator_matrices(b, sx, sy)
-        new = opnorm_module._lp_prepare(mats, b.depth, mu, lam, p, 2)
-        old = lp_prepare_warming_every_pair(mats, b.depth, mu, lam, p, 2)
+        new = opnorm_module._lp_prepare(mats, mu, lam, p, 2)
+        old = lp_prepare_warming_every_pair(mats, mu, lam, p, 2)
         assert_same_stack(new, old)
         warmed, nonzero = warmed + new.warm.size, nonzero + new.nonzero
         got = sup_commutator_norm(b, mu, lam, p, mode=mode, trials=12, seed=9)
@@ -858,18 +871,18 @@ def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
         return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    new = opnorm_module._lp_prepare(mat.matrix[None], 2, mu, lam, p, 6, 4)
+    new = opnorm_module._lp_prepare(mat[None], mu, lam, p, 6, 4)
     monkeypatch.undo()
     assert warm_svds == [1]
-    old = lp_prepare_warming_every_pair(mat.matrix[None], 2, mu, lam, p, 6, 4)
+    old = lp_prepare_warming_every_pair(mat[None], mu, lam, p, 6, 4)
     assert_same_stack(new, old)
     assert_same_bits(opnorm(mat, mu, lam, p, restarts=6, seed=4),
                      solve_warming_every_pair(old, 2, mu, p))
     # an all-zero stack
     signs = exhaustive_rows(2)
     zero = commutator_matrices(GridFunction2D.zeros(2), *signs)
-    new = opnorm_module._lp_prepare(zero, 2, mu, lam, p, 2)
-    old = lp_prepare_warming_every_pair(zero, 2, mu, lam, p, 2)
+    new = opnorm_module._lp_prepare(zero, mu, lam, p, 2)
+    old = lp_prepare_warming_every_pair(zero, mu, lam, p, 2)
     assert_same_stack(new, old)
     assert_same_bits(sup_commutator_norm(GridFunction2D.zeros(2), mu, lam, p),
                      solve_warming_every_pair(old, 2, mu, p, signs))
@@ -877,13 +890,13 @@ def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
     sx, sy = axis_sign_rows(2)[:5], axis_sign_rows(2)[3:]
     mats = commutator_matrices(b, sx, sy)
     top = int(np.argmax(opnorm_module._upper_brackets(
-        opnorm_module._conjugated(mats, 2, mu, lam, p), p)))
+        opnorm_module._conjugated(mats, mu, lam, p), p)))
     mats = np.concatenate([mats[:2], -mats[top:top + 1], mats[2:]])
     signs = (np.concatenate([sx[:2], -sx[top:top + 1], sx[2:]]),
              np.concatenate([sy[:2], sy[top:top + 1], sy[2:]]))
-    new = opnorm_module._lp_prepare(mats, 2, mu, lam, p, 2)
+    new = opnorm_module._lp_prepare(mats, mu, lam, p, 2)
     assert new.upper[2] == new.upper.max() == new.upper[top + (top >= 2)]
-    old = lp_prepare_warming_every_pair(mats, 2, mu, lam, p, 2)
+    old = lp_prepare_warming_every_pair(mats, mu, lam, p, 2)
     assert_same_stack(new, old)
     job = opnorm_module.NormJob(p, stack=new, signs=signs)
     opnorm_module.solve([job])

@@ -12,7 +12,6 @@ from haarbloom.dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
-    RectangleCollection,
     Shadow,
     all_rectangles,
     cancellative_rectangles,
@@ -230,7 +229,7 @@ def test_square_functions_match_the_loop():
         np.testing.assert_array_equal(square_function(f, shadow).values,
                                       square_function_loop(f, shadow))
         picks = rng.choice(len(all_rectangles(depth + 1)), 12)
-        coll = RectangleCollection([all_rectangles(depth + 1)[i] for i in picks])
+        coll = [all_rectangles(depth + 1)[i] for i in picks]
         np.testing.assert_allclose(square_function(f, coll).values,
                                    square_function_loop(f, coll), rtol=1e-14, atol=0)
         np.testing.assert_allclose(triebel_lizorkin_square_function(f, w, p).values,

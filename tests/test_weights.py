@@ -7,7 +7,6 @@ from haarbloom.dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
-    Shadow,
     rectangle_means,
     rectangle_sums,
     rectangle_table,
@@ -119,11 +118,11 @@ def test_average_comparability():
     for p in (1.5, 2.0, 3.0):
         rep = average_comparability_report(random_cascade_weight(2, 0.8, rng), p)
         assert rep.table.shape == (49, 4)
-        ratios = rep.worst_ratios()
-        assert ratios["max_q1_over_q2"] <= 1.0 + 1e-12
-        assert ratios["max_q4_over_q1"] <= 1.0 + 1e-12
+        q1, q2, q3, q4 = rep.table.T
+        assert (q1 / q2).max() <= 1.0 + 1e-12
+        assert (q4 / q1).max() <= 1.0 + 1e-12
         # empirically the full chain q3 <= q4 holds as well
-        assert ratios["max_q3_over_q4"] <= 1.0 + 1e-12
+        assert (q3 / q4).max() <= 1.0 + 1e-12
 
 
 def test_cascade_determinism_and_degenerate_strength():
@@ -205,15 +204,6 @@ def test_cascade_matches_the_broadcast_oracle_bit_for_bit(depth, strength):
         got = random_cascade_weight(depth, strength, rng).values
         assert got.tobytes() == broadcast_cascade(depth, strength, oracle_rng).tobytes()
         assert rng.random() == oracle_rng.random()
-
-
-def test_measure():
-    w = make_weight(1, [[2.0, 2.0], [1.0, 1.0]])
-    assert w.measure(unit_square()) == pytest.approx(1.5)
-    left = DyadicRectangle(DyadicInterval(1, 0), DyadicInterval(0, 0))
-    assert w.measure(left) == pytest.approx(1.0)
-    mask = Shadow(np.array([[True, False], [False, True]]))
-    assert w.measure(mask) == pytest.approx(0.75)
 
 
 def test_report_serialization():
