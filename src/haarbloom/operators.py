@@ -342,6 +342,8 @@ def restricted_projection(f: GridFunction2D, region: Shadow | list | tuple) -> G
         if region.depth != f.depth:
             raise ValueError("shadow and function disagree on depth")
         region = rectangles_in_shadow(region)
+    elif not isinstance(region, (list, tuple)):
+        raise TypeError(f"unsupported region {type(region).__name__}")
     n = 1 << f.depth
     keep = np.zeros((n, n), bool)
     for rect in region:

@@ -75,8 +75,11 @@ def test_square_function_localized():
     c = coeffs.coefficient(unit_square())
     for coll in ([unit_square()], (unit_square(),)):
         np.testing.assert_allclose(square_function(f, coll).values, abs(c), atol=1e-14)
-    with pytest.raises(TypeError):
-        square_function(f, {unit_square()})
+    # anything else is refused, by the projection onto the family too
+    for region in ({unit_square()}, iter([unit_square()])):
+        for consumer in (square_function, restricted_projection):
+            with pytest.raises(TypeError, match="unsupported region"):
+                consumer(f, region)
 
 
 def test_square_function_counts_a_repeated_rectangle_per_occurrence():
