@@ -356,7 +356,7 @@ def test_partial_sum_is_sum_of_projections():
 # shadows and IO
 # ---------------------------------------------------------------------------
 
-def test_shadow_hex_packs_cells_row_major():
+def test_shadow_hex_round_trip():
     # raveled cell k is bit k of the hex number
     rng = np.random.default_rng(21)
     for _ in range(10):

@@ -338,7 +338,7 @@ def test_pm_one_multiplier_squares_to_cancellative_projection():
     assert (twice - bi_cancellative_part(f)).max_abs() < 1e-13
 
 
-def test_sign_choice_json_entries():
+def test_sign_choice_json_round_trip():
     # one entry per cancellative slot (pair), in slot (rectangle) order, with its sign
     sx = SignChoice1D.random(3, 22)
     intervals = [slot_interval(p) for p in range(1, 8)]

@@ -7,6 +7,8 @@ from haarbloom.dyadic import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction2D,
+    Shadow,
+    indicator,
     rectangle_means,
     rectangle_sums,
     rectangle_table,
@@ -204,6 +206,16 @@ def test_cascade_matches_the_broadcast_oracle_bit_for_bit(depth, strength):
         got = random_cascade_weight(depth, strength, rng).values
         assert got.tobytes() == broadcast_cascade(depth, strength, oracle_rng).tobytes()
         assert rng.random() == oracle_rng.random()
+
+
+def test_measure():
+    # weighted measures of a rectangle and of a cell mask, through the grid
+    w = make_weight(1, [[2.0, 2.0], [1.0, 1.0]])
+    assert w.grid.integral() == pytest.approx(1.5)
+    left = DyadicRectangle(DyadicInterval(1, 0), DyadicInterval(0, 0))
+    assert w.grid.average(left) * left.area == pytest.approx(1.0)
+    mask = Shadow(np.array([[True, False], [False, True]]))
+    assert (w.grid * indicator(mask)).integral() == pytest.approx(0.75)
 
 
 def test_report_serialization():
