@@ -71,6 +71,7 @@ from .operators import (
 )
 from .opnorm import (
     EXHAUSTIVE_MAX_DEPTH,
+    NormJob,
     opnorm_job,
     opnorm_p2_exact,
     solve,
@@ -365,10 +366,11 @@ def _ratio_sweep(cfg: ExperimentConfig, build, summary=None) -> tuple[dict, list
     Every trial draws, from its own generator, a symbol ``b`` and the
     weight pair ``mu``, ``lam``; ``nu`` is their Bloom weight.  Then
     ``build(p, delta, trial, b, mu, lam, nu, rng)`` returns ``(jobs,
-    finish)``.  The pending norm jobs of consecutive trials are finished
-    together by one :func:`solve`: at the end of the combination, or
-    sooner once their matrices pass ``PENDING_BYTES``.  Then, in trial
-    order, ``finish(violations)`` appends the trial's failed checks and
+    finish)``, the jobs from :func:`opnorm_job` or :func:`sup_commutator_job`.
+    The jobs of consecutive trials go to one :func:`solve`: at the end of
+    the combination, or sooner once the pending matrices pass
+    ``PENDING_BYTES``.  Then, in trial order, ``finish(violations, norms)``
+    gets the results of the trial's jobs, appends its failed checks and
     returns ``(left, right, mid, extra)`` for its row.  Each combination
     reports its rows and ``ratio_lr``, plus ``summary(rows, extras)``.
     """
@@ -376,24 +378,24 @@ def _ratio_sweep(cfg: ExperimentConfig, build, summary=None) -> tuple[dict, list
     combos_out = []
     violations: list[str] = []
     for ci, (p, delta) in enumerate(cfg.combos()):
-        built, pending, held = [], [], 0
+        built, pending, held, norms = [], [], 0, []
         for trial in range(cfg.trials):
             rng = cfg.rng_for(ci, trial)
             b = random_symbol(cfg.depth, rng)
             mu, lam = _draw_pair(cfg.depth, delta, rng)
             nu = bloom_weight(mu, lam, p)
             jobs, finish = build(p, delta, trial, b, mu, lam, nu, rng)
-            built.append((finish, [ap_characteristic(w, q).characteristic
-                                   for w, q in ((mu, p), (lam, p), (nu, 2))]))
+            built.append((finish, len(jobs), [ap_characteristic(w, q).characteristic
+                                              for w, q in ((mu, p), (lam, p), (nu, 2))]))
             pending += jobs
-            held += sum(job.nbytes for job in jobs)
+            held += sum(job.live.nbytes for job in jobs if isinstance(job, NormJob))
             if held > PENDING_BYTES:
-                solve(pending)
+                norms += solve(pending)
                 pending, held = [], 0
-        solve(pending)
-        start, extras = len(records), []
-        for finish, aps in built:
-            left, right, mid, extra = finish(violations)
+        norms += solve(pending)
+        start, extras, done = len(records), [], iter(norms)
+        for finish, count, aps in built:
+            left, right, mid, extra = finish(violations, list(itertools.islice(done, count)))
             records.append(RatioRecord(
                 len(records), *aps, left, right, mid, left / right if right > 0 else math.nan,
                 left / mid if mid > 0 else math.nan, "ok" if right > 0 else "degenerate"))
@@ -413,7 +415,7 @@ def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
         left = bmo_prod_one_weight(b, nu, cfg.strategy, seed=rng).value
         right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
 
-        def finish(violations):
+        def finish(violations, norms):
             if p == 2 and delta == 0 and right > 0 and abs(left / right - 1.0) > 1e-12:
                 violations.append(f"p=2 delta=0 trial {trial}: one- and two-weight "
                                   f"norms differ ({left / right})")
@@ -426,8 +428,8 @@ def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
 def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     """Sign-supremum commutator norm against the paraproduct-sum norm and BMO."""
     def build(p, delta, trial, b, mu, lam, nu, rng):
-        sup = sup_commutator_job(b, mu, lam, p, mode=cfg.mode, trials=SAMPLED_PAIRS, seed=rng)
-        sum_norm = opnorm_job(lambda_matrix(b), mu, lam, p)
+        jobs = [sup_commutator_job(b, mu, lam, p, mode=cfg.mode, trials=SAMPLED_PAIRS, seed=rng),
+                opnorm_job(lambda_matrix(b), mu, lam, p)]
         right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
         spot = ()
         if trial == 0 and p == 2:
@@ -436,8 +438,8 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
                      for _ in range(10)]
             spot = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
 
-        def finish(violations):
-            left, mid = sup.result.value, sum_norm.result.value
+        def finish(violations, norms):
+            left, mid = norms[0].value, norms[1].value
             if (p == 2 and delta == 0 and cfg.mode == "exhaustive"
                     and left > 4.0 * mid * (1.0 + 1e-9)):
                 violations.append(
@@ -445,7 +447,7 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
             spots = [opnorm_p2_exact(mat, mu, lam).value / left
                      for mat in spot if left > 0]
             return left, right, mid, max([0.0, *spots])
-        return [sup, sum_norm], finish
+        return jobs, finish
 
     return _ratio_sweep(cfg, build, lambda rows, spotchecks: {
         "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
@@ -456,7 +458,7 @@ def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     """Paraproduct operator norm against the BMO norms, with explicit testing function."""
     def build(p, delta, trial, b, mu, lam, nu, rng):
         pi = paraproduct_matrix("11", b)
-        norm = opnorm_job(pi, mu, lam, p)
+        jobs = [opnorm_job(pi, mu, lam, p)]
         bmo = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng)
         right, mid = bmo.value, little_bmo(b, mu, lam, p).value
         # drive the operator with the indicator of the witness shadow
@@ -464,8 +466,8 @@ def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
         image = GridFunction2D(b.depth, (pi @ one_omega.values.ravel()).reshape(b.values.shape))
         t = lp_weighted_norm(image, lam, p) / lp_weighted_norm(one_omega, mu, p)
 
-        def finish(violations):
-            left = norm.result.value
+        def finish(violations, norms):
+            left = norms[0].value
             if p == 2 and t > left * (1.0 + 1e-9):
                 violations.append(
                     f"trial {trial}: testing-function ratio {t} above the exact norm {left}")
@@ -473,7 +475,7 @@ def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
                 violations.append(
                     f"p=2 delta=0 trial {trial}: norm {left} below the BMO norm {right}")
             return left, right, mid, t / left if left > 0 else math.nan
-        return [norm], finish
+        return jobs, finish
 
     return _ratio_sweep(cfg, build, lambda rows, tested: {
         "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),

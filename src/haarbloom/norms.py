@@ -44,6 +44,8 @@ EXACT_MAX_DEPTH = 2
 HEURISTIC_MAX_DEPTH = 4
 #: cells (masks x cells per mask) the BMO objective scores in one block
 BLOCK_CELLS = 16384
+#: seeded random masks among the heuristic search's candidates
+HEURISTIC_RESTARTS = 8
 
 
 def lp_weighted_norm(f: GridFunction2D, w: Weight, p: float) -> float:
@@ -319,7 +321,7 @@ def _grow(obj: _MaskObjective, masks: np.ndarray, best: np.ndarray):
     return best, masks
 
 
-def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, np.ndarray]:
+def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
     """Candidate shadows + steepest-ascent growth; exact-search oracle's cheap rival.
 
     Candidate families: every dyadic rectangle, pairwise unions of the cancellative
@@ -338,7 +340,7 @@ def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, 
     own = np.concatenate(
         [field >= np.unique(field)[:, None]
          for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
-        + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])
+        + [np.ones((1, obj.cells), bool), rng.random((HEURISTIC_RESTARTS, obj.cells)) < 0.5])
     own = own[own.any(axis=1)]
     own_values, reach = obj.values(own), _ceilings(obj, parts)
     order, counts = np.argsort(-reach), np.bincount(inverse)
@@ -364,7 +366,7 @@ def _heuristic_search(obj: _MaskObjective, restarts: int, seed) -> tuple[float, 
 
 
 def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
-                        strategy: str = "exact", restarts: int = 8,
+                        strategy: str = "exact",
                         seed: int | np.random.Generator | None = 0) -> BmoResult:
     """Two-weight product BMO norm of a symbol, with witness shadow.
 
@@ -380,18 +382,17 @@ def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     if strategy == "exact":
         value, mask = _exact_search(obj)
     elif strategy == "heuristic":
-        value, mask = _heuristic_search(obj, restarts, seed)
+        value, mask = _heuristic_search(obj, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return BmoResult(value, strategy, Shadow(mask.reshape(1 << b.depth, -1).copy()))
 
 
 def bmo_prod_one_weight(b: GridFunction2D, nu: Weight, strategy: str = "exact",
-                        restarts: int = 8,
                         seed: int | np.random.Generator | None = 0) -> BmoResult:
     """One-weight (Bloom) product BMO: the pair (nu, nu^{-1}) at exponent 2."""
     inv = Weight._of(nu.depth, 1.0 / nu.values, "lambda")
-    return bmo_prod_two_weight(b, nu, inv, 2.0, strategy, restarts, seed)
+    return bmo_prod_two_weight(b, nu, inv, 2.0, strategy, seed)
 
 
 def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResult:

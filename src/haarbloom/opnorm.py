@@ -14,15 +14,17 @@ the stack of one.  Away from 2 the matrix with the highest upper bound is warm-s
 first, then only those whose bound reaches its warm ratio: only these are conjugated at
 exponent 2, and an int seed's random starts come from a read-only cache.  Those whose
 bound reaches the best warm ratio are iterated, the rest pruned; each pass of the
-iteration takes the l^p norms of ``B u`` and ``u`` in one go.  A norm can also be built
-as a :class:`NormJob` and finished later: :func:`solve` runs the trajectories of many
-jobs of one exponent in one power iteration, as the experiment sweeps do per combination.
+iteration takes the l^p norms of ``B u`` and ``u`` in one go.  :func:`opnorm_job` and
+:func:`sup_commutator_job` build a norm without finishing it: the result itself at
+p = 2, otherwise a pending :class:`NormJob`.  :func:`solve` finishes the pending jobs
+of one exponent in one power iteration and returns one result per job, as the
+experiment sweeps do per combination.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -157,13 +159,14 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
 
 
 @dataclass
-class _LpStack:
-    """A stack of conjugated matrices between warm starts and the power iteration.
+class NormJob:
+    """A norm away from p = 2 between warm starts and the power iteration.
 
-    ``nonzero`` counts the non-zero matrices; ``warm`` indexes the ones
-    warm-started, whose every start's ratio and unit iterate ``best``/
-    ``best_u`` hold; ``run`` marks those whose bracket reaches the best
-    warm ratio, and ``live``/``starts`` their matrices and starts to iterate.
+    One matrix, or a sign supremum's stack.  ``nonzero`` counts the
+    non-zero matrices; ``warm`` indexes the ones warm-started, whose every
+    start's ratio and unit iterate ``best``/``best_u`` hold; ``run`` marks
+    those whose bracket reaches the best warm ratio, and ``live``/``starts``
+    their matrices and starts to iterate.  ``signs`` holds a supremum's sign rows.
     """
 
     mu: Weight
@@ -176,6 +179,7 @@ class _LpStack:
     best_u: np.ndarray
     live: np.ndarray
     starts: np.ndarray
+    signs: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _warm_starts(mats: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: float, *weights):
@@ -198,13 +202,13 @@ def _seeded_starts(seed: int, count: int, m: int) -> np.ndarray:
 
 
 def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float,
-                restarts: int, seed: int | np.random.Generator | None = 0) -> _LpStack:
+                per: int, seed: int | np.random.Generator | None = 0) -> NormJob:
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
     The matrix with the highest upper bound, then only those whose bound
     reaches its best warm ratio (no other can raise the best one or be
     iterated), are conjugated at 2 and start from their p = 2 maximizer and
-    its absolute value, plus ``restarts - 2`` random starts shared by all.  A
+    its absolute value, plus ``per - 2`` random starts shared by all.  A
     matrix whose bound is below the best warm ratio keeps that, with 0 iterations.
     """
     if p <= 1:
@@ -213,11 +217,10 @@ def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float,
     upper = _upper_brackets(b, p)
     count, m = b.shape[0], b.shape[-1]
     nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
-    per = max(2, restarts)
     if nonzero.size == 0:
         empty = np.zeros((0, per, m))
-        return _LpStack(mu, p, upper, 0, nonzero, np.zeros(0, bool),
-                        empty[..., 0], empty, b[:0], empty)
+        return NormJob(mu, p, upper, 0, nonzero, np.zeros(0, bool),
+                       empty[..., 0], empty, b[:0], empty)
 
     extra = (() if per == 2 else _seeded_starts(seed, per - 2, m) if isinstance(seed, int)
              else ensure_rng(seed).standard_normal((per - 2, m)))
@@ -233,137 +236,100 @@ def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float,
     best = np.full((warm.size, per), -np.inf)
     best[:, :2] = ratios
     run = reach[sel] >= ratios.max()
-    return _LpStack(mu, p, upper, nonzero.size, warm, run, best, best_u,
-                    b[warm[run]], starts[run])
+    return NormJob(mu, p, upper, nonzero.size, warm, run, best, best_u,
+                   b[warm[run]], starts[run])
 
 
-def _lp_finish(stack: _LpStack, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray,
-               ran_broke: np.ndarray):
-    """Fold the iterated trajectories into ``stack``: certified lower bounds.
+def _finish(job: NormJob, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray,
+            ran_broke: np.ndarray) -> OpNormResult:
+    """Fold the iterated trajectories of ``job`` into its certified lower bound.
 
-    Returns the matrix with the highest lower bound (ties: the first), that
-    bound and its unit l^p maximizer (None when every matrix is zero); then
-    per matrix the iteration count; then the number pruned, and whether no
-    iterated start of the winner stopped at :data:`MAX_ITER` and no trajectory
-    left on a non-finite ratio.  A warm-started matrix whose lower bound is
-    above its bracket raises: it means the arithmetic, not the operator, went wrong.
+    The matrix with the highest lower bound wins (ties: the first); its unit
+    l^p maximizer is the witness (none when every matrix is zero).  ``converged``
+    is False when an iterated start of the winner stopped at :data:`MAX_ITER`
+    or any trajectory left on a non-finite ratio.  A supremum also reports the
+    winner's sign pair, and its ``iterations`` sum ``max(1, per-matrix
+    iterations)``.  A warm-started matrix whose lower bound is above its
+    bracket raises: it means the arithmetic, not the operator, went wrong.
     """
-    per = stack.best_u.shape[1]
-    best, best_u = stack.best, stack.best_u
+    per = job.best_u.shape[1]
+    best, best_u = job.best, job.best_u
     its = np.zeros(best.shape, dtype=int)
-    best[stack.run], best_u[stack.run], its[stack.run] = (
+    best[job.run], best_u[job.run], its[job.run] = (
         a.reshape(-1, per, *a.shape[1:]) for a in (ran_best, ran_u, ran_its))
     pick = np.argmax(best, axis=1)         # ties: the earliest start, as a sequential walk
-    values = best[np.arange(stack.warm.size), pick]
-    bounds = stack.upper[stack.warm]
+    values = best[np.arange(job.warm.size), pick]
+    bounds = job.upper[job.warm]
     escaped = values > bounds * (1.0 + 1e-9)
     if escaped.any():
         i = int(np.argmax(escaped))
         raise RuntimeError(f"lower bound {values[i]} escaped the bracket {bounds[i]}")
-    iterations = np.zeros(len(stack.upper), dtype=int)
-    iterations[stack.warm] = its.sum(axis=1)
-    pruned = int(stack.nonzero - stack.run.sum())
-    if stack.warm.size == 0:
-        return 0, 0.0, None, iterations, pruned, True
-    row = int(np.argmax(values))
-    u = best_u[row, pick[row]]
-    converged = (not stack.run[row] or bool((its[row] < MAX_ITER).all())) and not ran_broke.any()
-    return (int(stack.warm[row]), values[row], u / _lp_norms(u, stack.p), iterations, pruned,
-            converged)
+    iterations = np.zeros(len(job.upper), dtype=int)
+    iterations[job.warm] = its.sum(axis=1)
+    idx, value, witness, converged = 0, 0.0, None, True
+    if job.warm.size:
+        row = int(np.argmax(values))
+        idx, value, u = int(job.warm[row]), values[row], best_u[row, pick[row]]
+        area, n = 4.0 ** (-job.mu.depth), 1 << job.mu.depth
+        f = u / _lp_norms(u, job.p) / (job.mu.values.ravel() * area) ** (1.0 / job.p)
+        witness = GridFunction2D(job.mu.depth, f.reshape(n, n))
+        converged = ((not job.run[row] or bool((its[row] < MAX_ITER).all()))
+                     and not ran_broke.any())
+    res = OpNormResult(float(value), "lower_bound", int(iterations[idx]), witness,
+                       upper_bound=float(job.upper[idx]),
+                       pruned=int(job.nonzero - job.run.sum()), converged=converged)
+    if job.signs is not None:
+        res.iterations = int(np.maximum(1, iterations).sum())
+        res.sign_pair = tuple(SignChoice1D(job.mu.depth, s[idx]) for s in job.signs)
+    return res
 
 
-def _lp_result(mu: Weight, p: float, value: float, unit: np.ndarray | None,
-               iterations: int, upper: float, pruned: int) -> OpNormResult:
-    witness = None
-    if unit is not None:
-        n = 1 << mu.depth
-        f = unit / (mu.values.ravel() * 4.0 ** (-mu.depth)) ** (1.0 / p)
-        witness = GridFunction2D(mu.depth, f.reshape(n, n))
-    return OpNormResult(float(value), "lower_bound", int(iterations), witness,
-                        upper_bound=float(upper), pruned=pruned)
-
-
-@dataclass
-class NormJob:
-    """A weighted operator norm still to finish: one matrix, or a sign supremum's stack.
-
-    At p = 2 ``result`` is set when the job is built (SVD); otherwise
-    ``stack`` holds the trajectories left after pruning, and :func:`solve`
-    sets ``result`` and drops the stack.  ``signs`` holds a supremum's
-    sign rows.
-    """
-
-    p: float
-    result: OpNormResult | None = None
-    stack: _LpStack | None = None
-    signs: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the matrices still to iterate."""
-        return 0 if self.stack is None else self.stack.live.nbytes
-
-
-def _iterate(stacks: list[_LpStack]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run the live trajectories of all ``stacks`` through one :func:`_power_iteration`
-    call, even when none is left; returns each stack's slice of its output."""
-    starts = [s.starts.reshape(-1, s.starts.shape[-1]) for s in stacks]
-    ran = _power_iteration(
-        np.concatenate([s.live.repeat(s.starts.shape[1], axis=0) for s in stacks]),
-        np.concatenate(starts), stacks[0].p, MAX_ITER, TOL)
-    ends = itertools.accumulate(len(u) for u in starts)
-    return [tuple(a[end - len(u):end] for a in ran) for u, end in zip(starts, ends)]
-
-
-def solve(jobs: list[NormJob]) -> None:
+def solve(jobs: list[NormJob | OpNormResult]) -> list[OpNormResult]:
     """Finish every pending job with a single :func:`_power_iteration` call.
 
-    The jobs must share ``p``; a mixed list raises ``ValueError``.  A
-    trajectory does not depend on the others it runs with, so each job
-    gets the bits it would get alone.
+    Returns one result per job, in order; a finished result passes through.
+    The pending jobs must share ``p``; a mixed list raises ``ValueError``.  A
+    trajectory does not depend on the others it runs with, so each job gets
+    the bits it would get alone.
     """
-    if len({job.p for job in jobs}) > 1:
-        raise ValueError(f"solve takes jobs of one p, got {sorted({job.p for job in jobs})}")
-    pending = [job for job in jobs if job.stack is not None]
+    pending = [job for job in jobs if isinstance(job, NormJob)]
+    if len({job.p for job in pending}) > 1:
+        raise ValueError(f"solve takes jobs of one p, got {sorted({job.p for job in pending})}")
     if not pending:
-        return
-    for job, ran in zip(pending, _iterate([job.stack for job in pending])):
-        stack = job.stack
-        idx, value, unit, its, pruned, converged = _lp_finish(stack, *ran)
-        job.result = _lp_result(stack.mu, stack.p, value, unit, its[idx],
-                                stack.upper[idx], pruned)
-        job.result.converged = converged
-        if job.signs is not None:
-            job.result.iterations = int(np.maximum(1, its).sum())
-            job.result.sign_pair = tuple(SignChoice1D(stack.mu.depth, s[idx]) for s in job.signs)
-        job.stack = None
-
-
-def _solved(job: NormJob) -> OpNormResult:
-    solve([job])
-    return job.result
+        return list(jobs)
+    starts = [job.starts.reshape(-1, job.starts.shape[-1]) for job in pending]
+    ran = _power_iteration(     # even when no trajectory is left: every pair was pruned
+        np.concatenate([job.live.repeat(job.starts.shape[1], axis=0) for job in pending]),
+        np.concatenate(starts), pending[0].p, MAX_ITER, TOL)
+    ends = itertools.accumulate(len(u) for u in starts)
+    done = iter([_finish(job, *(a[end - len(u):end] for a in ran))
+                 for job, u, end in zip(pending, starts, ends)])
+    return [next(done) if isinstance(job, NormJob) else job for job in jobs]
 
 
 def opnorm(mat: np.ndarray, mu: Weight, lam: Weight, p: float, restarts: int = 4,
            seed: int | np.random.Generator | None = 0) -> OpNormResult:
     """The L^p(mu) -> L^p(lam) norm of one ``(4^N, 4^N)`` operator matrix.
 
-    At p = 2 the exact top singular value (the other options are not read).
+    At p = 2 the exact top singular value (``seed`` is not read).
     Otherwise a certified lower bound: the nonlinear power iteration,
     warm-started from the p = 2 maximizer and its absolute value plus
     ``restarts - 2`` random starts drawn from ``seed``, returns the best
     ratio over all iterates, never above the interpolation bracket it
-    reports as ``upper_bound``.
+    reports as ``upper_bound``.  ``restarts`` below 2 raises ``ValueError``.
     """
-    return _solved(opnorm_job(mat, mu, lam, p, restarts, seed))
+    return solve([opnorm_job(mat, mu, lam, p, restarts, seed)])[0]
 
 
 def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float, restarts: int = 4,
-               seed: int | np.random.Generator | None = 0) -> NormJob:
-    """:func:`opnorm` as a job: solved when built at p = 2, by :func:`solve` otherwise."""
+               seed: int | np.random.Generator | None = 0) -> NormJob | OpNormResult:
+    """:func:`opnorm` to finish later: the result itself at p = 2, otherwise a
+    :class:`NormJob` for :func:`solve`."""
+    if restarts < 2:
+        raise ValueError(f"restarts must be >= 2, got {restarts}")
     if p == 2:
-        return NormJob(p, opnorm_p2_exact(mat, mu, lam))
-    return NormJob(p, stack=_lp_prepare(mat[None], mu, lam, p, restarts, seed))
+        return opnorm_p2_exact(mat, mu, lam)
+    return _lp_prepare(mat[None], mu, lam, p, restarts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +338,9 @@ def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float, restarts: int
 
 def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                        mode: str = "exhaustive", trials: int = 64,
-                       seed: int | np.random.Generator | None = 0,
-                       restarts: int = 2) -> NormJob:
-    """:func:`sup_commutator_norm` as a job; sampled sign pairs are drawn when it is built."""
+                       seed: int | np.random.Generator | None = 0) -> NormJob | OpNormResult:
+    """:func:`sup_commutator_norm` to finish later, as :func:`opnorm_job`; sampled sign
+    pairs are drawn when it is built."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "exhaustive":
@@ -393,21 +359,19 @@ def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
 
     mats = commutator_matrices(b, sx, sy)
     if p != 2:
-        return NormJob(p, stack=_lp_prepare(mats, mu, lam, p, restarts),
-                       signs=(sx, sy))
+        return replace(_lp_prepare(mats, mu, lam, p, 2), signs=(sx, sy))
     tops = np.linalg.svd(_conjugated(mats, mu, lam, 2), compute_uv=False)[:, 0]
     idx = int(np.argmax(tops))
     best = opnorm_p2_exact(mats[idx], mu, lam)
     best.iterations = len(mats)        # max(1, 0) per pair
     best.sign_pair = (SignChoice1D(b.depth, sx[idx]), SignChoice1D(b.depth, sy[idx]))
     best.kind = "exact" if mode == "exhaustive" else "lower_bound"
-    return NormJob(p, best)
+    return best
 
 
 def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                         mode: str = "exhaustive", trials: int = 64,
-                        seed: int | np.random.Generator | None = 0,
-                        restarts: int = 2) -> OpNormResult:
+                        seed: int | np.random.Generator | None = 0) -> OpNormResult:
     """Supremum over sign pairs of the iterated commutator norm.
 
     The commutator matrices of all candidate pairs of one-parameter sign
@@ -420,7 +384,8 @@ def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     run with the same seed extends a shorter one.  Ties go to the first
     pair in walk order.  ``iterations`` sums ``max(1, per-pair
     iterations)``; away from 2, a pair whose upper bound is below the best
-    warm-start ratio cannot win and is pruned, not iterated, counting 1.
-    The result is exact only for an exhaustive walk at p = 2.
+    warm-start ratio cannot win and is pruned, not iterated, counting 1;
+    each pair starts from its p = 2 maximizer and that vector's absolute
+    value.  The result is exact only for an exhaustive walk at p = 2.
     """
-    return _solved(sup_commutator_job(b, mu, lam, p, mode, trials, seed, restarts))
+    return solve([sup_commutator_job(b, mu, lam, p, mode, trials, seed)])[0]

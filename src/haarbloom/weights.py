@@ -48,9 +48,10 @@ class ApReport:
 class Weight:
     """Positive grid function with a bookkeeping role tag.
 
-    Roles are purely informational ("mu", "lambda", "nu" or "generic");
-    they make experiment reports self-describing.  The values are a
-    read-only copy, so the per-exponent characteristic cache cannot go stale.
+    The role ("mu", "lambda", "nu" or "generic") labels the weight for a
+    reader of its ``repr``; no computation reads it, and no report or CSV
+    prints it.  The values are a read-only copy, so the per-exponent
+    characteristic cache cannot go stale.
     """
 
     grid: GridFunction2D

@@ -43,7 +43,7 @@ from haarbloom.operators import (
     lambda_matrix,
     paraproduct_matrix,
 )
-from haarbloom.opnorm import opnorm, opnorm_p2_exact, sup_commutator_norm
+from haarbloom.opnorm import NormJob, opnorm, opnorm_p2_exact, sup_commutator_norm
 from haarbloom.weights import ap_characteristic, bloom_weight
 
 
@@ -603,7 +603,7 @@ def test_sweeps_match_the_per_trial_loop(command, mode, budget, monkeypatch):
     real_solve = experiments.solve
     flushed = []
     monkeypatch.setattr(experiments, "solve",
-                        lambda jobs: flushed.append(sum(job.stack is not None for job in jobs))
+                        lambda jobs: flushed.append(sum(isinstance(job, NormJob) for job in jobs))
                         or real_solve(jobs))
     cfg = ExperimentConfig(command, depth=2, p_values=(1.5, 2.0, 3.0), deltas=(0.0, 0.6),
                            trials=3, seed=5, mode=mode)

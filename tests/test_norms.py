@@ -419,7 +419,7 @@ def _heuristic_draws():
 
 def test_heuristic_search_matches_the_search_that_scored_every_candidate():
     for obj, seed in _heuristic_draws():
-        value, mask = norms._heuristic_search(obj, 8, seed)
+        value, mask = norms._heuristic_search(obj, seed)
         want_value, want_mask = _heuristic_search_oracle(obj, 8, seed)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         np.testing.assert_array_equal(mask, want_mask)
@@ -451,7 +451,7 @@ halve = lambda self, *args, **kwargs: np.ndarray.max(self, *args, **kwargs) / 2
 halved = type("Halved", (np.ndarray,), {"max": halve})
 obj.patterns = obj.patterns.view(halved)
 try:
-    norms._heuristic_search(obj, 8, 0)
+    norms._heuristic_search(obj, 0)
 except RuntimeError as exc:
     print(exc)
 """
@@ -511,7 +511,7 @@ def test_heuristic_search_grows_each_distinct_start_once(monkeypatch):
         want = list(dict.fromkeys(grown))
         repeats += len(grown) - len(want)
         grown.clear()
-        norms._heuristic_search(obj, 8, trial)
+        norms._heuristic_search(obj, trial)
         assert grown == [want]      # one lockstep growth of the distinct starts, in order
     assert repeats > 0      # the oracle did regrow some start
 

@@ -82,10 +82,7 @@ def test_lower_bound_matches_exact_at_p2():
         lam = random_cascade_weight(2, 0.6, rng)
         mat = materialize(lambda_operator(b), 2)
         exact = opnorm_p2_exact(mat, mu, lam).value
-        job = opnorm_module.NormJob(2.0, stack=opnorm_module._lp_prepare(
-            mat[None], mu, lam, 2.0, 4))
-        opnorm_module.solve([job])
-        lower = job.result
+        [lower] = opnorm_module.solve([opnorm_module._lp_prepare(mat[None], mu, lam, 2.0, 4)])
         assert lower.value == pytest.approx(exact, rel=1e-6)
         assert lower.value <= exact * (1 + 1e-9)
         assert lower.kind == "lower_bound"
@@ -113,6 +110,17 @@ def test_opnorm_dispatch():
     one = constant_weight(2)
     assert opnorm(mat, one, one, 2).kind == "exact"
     assert opnorm(mat, one, one, 1.5).kind == "lower_bound"
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_fewer_than_two_restarts_raise_at_every_p(p):
+    mat, one = lambda_matrix(random_symbol(2, 11)), constant_weight(2)
+    for front_door in (opnorm, opnorm_module.opnorm_job):
+        for restarts in (-3, 0, 1):
+            with pytest.raises(ValueError, match="restarts must be >= 2"):
+                front_door(mat, one, one, p, restarts=restarts)
+    # two starts are the p = 2 maximizer and its absolute value: no random one
+    assert opnorm(mat, one, one, p, restarts=2, seed=None).value > 0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -237,14 +245,14 @@ def test_validation():
                 opnorm_module.opnorm_job(bad, one, one, p)
 
 
-def per_pair_supremum(b, mu, lam, p, restarts=2):
+def per_pair_supremum(b, mu, lam, p):
     """The sign supremum one pair at a time, through the literal commutator."""
     rows = axis_sign_rows(b.depth)
     best, total = None, 0
     for rx, ry in itertools.product(rows, repeat=2):
         sx, sy = SignChoice1D(b.depth, rx), SignChoice1D(b.depth, ry)
         mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), b.depth)
-        res = opnorm(mat, mu, lam, p, restarts=restarts)
+        res = opnorm(mat, mu, lam, p, restarts=2)
         total += max(1, res.iterations)
         if best is None or res.value > best.value:
             best = res
@@ -368,18 +376,15 @@ def test_l2_bracket_between_lower_bound_and_old_bracket(p):
 
 
 def singleton_supremum(b, mu, lam, p, sx, sy):
-    """The sign supremum one pair per prepared, iterated and finished stack:
-    nothing to prune."""
+    """The sign supremum one pair per prepared and solved job: nothing to prune."""
     mats = commutator_matrices(b, sx, sy)
     best = None
     for i in range(len(mats)):
-        stack = opnorm_module._lp_prepare(mats[i:i + 1], mu, lam, p, 2)
-        idx, value, unit, its, pruned, _ = opnorm_module._lp_finish(
-            stack, *opnorm_module._iterate([stack])[0])
-        assert idx == 0 and pruned == 0
-        if best is None or value > best.value:
-            best = opnorm_module._lp_result(mu, p, value, unit, its[0],
-                                            stack.upper[0], pruned)
+        job = opnorm_module._lp_prepare(mats[i:i + 1], mu, lam, p, 2)
+        [res] = opnorm_module.solve([job])
+        assert res.pruned == 0 and res.upper_bound == job.upper[0]
+        if best is None or res.value > best.value:
+            best = res
             best.sign_pair = (sx[i], sy[i])
     return best
 
@@ -488,7 +493,7 @@ opnorm = importlib.import_module("haarbloom.opnorm")
 rng = np.random.default_rng(32)
 b = random_symbol(2, rng)
 mu, lam = random_cascade_weight(2, 0.6, rng), random_cascade_weight(2, 0.6, rng)
-stack = opnorm.sup_commutator_job(b, mu, lam, 1.5).stack
+stack = opnorm.sup_commutator_job(b, mu, lam, 1.5)
 ratios = stack.best[:, :2].max(axis=1)
 top, j = int(np.argmax(stack.upper)), int(stack.warm[np.argmax(ratios)])
 w0 = ratios[stack.warm == top][0]
@@ -537,9 +542,8 @@ def mixed_jobs(p):
     lam = random_cascade_weight(2, 0.6, rng)
     pruned = opnorm_module.sup_commutator_job(random_symbol(2, rng), mu, lam, p,
                                               mode="sampled", trials=5, seed=3)
-    stack = pruned.stack
-    stack.run[:] = False
-    stack.live, stack.starts = stack.live[:0], stack.starts[:0]
+    pruned.run[:] = False
+    pruned.live, pruned.starts = pruned.live[:0], pruned.starts[:0]
     return [opnorm_module.sup_commutator_job(b, mu, lam, p),
             opnorm_module.opnorm_job(materialize(lambda_operator(b), 2), mu, lam, p,
                                      restarts=6, seed=4),
@@ -587,40 +591,58 @@ def test_seeded_starts_come_from_a_read_only_cache(p, restarts):
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_batched_solve_matches_one_job_solves(p, monkeypatch):
-    alone = mixed_jobs(p)
-    for job in alone:
-        opnorm_module.solve([job])
+    alone = [opnorm_module.solve([job])[0] for job in mixed_jobs(p)]
     real_iteration = opnorm_module._power_iteration
     calls = []
     monkeypatch.setattr(opnorm_module, "_power_iteration",
                         lambda m, *rest: calls.append(len(m)) or real_iteration(m, *rest))
-    together = mixed_jobs(p)
-    opnorm_module.solve(together)
+    together = opnorm_module.solve(mixed_jobs(p))
     assert len(calls) == 1 and calls[0] > 0
+    assert len(together) == len(alone) == 4
     for got, want in zip(together, alone):
-        assert got.stack is None and got.nbytes == 0
-        assert_same_result(got.result, want.result)
-    assert together[2].result.value == 0.0 and together[2].result.witness is None
-    assert together[3].result.pruned == 5 and together[3].result.iterations == 5
+        assert isinstance(got, opnorm_module.OpNormResult)
+        assert_same_result(got, want)
+    assert together[2].value == 0.0 and together[2].witness is None
+    assert together[3].pruned == 5 and together[3].iterations == 5
     # the one-job entry points are one-job solves
     rng = np.random.default_rng(50)
     b = random_symbol(2, rng)
     mu = random_cascade_weight(2, 0.6, rng)
     lam = random_cascade_weight(2, 0.6, rng)
-    assert_same_result(sup_commutator_norm(b, mu, lam, p), together[0].result)
+    assert_same_result(sup_commutator_norm(b, mu, lam, p), together[0])
     assert_same_result(opnorm(materialize(lambda_operator(b), 2), mu, lam, p,
-                              restarts=6, seed=4), together[1].result)
+                              restarts=6, seed=4), together[1])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_solve_returns_one_result_per_job_in_order(p):
+    alone = [opnorm_module.solve([job])[0] for job in mixed_jobs(p)]
+    rng = np.random.default_rng(50)
+    b = random_symbol(2, rng)
+    mu = random_cascade_weight(2, 0.6, rng)
+    lam = random_cascade_weight(2, 0.6, rng)
+    # at p = 2 the job builders return finished results, which pass through
+    done = [opnorm_module.sup_commutator_job(b, mu, lam, 2.0),
+            opnorm_module.opnorm_job(lambda_matrix(b), mu, lam, 2.0)]
+    pending = mixed_jobs(p)
+    jobs = [done[0], pending[0], pending[1], done[1], pending[2], pending[3]]
+    got = opnorm_module.solve(jobs)
+    assert len(got) == len(jobs)
+    assert got[0] is done[0] and got[3] is done[1]
+    for res, want in zip([got[1], got[2], got[4], got[5]], alone):
+        assert_same_result(res, want)
+    assert all(a is b for a, b in zip(opnorm_module.solve(done), done))
+    assert opnorm_module.solve([]) == []
 
 
 def test_solve_refuses_mixed_exponents():
     b = random_symbol(2, 51)
     one = constant_weight(2)
-    jobs = [opnorm_module.sup_commutator_job(b, one, one, p) for p in (1.5, 3.0)]
+    jobs = [opnorm_module.sup_commutator_job(b, one, one, p) for p in (1.5, 2.0, 3.0)]
     with pytest.raises(ValueError, match="one p"):
         opnorm_module.solve(jobs)
     # at p = 2 a job is finished when it is built
-    job = opnorm_module.sup_commutator_job(b, one, one, 2.0)
-    assert job.stack is None and job.result.kind == "exact"
+    assert isinstance(jobs[1], opnorm_module.OpNormResult) and jobs[1].kind == "exact"
 
 
 def test_converged_reports_an_iteration_cut_short(monkeypatch):
@@ -649,14 +671,16 @@ def test_converged_reports_a_trajectory_that_overflowed():
         with np.errstate(over="ignore"):        # the cascade clamps what overflows
             mu, lam = (random_cascade_weight(2, 1e300, rng) for _ in range(2))
         job = opnorm_module.opnorm_job(lambda_matrix(b), mu, lam, 1.05)
-        stack = job.stack
         with warnings.catch_warnings():
             warnings.simplefilter("error")          # the kernel warns about nothing
-            ran = opnorm_module._iterate([stack])[0]
-            opnorm_module.solve([job])
-        assert job.result.converged is not bool(ran[3].any())
-        assert np.isfinite(job.result.value)
-        flags.append(job.result.converged)
+            broke = opnorm_module._power_iteration(
+                job.live.repeat(job.starts.shape[1], axis=0),
+                job.starts.reshape(-1, job.starts.shape[-1]), 1.05,
+                opnorm_module.MAX_ITER, opnorm_module.TOL)[3]
+            [res] = opnorm_module.solve([job])
+        assert res.converged is not bool(broke.any())
+        assert np.isfinite(res.value)
+        flags.append(res.converged)
     assert flags.count(False) == 24
 
 
@@ -703,9 +727,9 @@ def overflowing_stack():
     rng = np.random.default_rng(0)
     b = random_symbol(2, rng)
     mu, lam = (random_cascade_weight(2, 1e300, rng) for _ in range(2))
-    stack = opnorm_module.opnorm_job(lambda_matrix(b), mu, lam, 1.05).stack
-    per = stack.starts.shape[1]
-    return stack.live.repeat(per, axis=0), stack.starts.reshape(-1, stack.starts.shape[-1])
+    job = opnorm_module.opnorm_job(lambda_matrix(b), mu, lam, 1.05)
+    per = job.starts.shape[1]
+    return job.live.repeat(per, axis=0), job.starts.reshape(-1, job.starts.shape[-1])
 
 
 def assert_same_iteration(got, want):
@@ -793,8 +817,14 @@ def solve_warming_every_pair(old, depth, mu, p, signs=None, max_iter=500, tol=1e
         row = int(np.flatnonzero(nonzero == idx)[0])
         u = best_u[row, pick[row]]
         unit = u / opnorm_module._lp_norms(u, p)
-    res = opnorm_module._lp_result(mu, p, values[idx], unit, iterations[idx],
-                                   old["upper"][idx], int(nonzero.size - run.sum()))
+    witness = None
+    if unit is not None:
+        n = 1 << mu.depth
+        f = unit / (mu.values.ravel() * 4.0 ** (-mu.depth)) ** (1.0 / p)
+        witness = GridFunction2D(mu.depth, f.reshape(n, n))
+    res = opnorm_module.OpNormResult(float(values[idx]), "lower_bound", int(iterations[idx]),
+                                     witness, upper_bound=float(old["upper"][idx]),
+                                     pruned=int(nonzero.size - run.sum()))
     res.converged = bool(converged[idx]) and not broke.any()
     if signs is not None:
         res.iterations = int(np.maximum(1, iterations).sum())
@@ -898,6 +928,6 @@ def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
     assert new.upper[2] == new.upper.max() == new.upper[top + (top >= 2)]
     old = lp_prepare_warming_every_pair(mats, mu, lam, p, 2)
     assert_same_stack(new, old)
-    job = opnorm_module.NormJob(p, stack=new, signs=signs)
-    opnorm_module.solve([job])
-    assert_same_bits(job.result, solve_warming_every_pair(old, 2, mu, p, signs))
+    new.signs = signs
+    [res] = opnorm_module.solve([new])
+    assert_same_bits(res, solve_warming_every_pair(old, 2, mu, p, signs))
