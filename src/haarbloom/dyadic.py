@@ -497,9 +497,6 @@ class Shadow:
     def depth(self) -> int:
         return self.mask.shape[0].bit_length() - 1
 
-    def area(self) -> float:
-        return float(self.mask.mean())
-
     def contains_rect(self, rect: DyadicRectangle) -> bool:
         return bool(self.mask[rect.cell_box(self.depth)].all())
 
@@ -570,6 +567,8 @@ def random_grid(depth: int, rng: int | np.random.Generator | None = None) -> Gri
 
 def random_symbol(depth: int, rng: int | np.random.Generator | None = None) -> GridFunction2D:
     """Random bi-cancellative function: normal coefficients in the c00 block only."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     rng = ensure_rng(rng)
     c = HaarCoefficients2D.zeros(depth)
     c.table[1:, 1:] = rng.standard_normal((c.table.shape[0] - 1, c.table.shape[1] - 1))

@@ -50,8 +50,8 @@ HEURISTIC_RESTARTS = 8
 
 def lp_weighted_norm(f: GridFunction2D, w: Weight, p: float) -> float:
     """Norm of f in L^p of the weighted measure w dx."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
     if w.depth != f.depth:
         raise ValueError("weight and function disagree on depth")
     area = 4.0 ** (-f.depth)
@@ -181,8 +181,8 @@ class _MaskObjective:
     """
 
     def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float):
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        if not 1 <= p < np.inf:
+            raise ValueError(f"p must lie in [1, inf), got {p}")
         if not (b.depth == mu.depth == lam.depth):
             raise ValueError("symbol and weights disagree on depth")
         self.depth = b.depth
@@ -400,8 +400,8 @@ def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResul
 
     Exact by enumeration; ties keep the first rectangle coarse-first.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
     if not (b.depth == mu.depth == lam.depth):
         raise ValueError("symbol and weights disagree on depth")
     area = 4.0 ** (-b.depth)

@@ -215,10 +215,10 @@ class SignChoice2D:
         return cls(sx.depth, np.outer(sx.signs, sy.signs))
 
     @classmethod
-    def random(cls, depth: int, rng=None, values=(-1.0, 1.0)) -> "SignChoice2D":
+    def random(cls, depth: int, rng=None) -> "SignChoice2D":
         rng = ensure_rng(rng)
         n = 1 << depth
-        return cls(depth, rng.choice(values, size=(n, n)))
+        return cls(depth, rng.choice((-1.0, 1.0), size=(n, n)))
 
     def to_json(self) -> list[dict]:
         """One entry per cancellative rectangle, in :func:`cancellative_rectangles` order."""

@@ -12,13 +12,12 @@ matrices of all its sign pairs at once (:func:`~haarbloom.operators.commutator_m
 and scores them in one batched SVD or one batched power iteration; a single operator is
 the stack of one.  Away from 2 the matrix with the highest upper bound is warm-started
 first, then only those whose bound reaches its warm ratio: only these are conjugated at
-exponent 2, and an int seed's random starts come from a read-only cache.  Those whose
-bound reaches the best warm ratio are iterated, the rest pruned; each pass of the
-iteration takes the l^p norms of ``B u`` and ``u`` in one go.  :func:`opnorm_job` and
-:func:`sup_commutator_job` build a norm without finishing it: the result itself at
-p = 2, otherwise a pending :class:`NormJob`.  :func:`solve` finishes the pending jobs
-of one exponent in one power iteration and returns one result per job, as the
-experiment sweeps do per combination.
+exponent 2.  Those whose bound reaches the best warm ratio are iterated, the rest
+pruned; each pass of the iteration takes the l^p norms of ``B u`` and ``u`` in one go.
+:func:`opnorm_job` and :func:`sup_commutator_job` build a norm without finishing it:
+the result itself at p = 2, otherwise a pending :class:`NormJob`.  :func:`solve`
+finishes the pending jobs of one exponent in one power iteration and returns one
+result per job, as the experiment sweeps do per combination.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ class OpNormResult:
 
 def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarray:
     """Weight-conjugate one ``(4^N, 4^N)`` matrix or a stack of them (last two axes)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
     if not (mats.shape[-2:] == (4 ** mu.depth,) * 2 and mu.depth == lam.depth):
         raise ValueError("operator and weights disagree on depth")
     area = 4.0 ** (-mu.depth)
@@ -194,36 +193,33 @@ def _warm_starts(mats: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: fl
     return starts, units, ratios
 
 
-@lru_cache(maxsize=64)
-def _seeded_starts(seed: int, count: int, m: int) -> np.ndarray:
-    """The ``count`` random starts of length ``m`` that ``seed`` draws first, read-only."""
-    starts = np.random.default_rng(seed).standard_normal((count, m))
+@lru_cache(maxsize=None)
+def _random_starts(m: int) -> np.ndarray:
+    """The two random starts of length ``m`` that ``default_rng(0)`` draws first, read-only."""
+    starts = np.random.default_rng(0).standard_normal((2, m))
     return np.broadcast_to(starts, starts.shape)           # a read-only view
 
 
-def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float,
-                per: int, seed: int | np.random.Generator | None = 0) -> NormJob:
+def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float, extra=()) -> NormJob:
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
     The matrix with the highest upper bound, then only those whose bound
     reaches its best warm ratio (no other can raise the best one or be
     iterated), are conjugated at 2 and start from their p = 2 maximizer and
-    its absolute value, plus ``per - 2`` random starts shared by all.  A
-    matrix whose bound is below the best warm ratio keeps that, with 0 iterations.
+    its absolute value, plus the ``extra`` starts shared by all.  A matrix
+    whose bound is below the best warm ratio keeps that, with 0 iterations.
     """
-    if p <= 1:
-        raise ValueError(f"the iteration needs p > 1, got {p}")
+    if not 1 < p < np.inf:
+        raise ValueError(f"the iteration needs p in (1, inf), got {p}")
     b = _conjugated(mats, mu, lam, p)
     upper = _upper_brackets(b, p)
-    count, m = b.shape[0], b.shape[-1]
+    count, per = b.shape[0], 2 + len(extra)
     nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
     if nonzero.size == 0:
-        empty = np.zeros((0, per, m))
+        empty = np.zeros((0, per, b.shape[-1]))
         return NormJob(mu, p, upper, 0, nonzero, np.zeros(0, bool),
                        empty[..., 0], empty, b[:0], empty)
 
-    extra = (() if per == 2 else _seeded_starts(seed, per - 2, m) if isinstance(seed, int)
-             else ensure_rng(seed).standard_normal((per - 2, m)))
     reach, top = upper[nonzero] * (1.0 + 1e-9), int(np.argmax(upper[nonzero]))  # top: in nonzero
     parts = _warm_starts(mats, b, nonzero[top:top + 1], extra, p, mu, lam)
     sel = reach >= parts[2].max()
@@ -307,29 +303,24 @@ def solve(jobs: list[NormJob | OpNormResult]) -> list[OpNormResult]:
     return [next(done) if isinstance(job, NormJob) else job for job in jobs]
 
 
-def opnorm(mat: np.ndarray, mu: Weight, lam: Weight, p: float, restarts: int = 4,
-           seed: int | np.random.Generator | None = 0) -> OpNormResult:
+def opnorm(mat: np.ndarray, mu: Weight, lam: Weight, p: float) -> OpNormResult:
     """The L^p(mu) -> L^p(lam) norm of one ``(4^N, 4^N)`` operator matrix.
 
-    At p = 2 the exact top singular value (``seed`` is not read).
-    Otherwise a certified lower bound: the nonlinear power iteration,
-    warm-started from the p = 2 maximizer and its absolute value plus
-    ``restarts - 2`` random starts drawn from ``seed``, returns the best
-    ratio over all iterates, never above the interpolation bracket it
-    reports as ``upper_bound``.  ``restarts`` below 2 raises ``ValueError``.
+    At p = 2 the exact top singular value.  Otherwise a certified lower
+    bound: the nonlinear power iteration, started from the p = 2 maximizer,
+    its absolute value and the first two draws of ``default_rng(0)``,
+    returns the best ratio over all iterates, never above the interpolation
+    bracket it reports as ``upper_bound``.
     """
-    return solve([opnorm_job(mat, mu, lam, p, restarts, seed)])[0]
+    return solve([opnorm_job(mat, mu, lam, p)])[0]
 
 
-def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float, restarts: int = 4,
-               seed: int | np.random.Generator | None = 0) -> NormJob | OpNormResult:
+def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float) -> NormJob | OpNormResult:
     """:func:`opnorm` to finish later: the result itself at p = 2, otherwise a
     :class:`NormJob` for :func:`solve`."""
-    if restarts < 2:
-        raise ValueError(f"restarts must be >= 2, got {restarts}")
     if p == 2:
         return opnorm_p2_exact(mat, mu, lam)
-    return _lp_prepare(mat[None], mu, lam, p, restarts, seed)
+    return _lp_prepare(mat[None], mu, lam, p, _random_starts(4 ** mu.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +334,8 @@ def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     pairs are drawn when it is built."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "sampled" and trials < 1:
+        raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
     if mode == "exhaustive":
         if b.depth > EXHAUSTIVE_MAX_DEPTH:
             raise ValueError(f"exhaustive sign enumeration is limited to depth "
@@ -352,14 +345,12 @@ def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
         sx = np.repeat(rows, len(rows), axis=0)
         sy = np.tile(rows, (len(rows), 1))
     else:
-        rng = ensure_rng(seed)
-        draws = [SignChoice1D.random(b.depth, rng) for _ in range(2 * trials)]
-        sx = np.array([s.signs for s in draws[0::2]])
-        sy = np.array([s.signs for s in draws[1::2]])
+        draws = ensure_rng(seed).choice((-1.0, 1.0), size=(trials, 2, 1 << b.depth))
+        sx, sy = draws.transpose(1, 0, 2).copy()          # two C-ordered stacks
 
     mats = commutator_matrices(b, sx, sy)
     if p != 2:
-        return replace(_lp_prepare(mats, mu, lam, p, 2), signs=(sx, sy))
+        return replace(_lp_prepare(mats, mu, lam, p), signs=(sx, sy))
     tops = np.linalg.svd(_conjugated(mats, mu, lam, 2), compute_uv=False)[:, 0]
     idx = int(np.argmax(tops))
     best = opnorm_p2_exact(mats[idx], mu, lam)

@@ -82,9 +82,9 @@ class Weight:
         return self.grid.values
 
 
-def constant_weight(depth: int, value: float = 1.0, role: str = "generic") -> Weight:
+def constant_weight(depth: int, value: float = 1.0) -> Weight:
     n = 1 << depth
-    return Weight(GridFunction2D(depth, np.full((n, n), float(value))), role)
+    return Weight(GridFunction2D(depth, np.full((n, n), float(value))))
 
 
 def ap_characteristic(w: Weight, p: float) -> ApReport:
@@ -115,10 +115,10 @@ def _characteristics(pairs: list[tuple[Weight, float]]) -> list[ApReport]:
     return [w._ap_cache[p] for w, p in pairs]
 
 
-def conjugate_weight(w: Weight, p: float, role: str = "generic") -> Weight:
+def conjugate_weight(w: Weight, p: float) -> Weight:
     """Dual-exponent companion w^{-1/(p-1)}; its p'-characteristic is [w]_p^{p'-1}."""
     _check_exponent(p)
-    return Weight(GridFunction2D(w.depth, w.values ** (-1.0 / (p - 1.0))), role)
+    return Weight(GridFunction2D(w.depth, w.values ** (-1.0 / (p - 1.0))))
 
 
 def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
@@ -186,6 +186,8 @@ def random_cascade_weight(depth: int, strength: float,
     construction preserves positivity, is deterministic per seed, and at
     strength 0 returns the constant weight 1.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if strength < 0:
         raise ValueError("strength must be non-negative")
     rng = ensure_rng(rng)

@@ -368,7 +368,7 @@ def test_shadow_hex_round_trip():
 
 def test_shadow_rectangles():
     s = Shadow.from_rectangles([rect(1, 0, 0, 0)], 2)  # left half in x
-    assert s.area() == 0.5
+    assert s.mask.mean() == 0.5
     assert s.contains_rect(rect(1, 0, 1, 1))
     assert not s.contains_rect(unit_square())
     inside = rectangles_in_shadow(s)

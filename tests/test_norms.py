@@ -34,7 +34,8 @@ from haarbloom.norms import (
     strong_maximal,
     triebel_lizorkin_square_function,
 )
-from haarbloom.operators import restricted_projection
+from haarbloom.operators import lambda_matrix, restricted_projection
+from haarbloom.opnorm import opnorm, sup_commutator_norm
 from haarbloom.weights import Weight, constant_weight, random_cascade_weight
 
 
@@ -595,3 +596,25 @@ def test_validation():
         bmo_prod_two_weight(random_grid(3, 1), constant_weight(3), constant_weight(3), 2, "exact")
     with pytest.raises(ValueError):
         square_function(b, Shadow.full(3))
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "lp_weighted_norm": lambda b, one, p: lp_weighted_norm(b, one, p),
+    "bmo_prod_two_weight-exact": lambda b, one, p: bmo_prod_two_weight(b, one, one, p, "exact"),
+    "bmo_prod_two_weight-heuristic":
+        lambda b, one, p: bmo_prod_two_weight(b, one, one, p, "heuristic"),
+    "little_bmo": lambda b, one, p: little_bmo(b, one, one, p),
+    "opnorm": lambda b, one, p: opnorm(lambda_matrix(b), one, one, p),
+    "sup_commutator_norm-exhaustive":
+        lambda b, one, p: sup_commutator_norm(b, one, one, p, mode="exhaustive"),
+    "sup_commutator_norm-sampled":
+        lambda b, one, p: sup_commutator_norm(b, one, one, p, mode="sampled", trials=3, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_non_finite_exponents_are_refused(p, entry):
+    b, one = random_symbol(2, 14), constant_weight(2)
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)|needs p in \(1, inf\)"):
+        NON_FINITE_ENTRY_POINTS[entry](b, one, p)

@@ -82,7 +82,8 @@ def test_lower_bound_matches_exact_at_p2():
         lam = random_cascade_weight(2, 0.6, rng)
         mat = materialize(lambda_operator(b), 2)
         exact = opnorm_p2_exact(mat, mu, lam).value
-        [lower] = opnorm_module.solve([opnorm_module._lp_prepare(mat[None], mu, lam, 2.0, 4)])
+        extra = np.random.default_rng(0).standard_normal((2, 16))
+        [lower] = opnorm_module.solve([opnorm_module._lp_prepare(mat[None], mu, lam, 2.0, extra)])
         assert lower.value == pytest.approx(exact, rel=1e-6)
         assert lower.value <= exact * (1 + 1e-9)
         assert lower.kind == "lower_bound"
@@ -110,17 +111,6 @@ def test_opnorm_dispatch():
     one = constant_weight(2)
     assert opnorm(mat, one, one, 2).kind == "exact"
     assert opnorm(mat, one, one, 1.5).kind == "lower_bound"
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_fewer_than_two_restarts_raise_at_every_p(p):
-    mat, one = lambda_matrix(random_symbol(2, 11)), constant_weight(2)
-    for front_door in (opnorm, opnorm_module.opnorm_job):
-        for restarts in (-3, 0, 1):
-            with pytest.raises(ValueError, match="restarts must be >= 2"):
-                front_door(mat, one, one, p, restarts=restarts)
-    # two starts are the p = 2 maximizer and its absolute value: no random one
-    assert opnorm(mat, one, one, p, restarts=2, seed=None).value > 0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -226,6 +216,9 @@ def test_validation():
         sup_commutator_norm(b, one3, one3, 2, mode="exhaustive")
     with pytest.raises(ValueError):
         sup_commutator_norm(b, one3, one3, 2, mode="annealed")
+    for p, trials in itertools.product((2.0, 3.0), (0, -1)):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            sup_commutator_norm(b, one3, one3, p, mode="sampled", trials=trials)
     mat = np.eye(4)
     one = constant_weight(1)
     with pytest.raises(ValueError):
@@ -252,7 +245,9 @@ def per_pair_supremum(b, mu, lam, p):
     for rx, ry in itertools.product(rows, repeat=2):
         sx, sy = SignChoice1D(b.depth, rx), SignChoice1D(b.depth, ry)
         mat = materialize(lambda f: iterated_commutator(b, f, sx, sy), b.depth)
-        res = opnorm(mat, mu, lam, p, restarts=2)
+        # the supremum's two starts per pair: the p = 2 maximizer and its absolute value
+        res = (opnorm_p2_exact(mat, mu, lam) if p == 2
+               else opnorm_module.solve([opnorm_module._lp_prepare(mat[None], mu, lam, p)])[0])
         total += max(1, res.iterations)
         if best is None or res.value > best.value:
             best = res
@@ -380,7 +375,7 @@ def singleton_supremum(b, mu, lam, p, sx, sy):
     mats = commutator_matrices(b, sx, sy)
     best = None
     for i in range(len(mats)):
-        job = opnorm_module._lp_prepare(mats[i:i + 1], mu, lam, p, 2)
+        job = opnorm_module._lp_prepare(mats[i:i + 1], mu, lam, p)
         [res] = opnorm_module.solve([job])
         assert res.pruned == 0 and res.upper_bound == job.upper[0]
         if best is None or res.value > best.value:
@@ -534,7 +529,7 @@ def test_pruning_and_escape_guards_survive_optimize_flag():
 # ---------------------------------------------------------------------------
 
 def mixed_jobs(p):
-    """A supremum stack, one operator with random restarts, an all-zero stack and a
+    """A supremum stack, one operator with random starts, an all-zero stack and a
     stack whose every pair is pruned (by hand: a valid bracket never prunes them all)."""
     rng = np.random.default_rng(50)
     b = random_symbol(2, rng)
@@ -545,8 +540,7 @@ def mixed_jobs(p):
     pruned.run[:] = False
     pruned.live, pruned.starts = pruned.live[:0], pruned.starts[:0]
     return [opnorm_module.sup_commutator_job(b, mu, lam, p),
-            opnorm_module.opnorm_job(materialize(lambda_operator(b), 2), mu, lam, p,
-                                     restarts=6, seed=4),
+            opnorm_module.opnorm_job(materialize(lambda_operator(b), 2), mu, lam, p),
             opnorm_module.sup_commutator_job(GridFunction2D.zeros(2), mu, lam, p),
             pruned]
 
@@ -566,27 +560,26 @@ def assert_same_result(got, want):
 
 
 @pytest.mark.parametrize("p", [1.1, 3.0])
-@pytest.mark.parametrize("restarts", [3, 4, 6])
-def test_seeded_starts_come_from_a_read_only_cache(p, restarts):
+def test_random_starts_are_the_first_draws_of_seed_zero(p):
+    starts = opnorm_module._random_starts(16)
+    assert starts.tobytes() == np.random.default_rng(0).standard_normal((2, 16)).tobytes()
+    assert starts is opnorm_module._random_starts(16)
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError):
+        starts[0, 0] = 1.0
     rng = np.random.default_rng(71)
     b = random_symbol(2, rng)
     mu, lam = random_cascade_weight(2, 0.6, rng), random_cascade_weight(2, 0.6, rng)
     mat = materialize(lambda_operator(b), 2)
-    cached = opnorm(mat, mu, lam, p, restarts=restarts, seed=0)
-    drawn = opnorm(mat, mu, lam, p, restarts=restarts, seed=np.random.default_rng(0))
+    cached = opnorm(mat, mu, lam, p)
+    extra = np.random.default_rng(0).standard_normal((2, 16))
+    [drawn] = opnorm_module.solve([opnorm_module._lp_prepare(mat[None], mu, lam, p, extra)])
     for field in dataclasses.fields(opnorm_module.OpNormResult):
         got, want = getattr(cached, field.name), getattr(drawn, field.name)
         if field.name == "witness":
             assert got.values.tobytes() == want.values.tobytes()
         else:
             assert type(got) is type(want) and got == want, field.name
-    starts = opnorm_module._seeded_starts(0, restarts - 2, 16)
-    assert starts is opnorm_module._seeded_starts(0, restarts - 2, 16)
-    assert not starts.flags.writeable
-    want = np.random.default_rng(0).standard_normal((restarts - 2, 16))
-    assert starts.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
-        starts[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -610,8 +603,7 @@ def test_batched_solve_matches_one_job_solves(p, monkeypatch):
     mu = random_cascade_weight(2, 0.6, rng)
     lam = random_cascade_weight(2, 0.6, rng)
     assert_same_result(sup_commutator_norm(b, mu, lam, p), together[0])
-    assert_same_result(opnorm(materialize(lambda_operator(b), 2), mu, lam, p,
-                              restarts=6, seed=4), together[1])
+    assert_same_result(opnorm(materialize(lambda_operator(b), 2), mu, lam, p), together[1])
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -773,7 +765,7 @@ def lp_prepare_warming_every_pair(mats, mu, lam, p, restarts, seed=0):
     conjugated, lp = opnorm_module._conjugated, opnorm_module._lp_norms
     b = conjugated(mats, mu, lam, p)
     upper = opnorm_module._upper_brackets(b, p)
-    rng = opnorm_module.ensure_rng(seed)
+    rng = np.random.default_rng(seed)
     count, m = b.shape[0], b.shape[-1]
     nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
     per = max(2, restarts)
@@ -876,7 +868,7 @@ def test_reachable_warm_starts_match_warming_every_pair(p):
     warmed = nonzero = 0
     for b, mu, lam, mode, sx, sy in supremum_cases():
         mats = commutator_matrices(b, sx, sy)
-        new = opnorm_module._lp_prepare(mats, mu, lam, p, 2)
+        new = opnorm_module._lp_prepare(mats, mu, lam, p)
         old = lp_prepare_warming_every_pair(mats, mu, lam, p, 2)
         assert_same_stack(new, old)
         warmed, nonzero = warmed + new.warm.size, nonzero + new.nonzero
@@ -891,8 +883,9 @@ def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
     b = random_symbol(2, rng)
     mu = random_cascade_weight(2, 0.6, rng)
     lam = random_cascade_weight(2, 0.6, rng)
-    # one matrix with random restarts takes exactly one warm-start SVD
+    # one matrix with random starts takes exactly one warm-start SVD
     mat = materialize(lambda_operator(b), 2)
+    extra = np.random.default_rng(4).standard_normal((4, 16))
     real_svd, warm_svds = np.linalg.svd, []
 
     def counted_svd(a, *args, compute_uv=True, **kwargs):
@@ -901,17 +894,20 @@ def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
         return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    new = opnorm_module._lp_prepare(mat[None], mu, lam, p, 6, 4)
+    new = opnorm_module._lp_prepare(mat[None], mu, lam, p, extra)
     monkeypatch.undo()
     assert warm_svds == [1]
     old = lp_prepare_warming_every_pair(mat[None], mu, lam, p, 6, 4)
     assert_same_stack(new, old)
-    assert_same_bits(opnorm(mat, mu, lam, p, restarts=6, seed=4),
-                     solve_warming_every_pair(old, 2, mu, p))
+    assert_same_bits(opnorm_module.solve([new])[0], solve_warming_every_pair(old, 2, mu, p))
+    # the fixed policy of one matrix: two draws of seed 0 after the warm starts
+    old = lp_prepare_warming_every_pair(mat[None], mu, lam, p, 4, 0)
+    assert_same_stack(opnorm_module.opnorm_job(mat, mu, lam, p), old)
+    assert_same_bits(opnorm(mat, mu, lam, p), solve_warming_every_pair(old, 2, mu, p))
     # an all-zero stack
     signs = exhaustive_rows(2)
     zero = commutator_matrices(GridFunction2D.zeros(2), *signs)
-    new = opnorm_module._lp_prepare(zero, mu, lam, p, 2)
+    new = opnorm_module._lp_prepare(zero, mu, lam, p)
     old = lp_prepare_warming_every_pair(zero, mu, lam, p, 2)
     assert_same_stack(new, old)
     assert_same_bits(sup_commutator_norm(GridFunction2D.zeros(2), mu, lam, p),
@@ -924,7 +920,7 @@ def test_reachable_warm_starts_on_edge_stacks(p, monkeypatch):
     mats = np.concatenate([mats[:2], -mats[top:top + 1], mats[2:]])
     signs = (np.concatenate([sx[:2], -sx[top:top + 1], sx[2:]]),
              np.concatenate([sy[:2], sy[top:top + 1], sy[2:]]))
-    new = opnorm_module._lp_prepare(mats, mu, lam, p, 2)
+    new = opnorm_module._lp_prepare(mats, mu, lam, p)
     assert new.upper[2] == new.upper.max() == new.upper[top + (top >= 2)]
     old = lp_prepare_warming_every_pair(mats, mu, lam, p, 2)
     assert_same_stack(new, old)

@@ -9,6 +9,7 @@ from haarbloom.dyadic import (
     GridFunction2D,
     Shadow,
     indicator,
+    random_symbol,
     rectangle_means,
     rectangle_sums,
     rectangle_table,
@@ -242,6 +243,16 @@ def test_validation():
         bloom_weight(constant_weight(1), constant_weight(2), 2)
     with pytest.raises(ValueError):
         random_cascade_weight(2, -0.1)
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+def test_random_constructors_refuse_a_depth_below_one(depth):
+    # the public constructors of Weight and GridFunction2D refuse these depths too
+    for strength in (0.0, 0.5):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            random_cascade_weight(depth, strength, 0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        random_symbol(depth, 0)
 
 
 def test_guards_raise_instead_of_asserting(monkeypatch):

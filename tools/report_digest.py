@@ -12,7 +12,11 @@ and one ``identities --depth 2`` and one ``khintchine`` run.  Single-trial
 runs shaped like the benchmark's follow, where every ``p != 2`` norm is
 solved on its own: ``commutator`` and ``paraproduct`` at depth 2 with
 ``--trials 1``, one run per ``p`` in {1.5, 3}, ``delta`` in {0, 0.5} and
-seed 0-7.
+seed 0-7.  Last come library calls whose results the CLI prints only in
+part: ``opnorm`` of Lambda_b and of pi_b (kind "11"), and
+``sup_commutator_norm`` exhaustive (depth 2) and sampled (12 pairs), at
+depths 2 and 3, ``p`` in {1.5, 2, 3}, on symbols and strength-0.5 cascade
+weights drawn from seeds 0-5.
 
 Run it at the parent and at the change, for instance on a ``git archive``
 export of the parent with ``--src <export>/src``: equal digests are the
@@ -20,8 +24,11 @@ evidence that a refactor moved no stdout or CSV/JSON byte.  The first line
 on stdout is the digest of every run but the single-trial ones; one line
 per command follows, ``<command> <digest>``, over that command's runs only,
 so a change that moves the bytes of one command shows that the others did
-not move.  The last line, ``single-trial <digest>``, covers the single-trial
-runs.
+not move.  The line ``single-trial <digest>`` covers the single-trial runs,
+and the last line, ``library <digest>``, the library calls: per result its
+``as_dict()`` as sorted JSON, its witness bytes and its sign pair's bytes,
+so fields no report prints (``iterations``, ``pruned``, ``converged``,
+``upper_bound``, the witness) are covered too.
 stderr names the package directory it imported, which shows that
 ``--src`` took effect.
 """
@@ -32,6 +39,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -66,6 +74,34 @@ def run_bytes(main, argv: list[str], folder: Path) -> bytes:
                        stdout.getvalue().encode(), out.read_bytes()])
 
 
+def library_results():
+    """The library calls of the ``library`` line, in a fixed order."""
+    import numpy as np
+    from haarbloom.dyadic import random_symbol
+    from haarbloom.operators import lambda_matrix, paraproduct_matrix
+    from haarbloom.opnorm import opnorm, sup_commutator_norm
+    from haarbloom.weights import random_cascade_weight
+
+    for seed in range(6):
+        for depth in (2, 3):
+            rng = np.random.default_rng(seed)
+            b = random_symbol(depth, rng)
+            mu, lam = (random_cascade_weight(depth, 0.5, rng) for _ in range(2))
+            for p in (1.5, 2.0, 3.0):
+                yield opnorm(lambda_matrix(b), mu, lam, p)
+                yield opnorm(paraproduct_matrix("11", b), mu, lam, p)
+                if depth == 2:
+                    yield sup_commutator_norm(b, mu, lam, p, mode="exhaustive")
+                yield sup_commutator_norm(b, mu, lam, p, mode="sampled", trials=12, seed=seed)
+
+
+def result_bytes(res) -> bytes:
+    """``as_dict()`` as sorted JSON, the witness bytes and the sign pair's bytes."""
+    witness = b"" if res.witness is None else res.witness.values.tobytes()
+    signs = b"" if res.sign_pair is None else b"".join(s.signs.tobytes() for s in res.sign_pair)
+    return b"\0".join([json.dumps(res.as_dict(), sort_keys=True).encode(), witness, signs])
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -89,6 +125,10 @@ def main() -> None:
     for command, digest in commands.items():
         print(command, digest.hexdigest())
     print("single-trial", single.hexdigest())
+    library = hashlib.sha256()
+    for res in library_results():
+        library.update(hashlib.sha256(result_bytes(res)).digest())
+    print("library", library.hexdigest())
 
 
 if __name__ == "__main__":
