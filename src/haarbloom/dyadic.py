@@ -26,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -74,11 +73,6 @@ class DyadicInterval:
             DyadicInterval(self.level + 1, 2 * self.index + 1),
         )
 
-    def contains(self, other: "DyadicInterval") -> bool:
-        if other.level < self.level:
-            return False
-        return (other.index >> (other.level - self.level)) == self.index
-
     def cell_slice(self, depth: int) -> slice:
         """Index range of the depth-N cells covering this interval."""
         if self.level > depth:
@@ -100,9 +94,6 @@ class DyadicRectangle:
     @property
     def area(self) -> float:
         return self.x.length * self.y.length
-
-    def contains(self, other: "DyadicRectangle") -> bool:
-        return self.x.contains(other.x) and self.y.contains(other.y)
 
     def cell_box(self, depth: int) -> tuple[slice, slice]:
         return self.x.cell_slice(depth), self.y.cell_slice(depth)
@@ -192,9 +183,6 @@ class GridFunction2D:
     def integral(self) -> float:
         """Lebesgue integral over the square; cells all carry area 4^-depth."""
         return float(self.values.mean())
-
-    def average(self, rect: DyadicRectangle) -> float:
-        return float(self.values[rect.cell_box(self.depth)].mean())
 
     # pointwise algebra -- enough to write operator expressions naturally
     def _binary(self, other, op) -> "GridFunction2D":
@@ -489,27 +477,13 @@ class Shadow:
 
     def __post_init__(self) -> None:
         self.mask = np.asarray(self.mask, dtype=bool)
-        n = self.mask.shape[0]
-        if self.mask.ndim != 2 or self.mask.shape != (n, n) or n < 2 or n & (n - 1):
+        n = self.mask.shape[0] if self.mask.ndim == 2 else 0
+        if self.mask.shape != (n, n) or n < 2 or n & (n - 1):
             raise ValueError("mask must be square with a power-of-two side of at least 2")
 
     @property
     def depth(self) -> int:
         return self.mask.shape[0].bit_length() - 1
-
-    def contains_rect(self, rect: DyadicRectangle) -> bool:
-        return bool(self.mask[rect.cell_box(self.depth)].all())
-
-    @classmethod
-    def from_rectangles(cls, rects: Iterable[DyadicRectangle], depth: int) -> "Shadow":
-        mask = np.zeros((1 << depth, 1 << depth), bool)
-        for r in rects:
-            mask[r.cell_box(depth)] = True
-        return cls(mask)
-
-    @classmethod
-    def full(cls, depth: int) -> "Shadow":
-        return cls(np.ones((1 << depth, 1 << depth), bool))
 
     def to_hex(self) -> str:
         """Row-major bit packing, cell (0,0) in the least significant bit."""

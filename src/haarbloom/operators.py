@@ -471,8 +471,12 @@ def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,
     ``P_p = h_p h_p^T / 2^N`` the 1-D projector.  So the sum is the
     Kronecker product of the 1-D multipliers ``T = sum_p s(p) P_p``,
     multiplied entrywise by one second difference of the symbol, and the
-    blocks are never stored.
+    blocks are never stored.  Beyond :data:`MATRIX_MAX_DEPTH` it refuses
+    before allocating anything.
     """
+    if b.depth > MATRIX_MAX_DEPTH:
+        raise ValueError(f"commutator matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
+                         f"(16^depth entries per pair), got {b.depth}")
     n = 1 << b.depth
     sx = np.asarray(sigma_x, dtype=float)
     sy = np.asarray(sigma_y, dtype=float)

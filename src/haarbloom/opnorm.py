@@ -161,36 +161,41 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
 class NormJob:
     """A norm away from p = 2 between warm starts and the power iteration.
 
-    One matrix, or a sign supremum's stack.  ``nonzero`` counts the
-    non-zero matrices; ``warm`` indexes the ones warm-started, whose every
-    start's ratio and unit iterate ``best``/``best_u`` hold; ``run`` marks
-    those whose bracket reaches the best warm ratio, and ``live``/``starts``
-    their matrices and starts to iterate.  ``signs`` holds a supremum's sign rows.
+    One matrix, or a sign supremum's stack.  ``upper`` holds every matrix's
+    bracket and ``nonzero`` counts the non-zero matrices; ``run`` indexes, in
+    order, those whose bracket reaches the best warm ratio, and ``live``/``starts``
+    hold their matrices and starts to iterate.  No other matrix can win: its warm
+    ratio is below its bracket, and that below the best warm ratio.  ``signs``
+    holds a supremum's sign rows.
     """
 
     mu: Weight
     p: float
     upper: np.ndarray
     nonzero: int
-    warm: np.ndarray
     run: np.ndarray
-    best: np.ndarray
-    best_u: np.ndarray
     live: np.ndarray
     starts: np.ndarray
     signs: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _within_brackets(values: np.ndarray, bounds: np.ndarray) -> None:
+    """Raise on a lower bound above its bracket: the arithmetic, not the operator, erred."""
+    escaped = values > bounds * (1.0 + 1e-9)
+    if escaped.any():
+        i = int(np.argmax(escaped))
+        raise RuntimeError(f"lower bound {values[i]} escaped the bracket {bounds[i]}")
+
+
 def _warm_starts(mats: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: float, *weights):
     """Starts of ``rows`` (at p in ``b``; at 2 by ``weights`` = mu, lam): the p = 2
-    maximizer, its absolute value, then ``extra``; raw, as units, and the warm ratios."""
+    maximizer, its absolute value, then ``extra``; and each row's best warm ratio."""
     warm = np.linalg.svd(_conjugated(mats[rows], *weights, 2))[2][:, 0]
     starts = np.stack([warm, np.abs(warm)] + [np.broadcast_to(e, warm.shape) for e in extra],
                       axis=1)                              # (pairs, starts, m)
-    units = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
-    ratios = (_lp_norms(np.einsum("tij,tsj->tsi", b[rows], units[:, :2]), p)
-              / _lp_norms(units[:, :2], p))
-    return starts, units, ratios
+    units = starts[:, :2] / np.linalg.norm(starts[:, :2], axis=-1, keepdims=True)
+    ratios = _lp_norms(np.einsum("tij,tsj->tsi", b[rows], units), p) / _lp_norms(units, p)
+    return starts, ratios.max(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -204,78 +209,63 @@ def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float, extra=()) -
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
     The matrix with the highest upper bound, then only those whose bound
-    reaches its best warm ratio (no other can raise the best one or be
-    iterated), are conjugated at 2 and start from their p = 2 maximizer and
-    its absolute value, plus the ``extra`` starts shared by all.  A matrix
-    whose bound is below the best warm ratio keeps that, with 0 iterations.
+    reaches its warm ratio (no other can raise the best one or be iterated),
+    are conjugated at 2 and start from their p = 2 maximizer and its absolute
+    value, plus the ``extra`` starts shared by all.  Those whose bound reaches
+    the best warm ratio are kept to iterate; the others are pruned.  A warm
+    ratio above its bracket raises, as in :func:`_finish`.
     """
     if not 1 < p < np.inf:
         raise ValueError(f"the iteration needs p in (1, inf), got {p}")
     b = _conjugated(mats, mu, lam, p)
     upper = _upper_brackets(b, p)
-    count, per = b.shape[0], 2 + len(extra)
+    count, shape = b.shape[0], (2 + len(extra), b.shape[-1])
     nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
     if nonzero.size == 0:
-        empty = np.zeros((0, per, b.shape[-1]))
-        return NormJob(mu, p, upper, 0, nonzero, np.zeros(0, bool),
-                       empty[..., 0], empty, b[:0], empty)
+        return NormJob(mu, p, upper, 0, nonzero, b[:0], np.zeros((0, *shape)))
 
     reach, top = upper[nonzero] * (1.0 + 1e-9), int(np.argmax(upper[nonzero]))  # top: in nonzero
-    parts = _warm_starts(mats, b, nonzero[top:top + 1], extra, p, mu, lam)
-    sel = reach >= parts[2].max()
-    sel[top] = False
-    if sel.any():                                          # the others, around the top
-        rest, at = _warm_starts(mats, b, nonzero[sel], extra, p, mu, lam), sel[:top].sum()
-        parts = [np.concatenate([o[:at], t, o[at:]]) for t, o in zip(parts, rest)]
-    sel[top] = True
-    warm, (starts, best_u, ratios) = nonzero[sel], parts
-    best = np.full((warm.size, per), -np.inf)
-    best[:, :2] = ratios
-    run = reach[sel] >= ratios.max()
-    return NormJob(mu, p, upper, nonzero.size, warm, run, best, best_u,
-                   b[warm[run]], starts[run])
+    starts, ratios = np.zeros((nonzero.size, *shape)), np.full(nonzero.size, -np.inf)
+    starts[[top]], ratios[[top]] = _warm_starts(mats, b, nonzero[[top]], extra, p, mu, lam)
+    rest = np.flatnonzero((reach >= ratios[top]) & (np.arange(nonzero.size) != top))
+    if rest.size:                                          # the others its warm ratio allows
+        starts[rest], ratios[rest] = _warm_starts(mats, b, nonzero[rest], extra, p, mu, lam)
+    _within_brackets(ratios, upper[nonzero])
+    run = np.flatnonzero(reach >= ratios.max())
+    return NormJob(mu, p, upper, nonzero.size, nonzero[run], b[nonzero[run]], starts[run])
 
 
 def _finish(job: NormJob, ran_best: np.ndarray, ran_u: np.ndarray, ran_its: np.ndarray,
             ran_broke: np.ndarray) -> OpNormResult:
     """Fold the iterated trajectories of ``job`` into its certified lower bound.
 
-    The matrix with the highest lower bound wins (ties: the first); its unit
-    l^p maximizer is the witness (none when every matrix is zero).  ``converged``
-    is False when an iterated start of the winner stopped at :data:`MAX_ITER`
-    or any trajectory left on a non-finite ratio.  A supremum also reports the
-    winner's sign pair, and its ``iterations`` sum ``max(1, per-matrix
-    iterations)``.  A warm-started matrix whose lower bound is above its
-    bracket raises: it means the arithmetic, not the operator, went wrong.
+    The iterated matrix with the highest lower bound wins (ties: the first);
+    its unit l^p maximizer is the witness (none when nothing was iterated).
+    ``converged`` is False when a start of the winner stopped at
+    :data:`MAX_ITER` or any trajectory left on a non-finite ratio.  A supremum
+    also reports the winner's sign pair, and its ``iterations`` count 1 per
+    matrix not iterated plus every trajectory's.  A lower bound above its
+    bracket raises, as in :func:`_lp_prepare`.
     """
-    per = job.best_u.shape[1]
-    best, best_u = job.best, job.best_u
-    its = np.zeros(best.shape, dtype=int)
-    best[job.run], best_u[job.run], its[job.run] = (
-        a.reshape(-1, per, *a.shape[1:]) for a in (ran_best, ran_u, ran_its))
+    per = job.starts.shape[1]
+    best, its = ran_best.reshape(-1, per), ran_its.reshape(-1, per)
     pick = np.argmax(best, axis=1)         # ties: the earliest start, as a sequential walk
-    values = best[np.arange(job.warm.size), pick]
-    bounds = job.upper[job.warm]
-    escaped = values > bounds * (1.0 + 1e-9)
-    if escaped.any():
-        i = int(np.argmax(escaped))
-        raise RuntimeError(f"lower bound {values[i]} escaped the bracket {bounds[i]}")
-    iterations = np.zeros(len(job.upper), dtype=int)
-    iterations[job.warm] = its.sum(axis=1)
-    idx, value, witness, converged = 0, 0.0, None, True
-    if job.warm.size:
+    values = best[np.arange(job.run.size), pick]
+    _within_brackets(values, job.upper[job.run])
+    idx, value, witness, iterations, converged = 0, 0.0, None, 0, not ran_broke.any()
+    if job.run.size:
         row = int(np.argmax(values))
-        idx, value, u = int(job.warm[row]), values[row], best_u[row, pick[row]]
+        idx, value, u = int(job.run[row]), values[row], ran_u[row * per + pick[row]]
         area, n = 4.0 ** (-job.mu.depth), 1 << job.mu.depth
         f = u / _lp_norms(u, job.p) / (job.mu.values.ravel() * area) ** (1.0 / job.p)
         witness = GridFunction2D(job.mu.depth, f.reshape(n, n))
-        converged = ((not job.run[row] or bool((its[row] < MAX_ITER).all()))
-                     and not ran_broke.any())
-    res = OpNormResult(float(value), "lower_bound", int(iterations[idx]), witness,
+        iterations = int(its[row].sum())
+        converged = converged and bool((its[row] < MAX_ITER).all())
+    res = OpNormResult(float(value), "lower_bound", iterations, witness,
                        upper_bound=float(job.upper[idx]),
-                       pruned=int(job.nonzero - job.run.sum()), converged=converged)
+                       pruned=int(job.nonzero - job.run.size), converged=converged)
     if job.signs is not None:
-        res.iterations = int(np.maximum(1, iterations).sum())
+        res.iterations = len(job.upper) - job.run.size + int(its.sum())
         res.sign_pair = tuple(SignChoice1D(job.mu.depth, s[idx]) for s in job.signs)
     return res
 
@@ -294,7 +284,7 @@ def solve(jobs: list[NormJob | OpNormResult]) -> list[OpNormResult]:
     if not pending:
         return list(jobs)
     starts = [job.starts.reshape(-1, job.starts.shape[-1]) for job in pending]
-    ran = _power_iteration(     # even when no trajectory is left: every pair was pruned
+    ran = _power_iteration(     # even with no trajectory to run: every stack was zero
         np.concatenate([job.live.repeat(job.starts.shape[1], axis=0) for job in pending]),
         np.concatenate(starts), pending[0].p, MAX_ITER, TOL)
     ends = itertools.accumulate(len(u) for u in starts)

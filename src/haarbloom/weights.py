@@ -188,8 +188,8 @@ def random_cascade_weight(depth: int, strength: float,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if strength < 0:
-        raise ValueError("strength must be non-negative")
+    if not 0 <= strength < np.inf:
+        raise ValueError("strength must be finite and non-negative")
     rng = ensure_rng(rng)
     vals = np.ones((1, 1) if strength > 0 else (1 << depth,) * 2)
     for lev in range(depth):

@@ -62,7 +62,9 @@ def test_square_function_frozen():
 
 def test_square_function_localized():
     f = random_grid(2, 3)
-    left = Shadow.from_rectangles([rect(1, 0, 0, 0)], 2)
+    mask = np.zeros((4, 4), bool)
+    mask[rect(1, 0, 0, 0).cell_box(2)] = True
+    left = Shadow(mask)
     s = square_function(f, left)
     # rectangles inside the left half have x-interval (1,0); compare directly
     coeffs = haar_forward(f)
@@ -595,7 +597,7 @@ def test_validation():
     with pytest.raises(ValueError):
         bmo_prod_two_weight(random_grid(3, 1), constant_weight(3), constant_weight(3), 2, "exact")
     with pytest.raises(ValueError):
-        square_function(b, Shadow.full(3))
+        square_function(b, Shadow(np.ones((8, 8), bool)))
 
 
 NON_FINITE_ENTRY_POINTS = {

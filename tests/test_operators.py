@@ -110,7 +110,7 @@ def theta_brute_force(b, f):
     out = GridFunction2D.zeros(f.depth)
     coeffs = haar_forward(f)
     for r in cancellative_rectangles(f.depth):
-        osc = b - b.average(r)
+        osc = b - b.values[r.cell_box(b.depth)].mean()
         out = out + osc * haar_function(r, f.depth) * coeffs.coefficient(r)
     return out
 
@@ -138,7 +138,7 @@ def test_paraproduct_11_coefficients():
     bcc = haar_forward(b)
     avg = rectangle_average_table(f)
     for r in cancellative_rectangles(2):
-        expect = bcc.coefficient(r) * f.average(r)
+        expect = bcc.coefficient(r) * f.values[r.cell_box(2)].mean()
         assert abs(out.coefficient(r) - expect) < 1e-13
     assert abs(avg[0, 0] - f.integral()) < 1e-15
 
@@ -148,7 +148,7 @@ def test_average_table():
     avg = rectangle_average_table(f)
     for r in cancellative_rectangles(2):
         from haarbloom.dyadic import slot_of
-        assert abs(avg[slot_of(r.x), slot_of(r.y)] - f.average(r)) < 1e-14
+        assert abs(avg[slot_of(r.x), slot_of(r.y)] - f.values[r.cell_box(2)].mean()) < 1e-14
 
 
 def test_lambda_two_forms_agree_on_bi_cancellative_input():
@@ -564,6 +564,19 @@ def test_paraproduct_matrices_refuse_depths_beyond_their_limit(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="limited to depth <= 5"):
             call()
+
+
+def test_commutator_matrices_refuse_depths_beyond_their_limit(monkeypatch):
+    # patched so that a missing guard fails here instead of allocating 134 MB per pair
+    from haarbloom import operators
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(operators, "axis_table", boom)
+    depth = operators.MATRIX_MAX_DEPTH + 1
+    signs = np.ones((2, 1 << depth))
+    with pytest.raises(ValueError, match="limited to depth <= 5"):
+        commutator_matrices(random_grid(depth, 1), signs, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -473,8 +473,11 @@ def test_bracket_escape_raises_when_every_pair_is_pruned(monkeypatch):
                         lambda m, *rest: iterated.append(len(m)) or real_iteration(m, *rest))
     for p in (1.5, 3.0):
         with pytest.raises(RuntimeError, match="escaped the bracket"):
+            opnorm_module.sup_commutator_job(b, one, one, p)
+        with pytest.raises(RuntimeError, match="escaped the bracket"):
             sup_commutator_norm(b, one, one, p)
-    assert iterated == [0, 0]                   # the halved bracket pruned every pair
+    # the halved bracket is below the warm ratios: the job builder raises, nothing is iterated
+    assert iterated == []
 
 
 # a warm-started pair below the top one: its bracket is shrunk to the top pair's warm
@@ -488,19 +491,27 @@ opnorm = importlib.import_module("haarbloom.opnorm")
 rng = np.random.default_rng(32)
 b = random_symbol(2, rng)
 mu, lam = random_cascade_weight(2, 0.6, rng), random_cascade_weight(2, 0.6, rng)
-stack = opnorm.sup_commutator_job(b, mu, lam, 1.5)
-ratios = stack.best[:, :2].max(axis=1)
-top, j = int(np.argmax(stack.upper)), int(stack.warm[np.argmax(ratios)])
-w0 = ratios[stack.warm == top][0]
 real_upper, real_warm = opnorm._upper_brackets, opnorm._warm_starts
-warmed = []
+warmed = []                                 # per call: {pair: its best warm ratio}
+
+
+def warm_starts(mats, b, rows, *rest):
+    starts, ratios = real_warm(mats, b, rows, *rest)
+    warmed.append(dict(zip(rows.tolist(), ratios)))
+    return starts, ratios
+
+
+opnorm._warm_starts = warm_starts
+stack = opnorm.sup_commutator_job(b, mu, lam, 1.5)
+ratios = warmed[0] | warmed[1]
+top, j = int(np.argmax(stack.upper)), max(ratios, key=ratios.get)
+w0 = ratios[top]
+warmed.clear()
 opnorm._upper_brackets = lambda m, p: np.where(np.arange(len(m)) == j, w0, real_upper(m, p))
-opnorm._warm_starts = lambda b2, b, rows, *rest: (warmed.append(list(rows))
-                                                 or real_warm(b2, b, rows, *rest))
 try:
-    opnorm.sup_commutator_norm(b, mu, lam, 1.5)
+    opnorm.sup_commutator_job(b, mu, lam, 1.5)
 except RuntimeError as exc:
-    print(top != j, ratios.max() > w0 * (1 + 1e-6), warmed[0] == [top], j in warmed[1], exc)
+    print(top != j, ratios[j] > w0 * (1 + 1e-6), list(warmed[0]) == [top], j in warmed[1], exc)
 finally:
     opnorm._upper_brackets, opnorm._warm_starts = real_upper, real_warm
 """
@@ -512,12 +523,55 @@ def test_bracket_escape_raises_below_the_top_pair(capsys):
     assert out.startswith("True True True True lower bound") and "escaped the bracket" in out
 
 
+# every warm ratio is inside the bracket, but the iterated supremum escapes it: the bracket
+# is set between the best warm ratio and the iterated value, and _finish raises
+ESCAPE_ITERATED = """
+import importlib
+import numpy as np
+from haarbloom.dyadic import random_symbol
+from haarbloom.weights import random_cascade_weight
+opnorm = importlib.import_module("haarbloom.opnorm")
+rng = np.random.default_rng(32)
+b = random_symbol(2, rng)
+mu, lam = random_cascade_weight(2, 0.6, rng), random_cascade_weight(2, 0.6, rng)
+real_upper, real_warm, real_finish = opnorm._upper_brackets, opnorm._warm_starts, opnorm._finish
+warm, finished = [], []
+
+
+def warm_starts(*args):
+    starts, ratios = real_warm(*args)
+    warm.append(ratios.max())
+    return starts, ratios
+
+
+opnorm._warm_starts = warm_starts
+value = opnorm.sup_commutator_norm(b, mu, lam, 1.5).value
+bracket = (max(warm) + value) / 2
+opnorm._upper_brackets = lambda m, p: np.full(len(m), bracket)
+opnorm._finish = lambda job, *ran: finished.append(job.run.size) or real_finish(job, *ran)
+try:
+    opnorm.sup_commutator_norm(b, mu, lam, 1.5)
+except RuntimeError as exc:
+    print(value > max(warm) * (1 + 1e-6), finished, exc)
+finally:
+    opnorm._upper_brackets, opnorm._warm_starts = real_upper, real_warm
+    opnorm._finish = real_finish
+"""
+
+
+def test_bracket_escape_raises_after_the_iteration(capsys):
+    exec(ESCAPE_ITERATED, {})
+    out = capsys.readouterr().out
+    assert out.startswith("True [16] lower bound") and "escaped the bracket" in out
+
+
 def test_pruning_and_escape_guards_survive_optimize_flag():
     # python -O strips assert statements; the guards must still fire
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    for script, start in ((ESCAPE_ALL_PRUNED, "[0] lower bound"),
-                          (ESCAPE_BELOW_TOP, "True True True True lower bound")):
+    for script, start in ((ESCAPE_ALL_PRUNED, "[] lower bound"),
+                          (ESCAPE_BELOW_TOP, "True True True True lower bound"),
+                          (ESCAPE_ITERATED, "True [16] lower bound")):
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -537,7 +591,7 @@ def mixed_jobs(p):
     lam = random_cascade_weight(2, 0.6, rng)
     pruned = opnorm_module.sup_commutator_job(random_symbol(2, rng), mu, lam, p,
                                               mode="sampled", trials=5, seed=3)
-    pruned.run[:] = False
+    pruned.run = pruned.run[:0]
     pruned.live, pruned.starts = pruned.live[:0], pruned.starts[:0]
     return [opnorm_module.sup_commutator_job(b, mu, lam, p),
             opnorm_module.opnorm_job(materialize(lambda_operator(b), 2), mu, lam, p),
@@ -826,9 +880,8 @@ def solve_warming_every_pair(old, depth, mu, p, signs=None, max_iter=500, tol=1e
 
 def assert_same_stack(new, old):
     """Same iterated set, pruned count, live matrices and starts, bit for bit."""
-    np.testing.assert_array_equal(new.warm[new.run], old["nonzero"][old["run"]])
-    assert new.nonzero - new.run.sum() == old["nonzero"].size - old["run"].sum()
-    assert set(new.warm) <= set(old["nonzero"]) and new.nonzero == old["nonzero"].size
+    assert new.run.dtype.kind == "i" and new.nonzero == old["nonzero"].size
+    np.testing.assert_array_equal(new.run, old["nonzero"][old["run"]])
     for got, want in ((new.live, old["live"]), (new.starts, old["starts"])):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -864,14 +917,18 @@ def supremum_cases():
 
 
 @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
-def test_reachable_warm_starts_match_warming_every_pair(p):
+def test_reachable_warm_starts_match_warming_every_pair(p, monkeypatch):
+    real_warm, rows = opnorm_module._warm_starts, []
+    monkeypatch.setattr(opnorm_module, "_warm_starts",
+                        lambda *args: rows.append(len(args[2])) or real_warm(*args))
     warmed = nonzero = 0
     for b, mu, lam, mode, sx, sy in supremum_cases():
         mats = commutator_matrices(b, sx, sy)
+        rows.clear()
         new = opnorm_module._lp_prepare(mats, mu, lam, p)
         old = lp_prepare_warming_every_pair(mats, mu, lam, p, 2)
         assert_same_stack(new, old)
-        warmed, nonzero = warmed + new.warm.size, nonzero + new.nonzero
+        warmed, nonzero = warmed + sum(rows), nonzero + new.nonzero
         got = sup_commutator_norm(b, mu, lam, p, mode=mode, trials=12, seed=9)
         assert_same_bits(got, solve_warming_every_pair(old, b.depth, mu, p, (sx, sy)))
     assert warmed < nonzero                     # some pairs were never warm-started

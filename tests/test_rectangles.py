@@ -58,6 +58,13 @@ def block_means(values, lx, ly):
     return values.reshape(1 << lx, n >> lx, 1 << ly, n >> ly).mean(axis=(1, 3))
 
 
+def box_mask(r, depth):
+    """The depth-N cells of rectangle ``r``, as a boolean mask filled box by box."""
+    mask = np.zeros((1 << depth,) * 2, bool)
+    mask[r.cell_box(depth)] = True
+    return mask
+
+
 def draws(seed):
     """(depth, p, symbol, mu, lam) over every depth and exponent, cascade weights."""
     rng = np.random.default_rng(seed)
@@ -164,7 +171,7 @@ def test_table_rows_follow_the_nested_loops(depth):
         assert table.rects[row] == r and table.row(r) == row
         assert table.area[row] == r.area
         assert table.cancellative[row] == (r.x.level < depth and r.y.level < depth)
-        assert np.array_equal(table.cells[row], Shadow.from_rectangles([r], depth).mask.ravel())
+        assert np.array_equal(table.cells[row], box_mask(r, depth).ravel())
     np.testing.assert_array_equal(rectangle_incidence(depth), table.cells[table.cancellative])
 
 
@@ -185,7 +192,8 @@ def test_pyramid_matches_the_boxes(depth):
     np.testing.assert_allclose(rectangle_sums(f.values),
                                [f.values[r.cell_box(depth)].sum() for r in rects], rtol=1e-13)
     means = rectangle_means(f.values)
-    np.testing.assert_allclose(means, [f.average(r) for r in rects], rtol=1e-13)
+    np.testing.assert_allclose(means, [f.values[r.cell_box(depth)].mean() for r in rects],
+                               rtol=1e-13)
     # the level-pair blocks, bit for bit
     want = [block_means(f.values, r.x.level, r.y.level)[r.x.index, r.y.index] for r in rects]
     np.testing.assert_array_equal(means, want)
@@ -195,7 +203,7 @@ def test_pyramid_matches_the_boxes(depth):
         rows = {rects[i] for i in np.unique(spread[k])}
         assert {(r.x.level, r.y.level) for r in rows} == {lx_ly}
         for i in np.unique(spread[k]):
-            assert np.array_equal(spread[k] == i, Shadow.from_rectangles([rects[i]], depth).mask)
+            assert np.array_equal(spread[k] == i, box_mask(rects[i], depth))
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_measure():
     w = make_weight(1, [[2.0, 2.0], [1.0, 1.0]])
     assert w.grid.integral() == pytest.approx(1.5)
     left = DyadicRectangle(DyadicInterval(1, 0), DyadicInterval(0, 0))
-    assert w.grid.average(left) * left.area == pytest.approx(1.0)
+    assert w.grid.values[left.cell_box(1)].mean() * left.area == pytest.approx(1.0)
     mask = Shadow(np.array([[True, False], [False, True]]))
     assert (w.grid * indicator(mask)).integral() == pytest.approx(0.75)
 
@@ -243,6 +243,13 @@ def test_validation():
         bloom_weight(constant_weight(1), constant_weight(2), 2)
     with pytest.raises(ValueError):
         random_cascade_weight(2, -0.1)
+
+
+@pytest.mark.parametrize("strength", [float("nan"), float("inf"), -1.0])
+def test_cascade_refuses_a_non_finite_or_negative_strength(strength):
+    # nan failed ``strength > 0`` and drew the constant weight; inf overflowed in numpy
+    with pytest.raises(ValueError, match="strength must be finite and non-negative"):
+        random_cascade_weight(2, strength, 0)
 
 
 @pytest.mark.parametrize("depth", [0, -2])
