@@ -357,14 +357,19 @@ def restricted_projection(f: GridFunction2D, region: Shadow | list | tuple) -> G
 # materialization
 # ---------------------------------------------------------------------------
 
+def _refuse_depth(depth: int, what: str) -> None:
+    """Raise before a dense builder allocates beyond :data:`MATRIX_MAX_DEPTH`."""
+    if depth > MATRIX_MAX_DEPTH:
+        raise ValueError(f"{what} are limited to depth <= {MATRIX_MAX_DEPTH} "
+                         f"(16^depth entries each), got {depth}")
+
+
 def materialize(op: Operator, depth: int) -> np.ndarray:
     """Evaluate an operator on every cell indicator to obtain its dense ``(4^N, 4^N)`` matrix.
 
     Beyond :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
     """
-    if depth > MATRIX_MAX_DEPTH:
-        raise ValueError(f"materialized matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
-                         f"(16^depth entries each), got {depth}")
+    _refuse_depth(depth, "materialized matrices")
     n = 1 << depth
     m = n * n
     mat = np.empty((m, m))
@@ -429,9 +434,7 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
     such a pair.  Every slice comes out of one einsum.  Beyond
     :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
     """
-    if b.depth > MATRIX_MAX_DEPTH:
-        raise ValueError(f"paraproduct matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
-                         f"(16^depth entries each), got {b.depth}")
+    _refuse_depth(b.depth, "paraproduct matrices")
     coef = (_cc_table(b) * axis_table(b.depth).scale)[1:, 1:]
     mats = planned_einsum("pq,spik,sqjl->sijkl", coef,
                           _pairing_kernels(b.depth, tuple(x for x, _ in pairs)),
@@ -474,9 +477,7 @@ def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,
     blocks are never stored.  Beyond :data:`MATRIX_MAX_DEPTH` it refuses
     before allocating anything.
     """
-    if b.depth > MATRIX_MAX_DEPTH:
-        raise ValueError(f"commutator matrices are limited to depth <= {MATRIX_MAX_DEPTH} "
-                         f"(16^depth entries per pair), got {b.depth}")
+    _refuse_depth(b.depth, "commutator matrices")
     n = 1 << b.depth
     sx = np.asarray(sigma_x, dtype=float)
     sy = np.asarray(sigma_y, dtype=float)

@@ -373,7 +373,7 @@ def test_shadow_rectangles():
             Shadow(bad)
 
 
-def test_rectangles_in_shadow_matches_contains_rect():
+def test_rectangles_in_shadow_matches_the_mask_boxes():
     rng = np.random.default_rng(40)
     for depth in (1, 2, 3):
         n = 1 << depth

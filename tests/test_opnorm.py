@@ -445,7 +445,7 @@ def test_as_dict_reports_the_bracket_and_pruning():
     assert res.iterations >= 16
 
 
-ESCAPE_ALL_PRUNED = """
+ESCAPE_IN_BUILDER = """
 import importlib
 import numpy as np
 from haarbloom.dyadic import random_symbol
@@ -463,7 +463,7 @@ except RuntimeError as exc:
 """
 
 
-def test_bracket_escape_raises_when_every_pair_is_pruned(monkeypatch):
+def test_bracket_escape_raises_in_the_job_builder(monkeypatch):
     b = random_symbol(2, 33)
     one = constant_weight(2)
     real_upper, real_iteration = opnorm_module._upper_brackets, opnorm_module._power_iteration
@@ -569,7 +569,7 @@ def test_pruning_and_escape_guards_survive_optimize_flag():
     # python -O strips assert statements; the guards must still fire
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    for script, start in ((ESCAPE_ALL_PRUNED, "[] lower bound"),
+    for script, start in ((ESCAPE_IN_BUILDER, "[] lower bound"),
                           (ESCAPE_BELOW_TOP, "True True True True lower bound"),
                           (ESCAPE_ITERATED, "True [16] lower bound")):
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -584,7 +584,8 @@ def test_pruning_and_escape_guards_survive_optimize_flag():
 
 def mixed_jobs(p):
     """A supremum stack, one operator with random starts, an all-zero stack and a
-    stack whose every pair is pruned (by hand: a valid bracket never prunes them all)."""
+    stack whose every nonzero pair is pruned.  The last is a hand-made edge case,
+    not a job ``_lp_prepare`` builds: a valid bracket never prunes them all."""
     rng = np.random.default_rng(50)
     b = random_symbol(2, rng)
     mu = random_cascade_weight(2, 0.6, rng)
