@@ -37,6 +37,23 @@ def ensure_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def best_first(bounds: np.ndarray, score, sizes, keep: int = 1, seen=(), counts=None):
+    """Branch and bound: ``score`` blocks of rows, ``sizes`` long, by descending bound
+    (ties: first row first) until a bound falls below the ``keep``-th best of ``seen`` and
+    the scores so far, row r counting ``counts[r]`` times.  Returns each row's score, or
+    ``-inf``: no unscored row can be among the ``keep`` best if no score tops its bound."""
+    order, scores = np.argsort(-bounds, kind="stable"), np.full(len(bounds), -np.inf)
+    best = np.sort(np.append(seen, [-np.inf] * keep))[-keep:]
+    for size in sizes:
+        block, order = order[:size], order[size:]
+        if (block := block[bounds[block] >= best[0]]).size == 0:
+            return scores
+        scores[block] = score(block)
+        reps = 1 if counts is None else np.minimum(counts[block], keep)
+        best = np.sort(np.append(best, scores[block].repeat(reps)))[-keep:]
+    return scores
+
+
 # ---------------------------------------------------------------------------
 # intervals and rectangles
 # ---------------------------------------------------------------------------

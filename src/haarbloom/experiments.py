@@ -77,7 +77,7 @@ from .opnorm import (
     solve,
     sup_commutator_job,
 )
-from .weights import Weight, ap_characteristic, bloom_weight, random_cascade_weight
+from .weights import ap_characteristic, bloom_weight, random_cascade_weight
 
 #: absolute gap below which an exact identity counts as holding
 IDENTITY_TOL = 1e-11

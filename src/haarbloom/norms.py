@@ -24,6 +24,7 @@ from .dyadic import (
     DyadicRectangle,
     GridFunction2D,
     Shadow,
+    best_first,
     ensure_rng,
     haar_forward,
     rectangle_incidence,
@@ -328,11 +329,10 @@ def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
     ones (both from ``_candidate_table``), superlevel sets of the squared square
     function of the symbol and of the pointwise maximum rectangle energy
     ``max_R b_R^2 / |R|`` over the rectangles holding a cell, the full square, and
-    seeded random masks.  Distinct table rows are scored by descending ceiling until
-    it falls below the fifth-best score so far, a row counting as often as it is
-    listed (branch and bound); the rest rank last.  The best five (ties to the later
-    one) grow together, each distinct start once: a repeat would return the same
-    value, which cannot beat the best.
+    seeded random masks.  :func:`~haarbloom.dyadic.best_first` scores the distinct
+    table rows by ceiling, keeping five, a row counting as often as it is listed; the
+    rest rank last.  The best five (ties to the later one) grow together, each distinct
+    start once: a repeat would return the same value, which cannot beat the best.
     """
     rng = ensure_rng(seed)
     rows, ids, inverse, parts = _candidate_table(obj.depth)
@@ -343,21 +343,14 @@ def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
         + [np.ones((1, obj.cells), bool), rng.random((HEURISTIC_RESTARTS, obj.cells)) < 0.5])
     own = own[own.any(axis=1)]
     own_values, reach = obj.values(own), _ceilings(obj, parts)
-    order, counts = np.argsort(-reach), np.bincount(inverse)
-    scored, five = np.full(len(rows), -np.inf), np.sort(np.append(own_values, [-np.inf] * 5))[-5:]
-    step = max(1, BLOCK_CELLS // obj.cells)
-    for start in range(0, len(rows), step):
-        block = order[start:start + step]
-        block = block[reach[block] >= five[0]]
-        if block.size == 0:
-            break
-        scored[block] = obj.values(rows[block], ids[block])
-        if (scored[block] > reach[block]).any():
-            raise RuntimeError("a BMO candidate scored above its ceiling")
-        five = np.sort(np.append(five, scored[block].repeat(np.minimum(counts[block], 5))))[-5:]
-    # candidate i is rows[inverse[i]], then own[i - len(inverse)]; the best five score >= five[0]
+    scored = best_first(reach, lambda r: obj.values(rows[r], ids[r]),
+                        itertools.repeat(max(1, BLOCK_CELLS // obj.cells)), 5, own_values,
+                        np.bincount(inverse))
+    if (scored > reach).any():
+        raise RuntimeError("a BMO candidate scored above its ceiling")
+    # candidate i is rows[inverse[i]], then own[i - len(inverse)]
     values = np.concatenate([scored[inverse], own_values])
-    sel = np.flatnonzero(values >= five[0])
+    sel = np.flatnonzero(values >= np.partition(values, -5)[-5])
     top = sel[np.lexsort((sel, values[sel]))[::-1][:5]]
     candidate = [rows[inverse[i]] if i < len(inverse) else own[i - len(inverse)] for i in top]
     first = sorted({m.tobytes(): k for k, m in reversed(list(enumerate(candidate)))}.values())

@@ -10,10 +10,10 @@ interpolated through the exact l^2 norm.
 Both kernels work on stacks of matrices.  The sign supremum builds the commutator
 matrices of all its sign pairs at once (:func:`~haarbloom.operators.commutator_matrices`)
 and scores them in one batched SVD or one batched power iteration; a single operator is
-the stack of one.  Away from 2 the matrix with the highest upper bound is warm-started
-first, then only those whose bound reaches its warm ratio: only these are conjugated at
-exponent 2.  Those whose bound reaches the best warm ratio are iterated, the rest
-pruned; each pass of the iteration takes the l^p norms of ``B u`` and ``u`` in one go.
+the stack of one.  Away from 2 the matrices are warm-started best-first by upper bound
+(:func:`~haarbloom.dyadic.best_first`), and only these are conjugated at exponent 2.
+Those whose bound reaches the best warm ratio are iterated, the rest pruned; each pass
+of the iteration takes the l^p norms of ``B u`` and ``u`` in one go.
 :func:`opnorm_job` and :func:`sup_commutator_job` build a norm without finishing it:
 the result itself at p = 2, otherwise a pending :class:`NormJob`.  :func:`solve`
 finishes the pending jobs of one exponent in one power iteration and returns one
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import GridFunction2D, ensure_rng
+from .dyadic import GridFunction2D, best_first, ensure_rng
 from .operators import SignChoice1D, axis_sign_rows, commutator_matrices
 from .weights import Weight
 
@@ -208,30 +208,28 @@ def _random_starts(m: int) -> np.ndarray:
 def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float, extra=()) -> NormJob:
     """Conjugate, bracket, warm-start and prune a stack of operator matrices.
 
-    The matrix with the highest upper bound, then only those whose bound
-    reaches its warm ratio (no other can raise the best one or be iterated),
-    are conjugated at 2 and start from their p = 2 maximizer and its absolute
-    value, plus the ``extra`` starts shared by all.  Those whose bound reaches
-    the best warm ratio are kept to iterate; the others are pruned.  A warm
-    ratio above its bracket raises, as in :func:`_finish`.
+    :func:`~haarbloom.dyadic.best_first` warms the matrix with the highest upper
+    bound, then every one whose bound reaches its warm ratio (no other can raise
+    the best one or be iterated): each is conjugated at 2 and starts from its
+    p = 2 maximizer and its absolute value, plus the ``extra`` starts shared by
+    all.  Those whose bound reaches the best warm ratio are kept to iterate; the
+    others are pruned.  A warm ratio above its bracket raises, as in :func:`_finish`.
     """
     if not 1 < p < np.inf:
         raise ValueError(f"the iteration needs p in (1, inf), got {p}")
     b = _conjugated(mats, mu, lam, p)
     upper = _upper_brackets(b, p)
-    count, shape = b.shape[0], (2 + len(extra), b.shape[-1])
-    nonzero = np.flatnonzero(b.reshape(count, -1).any(axis=1))
-    if nonzero.size == 0:
-        return NormJob(mu, p, upper, 0, nonzero, b[:0], np.zeros((0, *shape)))
+    nonzero = np.flatnonzero(b.reshape(len(b), -1).any(axis=1))
+    starts = np.zeros((nonzero.size, 2 + len(extra), b.shape[-1]))
 
-    reach, top = upper[nonzero] * (1.0 + 1e-9), int(np.argmax(upper[nonzero]))  # top: in nonzero
-    starts, ratios = np.zeros((nonzero.size, *shape)), np.full(nonzero.size, -np.inf)
-    starts[[top]], ratios[[top]] = _warm_starts(mats, b, nonzero[[top]], extra, p, mu, lam)
-    rest = np.flatnonzero((reach >= ratios[top]) & (np.arange(nonzero.size) != top))
-    if rest.size:                                          # the others its warm ratio allows
-        starts[rest], ratios[rest] = _warm_starts(mats, b, nonzero[rest], extra, p, mu, lam)
+    def warm(rows):
+        starts[rows], ratios = _warm_starts(mats, b, nonzero[rows], extra, p, mu, lam)
+        return ratios
+
+    reach = upper[nonzero] * (1.0 + 1e-9)
+    ratios = best_first(reach, warm, (1, nonzero.size))     # the top one, then all it allows
     _within_brackets(ratios, upper[nonzero])
-    run = np.flatnonzero(reach >= ratios.max())
+    run = np.flatnonzero(reach >= ratios.max(initial=-np.inf))
     return NormJob(mu, p, upper, nonzero.size, nonzero[run], b[nonzero[run]], starts[run])
 
 

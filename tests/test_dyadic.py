@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from haarbloom.dyadic import (
     Shadow,
     all_rectangles,
     axis_haar_values,
+    best_first,
     cancellative_rectangles,
     grid_from_csv,
     grid_to_csv,
@@ -550,3 +553,57 @@ def test_rectangles_inside_matches_the_per_call_conversion(depth):
         got = dyadic.rectangles_inside(masks, depth)
         assert got.dtype == bool and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the best-first scorer, against scoring every row
+# ---------------------------------------------------------------------------
+
+def _best_first_cases():
+    """Random bounds with scores at most the bounds, some equal; with and without ties,
+    ``seen`` and ``counts``; ``keep`` 1 and 5; sizes ``(1, n)`` and ``repeat(k)``."""
+    rng = np.random.default_rng(120)
+    for n, keep, k, tied, with_seen, with_counts in itertools.product(
+            (0, 1, 7, 60), (1, 5), (None, 1, 4, 16), (False, True), (False, True),
+            (False, True)):
+        bounds = rng.random(n) * 10
+        if tied:
+            bounds = np.round(bounds / 3)
+        scores = bounds * rng.random(n)
+        scores[::3] = bounds[::3]
+        seen = rng.random(3) * 5 if with_seen else ()
+        counts = rng.integers(1, 8, n) if with_counts else None
+        yield bounds, scores, (1, n) if k is None else itertools.repeat(k), keep, seen, counts
+
+
+def test_best_first_keeps_every_winner_of_the_search_that_scored_every_row():
+    for bounds, want, sizes, keep, seen, counts in _best_first_cases():
+        blocks = []
+        got = best_first(bounds, lambda rows: blocks.append(rows.copy()) or want[rows],
+                         sizes, keep, seen, counts)
+        assert got.shape == bounds.shape
+        assert all(len(block) for block in blocks)            # no empty block
+        order = np.concatenate([[]] + blocks).astype(int)
+        assert len(set(order.tolist())) == len(order)         # each row scored once
+        # descending bound, ties in row order
+        assert all(bounds[i] > bounds[j] or bounds[i] == bounds[j] and i < j
+                   for i, j in zip(order, order[1:]))
+        scored = np.isin(np.arange(len(bounds)), order)
+        np.testing.assert_array_equal(got[scored], want[scored])
+        assert (got[~scored] == -np.inf).all()
+        reps = 1 if counts is None else counts
+
+        def kth(scores):
+            pool = np.concatenate([seen, scores.repeat(reps), [-np.inf] * keep])
+            return np.sort(pool)[-keep:]
+
+        # pruning hides no winner: every unscored bound is below the final keep-th best
+        assert (bounds[~scored] < kth(got)[0]).all()
+        np.testing.assert_array_equal(kth(got), kth(want))
+
+
+def test_best_first_scores_nothing_on_no_rows():
+    calls = []
+    for sizes in ((1, 0), itertools.repeat(3)):
+        got = best_first(np.zeros(0), calls.append, sizes, 5, [1.0, 2.0])
+        assert got.shape == (0,) and calls == []

@@ -25,7 +25,6 @@ from haarbloom.dyadic import (
 )
 from haarbloom import norms
 from haarbloom.norms import (
-    BmoResult,
     bmo_prod_one_weight,
     bmo_prod_two_weight,
     little_bmo,
@@ -36,7 +35,7 @@ from haarbloom.norms import (
 )
 from haarbloom.operators import lambda_matrix, restricted_projection
 from haarbloom.opnorm import opnorm, sup_commutator_norm
-from haarbloom.weights import Weight, constant_weight, random_cascade_weight
+from haarbloom.weights import constant_weight, random_cascade_weight
 
 
 def rect(lx, ix, ly, iy):
@@ -517,6 +516,35 @@ def test_heuristic_search_grows_each_distinct_start_once(monkeypatch):
         norms._heuristic_search(obj, trial)
         assert grown == [want]      # one lockstep growth of the distinct starts, in order
     assert repeats > 0      # the oracle did regrow some start
+
+
+#: per search, the rows of each ``values`` call on candidate-table rows, as measured on the
+#: block loop the search had before ``best_first``: 12 depth-3 and 3 depth-4 draws
+TABLE_BLOCKS = {3: [[256], [156], [153], [256], [256], [127], [256, 85], [256], [113], [256],
+                    [226], [256]],
+                4: [[64, 53], [64, 31], [64, 64, 6]]}
+
+
+def test_heuristic_search_scores_table_rows_in_full_blocks(monkeypatch):
+    # a one-row first block, or ignoring how often a row is listed, or the own
+    # candidates' scores, would change how many rows are scored
+    calls, real = [], norms._MaskObjective.values
+
+    def values(self, masks, ids=None):
+        if ids is not None:             # only table rows come with their pattern ids
+            calls.append(len(masks))
+        return real(self, masks, ids)
+
+    monkeypatch.setattr(norms._MaskObjective, "values", values)
+    rng = np.random.default_rng(71)
+    for depth, want in TABLE_BLOCKS.items():
+        for k, blocks in enumerate(want):
+            b = random_symbol(depth, rng)
+            mu, lam = (random_cascade_weight(depth, 0.5, rng) for _ in range(2))
+            calls.clear()
+            norms._heuristic_search(norms._MaskObjective(b, mu, lam, (1.5, 2.0, 3.0)[k % 3]), k)
+            assert calls == blocks
+        assert max(blocks[0] for blocks in want) == norms.BLOCK_CELLS // 4 ** depth
 
 
 def test_bmo_degenerate_symbol():

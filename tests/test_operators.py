@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from haarbloom.dyadic import (
-    DyadicInterval,
-    DyadicRectangle,
     GridFunction2D,
     HAAR_KINDS,
     HaarCoefficients2D,

@@ -51,6 +51,38 @@ def test_every_module_level_function_and_class_is_used():
     assert SRC.is_dir() and not dead, dead
 
 
+def unused_imports(*folders):
+    """Names a module in ``folders`` imports and never names again, as "file:name";
+    ``__init__.py`` re-exports and ``from __future__`` imports are exempt."""
+    found = []
+    for path, tree in _trees(*folders):
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {(a.asname or a.name): node.lineno for a in node.names}
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}:{name}" for name, line in imported.items()
+                  if name not in named]
+    return found
+
+
+def test_every_import_in_the_package_is_used():
+    # an import nothing names is dead code, and hides which modules depend on which
+    assert SRC.is_dir() and not unused_imports(SRC), unused_imports(SRC)
+
+
+def test_the_import_lint_sees_a_dead_import(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from json import dumps, loads\nprint(os.sep, loads)\n")
+    (tmp_path / "__init__.py").write_text("from .module import dumps\n")
+    assert unused_imports(tmp_path) == ["module.py:3:np", "module.py:4:dumps"]
+
+
 def test_public_names_only_tests_use_are_exported():
     # tests may keep alive only what the package exports: a public function or
     # class that nothing in src/ names must be in haarbloom.__all__, or it is a

@@ -30,13 +30,17 @@ and the last line, ``library <digest>``, the library calls: per result its
 so fields no report prints (``iterations``, ``pruned``, ``converged``,
 ``upper_bound``, the witness) are covered too.
 stderr names the package directory it imported, which shows that
-``--src`` took effect.
+``--src`` took effect, and the OpenBLAS kernel numpy's bundled
+scipy-openblas library runs (``unknown`` if neither the library nor its
+``scipy_openblas_get_corename64_`` is found): digests taken on two kernels,
+such as SkylakeX and Haswell, can differ, so compare them on one.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -102,6 +106,19 @@ def result_bytes(res) -> bytes:
     return b"\0".join([json.dumps(res.as_dict(), sort_keys=True).encode(), witness, signs])
 
 
+def blas_core() -> str:
+    """The core type OpenBLAS picked at load time, from numpy's bundled library."""
+    import numpy as np
+    for lib in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -110,6 +127,7 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
     from haarbloom.cli import main as cli_main
     print("package:", Path(sys.modules["haarbloom"].__file__).parent, file=sys.stderr)
+    print("blas core:", blas_core(), file=sys.stderr)
 
     total = hashlib.sha256()
     commands = {argv[0]: hashlib.sha256() for argv in RUNS}
