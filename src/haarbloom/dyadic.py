@@ -39,10 +39,10 @@ def ensure_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
 
 def best_first(bounds: np.ndarray, score, sizes, keep: int = 1, seen=(), counts=None):
     """Branch and bound: ``score`` blocks of rows, ``sizes`` long, by descending bound
-    (ties: first row first) until a bound falls below the ``keep``-th best of ``seen`` and
-    the scores so far, row r counting ``counts[r]`` times.  Returns each row's score, or
-    ``-inf``: no unscored row can be among the ``keep`` best if no score tops its bound."""
-    order, scores = np.argsort(-bounds, kind="stable"), np.full(len(bounds), -np.inf)
+    until a bound falls below the ``keep``-th best of ``seen`` and the scores so far,
+    row r counting ``counts[r]`` times.  Returns each row's score, or ``-inf``: no
+    unscored row can be among the ``keep`` best if no score tops its bound."""
+    order, scores = np.argsort(-bounds), np.full(len(bounds), -np.inf)
     best = np.sort(np.append(seen, [-np.inf] * keep))[-keep:]
     for size in sizes:
         block, order = order[:size], order[size:]
