@@ -37,6 +37,18 @@ def ensure_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def check_depths(what: str, *depths) -> None:
+    """Raise ``ValueError("<what> disagree on depth")`` unless all ``depths`` are equal."""
+    if len(set(depths)) > 1:
+        raise ValueError(f"{what} disagree on depth")
+
+
+def check_exponent(p: float) -> None:
+    """Raise ``ValueError`` unless ``1 <= p < inf``; nan is refused too."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+
+
 def best_first(bounds: np.ndarray, score, sizes, keep: int = 1, seen=(), counts=None):
     """Branch and bound: ``score`` blocks of rows, ``sizes`` long, by descending bound
     until a bound falls below the ``keep``-th best of ``seen`` and the scores so far,
@@ -205,7 +217,7 @@ class GridFunction2D:
     def _binary(self, other, op) -> "GridFunction2D":
         if isinstance(other, GridFunction2D):
             if other.depth != self.depth:
-                raise ValueError("depth mismatch")
+                raise ValueError("grid functions disagree on depth")
             return GridFunction2D._of(self.depth, op(self.values, other.values))
         if isinstance(other, float):        # a Python float or np.float64
             return GridFunction2D._of(self.depth, op(self.values, other))

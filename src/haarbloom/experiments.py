@@ -40,10 +40,9 @@ from .dyadic import (
     slot_interval,
 )
 from .norms import (
-    EXACT_MAX_DEPTH,
-    HEURISTIC_MAX_DEPTH,
     bmo_prod_one_weight,
     bmo_prod_two_weight,
+    check_search,
     little_bmo,
     lp_weighted_norm,
 )
@@ -70,8 +69,8 @@ from .operators import (
     theta_operator,
 )
 from .opnorm import (
-    EXHAUSTIVE_MAX_DEPTH,
     NormJob,
+    check_walk,
     opnorm_job,
     opnorm_p2_exact,
     solve,
@@ -115,6 +114,8 @@ class ExperimentConfig:
     out: Path | None = None
 
     def __post_init__(self) -> None:
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.trials < 1:
@@ -124,31 +125,17 @@ class ExperimentConfig:
         if self.out is not None and (Path(self.out).is_dir()
                                      or not Path(self.out).parent.is_dir()):
             raise ValueError(f"--out {self.out} must name a file in an existing directory")
-        if self.strategy not in ("exact", "heuristic"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not (self.p_values and self.deltas):
+            raise ValueError("--p and --delta each need at least one value")
         if not all(P_RANGE[0] <= p <= P_RANGE[1] for p in self.p_values):
             raise ValueError(f"every --p must lie in [{P_RANGE[0]}, {P_RANGE[1]}], "
                              f"got {list(self.p_values)}")
         if not all(0.0 <= d < math.inf for d in self.deltas):
             raise ValueError(f"every --delta must be finite and >= 0, got {list(self.deltas)}")
-        if self.command == "identities" and self.depth > IDENTITIES_MAX_DEPTH:
-            raise ValueError(f"identities walks every sign pair and is limited "
-                             f"to depth <= {IDENTITIES_MAX_DEPTH}")
-        if (self.command in ("jn", "commutator", "paraproduct") and self.strategy == "exact"
-                and self.depth > EXACT_MAX_DEPTH):
-            raise ValueError(f"--strategy exact scores every union of finest rectangles, "
-                             f"where the supremum over all open sets is attained, and is "
-                             f"limited to depth <= {EXACT_MAX_DEPTH}; use --strategy heuristic")
-        if (self.command in ("jn", "commutator", "paraproduct") and self.strategy == "heuristic"
-                and self.depth > HEURISTIC_MAX_DEPTH):
-            raise ValueError(f"--strategy heuristic scores every pair of cancellative "
-                             f"rectangles and is limited to depth <= {HEURISTIC_MAX_DEPTH}")
-        if (self.command == "commutator" and self.mode == "exhaustive"
-                and self.depth > EXHAUSTIVE_MAX_DEPTH):
-            raise ValueError(f"--mode exhaustive walks every sign pair and is limited "
-                             f"to depth <= {EXHAUSTIVE_MAX_DEPTH}; use --mode sampled")
+        searches = self.command in ("jn", "commutator", "paraproduct")     # depth 0: names only
+        check_search(self.strategy, self.depth if searches else 0)
+        check_walk(self.mode, self.depth if self.command == "commutator" else 0, SAMPLED_PAIRS)
+        check_identities(self.depth if self.command == "identities" else 0)
 
     def combos(self) -> list[tuple[float, float]]:
         return list(itertools.product(self.p_values, self.deltas))
@@ -233,12 +220,20 @@ def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
     return (g * g).mean(axis=2)
 
 
+def check_identities(depth: int) -> None:
+    """Refuse an identity suite deeper than :data:`IDENTITIES_MAX_DEPTH`, its one check."""
+    if depth > IDENTITIES_MAX_DEPTH:
+        raise ValueError(f"identities walks every sign pair and is limited "
+                         f"to depth <= {IDENTITIES_MAX_DEPTH}")
+
+
 def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]:
     """One random draw of every exact identity; returns absolute gaps.
 
     Identities needing a bi-cancellative argument get one; the rest are
     exercised on arbitrary grid functions.
     """
+    check_identities(depth)
     gaps: dict[str, float] = {}
     b = random_grid(depth, rng)
     f_any = random_grid(depth, rng)

@@ -25,6 +25,8 @@ from .dyadic import (
     GridFunction2D,
     Shadow,
     best_first,
+    check_depths,
+    check_exponent,
     ensure_rng,
     haar_forward,
     rectangle_incidence,
@@ -51,10 +53,8 @@ HEURISTIC_RESTARTS = 8
 
 def lp_weighted_norm(f: GridFunction2D, w: Weight, p: float) -> float:
     """Norm of f in L^p of the weighted measure w dx."""
-    if not 1 <= p < np.inf:
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    if w.depth != f.depth:
-        raise ValueError("weight and function disagree on depth")
+    check_exponent(p)
+    check_depths("weight and function", w.depth, f.depth)
     area = 4.0 ** (-f.depth)
     return float((np.abs(f.values) ** p * w.values).sum() * area) ** (1.0 / p)
 
@@ -83,8 +83,7 @@ def square_function(f: GridFunction2D,
     if region is None:
         counts = 1.0
     elif isinstance(region, Shadow):
-        if region.depth != f.depth:
-            raise ValueError("shadow and function disagree on depth")
+        check_depths("shadow and function", region.depth, f.depth)
         counts = rectangle_sums(~region.mask) == 0
     elif isinstance(region, (list, tuple)):
         table = rectangle_table(f.depth)
@@ -97,8 +96,7 @@ def square_function(f: GridFunction2D,
 
 def triebel_lizorkin_square_function(f: GridFunction2D, w: Weight, p: float) -> GridFunction2D:
     """Square function with each rectangle term damped by <w>_R^{2/p}."""
-    if w.depth != f.depth:
-        raise ValueError("weight and function disagree on depth")
+    check_depths("weight and function", w.depth, f.depth)
     return _square_sum(_energies(f) * rectangle_means(w.values) ** (2.0 / p), f.depth)
 
 
@@ -182,10 +180,8 @@ class _MaskObjective:
     """
 
     def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float):
-        if not 1 <= p < np.inf:
-            raise ValueError(f"p must lie in [1, inf), got {p}")
-        if not (b.depth == mu.depth == lam.depth):
-            raise ValueError("symbol and weights disagree on depth")
+        check_exponent(p)
+        check_depths("symbol and weights", b.depth, mu.depth, lam.depth)
         self.depth = b.depth
         self.p = p
         self.cells = 4 ** b.depth
@@ -247,9 +243,6 @@ def _exact_search(obj: _MaskObjective) -> tuple[float, np.ndarray]:
     rises with k, so index order is integer order.  A symbol with no
     energy scores 0 everywhere; its first mask is cell 0 alone.
     """
-    if obj.depth > EXACT_MAX_DEPTH:
-        raise ValueError(f"exact search is limited to depth <= {EXACT_MAX_DEPTH} "
-                         "(15 unions of finest rectangles)")
     unions, ids = _finest_unions(obj.depth)
     ratios = obj.values(unions, ids)
     idx = int(np.argmax(ratios))
@@ -358,26 +351,31 @@ def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
     return float(grown.max()), masks[np.argmax(grown)]      # the first maximum, as a walk
 
 
+def check_search(strategy: str, depth: int) -> None:
+    """Refuse an unknown BMO strategy, or a grid deeper than its search's limit."""
+    if strategy not in ("exact", "heuristic"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "exact" and depth > (limit := EXACT_MAX_DEPTH):
+        raise ValueError(f"exact search is limited to depth <= {limit} ({2 ** 4 ** (limit - 1) - 1}"
+                         f" unions of finest rectangles); use strategy='heuristic'")
+    if strategy == "heuristic" and depth > HEURISTIC_MAX_DEPTH:
+        raise ValueError("heuristic search scores every pair of cancellative rectangles "
+                         f"and is limited to depth <= {HEURISTIC_MAX_DEPTH}")
+
+
 def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                         strategy: str = "exact",
                         seed: int | np.random.Generator | None = 0) -> BmoResult:
     """Two-weight product BMO norm of a symbol, with witness shadow.
 
     ``strategy="exact"`` takes the supremum over all ``2^(4^N) - 1``
-    non-empty cell masks (depth <= 2) by scoring the ``2^(4^(N-1)) - 1``
-    unions of finest rectangles, where it is attained;
-    ``"heuristic"`` runs the candidate/greedy search (depth <= 4).
+    non-empty cell masks by scoring the ``2^(4^(N-1)) - 1`` unions of
+    finest rectangles, where it is attained; ``"heuristic"`` runs the
+    candidate/greedy search.  :func:`check_search` refuses a deeper grid.
     """
-    if strategy == "heuristic" and b.depth > HEURISTIC_MAX_DEPTH:
-        raise ValueError(f"heuristic search is limited to depth <= {HEURISTIC_MAX_DEPTH}: "
-                         f"its candidates are every pair of cancellative rectangles")
+    check_search(strategy, b.depth)
     obj = _MaskObjective(b, mu, lam, p)
-    if strategy == "exact":
-        value, mask = _exact_search(obj)
-    elif strategy == "heuristic":
-        value, mask = _heuristic_search(obj, seed)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    value, mask = _exact_search(obj) if strategy == "exact" else _heuristic_search(obj, seed)
     return BmoResult(value, strategy, Shadow(mask.reshape(1 << b.depth, -1).copy()))
 
 
@@ -393,10 +391,8 @@ def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResul
 
     Exact by enumeration; ties keep the first rectangle coarse-first.
     """
-    if not 1 <= p < np.inf:
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not (b.depth == mu.depth == lam.depth):
-        raise ValueError("symbol and weights disagree on depth")
+    check_exponent(p)
+    check_depths("symbol and weights", b.depth, mu.depth, lam.depth)
     area = 4.0 ** (-b.depth)
     table = rectangle_table(b.depth)
     osc = np.abs(b.values - rectangle_means(b.values)[table.owner])

@@ -44,6 +44,7 @@ from .dyadic import (
     Shadow,
     axis_table,
     cancellative_rectangles,
+    check_depths,
     ensure_rng,
     haar_forward,
     haar_project_x,
@@ -82,11 +83,6 @@ def _snapshot(b: GridFunction2D) -> GridFunction2D:
     return b
 
 
-def _check_grid(depth: int, f: GridFunction2D) -> None:
-    if depth != f.depth:
-        raise ValueError("symbol and argument live on different grids")
-
-
 def _stack_operator(depth: int, mats: np.ndarray) -> Operator:
     """Apply a read-only ``(S, 4^N, 4^N)`` stack and add the ``S`` images in stack order.
 
@@ -97,7 +93,8 @@ def _stack_operator(depth: int, mats: np.ndarray) -> Operator:
     n = 1 << depth
 
     def apply(f: GridFunction2D) -> GridFunction2D:
-        _check_grid(depth, f)
+        if f.depth != depth:
+            raise ValueError("symbol and argument disagree on depth")
         return GridFunction2D._of(depth, np.add.reduce(mats @ f.values.ravel(), axis=0)
                                   .reshape(n, n))
     return apply
@@ -210,8 +207,7 @@ class SignChoice2D:
 
     @classmethod
     def from_tensor(cls, sx: SignChoice1D, sy: SignChoice1D) -> "SignChoice2D":
-        if sx.depth != sy.depth:
-            raise ValueError("axis sign choices disagree on depth")
+        check_depths("axis sign choices", sx.depth, sy.depth)
         return cls(sx.depth, np.outer(sx.signs, sy.signs))
 
     @classmethod
@@ -231,21 +227,18 @@ def haar_multiplier_x(f: GridFunction2D, sigma: SignChoice1D) -> GridFunction2D:
     The scaling direction is annihilated, matching the sum-of-projections
     form of the operator.
     """
-    if sigma.depth != f.depth:
-        raise ValueError("sign choice and function disagree on depth")
+    check_depths("sign choice and function", sigma.depth, f.depth)
     return haar_synthesis(f.depth, haar_forward(f).table * sigma.signs[:, None])
 
 
 def haar_multiplier_y(f: GridFunction2D, sigma: SignChoice1D) -> GridFunction2D:
-    if sigma.depth != f.depth:
-        raise ValueError("sign choice and function disagree on depth")
+    check_depths("sign choice and function", sigma.depth, f.depth)
     return haar_synthesis(f.depth, haar_forward(f).table * sigma.signs[None, :])
 
 
 def haar_multiplier(f: GridFunction2D, sigma: SignChoice2D) -> GridFunction2D:
     """Biparameter multiplier: acts on the fully cancellative block, kills the rest."""
-    if sigma.depth != f.depth:
-        raise ValueError("sign choice and function disagree on depth")
+    check_depths("sign choice and function", sigma.depth, f.depth)
     return haar_synthesis(f.depth, haar_forward(f).table * sigma.signs)
 
 
@@ -321,7 +314,8 @@ def theta_operator(b: GridFunction2D) -> Operator:
     averages = rectangle_average_table(b)
 
     def apply(f: GridFunction2D) -> GridFunction2D:
-        _check_grid(b.depth, f)
+        if f.depth != b.depth:
+            raise ValueError("symbol and argument disagree on depth")
         table = _cc_table(f)
         avg_term = haar_synthesis(f.depth, table * averages)
         return b * haar_synthesis(f.depth, table) - avg_term
@@ -339,8 +333,7 @@ def restricted_projection(f: GridFunction2D, region: Shadow | list | tuple) -> G
     the mask; a list or tuple of rectangles is used verbatim.
     """
     if isinstance(region, Shadow):
-        if region.depth != f.depth:
-            raise ValueError("shadow and function disagree on depth")
+        check_depths("shadow and function", region.depth, f.depth)
         region = rectangles_in_shadow(region)
     elif not isinstance(region, (list, tuple)):
         raise TypeError(f"unsupported region {type(region).__name__}")

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import GridFunction2D, best_first, ensure_rng
+from .dyadic import GridFunction2D, best_first, check_depths, check_exponent, ensure_rng
 from .operators import SignChoice1D, axis_sign_rows, commutator_matrices
 from .weights import Weight
 
@@ -74,10 +74,8 @@ class OpNormResult:
 
 def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarray:
     """Weight-conjugate one ``(4^N, 4^N)`` matrix or a stack of them (last two axes)."""
-    if not 1 <= p < np.inf:
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not (mats.shape[-2:] == (4 ** mu.depth,) * 2 and mu.depth == lam.depth):
-        raise ValueError("operator and weights disagree on depth")
+    check_exponent(p)
+    check_depths("operator and weights", mats.shape[-2:], *[(4 ** w.depth,) * 2 for w in (mu, lam)])
     area = 4.0 ** (-mu.depth)
     out_w = (lam.values.ravel() * area) ** (1.0 / p)
     in_w = (mu.values.ravel() * area) ** (-1.0 / p)
@@ -315,19 +313,24 @@ def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float) -> NormJob | 
 # supremum over sign choices of the iterated commutator norm
 # ---------------------------------------------------------------------------
 
+def check_walk(mode: str, depth: int, trials: int) -> None:
+    """Refuse an unknown sign walk, a sampled one of no pairs, or a too deep exhaustive one."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and trials < 1:
+        raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
+    if mode == "exhaustive" and depth > EXHAUSTIVE_MAX_DEPTH:
+        raise ValueError("exhaustive mode walks every sign pair and is limited to depth "
+                         f"<= {EXHAUSTIVE_MAX_DEPTH}; use mode='sampled'")
+
+
 def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                        mode: str = "exhaustive", trials: int = 64,
                        seed: int | np.random.Generator | None = 0) -> NormJob | OpNormResult:
     """:func:`sup_commutator_norm` to finish later, as :func:`opnorm_job`; sampled sign
     pairs are drawn when it is built."""
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if mode == "sampled" and trials < 1:
-        raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
+    check_walk(mode, b.depth, trials)
     if mode == "exhaustive":
-        if b.depth > EXHAUSTIVE_MAX_DEPTH:
-            raise ValueError(f"exhaustive sign enumeration is limited to depth "
-                             f"<= {EXHAUSTIVE_MAX_DEPTH}")
         rows = axis_sign_rows(b.depth)
         rows = rows[rows[:, 1] > 0]
         sx = np.repeat(rows, len(rows), axis=0)
@@ -356,9 +359,9 @@ def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     The commutator matrices of all candidate pairs of one-parameter sign
     multipliers are built in one stack and their weighted norms measured
     together: top singular values at p = 2, the batched power iteration
-    otherwise.  ``mode="exhaustive"`` walks the +-1 space (depth <= 2) one
-    class ``{+-sx} x {+-sy}`` at a time, by its member with slot-1 signs
-    +1 (at most 4 x 4 pairs): negating one axis negates the commutator.
+    otherwise.  ``mode="exhaustive"`` walks the +-1 space, as deep as
+    :func:`check_walk` allows, one class ``{+-sx} x {+-sy}`` at a time, by
+    its member with slot-1 signs +1: negating one axis negates the commutator.
     ``"sampled"`` draws ``trials`` pairs from a seeded stream, so a longer
     run with the same seed extends a shorter one.  Ties go to the first
     pair in walk order.  ``iterations`` sums ``max(1, per-pair

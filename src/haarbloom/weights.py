@@ -17,6 +17,7 @@ import numpy as np
 from .dyadic import (
     DyadicRectangle,
     GridFunction2D,
+    check_depths,
     ensure_rng,
     rectangle_means,
     rectangle_table,
@@ -130,8 +131,7 @@ def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
     characteristics come from one stacked pass, which fills the caches.
     """
     _check_exponent(p)
-    if mu.depth != lam.depth:
-        raise ValueError("weights live on different grids")
+    check_depths("weights", mu.depth, lam.depth)
     nu = Weight._of(mu.depth, (mu.values / lam.values) ** (1.0 / p), "nu")
     ap_mu, ap_lam, a2 = (r.characteristic for r in _characteristics([(mu, p), (lam, p), (nu, 2)]))
     cap = (ap_mu * ap_lam) ** (1.0 / p)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarbloom import experiments
+from haarbloom import experiments, norms
 from haarbloom.cli import build_parser, main
 from haarbloom.dyadic import GridFunction2D, indicator, random_grid, random_symbol
 from haarbloom.experiments import (
@@ -44,7 +45,9 @@ from haarbloom.operators import (
     paraproduct_matrix,
 )
 from haarbloom.opnorm import NormJob, opnorm, opnorm_p2_exact, sup_commutator_norm
-from haarbloom.weights import ap_characteristic, bloom_weight
+from haarbloom.weights import ap_characteristic, bloom_weight, constant_weight
+
+opnorm_module = importlib.import_module("haarbloom.opnorm")     # the package binds the function
 
 
 def test_identity_suite_all_small():
@@ -300,6 +303,64 @@ def test_config_validation():
             ExperimentConfig("jn", deltas=(0.0, bad))
     with pytest.raises(ValueError):
         ExperimentConfig("identities", depth=4)
+    # names are checked for every command, even one that does not read the option
+    with pytest.raises(ValueError, match="unknown strategy"):
+        ExperimentConfig("identities", strategy="magic")
+    with pytest.raises(ValueError, match="unknown mode"):
+        ExperimentConfig("khintchine", mode="magic")
+    # a sweep with no combination would pass vacuously
+    with pytest.raises(ValueError, match="at least one value"):
+        ExperimentConfig("jn", p_values=())
+    with pytest.raises(ValueError, match="at least one value"):
+        ExperimentConfig("jn", deltas=())
+    with pytest.raises(ValueError, match="unknown command"):
+        ExperimentConfig("nosuch")
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("module, limit, library, config", [
+    (norms, "EXACT_MAX_DEPTH",
+     lambda d: bmo_prod_two_weight(random_symbol(d, 1), constant_weight(d), constant_weight(d),
+                                   2.0, "exact"),
+     lambda d: ExperimentConfig("jn", depth=d, strategy="exact")),
+    (norms, "HEURISTIC_MAX_DEPTH",
+     lambda d: bmo_prod_two_weight(random_symbol(d, 1), constant_weight(d), constant_weight(d),
+                                   2.0, "heuristic"),
+     lambda d: ExperimentConfig("paraproduct", depth=d, strategy="heuristic")),
+    (opnorm_module, "EXHAUSTIVE_MAX_DEPTH",
+     lambda d: sup_commutator_norm(random_symbol(d, 1), constant_weight(d), constant_weight(d),
+                                   2.0, mode="exhaustive"),
+     lambda d: ExperimentConfig("commutator", depth=d, strategy="heuristic", mode="exhaustive")),
+    (experiments, "IDENTITIES_MAX_DEPTH",
+     lambda d: identity_gap_suite(d, np.random.default_rng(0)),
+     lambda d: ExperimentConfig("identities", depth=d)),
+])
+def test_each_limit_has_one_source(module, limit, library, config, monkeypatch):
+    # lowered in its module alone, a limit binds the library and the config alike
+    depth = getattr(module, limit)
+    library(depth), config(depth)
+    monkeypatch.setattr(module, limit, depth - 1)
+    message = _refusal(lambda: library(depth))
+    assert f"limited to depth <= {depth - 1}" in message
+    assert _refusal(lambda: config(depth)) == message
+    library(depth - 1), config(depth - 1)
+
+
+def test_identity_suite_refuses_depths_beyond_its_limit(monkeypatch):
+    # patched so that a missing guard fails here instead of contracting terabytes
+    def boom(*args, **kwargs):
+        raise AssertionError("the suite ran")
+    for name in ("random_grid", "random_symbol", "commutator_matrices", "planned_einsum"):
+        monkeypatch.setattr(experiments, name, boom)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"limited to depth <= {experiments.IDENTITIES_MAX_DEPTH}"):
+        identity_gap_suite(experiments.IDENTITIES_MAX_DEPTH + 1, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_config_refuses_heuristic_search_beyond_its_limit():

@@ -21,6 +21,10 @@ A gain holds when the change wins at least nine tenths of the pairs and
 its median beats the parent's by more than the parent's interquartile
 range.  Every run's output check (trials rejected by
 ``bench/reference.json``) is recorded too.
+
+Each ``bench/run.py`` starts in a session of its own, and SIGTERM is turned
+into ``SystemExit``, so however the tool exits it kills that process group
+(``bench/run.py`` and its workers) and the exports are removed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -60,11 +65,20 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} in {tree} exited with {done.returncode}:\n"
-                         f"{done.stderr}")
-    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        # whatever ended the wait, no worker may outlive it on the export
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}:\n{stderr}")
+    summary = json.loads(stdout.strip().splitlines()[-1])
     report = json.loads((tree / "bench" / "out" /
                          f"result-{workload}-seed{seed}-trace0.json").read_text())
     return {"metrics": {k: m["value"] for k, m in summary["metrics"].items()},
@@ -99,7 +113,12 @@ def summarise(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     return out
 
 
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _terminated)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", default="HEAD~1", help="git ref of the parent side")
