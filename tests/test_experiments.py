@@ -343,12 +343,12 @@ def _refusal(call):
 def test_each_limit_has_one_source(module, limit, library, config, monkeypatch):
     # lowered in its module alone, a limit binds the library and the config alike
     depth = getattr(module, limit)
-    library(depth), config(depth)
+    library(depth)
+    config(depth)
     monkeypatch.setattr(module, limit, depth - 1)
     message = _refusal(lambda: library(depth))
     assert f"limited to depth <= {depth - 1}" in message
     assert _refusal(lambda: config(depth)) == message
-    library(depth - 1), config(depth - 1)
 
 
 def test_identity_suite_refuses_depths_beyond_its_limit(monkeypatch):

@@ -33,9 +33,19 @@ from haarbloom.norms import (
     strong_maximal,
     triebel_lizorkin_square_function,
 )
-from haarbloom.operators import lambda_matrix, restricted_projection
+from haarbloom.operators import (
+    SignChoice1D,
+    SignChoice2D,
+    haar_multiplier,
+    haar_multiplier_x,
+    haar_multiplier_y,
+    lambda_matrix,
+    paraproduct_operator,
+    restricted_projection,
+    theta_operator,
+)
 from haarbloom.opnorm import opnorm, sup_commutator_norm
-from haarbloom.weights import constant_weight, random_cascade_weight
+from haarbloom.weights import bloom_weight, constant_weight, random_cascade_weight
 
 
 def rect(lx, ix, ly, iy):
@@ -626,6 +636,32 @@ def test_validation():
         bmo_prod_two_weight(random_grid(3, 1), constant_weight(3), constant_weight(3), 2, "exact")
     with pytest.raises(ValueError):
         square_function(b, Shadow(np.ones((8, 8), bool)))
+
+
+def test_every_grid_disagreement_is_refused_in_one_wording():
+    one, two, w1, w2 = random_grid(1, 1), random_grid(2, 2), constant_weight(1), constant_weight(2)
+    signs, cells = SignChoice1D(1, np.ones(2)), Shadow(np.ones((2, 2), bool))
+    calls = [
+        lambda: one + two,
+        lambda: paraproduct_operator("11", one)(two),
+        lambda: theta_operator(one)(two),
+        lambda: SignChoice2D.from_tensor(signs, SignChoice1D(2, np.ones(4))),
+        lambda: haar_multiplier_x(two, signs),
+        lambda: haar_multiplier_y(two, signs),
+        lambda: haar_multiplier(two, SignChoice2D(1, np.ones((2, 2)))),
+        lambda: restricted_projection(two, cells),
+        lambda: square_function(two, cells),
+        lambda: lp_weighted_norm(two, w1, 2.0),
+        lambda: triebel_lizorkin_square_function(two, w1, 2.0),
+        lambda: little_bmo(two, w2, w1, 2.0),
+        lambda: bmo_prod_two_weight(two, w2, w1, 2.0),
+        lambda: opnorm(lambda_matrix(two), w1, w1, 2.0),
+        lambda: opnorm(lambda_matrix(two), w2, w1, 1.5),
+        lambda: bloom_weight(w1, w2, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="disagree on depth"):
+            call()
 
 
 NON_FINITE_ENTRY_POINTS = {
