@@ -43,10 +43,22 @@ def check_depths(what: str, *depths) -> None:
         raise ValueError(f"{what} disagree on depth")
 
 
+def check_depth(depth: int) -> None:
+    """Raise ``ValueError`` unless the grid has at least one level."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+
+
 def check_exponent(p: float) -> None:
     """Raise ``ValueError`` unless ``1 <= p < inf``; nan is refused too."""
     if not 1 <= p < np.inf:
         raise ValueError(f"p must lie in [1, inf), got {p}")
+
+
+def check_dual_exponent(p: float) -> None:
+    """Raise ``ValueError`` unless ``1 < p < inf``, so ``p / (p - 1)`` is finite; nan too."""
+    if not 1 < p < np.inf:
+        raise ValueError(f"a finite dual exponent needs p in (1, inf), got {p}")
 
 
 def best_first(bounds: np.ndarray, score, sizes, keep: int = 1, seen=(), counts=None):
@@ -55,14 +67,20 @@ def best_first(bounds: np.ndarray, score, sizes, keep: int = 1, seen=(), counts=
     row r counting ``counts[r]`` times.  Returns each row's score, or ``-inf``: no
     unscored row can be among the ``keep`` best if no score tops its bound."""
     order, scores = np.argsort(-bounds), np.full(len(bounds), -np.inf)
-    best = np.sort(np.append(seen, [-np.inf] * keep))[-keep:]
+
+    def fold(best, new):        # the keep best, lowest first; a NaN best ends the search
+        if keep == 1:           # as np.sort puts NaN last, np.maximum propagates it
+            return np.maximum.reduce(new, initial=best[0], keepdims=True)
+        return np.sort(np.append(best, new))[-keep:]
+
+    best = fold([-np.inf] * keep, seen)
     for size in sizes:
         block, order = order[:size], order[size:]
         if (block := block[bounds[block] >= best[0]]).size == 0:
             return scores
         scores[block] = score(block)
-        reps = 1 if counts is None else np.minimum(counts[block], keep)
-        best = np.sort(np.append(best, scores[block].repeat(reps)))[-keep:]
+        best = fold(best, scores[block] if counts is None
+                    else scores[block].repeat(np.minimum(counts[block], keep)))
     return scores
 
 
@@ -187,8 +205,7 @@ class GridFunction2D:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        check_depth(self.depth)
         self.values = np.asarray(self.values, dtype=float)
         n = 1 << self.depth
         if self.values.shape != (n, n):
@@ -570,8 +587,7 @@ def random_grid(depth: int, rng: int | np.random.Generator | None = None) -> Gri
 
 def random_symbol(depth: int, rng: int | np.random.Generator | None = None) -> GridFunction2D:
     """Random bi-cancellative function: normal coefficients in the c00 block only."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_depth(depth)
     rng = ensure_rng(rng)
     c = HaarCoefficients2D.zeros(depth)
     c.table[1:, 1:] = rng.standard_normal((c.table.shape[0] - 1, c.table.shape[1] - 1))

@@ -27,6 +27,7 @@ from .dyadic import (
     GridFunction2D,
     Shadow,
     cancellative_rectangles,
+    check_depth,
     haar_forward,
     haar_function,
     haar_inverse,
@@ -72,7 +73,7 @@ from .opnorm import (
     NormJob,
     check_walk,
     opnorm_job,
-    opnorm_p2_exact,
+    opnorm_p2_values,
     solve,
     sup_commutator_job,
 )
@@ -116,8 +117,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        check_depth(self.depth)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -426,12 +426,13 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
         jobs = [sup_commutator_job(b, mu, lam, p, mode=cfg.mode, trials=SAMPLED_PAIRS, seed=rng),
                 opnorm_job(lambda_matrix(b), mu, lam, p)]
         right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
-        spot = ()
+        spot = np.zeros(0)
         if trial == 0 and p == 2:
             # informational only: how close do {-1,0,1} signs come?
             draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
                      for _ in range(10)]
-            spot = commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2]))
+            spot = opnorm_p2_values(
+                commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2])), mu, lam)
 
         def finish(violations, norms):
             left, mid = norms[0].value, norms[1].value
@@ -439,8 +440,7 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
                     and left > 4.0 * mid * (1.0 + 1e-9)):
                 violations.append(
                     f"p=2 delta=0 trial {trial}: supremum {left} exceeds 4x {mid}")
-            spots = [opnorm_p2_exact(mat, mu, lam).value / left
-                     for mat in spot if left > 0]
+            spots = (spot / left).tolist() if left > 0 else []
             return left, right, mid, max([0.0, *spots])
         return jobs, finish
 

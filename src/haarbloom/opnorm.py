@@ -12,8 +12,9 @@ matrices of all its sign pairs at once (:func:`~haarbloom.operators.commutator_m
 and scores them in one batched SVD or one batched power iteration; a single operator is
 the stack of one.  Away from 2 the matrices are warm-started best-first by upper bound
 (:func:`~haarbloom.dyadic.best_first`), and only these are conjugated at exponent 2.
-Those whose bound reaches the best warm ratio are iterated, the rest pruned; each pass
-of the iteration takes the l^p norms of ``B u`` and ``u`` in one go.
+Those whose bound reaches the best warm ratio are iterated, the rest pruned.  The
+iteration runs in blocks of passes that only take the step and record it; the ratios,
+stops and best iterates are read from that record once per block.
 :func:`opnorm_job` and :func:`sup_commutator_job` build a norm without finishing it:
 the result itself at p = 2, otherwise a pending :class:`NormJob`.  :func:`solve`
 finishes the pending jobs of one exponent in one power iteration and returns one
@@ -28,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import GridFunction2D, best_first, check_depths, check_exponent, ensure_rng
+from .dyadic import (GridFunction2D, best_first, check_depths, check_dual_exponent,
+                     check_exponent, ensure_rng)
 from .operators import SignChoice1D, axis_sign_rows, commutator_matrices
 from .weights import Weight
 
@@ -41,6 +43,8 @@ EXHAUSTIVE_MAX_DEPTH = 2
 #: relative change of its ratio below which it stops
 MAX_ITER = 500
 TOL = 1e-9
+#: passes of the power iteration between two readings of its record
+_BLOCK = 16
 
 
 @dataclass
@@ -92,6 +96,12 @@ def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
     return OpNormResult(float(s[0]), "exact", 0, GridFunction2D(mu.depth, f.reshape(n, n)))
 
 
+def opnorm_p2_values(mats: np.ndarray, mu: Weight, lam: Weight) -> np.ndarray:
+    """Exact L^2(mu) -> L^2(lam) norms of a stack of operator matrices, from one full
+    SVD: the bits :func:`opnorm_p2_exact` gives each matrix."""
+    return np.linalg.svd(_conjugated(mats, mu, lam, 2))[1][:, 0]
+
+
 def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
     """Riesz-Thorin bound of plain matrices through the exact l^2 norm and the l^1
     (p < 2) or l^inf (p > 2) norm; never looser than l^1/l^inf, as |B|_2^2 <= |B|_1 |B|_inf."""
@@ -117,40 +127,49 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
     weight the output by its (p-1)-st power, pull back through the
     adjoint and invert the gauge with the dual exponent.  A trajectory
     stops once its ratio moves by at most ``tol`` (relative above 1) or
-    its iterate vanishes; the live stacks and best ratios are gathered
-    again only then.  Returns, per trajectory, the best ratio over its
-    iterates, the first iterate reaching it, how many ratios it evaluated,
-    and whether it left on a non-finite ratio (the arithmetic overflowed).
+    its iterate vanishes.  A pass only takes the step and records it; once
+    per block of :data:`_BLOCK` passes all their ratios are taken, and each
+    trajectory's first stop, its first best ratio up to there (NaN never
+    wins) and that iterate are read back, and the stopped ones dropped.
+    Passes past a stop are read by nothing and rows never mix, so the bits
+    are those of a check after every pass.  Returns, per trajectory, the
+    best ratio over its iterates, the first iterate reaching it, how many
+    ratios it evaluated, and whether it left on a non-finite ratio (the
+    arithmetic overflowed).
     """
     pp = p / (p - 1.0)
-    buf = np.empty((2, *starts.shape))          # B u beside u: one pass norms both
-    ul = np.divide(starts, np.linalg.norm(starts, axis=-1, keepdims=True), out=buf[1])
-    best, best_u, count = np.full(len(b), -np.inf), ul.copy(), np.full(len(b), max_iter)
-    broke = np.zeros(len(b), dtype=bool)
-    live, bl, prev, lbest, lbest_u = np.arange(len(b)), b, best.copy(), best.copy(), ul.copy()
-    for k in range(max_iter):
-        if live.size == 0:
-            break
-        out = _einsum("tij,tj->ti", bl, ul, out=buf[0])
-        a = np.abs(buf)
-        r = np.divide(*np.add.reduce(a ** p, axis=-1) ** (1.0 / p))    # |Bu|_p / |u|_p >= 0
-        up = r > lbest
-        np.copyto(lbest, r, where=up)
-        np.copyto(lbest_u, ul, where=up[:, None])
-        moving = np.abs(r - prev) > tol * np.maximum(1.0, r)
-        # copysign(|x|^e, x) is sign(x) * |x|^e bit for bit: einsum never returns -0.0
-        y = _einsum("tji,tj->ti", bl, np.copysign(a[0] ** (p - 1.0), out))
-        nxt = np.copysign(mag := np.abs(y) ** (pp - 1.0), y)      # mag is |nxt|
-        norm = np.add.reduce(mag ** p, axis=-1) ** (1.0 / p)
-        keep = moving & (norm != 0.0)
-        if not keep.all():
-            gone = live[~keep]
-            best[gone], best_u[gone], count[gone] = lbest[~keep], lbest_u[~keep], k + 1
-            broke[gone] = ~np.isfinite(r[~keep])
-            live, bl, r, nxt, norm, lbest, lbest_u = (
-                x[keep] for x in (live, bl, r, nxt, norm, lbest, lbest_u))
-            buf = np.empty((2, *nxt.shape))
-        prev, ul = r, np.divide(nxt, norm[:, None], out=buf[1])
+    u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+    best, best_u, count = np.full(len(b), -np.inf), u.copy(), np.full(len(b), max_iter)
+    broke, done = np.zeros(len(b), dtype=bool), 0
+    live, bl, prev, lbest, lbest_u = np.arange(len(b)), b, best.copy(), best.copy(), u.copy()
+    while live.size and done < max_iter:
+        n = min(_BLOCK, max_iter - done)
+        hist, norms = np.empty((n + 1, 2, *u.shape)), np.empty((n, len(u), 1))
+        hist[0, 1] = u                          # per pass: B u beside u
+        for k in range(n):
+            out = _einsum("tij,tj->ti", bl, hist[k, 1], out=hist[k, 0])
+            # copysign(|x|^e, x) is sign(x) * |x|^e bit for bit: einsum never returns -0.0
+            y = _einsum("tji,tj->ti", bl, np.copysign(np.abs(out) ** (p - 1.0), out))
+            nxt = np.copysign(mag := np.abs(y) ** (pp - 1.0), y)      # mag is |nxt|
+            np.power(np.add.reduce(mag ** p, axis=-1, keepdims=True), 1.0 / p, out=norms[k])
+            np.divide(nxt, norms[k], out=hist[k + 1, 1])
+        both = _lp_norms(hist[:n], p)            # |B u|_p and |u|_p of every pass in one go
+        r, cols = both[:, 0] / both[:, 1], np.arange(len(u))
+        stop = ~((np.abs(r - np.vstack([prev, r[:-1]])) > tol * np.maximum(1.0, r))
+                 & (norms[..., 0] != 0.0))
+        ends = stop.any(axis=0)
+        last = np.where(ends, np.argmax(stop, axis=0), n - 1)
+        # the first maximum up to each one's last pass, as a running strict maximum; NaN never wins
+        seen = np.where((np.arange(n)[:, None] <= last) & (r == r), r, -np.inf)
+        top = np.argmax(seen, axis=0)
+        up = (peak := seen[top, cols]) > lbest
+        lbest[up], lbest_u[up] = peak[up], hist[top[up], 1, cols[up]]
+        if ends.any():
+            gone, stops = live[ends], last[ends]
+            best[gone], best_u[gone] = lbest[ends], lbest_u[ends]
+            count[gone], broke[gone] = done + stops + 1, ~np.isfinite(r[stops, cols[ends]])
+            live, bl, lbest, lbest_u = (x[~ends] for x in (live, bl, lbest, lbest_u))
+        u, prev, done = hist[n, 1, ~ends], r[-1, ~ends], done + n
     best[live], best_u[live] = lbest, lbest_u
     return best, best_u, count, broke
 
@@ -213,8 +232,7 @@ def _lp_prepare(mats: np.ndarray, mu: Weight, lam: Weight, p: float, extra=()) -
     all.  Those whose bound reaches the best warm ratio are kept to iterate; the
     others are pruned.  A warm ratio above its bracket raises, as in :func:`_finish`.
     """
-    if not 1 < p < np.inf:
-        raise ValueError(f"the iteration needs p in (1, inf), got {p}")
+    check_dual_exponent(p)
     b = _conjugated(mats, mu, lam, p)
     upper = _upper_brackets(b, p)
     nonzero = np.flatnonzero(b.reshape(len(b), -1).any(axis=1))

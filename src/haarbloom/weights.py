@@ -17,7 +17,9 @@ import numpy as np
 from .dyadic import (
     DyadicRectangle,
     GridFunction2D,
+    check_depth,
     check_depths,
+    check_dual_exponent,
     ensure_rng,
     rectangle_means,
     rectangle_table,
@@ -26,11 +28,6 @@ from .dyadic import (
 
 #: hard clamp applied by the random generator so conjugations stay finite
 WEIGHT_FLOOR, WEIGHT_CEIL = 1e-8, 1e8
-
-
-def _check_exponent(p: float) -> None:
-    if not 1.0 < p < np.inf:
-        raise ValueError(f"integrability exponent must lie in (1, inf), got {p}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def ap_characteristic(w: Weight, p: float) -> ApReport:
     in the canonical coarse-first enumeration.  Always >= 1 by Jensen; a
     value below that floor raises RuntimeError.
     """
-    _check_exponent(p)
+    check_dual_exponent(p)
     return _characteristics([(w, p)])[0]
 
 
@@ -118,7 +115,7 @@ def _characteristics(pairs: list[tuple[Weight, float]]) -> list[ApReport]:
 
 def conjugate_weight(w: Weight, p: float) -> Weight:
     """Dual-exponent companion w^{-1/(p-1)}; its p'-characteristic is [w]_p^{p'-1}."""
-    _check_exponent(p)
+    check_dual_exponent(p)
     return Weight(GridFunction2D(w.depth, w.values ** (-1.0 / (p - 1.0))))
 
 
@@ -130,7 +127,7 @@ def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
     (both up to float slack), raising RuntimeError otherwise; the three
     characteristics come from one stacked pass, which fills the caches.
     """
-    _check_exponent(p)
+    check_dual_exponent(p)
     check_depths("weights", mu.depth, lam.depth)
     nu = Weight._of(mu.depth, (mu.values / lam.values) ** (1.0 / p), "nu")
     ap_mu, ap_lam, a2 = (r.characteristic for r in _characteristics([(mu, p), (lam, p), (nu, 2)]))
@@ -160,7 +157,7 @@ def average_comparability_report(w: Weight, p: float) -> AverageComparabilityRep
     <w^{-1/p}>^{-1} <= <w^{1/p}> on each rectangle (up to float slack),
     raising RuntimeError otherwise.
     """
-    _check_exponent(p)
+    check_dual_exponent(p)
     table = np.stack([
         rectangle_means(w.values ** (1.0 / p)),
         rectangle_means(w.values) ** (1.0 / p),
@@ -186,8 +183,7 @@ def random_cascade_weight(depth: int, strength: float,
     construction preserves positivity, is deterministic per seed, and at
     strength 0 returns the constant weight 1.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_depth(depth)
     if not 0 <= strength < np.inf:
         raise ValueError("strength must be finite and non-negative")
     rng = ensure_rng(rng)

@@ -600,6 +600,35 @@ def test_best_first_keeps_every_winner_of_the_search_that_scored_every_row():
         np.testing.assert_array_equal(kth(got), kth(want))
 
 
+def best_first_sorting(bounds, score, sizes, keep=1, seen=(), counts=None):
+    """The scorer before its ``keep=1`` path: the ``keep`` best kept by a sort at every step."""
+    order, scores = np.argsort(-bounds), np.full(len(bounds), -np.inf)
+    best = np.sort(np.append(seen, [-np.inf] * keep))[-keep:]
+    for size in sizes:
+        block, order = order[:size], order[size:]
+        if (block := block[bounds[block] >= best[0]]).size == 0:
+            return scores
+        scores[block] = score(block)
+        reps = 1 if counts is None else np.minimum(counts[block], keep)
+        best = np.sort(np.append(best, scores[block].repeat(reps)))[-keep:]
+    return scores
+
+
+def test_best_first_keeps_the_rows_and_order_of_the_sorting_fold():
+    # NaN scores included: a NaN best ends the search on both paths
+    rng = np.random.default_rng(121)
+    for bounds, want, sizes, keep, seen, counts in _best_first_cases():
+        sizes = list(itertools.islice(sizes, len(bounds) + 1))
+        for scores in (want, np.where(rng.random(len(want)) < 0.3, np.nan, want)):
+            runs = []
+            for scorer in (best_first, best_first_sorting):
+                blocks = []
+                got = scorer(bounds, lambda rows: blocks.append(rows.tolist()) or scores[rows],
+                             sizes, keep, seen, counts)
+                runs.append((blocks, got.tobytes()))
+            assert runs[0] == runs[1]
+
+
 def test_best_first_scores_nothing_on_no_rows():
     calls = []
     for sizes in ((1, 0), itertools.repeat(3)):

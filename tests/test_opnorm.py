@@ -25,6 +25,7 @@ from haarbloom.operators import (
 from haarbloom.opnorm import (
     opnorm,
     opnorm_p2_exact,
+    opnorm_p2_values,
     sup_commutator_norm,
 )
 from haarbloom.weights import Weight, constant_weight, random_cascade_weight
@@ -435,6 +436,19 @@ def test_compacted_iteration_matches_gathering_oracle():
                 np.testing.assert_array_equal(got[3], np.arange(7) == 5)
 
 
+def test_stacked_p2_values_are_the_bits_of_one_matrix_norms():
+    # the zero-sign spot check scores five matrices in one SVD instead of five calls
+    rng = np.random.default_rng(72)
+    for depth, strength in ((1, 0.0), (2, 0.6), (2, 2.0), (3, 0.6)):
+        b = random_symbol(depth, rng)
+        mu, lam = (random_cascade_weight(depth, strength, rng) for _ in range(2))
+        draws = rng.choice((-1.0, 0.0, 1.0), size=(10, 1 << depth))
+        mats = commutator_matrices(b, draws[0::2], draws[1::2])
+        got = opnorm_p2_values(mats, mu, lam)
+        want = [opnorm_p2_exact(mat, mu, lam).value for mat in mats]
+        assert got.shape == (5,) and got.tobytes() == np.array(want).tobytes()
+
+
 def test_as_dict_reports_the_bracket_and_pruning():
     b = random_symbol(2, 43)
     one = constant_weight(2)
@@ -785,29 +799,64 @@ def assert_same_iteration(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
-def test_one_pass_iteration_matches_compacted_oracle(p):
+def oracle_stack():
+    """Trajectories ending every way the blocked iteration reads: stops at a spread of
+    passes, a vanishing iterate, and two diagonals whose ratio creeps, one stopping
+    inside a later block and one running to every ``max_iter`` tested."""
     rng = np.random.default_rng(70)
     m = 9
     b = rng.standard_normal((6, m, m)) * rng.exponential(size=(6, 1, m))
     b[2] = 0.0                                  # a zero matrix: its iterate vanishes at once
     b[4] = np.diag(np.arange(1.0, m + 1))       # stops within a few passes
     starts = rng.standard_normal((6, m))
-    for max_iter in (3, 500):
-        got = opnorm_module._power_iteration(b, starts.copy(), p, max_iter, 1e-9)
-        assert_same_iteration(got, power_iteration_compacted(b, starts.copy(), p, max_iter,
-                                                             1e-9))
-        assert got[0][2] == 0.0 and got[2][2] == 1
-        assert (got[2] == 3).any() if max_iter == 3 else len(set(got[2])) >= 3
+    creep = [np.diag(np.r_[1.0, gap, np.linspace(0.1, 0.5, m - 2)]) for gap in (0.97, 0.999)]
+    return np.concatenate([b, creep]), np.concatenate([starts, np.ones((2, m))])
 
 
-def test_one_pass_iteration_matches_compacted_oracle_on_overflow():
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("max_iter", [1, 3, 17, 500])
+def test_one_pass_iteration_matches_compacted_oracle(p, max_iter):
+    # no max_iter here is a multiple of the block: the last block is cut short
+    b, starts = oracle_stack()
+    got = opnorm_module._power_iteration(b, starts.copy(), p, max_iter, 1e-9)
+    assert_same_iteration(got, power_iteration_compacted(b, starts.copy(), p, max_iter,
+                                                         1e-9))
+    count, block = got[2], opnorm_module._BLOCK
+    assert got[0][2] == 0.0 and count[2] == 1
+    assert count[-1] == max_iter and not got[3].any()
+    if max_iter == 500:
+        # some stop inside a block past the first one, others within the first
+        assert ((block < count) & (count < max_iter) & (count % block != 0)).any()
+        assert len(set(count)) >= 5 and (count < block).any()
+
+
+@pytest.mark.parametrize("max_iter", [3, 17, 500])
+def test_one_pass_iteration_matches_compacted_oracle_on_overflow(max_iter):
     b, starts = overflowing_stack()
-    got = opnorm_module._power_iteration(b, starts.copy(), 1.05, 500, 1e-9)
+    got = opnorm_module._power_iteration(b, starts.copy(), 1.05, max_iter, 1e-9)
     with np.errstate(all="ignore"):
-        want = power_iteration_compacted(b, starts.copy(), 1.05, 500, 1e-9)
+        want = power_iteration_compacted(b, starts.copy(), 1.05, max_iter, 1e-9)
     assert_same_iteration(got, want)
-    assert got[3].any()                         # some trajectory left on a non-finite ratio
+    if max_iter == 500:
+        assert got[3].any()                     # some trajectory left on a non-finite ratio
+
+
+def test_one_pass_iteration_of_an_empty_stack():
+    b, starts = np.zeros((0, 9, 9)), np.zeros((0, 9))
+    got = opnorm_module._power_iteration(b, starts, 3.0, 500, 1e-9)
+    assert_same_iteration(got, power_iteration_compacted(b, starts, 3.0, 500, 1e-9))
+    assert [a.shape for a in got] == [(0,), (0, 9), (0,), (0,)]
+
+
+@pytest.mark.parametrize("p", [1.05, 3.0])
+def test_each_trajectory_keeps_its_bits_alone(p):
+    # a trajectory stopped inside a block runs on to the block's end beside the others:
+    # neither it nor they may differ from a stack of one
+    b, starts = oracle_stack() if p != 1.05 else overflowing_stack()
+    together = opnorm_module._power_iteration(b, starts.copy(), p, 500, 1e-9)
+    for i in range(len(b)):
+        alone = opnorm_module._power_iteration(b[i:i + 1], starts[i:i + 1].copy(), p, 500, 1e-9)
+        assert_same_iteration([t[i:i + 1] for t in together], alone)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from haarbloom.dyadic import (
     stacked_rectangle_sums,
     unit_square,
 )
+from haarbloom.experiments import ExperimentConfig
+from haarbloom.opnorm import opnorm
 from haarbloom.weights import (
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
@@ -260,6 +263,28 @@ def test_random_constructors_refuse_a_depth_below_one(depth):
             random_cascade_weight(depth, strength, 0)
     with pytest.raises(ValueError, match="depth must be >= 1"):
         random_symbol(depth, 0)
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+def test_every_depth_below_one_is_refused_in_one_wording(depth):
+    calls = (lambda: GridFunction2D(depth, np.zeros((1, 1))),
+             lambda: random_symbol(depth, 0),
+             lambda: random_cascade_weight(depth, 0.5, 0),
+             lambda: ExperimentConfig("jn", depth=depth))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^depth must be >= 1, got {depth}$"):
+            call()
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, -3.0, math.inf, math.nan])
+def test_every_exponent_without_a_finite_dual_is_refused_in_one_wording(p):
+    w = constant_weight(2)
+    calls = (lambda: ap_characteristic(w, p), lambda: conjugate_weight(w, p),
+             lambda: bloom_weight(w, w, p), lambda: average_comparability_report(w, p),
+             lambda: opnorm(np.eye(16), w, w, p))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^a finite dual exponent needs p in \(1, inf\)"):
+            call()
 
 
 def test_guards_raise_instead_of_asserting(monkeypatch):
