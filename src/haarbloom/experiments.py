@@ -64,7 +64,6 @@ from .operators import (
     multiplier_operator_y,
     nested_commutator_apply,
     paraproduct_matrix,
-    planned_einsum,
     restricted_projection,
     sign_rows,
     theta_operator,
@@ -209,15 +208,16 @@ def _sign_pair_square_norms(b: GridFunction2D, f: GridFunction2D) -> np.ndarray:
     :func:`axis_sign_rows`.  The commutator is bilinear in the two sign
     rows, ``sum_pq sx(p) sy(q) C_pq f``, so the block images ``C_pq f`` are
     taken once, from :func:`commutator_matrices` on unit sign rows, and
-    every pair of rows is contracted against them in one einsum.
+    every pair of rows is contracted against them by two matmuls, over p
+    and then q, with the bits of ``einsum("ip,jq,pqc->ijc", ..., optimize=True)``.
     """
-    rows = axis_sign_rows(b.depth)
+    rows = axis_sign_rows(b.depth)[:, 1:]
     n = 1 << b.depth
     unit = np.eye(n)[1:]
     blocks = commutator_matrices(b, np.repeat(unit, n - 1, axis=0), np.tile(unit, (n - 1, 1)))
-    images = (blocks @ f.values.ravel()).reshape(n - 1, n - 1, -1)
-    g = planned_einsum("ip,jq,pqc->ijc", rows[:, 1:], rows[:, 1:], images)
-    return (g * g).mean(axis=2)
+    images = (blocks @ f.values.ravel()).reshape(n - 1, -1)
+    g = (rows @ (images.T @ rows.T).reshape(n - 1, -1)).reshape(len(rows), -1, len(rows))
+    return (g * g).mean(axis=1).T.copy()      # C order: a later .mean() sums in (i, j) order
 
 
 def check_identities(depth: int) -> None:

@@ -8,7 +8,7 @@ replaces the symbol inside single commutators, and restricted
 projections onto rectangle families.
 
 Every operator is a linear map on the raveled cell values, ``R^(4^N)``.
-The paraproducts and Lambda are dense matrices from one einsum over the
+The paraproducts and Lambda are dense matrices from two matmuls over the
 rows of :func:`~haarbloom.dyadic.axis_table`, the cached 1D Haar system
 the transform also multiplies by (:func:`paraproduct_matrix`,
 :func:`lambda_matrix`);
@@ -398,42 +398,26 @@ def _pairing_kernels(depth: int, stack: tuple[str, ...]) -> np.ndarray:
     return out
 
 
-#: numpy's pairwise step behind ``np.einsum(optimize=...)`` from numpy 2.4 on, else None
-_bmm_einsum = getattr(getattr(getattr(np, "_core", None), "einsumfunc", None), "bmm_einsum", None)
-
-
-@lru_cache(maxsize=None)
-def _einsum_steps(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """The pairwise steps ``(positions, subscripts)`` ``np.einsum(optimize=True)`` takes."""
-    steps = np.einsum_path(spec, *map(np.empty, shapes), optimize=True, einsum_call=True)[1]
-    return tuple(step[:2] for step in steps)
-
-
-def planned_einsum(spec: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(spec, *operands, optimize=True)`` bit for bit, its pairwise plan made once."""
-    if _bmm_einsum is None:
-        return np.einsum(spec, *operands, optimize=True)
-    ops = list(operands)
-    for positions, subscripts in _einsum_steps(spec, tuple(a.shape for a in operands)):
-        ops.append(_bmm_einsum(subscripts, *[ops.pop(i) for i in positions]))
-    return ops[0]
-
-
 def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
     """Stacked matrices of paraproduct sums, shape ``(len(pairs), 4^N, 4^N)``.
 
     Each pair ``(x_kinds, y_kinds)`` names the Haar types the input is
     paired with along each axis; a one-kind name like ``"10"`` is itself
-    such a pair.  Every slice comes out of one einsum.  Beyond
+    such a pair.  The stack is two batched matmuls with the bits of
+    ``einsum("pq,spik,sqjl->sijkl", ..., optimize=True)``.  Beyond
     :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
     """
     _refuse_depth(b.depth, "paraproduct matrices")
+    n, s = 1 << b.depth, len(pairs)
     coef = (_cc_table(b) * axis_table(b.depth).scale)[1:, 1:]
-    mats = planned_einsum("pq,spik,sqjl->sijkl", coef,
-                          _pairing_kernels(b.depth, tuple(x for x, _ in pairs)),
-                          _pairing_kernels(b.depth, tuple(y for _, y in pairs)))
-    m = 4 ** b.depth
-    return mats.reshape(len(pairs), m, m) * 4.0 ** (-b.depth)
+    kx = _pairing_kernels(b.depth, tuple(x for x, _ in pairs)).reshape(s, n - 1, n * n)
+    ky = _pairing_kernels(b.depth, tuple(y for _, y in pairs)).reshape(s, n - 1, n * n)
+    # with one slot per axis numpy's plan multiplies instead, after a size-1
+    # sum of each input that turns -0.0 into +0.0; ``+ 0.0`` keeps those bits
+    matmul = (lambda a, c: (a + 0.0) * (c + 0.0)) if n == 2 else np.matmul
+    half = matmul(coef.T, kx)
+    mats = matmul(half.transpose(0, 2, 1), ky).reshape(s, n, n, n, n)
+    return mats.transpose(0, 1, 3, 2, 4).reshape(s, n * n, n * n) * 4.0 ** (-b.depth)
 
 
 def paraproduct_matrix(kind: str, b: GridFunction2D) -> np.ndarray:

@@ -100,16 +100,23 @@ def test_bilinear_sign_average_matches_the_per_row_stacks(depth):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_sign_average_with_the_cached_path_matches_a_fresh_search(depth, monkeypatch):
+def test_sign_average_with_the_cached_path_matches_a_fresh_search(depth):
     rng = np.random.default_rng(70 + depth)
-    pairs = [(random_grid(depth, rng), random_grid(depth, rng)) for _ in range(3)]
-    got = [_sign_pair_square_norms(b, f) for b, f in pairs]
-    monkeypatch.setattr(experiments, "planned_einsum",
-                        lambda spec, *ops: np.einsum(spec, *ops, optimize=True))
-    for (b, f), cached in zip(pairs, got):
-        want = _sign_pair_square_norms(b, f)       # optimize=True: the path searched per call
-        assert cached.dtype == want.dtype and cached.shape == want.shape
-        np.testing.assert_array_equal(cached, want)
+    rows = axis_sign_rows(depth)[:, 1:]
+    n = 1 << depth
+    unit = np.eye(n)[1:]
+    for _ in range(3):
+        b, f = random_grid(depth, rng), random_grid(depth, rng)
+        got = _sign_pair_square_norms(b, f)
+        blocks = commutator_matrices(b, np.repeat(unit, n - 1, axis=0), np.tile(unit, (n - 1, 1)))
+        images = (blocks @ f.values.ravel()).reshape(n - 1, n - 1, -1)
+        # optimize=True: the path searched per call
+        g = np.einsum("ip,jq,pqc->ijc", rows, rows, images, optimize=True)
+        want = (g * g).mean(axis=2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the identity suite averages it again: the same bits need the same order
+        assert got.mean().tobytes() == want.mean().tobytes()
 
 
 def test_finite_stats_median_matches_numpy():
@@ -355,7 +362,7 @@ def test_identity_suite_refuses_depths_beyond_its_limit(monkeypatch):
     # patched so that a missing guard fails here instead of contracting terabytes
     def boom(*args, **kwargs):
         raise AssertionError("the suite ran")
-    for name in ("random_grid", "random_symbol", "commutator_matrices", "planned_einsum"):
+    for name in ("random_grid", "random_symbol", "commutator_matrices"):
         monkeypatch.setattr(experiments, name, boom)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=f"limited to depth <= {experiments.IDENTITIES_MAX_DEPTH}"):

@@ -414,18 +414,19 @@ def test_four_kind_stack_matches_each_paraproduct_matrix_bit_for_bit(depth):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
-def test_paraproduct_matrices_match_einsum_planned_per_call_bit_for_bit(depth, monkeypatch):
-    from haarbloom import operators
+def test_paraproduct_matrices_match_einsum_planned_per_call_bit_for_bit(depth):
     stacks = [HAAR_KINDS, (("01", "01"),)] + [(kind,) for kind in HAAR_KINDS]
     b = random_grid(depth, 140 + depth)
-    got = [_paraproduct_matrices(b, pairs) for pairs in stacks]
-    assert operators._einsum_steps.cache_info().currsize > 0
-    # np.einsum's own plan, searched on every call
-    monkeypatch.setattr(operators, "planned_einsum",
-                        lambda spec, *ops: np.einsum(spec, *ops, optimize=True))
-    for pairs, cached in zip(stacks, got):
-        want = _paraproduct_matrices(b, pairs)
-        assert cached.shape == want.shape and cached.tobytes() == want.tobytes()
+    coef = (_cc_table(b) * axis_table(depth).scale)[1:, 1:]
+    m = 4 ** depth
+    for pairs in stacks:
+        got = _paraproduct_matrices(b, pairs)
+        # np.einsum's own plan, searched on every call
+        want = np.einsum("pq,spik,sqjl->sijkl", coef,
+                         _pairing_kernels(depth, tuple(x for x, _ in pairs)),
+                         _pairing_kernels(depth, tuple(y for _, y in pairs)), optimize=True)
+        want = want.reshape(len(pairs), m, m) * 4.0 ** (-depth)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def held_arrays(op):

@@ -239,6 +239,33 @@ def test_validation():
                 opnorm_module.opnorm_job(bad, one, one, p)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_every_non_finite_operator_is_refused_in_one_wording(bad, capfd):
+    w = constant_weight(2)
+    mat = np.eye(16)
+    mat[3, 5] = bad
+    calls = [lambda p=p: opnorm(mat, w, w, p) for p in (1.5, 2.0, 3.0)]
+    calls += [lambda: opnorm_p2_exact(mat, w, w),
+              lambda: opnorm_p2_values(np.stack([np.eye(16), mat]), w, w)]
+    if np.isnan(bad):       # an infinite symbol would warn on inf - inf first
+        b = random_symbol(2, 22)
+        symbol = GridFunction2D(2, np.where(np.arange(16).reshape(4, 4) == 6, bad, b.values))
+        calls += [lambda p=p: sup_commutator_norm(symbol, w, w, p) for p in (2.0, 3.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^an operator matrix needs finite entries"):
+            call()
+    assert capfd.readouterr().err == ""     # refused before LAPACK could complain
+
+
+def test_one_matrix_norms_refuse_a_stack():
+    w = constant_weight(2)
+    calls = [lambda p=p: opnorm(np.ones((2, 16, 16)), w, w, p) for p in (1.5, 2.0, 3.0)]
+    calls += [lambda: opnorm_p2_exact(np.ones((1, 16, 16)), w, w)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^need one \(4\^N, 4\^N\) operator matrix"):
+            call()
+
+
 def per_pair_supremum(b, mu, lam, p):
     """The sign supremum one pair at a time, through the literal commutator."""
     rows = axis_sign_rows(b.depth)

@@ -136,3 +136,46 @@ def test_every_cache_is_keyed_on_plain_values():
                 found += [f"{path.name}:{node.name}({a.arg})" for a in params
                           if a.annotation is None or not _plain(a.annotation)]
     assert SRC.is_dir() and not found, found
+
+
+PRIVATE_NUMPY = ("_core", "core")
+
+
+def _reaches_private_numpy(node):
+    """``np._core``/``np.core``, a ``getattr``/``hasattr`` of those names, or an import."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in PRIVATE_NUMPY and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("getattr", "hasattr"):
+        return any(isinstance(a, ast.Constant) and a.value in PRIVATE_NUMPY for a in node.args[1:2])
+    modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+               else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+    return any(m.split(".")[:2] in (["numpy", "_core"], ["numpy", "core"]) for m in modules)
+
+
+def private_numpy_uses(*folders):
+    """Module-level statements in ``folders`` that reach numpy's private modules, as
+    "file:name" (an assignment's target, a def's name, else the line)."""
+    found = []
+    for path, tree in _trees(*folders):
+        for stmt in tree.body:
+            if any(_reaches_private_numpy(node) for node in ast.walk(stmt)):
+                targets = getattr(stmt, "targets", None) or [getattr(stmt, "target", None)]
+                name = getattr(stmt, "name", None) or getattr(targets[0], "id", stmt.lineno)
+                found.append(f"{path.name}:{name}")
+    return found
+
+
+def test_numpy_private_modules_are_reached_in_one_place():
+    # a private module may move in any numpy release; the per-pass C einsum of the
+    # power iteration is the one use worth that risk
+    assert private_numpy_uses(SRC) == ["opnorm.py:_einsum"]
+
+
+def test_the_private_numpy_lint_sees_each_way_in(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "import numpy as np\nimport numpy.core\nfrom numpy._core import umath\n"
+        "a = np._core.multiarray\nb = getattr(np, '_core', None)\n"
+        "def f():\n    return hasattr(np, 'core')\nc = np.linalg.svd\n")
+    assert private_numpy_uses(tmp_path) == ["module.py:2", "module.py:3", "module.py:a",
+                                            "module.py:b", "module.py:f"]

@@ -30,10 +30,14 @@ and the last line, ``library <digest>``, the library calls: per result its
 so fields no report prints (``iterations``, ``pruned``, ``converged``,
 ``upper_bound``, the witness) are covered too.
 stderr names the package directory it imported, which shows that
-``--src`` took effect, and the OpenBLAS kernel numpy's bundled
-scipy-openblas library runs (``unknown`` if neither the library nor its
-``scipy_openblas_get_corename64_`` is found): digests taken on two kernels,
-such as SkylakeX and Haswell, can differ, so compare them on one.
+``--src`` took effect, numpy's version, and the OpenBLAS kernel numpy's
+bundled scipy-openblas library runs (``unknown`` if neither the library nor
+its ``scipy_openblas_get_corename64_`` is found).  A digest is evidence for
+one numpy version and one kernel: digests taken on two kernels, such as
+SkylakeX and Haswell, can differ, and the paraproduct and sign-average
+matmuls keep the bits of numpy 2.4's ``einsum(optimize=True)`` plan,
+which an older numpy may carry out in other steps.  Compare digests on one
+of each.
 """
 
 from __future__ import annotations
@@ -127,6 +131,7 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
     from haarbloom.cli import main as cli_main
     print("package:", Path(sys.modules["haarbloom"].__file__).parent, file=sys.stderr)
+    print("numpy:", sys.modules["numpy"].__version__, file=sys.stderr)
     print("blas core:", blas_core(), file=sys.stderr)
 
     total = hashlib.sha256()
