@@ -16,7 +16,9 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .experiments import COMMANDS, ExperimentConfig, write_records_csv
+from .experiments import COMMANDS, READS, ExperimentConfig, write_records_csv
+from .norms import STRATEGIES
+from .opnorm import MODES
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -29,101 +31,83 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-#: every option with its argparse settings
-_OPTIONS = {
-    "--depth": dict(type=int, default=2,
-                    help="grid refinement: 2^depth cells per axis (default 2)"),
-    "--p": dict(type=_float_list, default=(2.0,), metavar="P[,P...]",
-                help="integrability exponents, comma separated (default 2)"),
-    "--delta": dict(type=_float_list, default=(0.0,), metavar="D[,D...]",
-                    help="weight cascade strengths, comma separated (default 0)"),
-    "--trials": dict(type=int, default=10,
-                     help="trials per (p, delta) combination (default 10)"),
-    "--seed": dict(type=int, default=0,
-                   help="base seed; reports are reproducible bytes (default 0)"),
-    "--strategy": dict(choices=("exact", "heuristic"), default="exact",
-                       help="BMO search strategy (default exact)"),
-    "--mode": dict(choices=("exhaustive", "sampled"), default="exhaustive",
-                   help="sign supremum walk (default exhaustive)"),
-    "--out": dict(type=Path, default=None,
-                  help="artifact path: per-trial CSV for ratio commands, "
-                       "JSON report otherwise"),
+#: each command's help line, in the order ``-h`` lists them
+_HELP = {
+    "identities": "check every exact operator identity on random draws",
+    "jn": "compare one-weight and two-weight product BMO norms",
+    "commutator": "sign-supremum commutator norms against paraproduct and BMO norms",
+    "khintchine": "moment identities for bilinear sign averages",
+    "paraproduct": "paraproduct operator norms against BMO and rectangle oscillation",
 }
 
-_SWEEP_OPTIONS = ("--depth", "--p", "--delta", "--trials", "--seed", "--strategy", "--out")
-
-#: each command with its help and the options it reads; the others are refused
-_COMMANDS = {
-    "identities": ("check every exact operator identity on random draws",
-                   ("--depth", "--trials", "--seed", "--out")),
-    "jn": ("compare one-weight and two-weight product BMO norms", _SWEEP_OPTIONS),
-    "commutator": ("sign-supremum commutator norms against paraproduct and BMO norms",
-                   tuple(_OPTIONS)),
-    "khintchine": ("moment identities for bilinear sign averages",
-                   ("--trials", "--seed", "--out")),
-    "paraproduct": ("paraproduct operator norms against BMO and rectangle oscillation",
-                    _SWEEP_OPTIONS),
+#: each config field's flag, help and argparse settings, in the order usage lists them
+_OPTIONS = {
+    "depth": ("--depth", "grid refinement: 2^depth cells per axis", dict(type=int)),
+    "p_values": ("--p", "integrability exponents, comma separated",
+                 dict(type=_float_list, metavar="P[,P...]")),
+    "deltas": ("--delta", "weight cascade strengths, comma separated",
+               dict(type=_float_list, metavar="D[,D...]")),
+    "trials": ("--trials", "trials per (p, delta) combination", dict(type=int)),
+    "seed": ("--seed", "base seed; reports are reproducible bytes", dict(type=int)),
+    "strategy": ("--strategy", "BMO search strategy", dict(choices=STRATEGIES)),
+    "mode": ("--mode", "sign supremum walk", dict(choices=MODES)),
+    "out": ("--out", "artifact path: per-trial CSV for ratio commands, JSON report otherwise",
+            dict(type=Path)),
 }
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing leaves no state in it.
-
-    An option a command does not read is not registered on it, so passing
-    it is a usage error; its default still fills the namespace, so every
-    report echoes the full config.  A usage error goes through the
-    command's own parser (``usage_error``), so it shows that command's usage.
-    """
-    parser = argparse.ArgumentParser(
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own, built once per process; parsing
+    leaves no state in them.  A command's parser takes an option for each field
+    ``READS`` names, defaulting to the field's default; any other is a usage error."""
+    top = argparse.ArgumentParser(
         prog="haar-bloom",
         description="Seeded experiments for the dyadic biparameter Haar calculus "
                     "with weight pairs on the unit square.")
-    parser.set_defaults(**{flag[2:]: settings["default"] for flag, settings in _OPTIONS.items()})
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(usage_error=cmd.error)
-        for flag in options:
-            cmd.add_argument(flag, **_OPTIONS[flag])
-    return parser
+    sub = top.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, help_text in _HELP.items():
+        cmd = commands[name] = sub.add_parser(name, help=help_text)
+        defaults = vars(ExperimentConfig(name))
+        for field, (flag, text, settings) in _OPTIONS.items():
+            if field in READS[name]:
+                shown = defaults[field]
+                if isinstance(shown, tuple):
+                    shown = ",".join(f"{v:g}" for v in shown)
+                cmd.add_argument(flag, dest=field, default=defaults[field], **settings,
+                                 help=text if shown is None else f"{text} (default {shown})")
+    return top, commands
 
 
 def _parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Parse arguments into a config; an unaffordable combination is a usage error.
-
-    The top level takes no option but ``-h``, so whatever stands before the
-    command is unknown and is reported through the top-level parser.
-    """
+    The command's own parser takes what follows the command; an argument list that
+    does not start with one (``-h``, an unknown command, ...) goes to the top level."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    leading = argv[:argv.index(args.command)]
-    if leading:
-        parser.error(f"unrecognized arguments: {' '.join(leading)}")
-    if unknown:
-        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    top, commands = build_parser()
+    if not argv or argv[0] not in commands:
+        top.parse_args(argv)                # exits: help, or a usage error
+        top.error(f"unrecognized arguments: {argv[0]}")    # "--" before it, if that parses
+    cmd = commands[argv[0]]
+    args = cmd.parse_args(argv[1:])
     try:
-        return ExperimentConfig(
-            command=args.command, depth=args.depth, p_values=args.p,
-            deltas=args.delta, trials=args.trials, seed=args.seed,
-            strategy=args.strategy, mode=args.mode, out=args.out)
+        return ExperimentConfig(argv[0], **vars(args))
     except ValueError as exc:
-        args.usage_error(str(exc))
+        cmd.error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
     cfg = _parse_config(argv)
     result = COMMANDS[cfg.command](cfg)
-    if isinstance(result, tuple):
-        report, records = result
-        if cfg.out is not None:
+    report, records = result if isinstance(result, tuple) else (result, None)
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if cfg.out is not None:
+        if records is None:
+            Path(cfg.out).write_text(text + "\n")
+        else:
             write_records_csv(records, cfg.out)
-    else:
-        report = result
-        if cfg.out is not None:
-            Path(cfg.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text)
     return 0 if report["pass"] else 1
 
 

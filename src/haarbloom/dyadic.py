@@ -43,6 +43,12 @@ def check_depths(what: str, *depths) -> None:
         raise ValueError(f"{what} disagree on depth")
 
 
+def check_finite(what: str, values) -> None:
+    """Raise ``ValueError("<what> needs finite entries, got NaN or inf")`` on any NaN or inf."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} needs finite entries, got NaN or inf")
+
+
 def check_depth(depth: int) -> None:
     """Raise ``ValueError`` unless the grid has at least one level."""
     if depth < 1:

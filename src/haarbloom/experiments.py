@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,7 @@ from .operators import (
     theta_operator,
 )
 from .opnorm import (
+    SAMPLED_PAIRS,
     NormJob,
     check_walk,
     opnorm_job,
@@ -80,8 +81,6 @@ from .weights import ap_characteristic, bloom_weight, random_cascade_weight
 
 #: absolute gap below which an exact identity counts as holding
 IDENTITY_TOL = 1e-11
-#: sign pairs drawn per trial when the commutator supremum is sampled
-SAMPLED_PAIRS = 16
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
 #: deepest grid for the identity suite, which scores all 4^(2^N - 1) sign pairs:
@@ -98,10 +97,16 @@ PENDING_BYTES = 32 << 20
 
 CSV_HEADER = "trial,ap_mu,ap_lambda,a2_nu,left,right,mid,ratio_lr,ratio_lm,flag"
 
+_SWEEP = ("depth", "p_values", "deltas", "trials", "seed", "strategy", "out")
+#: the config fields each command reads, the options its parser takes
+READS = {"identities": ("depth", "trials", "seed", "out"), "jn": _SWEEP,
+         "commutator": _SWEEP + ("mode",), "khintchine": ("trials", "seed", "out"),
+         "paraproduct": _SWEEP}
+
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by all experiment commands."""
+    """Knobs shared by all experiment commands; the defaults are the CLI's too."""
 
     command: str
     depth: int = 2
@@ -114,7 +119,7 @@ class ExperimentConfig:
     out: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in READS:
             raise ValueError(f"unknown command {self.command!r}")
         check_depth(self.depth)
         if self.trials < 1:
@@ -131,9 +136,9 @@ class ExperimentConfig:
                              f"got {list(self.p_values)}")
         if not all(0.0 <= d < math.inf for d in self.deltas):
             raise ValueError(f"every --delta must be finite and >= 0, got {list(self.deltas)}")
-        searches = self.command in ("jn", "commutator", "paraproduct")     # depth 0: names only
-        check_search(self.strategy, self.depth if searches else 0)
-        check_walk(self.mode, self.depth if self.command == "commutator" else 0, SAMPLED_PAIRS)
+        # every name is checked, a depth limit only where the field is read (depth 0)
+        check_search(self.strategy, self.depth if "strategy" in READS[self.command] else 0)
+        check_walk(self.mode, self.depth if "mode" in READS[self.command] else 0, SAMPLED_PAIRS)
         check_identities(self.depth if self.command == "identities" else 0)
 
     def combos(self) -> list[tuple[float, float]]:
@@ -143,12 +148,10 @@ class ExperimentConfig:
         return np.random.default_rng([self.seed, combo, trial])
 
     def echo(self) -> dict:
-        return {
-            "command": self.command, "depth": self.depth,
-            "p": list(self.p_values), "delta": list(self.deltas),
-            "trials": self.trials, "seed": self.seed,
-            "strategy": self.strategy, "mode": self.mode,
-        }
+        """Every field but ``out``, the value lists under their flags' names."""
+        shown = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        shown["p"], shown["delta"] = list(shown.pop("p_values")), list(shown.pop("deltas"))
+        return shown
 
 
 @dataclass
@@ -423,7 +426,7 @@ def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
 def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     """Sign-supremum commutator norm against the paraproduct-sum norm and BMO."""
     def build(p, delta, trial, b, mu, lam, nu, rng):
-        jobs = [sup_commutator_job(b, mu, lam, p, mode=cfg.mode, trials=SAMPLED_PAIRS, seed=rng),
+        jobs = [sup_commutator_job(b, mu, lam, p, mode=cfg.mode, seed=rng),
                 opnorm_job(lambda_matrix(b), mu, lam, p)]
         right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
         spot = np.zeros(0)

@@ -27,6 +27,7 @@ from .dyadic import (
     best_first,
     check_depths,
     check_exponent,
+    check_finite,
     ensure_rng,
     haar_forward,
     rectangle_incidence,
@@ -37,6 +38,8 @@ from .dyadic import (
 )
 from .weights import Weight
 
+#: the BMO searches: every union of finest rectangles, or candidates grown greedily
+STRATEGIES = ("exact", "heuristic")
 #: deepest grid the exact BMO search runs on (2^4 - 1 unions of finest rectangles)
 EXACT_MAX_DEPTH = 2
 #: deepest grid the heuristic BMO search, and the mask scoring of both searches,
@@ -182,6 +185,7 @@ class _MaskObjective:
     def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float):
         check_exponent(p)
         check_depths("symbol and weights", b.depth, mu.depth, lam.depth)
+        check_finite("a symbol", b.values)
         self.depth = b.depth
         self.p = p
         self.cells = 4 ** b.depth
@@ -353,7 +357,7 @@ def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
 
 def check_search(strategy: str, depth: int) -> None:
     """Refuse an unknown BMO strategy, or a grid deeper than its search's limit."""
-    if strategy not in ("exact", "heuristic"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "exact" and depth > (limit := EXACT_MAX_DEPTH):
         raise ValueError(f"exact search is limited to depth <= {limit} ({2 ** 4 ** (limit - 1) - 1}"
@@ -393,6 +397,7 @@ def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResul
     """
     check_exponent(p)
     check_depths("symbol and weights", b.depth, mu.depth, lam.depth)
+    check_finite("a symbol", b.values)
     area = 4.0 ** (-b.depth)
     table = rectangle_table(b.depth)
     osc = np.abs(b.values - rectangle_means(b.values)[table.owner])

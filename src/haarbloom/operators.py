@@ -45,6 +45,7 @@ from .dyadic import (
     axis_table,
     cancellative_rectangles,
     check_depths,
+    check_finite,
     ensure_rng,
     haar_forward,
     haar_project_x,
@@ -408,6 +409,7 @@ def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
     :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
     """
     _refuse_depth(b.depth, "paraproduct matrices")
+    check_finite("a symbol", b.values)
     n, s = 1 << b.depth, len(pairs)
     coef = (_cc_table(b) * axis_table(b.depth).scale)[1:, 1:]
     kx = _pairing_kernels(b.depth, tuple(x for x, _ in pairs)).reshape(s, n - 1, n * n)
@@ -455,6 +457,7 @@ def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,
     before allocating anything.
     """
     _refuse_depth(b.depth, "commutator matrices")
+    check_finite("a symbol", b.values)
     n = 1 << b.depth
     sx = np.asarray(sigma_x, dtype=float)
     sy = np.asarray(sigma_y, dtype=float)

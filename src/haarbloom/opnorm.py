@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dyadic import (GridFunction2D, best_first, check_depths, check_dual_exponent,
-                     check_exponent, ensure_rng)
+                     check_exponent, check_finite, ensure_rng)
 from .operators import SignChoice1D, axis_sign_rows, commutator_matrices
 from .weights import Weight
 
@@ -39,8 +39,12 @@ from .weights import Weight
 #: 2.0 us where the ``np.einsum`` wrapper took 3.2 us (2-core Xeon, numpy 2.4.6)
 _einsum = (np._core if hasattr(np, "_core") else np.core).multiarray.c_einsum
 
+#: the sign supremum's walks: every sign pair, or seeded draws of them
+MODES = ("exhaustive", "sampled")
 #: deepest grid on which the sign supremum walks every sign pair
 EXHAUSTIVE_MAX_DEPTH = 2
+#: sign pairs a sampled walk draws unless told otherwise
+SAMPLED_PAIRS = 16
 #: passes of the power iteration before a trajectory is cut short, and the
 #: relative change of its ratio below which it stops
 MAX_ITER = 500
@@ -90,8 +94,7 @@ def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarr
     every norm passes here, so a NaN or inf entry is refused before an SVD fails on it."""
     check_exponent(p)
     check_depths("operator and weights", mats.shape[-2:], *[(4 ** w.depth,) * 2 for w in (mu, lam)])
-    if not np.isfinite(mats).all():
-        raise ValueError("an operator matrix needs finite entries, got NaN or inf")
+    check_finite("an operator matrix", mats)
     area = 4.0 ** (-mu.depth)
     out_w = (lam.values.ravel() * area) ** (1.0 / p)
     in_w = (mu.values.ravel() * area) ** (-1.0 / p)
@@ -345,7 +348,7 @@ def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float) -> NormJob | 
 
 def check_walk(mode: str, depth: int, trials: int) -> None:
     """Refuse an unknown sign walk, a sampled one of no pairs, or a too deep exhaustive one."""
-    if mode not in ("exhaustive", "sampled"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and trials < 1:
         raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
@@ -355,7 +358,7 @@ def check_walk(mode: str, depth: int, trials: int) -> None:
 
 
 def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
-                       mode: str = "exhaustive", trials: int = 64,
+                       mode: str = "exhaustive", trials: int = SAMPLED_PAIRS,
                        seed: int | np.random.Generator | None = 0) -> NormJob | OpNormResult:
     """:func:`sup_commutator_norm` to finish later, as :func:`opnorm_job`; sampled sign
     pairs are drawn when it is built."""
@@ -382,7 +385,7 @@ def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
 
 
 def sup_commutator_norm(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
-                        mode: str = "exhaustive", trials: int = 64,
+                        mode: str = "exhaustive", trials: int = SAMPLED_PAIRS,
                         seed: int | np.random.Generator | None = 0) -> OpNormResult:
     """Supremum over sign pairs of the iterated commutator norm.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarbloom import experiments, norms
+from haarbloom import cli, experiments, norms
 from haarbloom.cli import build_parser, main
 from haarbloom.dyadic import GridFunction2D, indicator, random_grid, random_symbol
 from haarbloom.experiments import (
@@ -18,6 +19,7 @@ from haarbloom.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     IDENTITY_TOL,
+    READS,
     RatioRecord,
     identity_gap_suite,
     rademacher_moment_exhaustive,
@@ -31,6 +33,7 @@ from haarbloom.experiments import (
     _sign_pair_square_norms,
 )
 from haarbloom.norms import (
+    STRATEGIES,
     bmo_prod_one_weight,
     bmo_prod_two_weight,
     little_bmo,
@@ -44,7 +47,7 @@ from haarbloom.operators import (
     lambda_matrix,
     paraproduct_matrix,
 )
-from haarbloom.opnorm import NormJob, opnorm, opnorm_p2_exact, sup_commutator_norm
+from haarbloom.opnorm import MODES, NormJob, opnorm, opnorm_p2_exact, sup_commutator_norm
 from haarbloom.weights import ap_characteristic, bloom_weight, constant_weight
 
 opnorm_module = importlib.import_module("haarbloom.opnorm")     # the package binds the function
@@ -522,6 +525,51 @@ def test_cached_parser_parses_each_call_afresh(capsys):
     assert main(["khintchine", "--trials", "1"]) == 0
     second = json.loads(capsys.readouterr().out)["config"]
     assert second == ExperimentConfig("khintchine", trials=1).echo()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_cli_defaults_are_the_config_defaults(command, capsys):
+    assert main([command]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == ExperimentConfig(command).echo()
+
+
+#: one argument list per config field, and the value it sets
+FIELD_ARGS = {
+    "depth": (["--depth", "1"], 1),
+    "p_values": (["--p", "1.5,3"], (1.5, 3.0)),
+    "deltas": (["--delta", "0.5"], (0.5,)),
+    "trials": (["--trials", "1"], 1),
+    "seed": (["--seed", "3"], 3),
+    "strategy": (["--strategy", "heuristic"], "heuristic"),
+    "mode": (["--mode", "sampled"], "sampled"),
+    "out": (["--out", "rows.csv"], Path("rows.csv")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_cli_takes_exactly_the_fields_the_command_reads(command, capsys):
+    assert set(FIELD_ARGS) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"command"}
+    for field, (args, value) in FIELD_ARGS.items():
+        if field in READS[command]:
+            got = cli._parse_config([command] + args)
+            assert got == dataclasses.replace(ExperimentConfig(command), **{field: value})
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli._parse_config([command] + args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: haar-bloom {command} [-h]")
+        assert f"haar-bloom {command}: error: unrecognized arguments: {' '.join(args)}" in err
+
+
+@pytest.mark.parametrize("flag, names", [("--strategy", STRATEGIES), ("--mode", MODES)])
+def test_cli_choices_are_the_library_names(flag, names, capsys):
+    with pytest.raises(SystemExit):
+        main(["commutator", "-h"])
+    assert f"{flag} {{{','.join(names)}}}" in capsys.readouterr().out
+    for name in names:
+        assert getattr(cli._parse_config(["commutator", "--depth", "1", flag, name]),
+                       flag[2:]) == name
 
 
 def test_cli_installed_entry_point(tmp_path):

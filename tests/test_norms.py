@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +37,13 @@ from haarbloom.norms import (
 from haarbloom.operators import (
     SignChoice1D,
     SignChoice2D,
+    axis_sign_rows,
+    commutator_matrices,
     haar_multiplier,
     haar_multiplier_x,
     haar_multiplier_y,
     lambda_matrix,
+    paraproduct_matrix,
     paraproduct_operator,
     restricted_projection,
     theta_operator,
@@ -684,3 +688,36 @@ def test_non_finite_exponents_are_refused(p, entry):
     b, one = random_symbol(2, 14), constant_weight(2)
     with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)|needs p in \(1, inf\)"):
         NON_FINITE_ENTRY_POINTS[entry](b, one, p)
+
+
+NON_FINITE_SYMBOL_ENTRY_POINTS = {
+    "bmo_prod_two_weight-exact": (2, lambda b, w: bmo_prod_two_weight(b, w, w, 2.0, "exact")),
+    "bmo_prod_two_weight-heuristic":
+        (2, lambda b, w: bmo_prod_two_weight(b, w, w, 1.5, "heuristic")),
+    "bmo_prod_two_weight-heuristic-d3":
+        (3, lambda b, w: bmo_prod_two_weight(b, w, w, 3.0, "heuristic")),
+    "bmo_prod_one_weight": (2, lambda b, w: bmo_prod_one_weight(b, w, "exact")),
+    "bmo_prod_one_weight-d3": (3, lambda b, w: bmo_prod_one_weight(b, w, "heuristic")),
+    "little_bmo": (2, lambda b, w: little_bmo(b, w, w, 3.0)),
+    "paraproduct_matrix": (2, lambda b, w: paraproduct_matrix("10", b)),
+    "lambda_matrix": (2, lambda b, w: lambda_matrix(b)),
+    "commutator_matrices":
+        (2, lambda b, w: commutator_matrices(b, axis_sign_rows(2)[:2], axis_sign_rows(2)[2:4])),
+    "sup_commutator_norm-exhaustive": (2, lambda b, w: sup_commutator_norm(b, w, w, 2.0)),
+    "sup_commutator_norm-sampled":
+        (3, lambda b, w: sup_commutator_norm(b, w, w, 3.0, mode="sampled", trials=2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_SYMBOL_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_symbols_are_refused_in_one_wording(bad, entry, capfd):
+    depth, call = NON_FINITE_SYMBOL_ENTRY_POINTS[entry]
+    values = random_symbol(depth, 15).values.copy()
+    values[1, 2] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"^a symbol needs finite entries, got NaN or inf$"):
+            call(GridFunction2D(depth, values), constant_weight(depth))
+    assert not caught, [str(w.message) for w in caught]
+    assert capfd.readouterr().err == ""

@@ -29,6 +29,14 @@ and the last line, ``library <digest>``, the library calls: per result its
 ``as_dict()`` as sorted JSON, its witness bytes and its sign pair's bytes,
 so fields no report prints (``iterations``, ``pruned``, ``converged``,
 ``upper_bound``, the witness) are covered too.
+Two lines close the output.  ``identity-gaps <digest>`` covers the ``repr``
+of every gap ``identity_gap_suite`` returns on 16, 16 and 8 draws at depths
+1, 2 and 3, digits the ``identities`` report rounds away in its maximum.
+``cli-text <digest>`` covers the exit status, stdout and stderr of
+``haar-bloom -h``, of each ``<command> -h`` and of a fixed set of refused
+argument lists (relative ``--out`` paths, so the bytes do not depend on
+where the repository lives), with ``COLUMNS=80``; its help text follows
+the running Python's argparse.
 stderr names the package directory it imported, which shows that
 ``--src`` took effect, numpy's version, and the OpenBLAS kernel numpy's
 bundled scipy-openblas library runs (``unknown`` if neither the library nor
@@ -48,6 +56,7 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +78,19 @@ RUNS = ([shape + SWEEP + ["--seed", str(seed)] for shape in SHAPES for seed in r
 SINGLE_TRIAL_RUNS = [shape + ["--p", p, "--delta", delta, "--trials", "1", "--seed", str(seed)]
                      for shape in (SHAPES[2], SHAPES[4]) for p in ("1.5", "3")
                      for delta in ("0", "0.5") for seed in range(8)]
+IDENTITY_DRAWS = {1: 16, 2: 16, 3: 8}
+REFUSED = [
+    ["jn", "--p", "1"], ["jn", "--p", "2,inf"], ["jn", "--delta", "-0.5"],
+    ["identities", "--depth", "5"], ["jn", "--strategy", "heuristic", "--depth", "5"],
+    ["paraproduct", "--strategy", "heuristic", "--depth", "5"],
+    ["commutator", "--strategy", "heuristic", "--mode", "sampled", "--depth", "5"],
+    ["commutator", "--p", "300"], ["commutator", "--p", "1.002"], ["jn", "--seed", "-1"],
+    ["jn", "--out", "no-such-dir/rows.csv"], ["jn", "--out", "."],
+    ["khintchine", "--depth", "40"], ["identities", "--p", "1.5", "--strategy", "heuristic"],
+    ["jn", "--mode", "sampled"], ["paraproduct", "--mode", "exhaustive"],
+    ["identities", "--delta", "0.5"], ["khintchine", "--strategy", "exact"],
+    ["--bogus", "jn"], [], ["frobnicate"], ["jn", "--p", "two"],
+]
 
 
 def run_bytes(main, argv: list[str], folder: Path) -> bytes:
@@ -80,6 +102,29 @@ def run_bytes(main, argv: list[str], folder: Path) -> bytes:
         code = main(argv + ["--out", str(out)])
     return b"\0".join([" ".join(argv).encode(), str(code).encode(),
                        stdout.getvalue().encode(), out.read_bytes()])
+
+
+def cli_text_bytes(main, argv: list[str]) -> bytes:
+    """Argument list, exit status, stdout and stderr of one run that stops in the parser."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return b"\0".join([" ".join(argv).encode(), str(code).encode(),
+                       stdout.getvalue().encode(), stderr.getvalue().encode()])
+
+
+def identity_gap_bytes():
+    """``name=repr(gap)`` of every gap of the ``identity-gaps`` draws, in a fixed order."""
+    import numpy as np
+    from haarbloom.experiments import identity_gap_suite
+
+    for depth, draws in IDENTITY_DRAWS.items():
+        for draw in range(draws):
+            gaps = identity_gap_suite(depth, np.random.default_rng([depth, draw]))
+            yield "\n".join(f"{name}={gap!r}" for name, gap in gaps.items()).encode()
 
 
 def library_results():
@@ -152,6 +197,15 @@ def main() -> None:
     for res in library_results():
         library.update(hashlib.sha256(result_bytes(res)).digest())
     print("library", library.hexdigest())
+    gaps = hashlib.sha256()
+    for text in identity_gap_bytes():
+        gaps.update(hashlib.sha256(text).digest())
+    print("identity-gaps", gaps.hexdigest())
+    os.environ["COLUMNS"] = "80"
+    texts = hashlib.sha256()
+    for argv in [["-h"]] + [[command, "-h"] for command in commands] + REFUSED:
+        texts.update(hashlib.sha256(cli_text_bytes(cli_main, argv)).digest())
+    print("cli-text", texts.hexdigest())
 
 
 if __name__ == "__main__":
