@@ -539,11 +539,8 @@ class Shadow:
 
     def to_hex(self) -> str:
         """Row-major bit packing, cell (0,0) in the least significant bit."""
-        value = 0
-        for pos, bit in enumerate(self.mask.ravel()):
-            if bit:
-                value |= 1 << pos
-        return format(value, "x")
+        packed = np.packbits(self.mask.ravel(), bitorder="little").tobytes()
+        return format(int.from_bytes(packed, "little"), "x")
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -94,8 +93,6 @@ P_RANGE = (1.05, 100.0)
 #: bytes of operator matrices a sweep holds before it solves its pending norms
 #: (one depth-3 sampled commutator trial holds under 1 MB)
 PENDING_BYTES = 32 << 20
-
-CSV_HEADER = "trial,ap_mu,ap_lambda,a2_nu,left,right,mid,ratio_lr,ratio_lm,flag"
 
 _SWEEP = ("depth", "p_values", "deltas", "trials", "seed", "strategy", "out")
 #: the config fields each command reads, the options its parser takes
@@ -177,6 +174,9 @@ class RatioRecord:
                         + [self.flag])
 
 
+CSV_HEADER = ",".join(f.name for f in fields(RatioRecord))
+
+
 def write_records_csv(records: list[RatioRecord], path: str | Path) -> None:
     lines = [CSV_HEADER] + [r.to_csv_row() for r in records]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -186,10 +186,13 @@ def _finite_stats(values: list[float]) -> dict:
     good = [v for v in values if math.isfinite(v)]
     if not good:
         return {"count": 0}
+    # statistics.median's arithmetic, without that import or np.median's per-call cost
+    ranked, half = sorted(good), len(good) // 2
+    median = ranked[half] if len(good) % 2 else (ranked[half - 1] + ranked[half]) / 2
     return {
         "count": len(good),
         "min": min(good),
-        "median": float(statistics.median(good)),
+        "median": float(median),
         "max": max(good),
     }
 

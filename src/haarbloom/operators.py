@@ -11,9 +11,10 @@ Every operator is a linear map on the raveled cell values, ``R^(4^N)``.
 The paraproducts and Lambda are dense matrices from two matmuls over the
 rows of :func:`~haarbloom.dyadic.axis_table`, the cached 1D Haar system
 the transform also multiplies by (:func:`paraproduct_matrix`,
-:func:`lambda_matrix`);
-their operators apply read-only matrices built once per symbol, and
-:func:`commutator_matrices` builds a stack of sign pairs at once.
+:func:`lambda_matrix`).  Each operator applies its one matrix, read-only
+and built once per symbol, so :func:`lambda_operator` applies the very
+matrix :func:`lambda_matrix` returns; :func:`commutator_matrices` builds a
+stack of sign pairs at once.
 Multiplication, the projections, the multipliers and Theta stay literal
 closures: composed into nested commutators and probed by
 :func:`materialize`, they are the oracle the matrices are tested against.
@@ -59,7 +60,7 @@ from .dyadic import (
 )
 
 #: deepest grid whose paraproduct and Lambda matrices are built: a depth-5 matrix
-#: is 8 MB (16^5 entries) and Lambda stacks four; at depth 6 that stack is 512 MB
+#: is 8 MB (16^5 entries), a depth-6 one 128 MB
 MATRIX_MAX_DEPTH = 5
 
 Operator = Callable[[GridFunction2D], GridFunction2D]
@@ -84,20 +85,15 @@ def _snapshot(b: GridFunction2D) -> GridFunction2D:
     return b
 
 
-def _stack_operator(depth: int, mats: np.ndarray) -> Operator:
-    """Apply a read-only ``(S, 4^N, 4^N)`` stack and add the ``S`` images in stack order.
-
-    ``np.add.reduce`` over the stack axis adds one image after another,
-    left to right, like a Python fold.
-    """
-    mats.flags.writeable = False
+def _matrix_operator(depth: int, mat: np.ndarray) -> Operator:
+    """Apply a ``(4^N, 4^N)`` matrix, made read-only, to the raveled cell values."""
+    mat.flags.writeable = False
     n = 1 << depth
 
     def apply(f: GridFunction2D) -> GridFunction2D:
         if f.depth != depth:
             raise ValueError("symbol and argument disagree on depth")
-        return GridFunction2D._of(depth, np.add.reduce(mats @ f.values.ravel(), axis=0)
-                                  .reshape(n, n))
+        return GridFunction2D._of(depth, (mat @ f.values.ravel()).reshape(n, n))
     return apply
 
 
@@ -108,16 +104,14 @@ def paraproduct_operator(kind: str, b: GridFunction2D) -> Operator:
     comes out against the complementary type.  "0" = cancellative,
     "1" = scaling, first character is the x-axis.
     """
-    return _stack_operator(b.depth, paraproduct_matrix(kind, b)[None])
+    return _matrix_operator(b.depth, paraproduct_matrix(kind, b))
 
 
 def lambda_operator(b: GridFunction2D) -> Operator:
     """Lambda of ``b``, the sum of the four paraproducts: the symbol side of the
-    commutator calculus.  Their matrices, built once, here, are applied as one
-    stacked product whose images are added in :data:`~haarbloom.dyadic.HAAR_KINDS` order,
-    so each image is bit for bit the sum of the four :func:`paraproduct_operator` ones.
+    commutator calculus.  It applies :func:`lambda_matrix`, built once, here.
     """
-    return _stack_operator(b.depth, _paraproduct_matrices(b, HAAR_KINDS))
+    return _matrix_operator(b.depth, lambda_matrix(b))
 
 
 def multiplication_operator(b: GridFunction2D) -> Operator:
@@ -380,53 +374,49 @@ def materialize(op: Operator, depth: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pairing_kernels(depth: int, stack: tuple[str, ...]) -> np.ndarray:
-    """``K[s, p - 1, i, k]``: one axis of paraproduct sum s, input cell k to output cell i.
+def _pairing_kernels(depth: int, kinds: str) -> np.ndarray:
+    """``K[p - 1, i, k]``: one axis of a paraproduct sum, input cell k to output cell i.
 
     Cancellative slot p pairs the input with the Haar type named by each
-    character of ``stack[s]`` ("0" cancellative, "1" scaling) and emits
-    the complementary type; several characters add their kernels.  Cached
-    per (depth, stack) and read-only.
+    character of ``kinds`` ("0" cancellative, "1" scaling) and emits the
+    complementary type; several characters add their kernels.  Cached
+    per (depth, kinds) and read-only.
     """
     table = axis_table(depth)
     hc, hn = table.hc, table.hn
-    out = np.zeros((len(stack), hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
-    for s, kinds in enumerate(stack):
-        for kind in kinds:
-            inp, emit = (hn, hc) if kind == "1" else (hc, hn)
-            out[s] += emit[1:, :, None] * inp[1:, None, :]
+    out = np.zeros((hc.shape[0] - 1, hc.shape[1], hc.shape[1]))
+    for kind in kinds:
+        inp, emit = (hn, hc) if kind == "1" else (hc, hn)
+        out += emit[1:, :, None] * inp[1:, None, :]
     out.flags.writeable = False
     return out
 
 
-def _paraproduct_matrices(b: GridFunction2D, pairs: tuple) -> np.ndarray:
-    """Stacked matrices of paraproduct sums, shape ``(len(pairs), 4^N, 4^N)``.
+def _pairing_matrix(b: GridFunction2D, x_kinds: str, y_kinds: str) -> np.ndarray:
+    """Matrix ``(4^N, 4^N)`` of the paraproducts that pair the input with the
+    Haar types ``x_kinds`` along x and ``y_kinds`` along y, summed.
 
-    Each pair ``(x_kinds, y_kinds)`` names the Haar types the input is
-    paired with along each axis; a one-kind name like ``"10"`` is itself
-    such a pair.  The stack is two batched matmuls with the bits of
-    ``einsum("pq,spik,sqjl->sijkl", ..., optimize=True)``.  Beyond
-    :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
+    Two matmuls with the bits of ``einsum("pq,pik,qjl->ijkl", ..., optimize=True)``.
+    Beyond :data:`MATRIX_MAX_DEPTH` it refuses before allocating anything.
     """
     _refuse_depth(b.depth, "paraproduct matrices")
     check_finite("a symbol", b.values)
-    n, s = 1 << b.depth, len(pairs)
+    n = 1 << b.depth
     coef = (_cc_table(b) * axis_table(b.depth).scale)[1:, 1:]
-    kx = _pairing_kernels(b.depth, tuple(x for x, _ in pairs)).reshape(s, n - 1, n * n)
-    ky = _pairing_kernels(b.depth, tuple(y for _, y in pairs)).reshape(s, n - 1, n * n)
+    kx = _pairing_kernels(b.depth, x_kinds).reshape(n - 1, n * n)
+    ky = _pairing_kernels(b.depth, y_kinds).reshape(n - 1, n * n)
     # with one slot per axis numpy's plan multiplies instead, after a size-1
     # sum of each input that turns -0.0 into +0.0; ``+ 0.0`` keeps those bits
     matmul = (lambda a, c: (a + 0.0) * (c + 0.0)) if n == 2 else np.matmul
-    half = matmul(coef.T, kx)
-    mats = matmul(half.transpose(0, 2, 1), ky).reshape(s, n, n, n, n)
-    return mats.transpose(0, 1, 3, 2, 4).reshape(s, n * n, n * n) * 4.0 ** (-b.depth)
+    mat = matmul(matmul(coef.T, kx).T, ky).reshape(n, n, n, n)
+    return mat.transpose(0, 2, 1, 3).reshape(n * n, n * n) * 4.0 ** (-b.depth)
 
 
 def paraproduct_matrix(kind: str, b: GridFunction2D) -> np.ndarray:
     """Dense ``(4^N, 4^N)`` matrix of :func:`paraproduct_operator` for one ``kind``."""
     if kind not in HAAR_KINDS:
         raise ValueError(f"kind must be one of {HAAR_KINDS}, got {kind!r}")
-    return _paraproduct_matrices(b, (kind,))[0]
+    return _pairing_matrix(b, kind[0], kind[1])
 
 
 def lambda_matrix(b: GridFunction2D) -> np.ndarray:
@@ -435,7 +425,7 @@ def lambda_matrix(b: GridFunction2D) -> np.ndarray:
     The four kinds are every pairing of an x-type with a y-type, so their
     sum factors into one kernel per axis.
     """
-    return _paraproduct_matrices(b, (("01", "01"),))[0]
+    return _pairing_matrix(b, "01", "01")
 
 
 def commutator_matrices(b: GridFunction2D, sigma_x: np.ndarray,

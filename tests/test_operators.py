@@ -1,5 +1,4 @@
 import itertools
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from haarbloom.operators import (
     MATRIX_MAX_DEPTH,
     _cc_table,
     _pairing_kernels,
-    _paraproduct_matrices,
+    _pairing_matrix,
     SignChoice1D,
     SignChoice2D,
     axis_sign_rows,
@@ -159,14 +158,12 @@ def test_lambda_two_forms_agree_on_bi_cancellative_input():
         assert (got - want).max_abs() < 1e-12
 
 
-def test_lambda_operator_is_the_sum_of_the_four_paraproducts_bit_for_bit():
+def test_lambda_operator_applies_lambda_matrix_bit_for_bit():
     rng = np.random.default_rng(12)
     for depth in (1, 2, 3):
         b, f = random_grid(depth, rng), random_grid(depth, rng)
-        want = paraproduct_operator("00", b)(f)
-        for kind in ("10", "01", "11"):
-            want = want + paraproduct_operator(kind, b)(f)
-        assert np.array_equal(lambda_operator(b)(f).values, want.values)
+        want = (lambda_matrix(b) @ f.values.ravel()).reshape(f.values.shape)
+        assert np.array_equal(lambda_operator(b)(f).values, want)
     with pytest.raises(ValueError):
         lambda_operator(random_grid(2, rng))(random_grid(3, rng))
 
@@ -403,29 +400,17 @@ def test_paraproduct_matrices_match_the_literal_operators(depth):
                                rtol=0, atol=1e-13 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4])
-def test_four_kind_stack_matches_each_paraproduct_matrix_bit_for_bit(depth):
-    for seed in range(3):
-        b = random_grid(depth, 90 + 10 * depth + seed)
-        stack = _paraproduct_matrices(b, HAAR_KINDS)
-        assert stack.shape == (4, 4 ** depth, 4 ** depth)
-        for kind, got in zip(HAAR_KINDS, stack):
-            assert got.tobytes() == paraproduct_matrix(kind, b).tobytes()
-
-
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_paraproduct_matrices_match_einsum_planned_per_call_bit_for_bit(depth):
-    stacks = [HAAR_KINDS, (("01", "01"),)] + [(kind,) for kind in HAAR_KINDS]
     b = random_grid(depth, 140 + depth)
     coef = (_cc_table(b) * axis_table(depth).scale)[1:, 1:]
     m = 4 ** depth
-    for pairs in stacks:
-        got = _paraproduct_matrices(b, pairs)
+    for x_kinds, y_kinds in (("01", "01"),) + HAAR_KINDS:
+        got = _pairing_matrix(b, x_kinds, y_kinds)
         # np.einsum's own plan, searched on every call
-        want = np.einsum("pq,spik,sqjl->sijkl", coef,
-                         _pairing_kernels(depth, tuple(x for x, _ in pairs)),
-                         _pairing_kernels(depth, tuple(y for _, y in pairs)), optimize=True)
-        want = want.reshape(len(pairs), m, m) * 4.0 ** (-depth)
+        want = np.einsum("pq,pik,qjl->ijkl", coef, _pairing_kernels(depth, x_kinds),
+                         _pairing_kernels(depth, y_kinds), optimize=True)
+        want = want.reshape(m, m) * 4.0 ** (-depth)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -439,11 +424,24 @@ def held_arrays(op):
 def test_paraproduct_operators_hold_read_only_matrices(name):
     b = random_grid(2, 36)
     op = lambda_operator(b) if name == "lambda" else paraproduct_operator(name, b)
-    (mats,) = held_arrays(op)
-    assert mats.shape == (4 if name == "lambda" else 1, 16, 16)
-    assert not mats.flags.writeable
+    (mat,) = held_arrays(op)
+    assert mat.shape == (16, 16)
+    assert not mat.flags.writeable
     with pytest.raises(ValueError):
-        mats.flat[0] = 1.0
+        mat.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lambda_operator_is_lambda_matrix(depth):
+    # one Lambda: the operator the identity suite applies is the matrix the CLI prints
+    rng = np.random.default_rng(150 + depth)
+    for _ in range(20):
+        b = random_grid(depth, rng)
+        op = lambda_operator(b)
+        (held,) = held_arrays(op)
+        assert not held.flags.writeable
+        assert np.array_equal(held, lambda_matrix(b))
+        assert np.array_equal(materialize(op, depth), lambda_matrix(b))
 
 
 def uncached_paraproduct_matrix(b, x_kinds, y_kinds):
@@ -476,10 +474,10 @@ def test_paraproduct_matrices_match_the_uncached_einsum_bit_for_bit(depth):
 
 def test_pairing_kernels_and_axis_bases_are_cached_read_only():
     for depth in (1, 2, 3):
-        stacks = [("0", "1", "01"), ("01",), tuple(kind[0] for kind in HAAR_KINDS)]
-        kernels = [_pairing_kernels(depth, stack) for stack in stacks]
-        assert all(_pairing_kernels(depth, stack) is kernel
-                   for stack, kernel in zip(stacks, kernels))
+        names = ("0", "1", "01")
+        kernels = [_pairing_kernels(depth, kinds) for kinds in names]
+        assert all(_pairing_kernels(depth, kinds) is kernel
+                   for kinds, kernel in zip(names, kernels))
         axes = axis_table(depth)
         for table in kernels + [axes.hc, axes.hn, axes.scale]:
             assert not table.flags.writeable
@@ -547,7 +545,7 @@ def test_validation():
 
 
 def test_paraproduct_matrices_refuse_depths_beyond_their_limit(monkeypatch):
-    # patched so that a missing guard fails here instead of allocating 512 MB
+    # patched so that a missing guard fails here instead of allocating 128 MB
     from haarbloom import operators
 
     def boom(*args, **kwargs):
@@ -579,7 +577,7 @@ def test_commutator_matrices_refuse_depths_beyond_their_limit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# unchecked synthesis and stack sums against the checked forms they replaced
+# unchecked synthesis and matrix products against the checked forms they replaced
 # ---------------------------------------------------------------------------
 
 def assert_same_grid(got, want):
@@ -621,7 +619,7 @@ def test_literal_operators_match_the_checked_synthesis(depth):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-def test_stack_operators_add_their_images_like_a_python_fold(depth):
+def test_matrix_operators_apply_their_held_matrix(depth):
     rng = np.random.default_rng(130 + depth)
     n = 1 << depth
     b = random_grid(depth, rng)
@@ -629,6 +627,6 @@ def test_stack_operators_add_their_images_like_a_python_fold(depth):
     for _ in range(3):
         f = random_grid(depth, rng)
         for op in ops:
-            (mats,) = held_arrays(op)
-            want = GridFunction2D(depth, reduce(np.add, mats @ f.values.ravel()).reshape(n, n))
+            (mat,) = held_arrays(op)
+            want = GridFunction2D(depth, (mat @ f.values.ravel()).reshape(n, n))
             assert_same_grid(op(f), want)
