@@ -40,11 +40,12 @@ from .dyadic import (
     slot_interval,
 )
 from .norms import (
-    bmo_prod_one_weight,
+    bmo_prod_norms,
     bmo_prod_two_weight,
     check_search,
     little_bmo,
     lp_weighted_norm,
+    one_weight_pair,
 )
 from .operators import (
     SignChoice1D,
@@ -413,8 +414,8 @@ def _ratio_sweep(cfg: ExperimentConfig, build, summary=None) -> tuple[dict, list
 def run_jn(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
     """One-weight against two-weight BMO norms over random symbols and weights."""
     def build(p, delta, trial, b, mu, lam, nu, rng):
-        left = bmo_prod_one_weight(b, nu, cfg.strategy, seed=rng).value
-        right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
+        left, right = (bmo.value for bmo in bmo_prod_norms(
+            b, [one_weight_pair(nu), (mu, lam, p)], cfg.strategy, seed=rng))
 
         def finish(violations, norms):
             if p == 2 and delta == 0 and right > 0 and abs(left / right - 1.0) > 1e-12:

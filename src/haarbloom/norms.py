@@ -9,14 +9,15 @@ rectangles, so an exact (exponential) search exists at small depth
 alongside a practical heuristic search; both return the witness mask
 they selected.  Both score a mask cell by cell through a per-symbol table
 of the ``C(2N, N)`` sets of rectangles a mask can leave inside it at a
-cell, so the energies are summed once per table entry, not once per mask.
+cell, so the energies are summed once per table entry, not once per mask;
+``bmo_prod_norms`` scores several weight pairs, as ``jn``'s two norms, on one table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -122,10 +123,8 @@ class BmoResult:
     witness: Shadow | DyadicRectangle
 
     def as_dict(self) -> dict:
-        if isinstance(self.witness, Shadow):
-            wit = {"mask": self.witness.to_hex()}
-        else:
-            wit = {"rect": self.witness.as_dict()}
+        wit = ({"mask": self.witness.to_hex()} if isinstance(self.witness, Shadow)
+               else {"rect": self.witness.as_dict()})
         return {"value": self.value, "strategy": self.strategy, "witness": wit}
 
 
@@ -174,33 +173,48 @@ def _pattern_ids(masks: np.ndarray) -> np.ndarray:
     return ids
 
 
-class _MaskObjective:
-    """The localized ratio ``||S_mask b||_{L^p(lam)} / mu(mask)^{1/p}`` on stacks of cell masks.
+class _SymbolTable:
+    """What the BMO objective takes from the symbol alone: ``sums[c, k]``, the energies of
+    up-set k's rectangles through cell c summed in rectangle order, the bits a sum over one
+    mask's rectangles through c gives whenever they are up-set k."""
 
-    ``patterns[c, k]`` is ``(sum of the energies of up-set k's rectangles
-    through cell c) ** (p/2)``, summed in rectangle order: the bits a sum
-    over one mask's rectangles through c gives whenever they are up-set k.
-    """
-
-    def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float):
-        check_exponent(p)
-        check_depths("symbol and weights", b.depth, mu.depth, lam.depth)
+    def __init__(self, b: GridFunction2D):
         check_finite("a symbol", b.values)
-        self.depth = b.depth
-        self.p = p
         self.cells = 4 ** b.depth
         self.energy = _energies(b)[rectangle_table(b.depth).cancellative]
         members, _, _, self.covers = _upset_tables(b.depth)
+        self.sums = np.zeros((self.cells, len(members)))
+        for member, cover in zip(members.T, self.covers):
+            np.add(self.sums, self.energy[cover][:, None], out=self.sums, where=member)
+
+    @cached_property
+    def superlevel(self) -> tuple[np.ndarray, np.ndarray]:
+        """The heuristic's candidates made from the symbol, with their ``_pattern_ids``, built
+        on first use: superlevel sets of the squared square function and of the pointwise
+        maximum ``max_R b_R^2 / |R|`` over the rectangles holding a cell, and the full square."""
+        cover_energy = self.energy[self.covers]     # cumsum adds in rectangle order, as sums do
+        fields = (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))
+        masks = np.concatenate([field >= np.unique(field)[:, None] for field in fields]
+                               + [np.ones((1, self.cells), bool)])
+        return masks, _pattern_ids(masks)
+
+
+class _MaskObjective:
+    """The localized ratio ``||S_mask b||_{L^p(lam)} / mu(mask)^{1/p}`` on stacks of cell masks:
+    ``patterns`` is ``symbol.sums ** (p/2)``, the symbol's table built here if not given."""
+
+    def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float,
+                 symbol: _SymbolTable | None = None):
+        check_exponent(p)
+        check_depths("symbol and weights", b.depth, mu.depth, lam.depth)
+        self.symbol = symbol = symbol or _SymbolTable(b)
+        self.depth, self.cells, self.p = b.depth, symbol.cells, p
         self.lam_cell = lam.values.ravel() * 4.0 ** (-b.depth)
         self.mu_cell = mu.values.ravel() * 4.0 ** (-b.depth)
-        s2 = np.zeros((self.cells, len(members)))
-        for member, cover in zip(members.T, self.covers):
-            np.add(s2, self.energy[cover][:, None], out=s2, where=member)
-        # zeros stay zero, and pow is slow on them
-        np.power(s2, p / 2.0, out=s2, where=s2 > 0)
-        self.patterns = s2
+        sums = symbol.sums      # zeros stay zero, and pow is slow on them
+        self.patterns = np.power(sums, p / 2.0, out=sums.copy(), where=sums > 0)
         # patterns.take(ids + offsets) reads patterns[c, ids[m, c]]
-        self.offsets = np.arange(self.cells) * len(members)
+        self.offsets = np.arange(self.cells) * sums.shape[1]
 
     def values(self, masks: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Ratios of a stack of raveled boolean masks, ``BLOCK_CELLS`` cells at a time.
@@ -323,23 +337,19 @@ def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
     """Candidate shadows + steepest-ascent growth; exact-search oracle's cheap rival.
 
     Candidate families: every dyadic rectangle, pairwise unions of the cancellative
-    ones (both from ``_candidate_table``), superlevel sets of the squared square
-    function of the symbol and of the pointwise maximum rectangle energy
-    ``max_R b_R^2 / |R|`` over the rectangles holding a cell, the full square, and
-    seeded random masks.  :func:`~haarbloom.dyadic.best_first` scores the distinct
+    ones (both from ``_candidate_table``), the symbol's own (``_SymbolTable.superlevel``)
+    and seeded random masks.  :func:`~haarbloom.dyadic.best_first` scores the distinct
     table rows by ceiling, keeping five, a row counting as often as it is listed; the
     rest rank last.  The best five (ties to the later one) grow together, each distinct
     start once: a repeat would return the same value, which cannot beat the best.
     """
-    rng = ensure_rng(seed)
     rows, ids, inverse, parts = _candidate_table(obj.depth)
-    cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as patterns do
-    own = np.concatenate(
-        [field >= np.unique(field)[:, None]
-         for field in (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))]
-        + [np.ones((1, obj.cells), bool), rng.random((HEURISTIC_RESTARTS, obj.cells)) < 0.5])
-    own = own[own.any(axis=1)]
-    own_values, reach = obj.values(own), _ceilings(obj, parts)
+    shared, shared_ids = obj.symbol.superlevel
+    restarts = ensure_rng(seed).random((HEURISTIC_RESTARTS, obj.cells)) < 0.5
+    restarts = restarts[restarts.any(axis=1)]
+    own = np.concatenate([shared, restarts])
+    own_values = obj.values(own, np.concatenate([shared_ids, _pattern_ids(restarts)]))
+    reach = _ceilings(obj, parts)
     scored = best_first(reach, lambda r: obj.values(rows[r], ids[r]),
                         itertools.repeat(max(1, BLOCK_CELLS // obj.cells)), 5, own_values,
                         np.bincount(inverse))
@@ -367,27 +377,42 @@ def check_search(strategy: str, depth: int) -> None:
                          f"and is limited to depth <= {HEURISTIC_MAX_DEPTH}")
 
 
+def bmo_prod_norms(b: GridFunction2D, pairs, strategy: str = "exact",
+                   seed: int | np.random.Generator | None = 0) -> list[BmoResult]:
+    """Two-weight product BMO norms of one symbol, with witness shadows, one for each
+    ``(mu, lam, p)`` in ``pairs``; the pairs share one per-symbol table.
+
+    ``strategy="exact"`` takes the supremum over all ``2^(4^N) - 1`` non-empty cell
+    masks by scoring the ``2^(4^(N-1)) - 1`` unions of finest rectangles, where it is
+    attained; ``"heuristic"`` runs the candidate/greedy search from ``seed`` for each
+    pair in turn (a generator goes on drawing).  :func:`check_search` refuses a deeper grid.
+    """
+    check_search(strategy, b.depth)
+    results, symbol = [], None
+    for mu, lam, p in pairs:
+        obj = _MaskObjective(b, mu, lam, p, symbol)
+        value, mask = _exact_search(obj) if strategy == "exact" else _heuristic_search(obj, seed)
+        results.append(BmoResult(value, strategy, Shadow(mask.reshape(1 << b.depth, -1).copy())))
+        symbol = obj.symbol
+    return results
+
+
 def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
                         strategy: str = "exact",
                         seed: int | np.random.Generator | None = 0) -> BmoResult:
-    """Two-weight product BMO norm of a symbol, with witness shadow.
+    """Two-weight product BMO norm of a symbol, with witness shadow: one pair's case."""
+    return bmo_prod_norms(b, [(mu, lam, p)], strategy, seed)[0]
 
-    ``strategy="exact"`` takes the supremum over all ``2^(4^N) - 1``
-    non-empty cell masks by scoring the ``2^(4^(N-1)) - 1`` unions of
-    finest rectangles, where it is attained; ``"heuristic"`` runs the
-    candidate/greedy search.  :func:`check_search` refuses a deeper grid.
-    """
-    check_search(strategy, b.depth)
-    obj = _MaskObjective(b, mu, lam, p)
-    value, mask = _exact_search(obj) if strategy == "exact" else _heuristic_search(obj, seed)
-    return BmoResult(value, strategy, Shadow(mask.reshape(1 << b.depth, -1).copy()))
+
+def one_weight_pair(nu: Weight) -> tuple[Weight, Weight, float]:
+    """The one-weight (Bloom) norm's pair: (nu, nu^{-1}) at exponent 2."""
+    return nu, Weight._of(nu.depth, 1.0 / nu.values, "lambda"), 2.0
 
 
 def bmo_prod_one_weight(b: GridFunction2D, nu: Weight, strategy: str = "exact",
                         seed: int | np.random.Generator | None = 0) -> BmoResult:
-    """One-weight (Bloom) product BMO: the pair (nu, nu^{-1}) at exponent 2."""
-    inv = Weight._of(nu.depth, 1.0 / nu.values, "lambda")
-    return bmo_prod_two_weight(b, nu, inv, 2.0, strategy, seed)
+    """One-weight (Bloom) product BMO: the one pair :func:`one_weight_pair`."""
+    return bmo_prod_norms(b, [one_weight_pair(nu)], strategy, seed)[0]
 
 
 def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResult:

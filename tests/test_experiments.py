@@ -740,3 +740,24 @@ def test_sweeps_match_the_per_trial_loop(command, mode, budget, monkeypatch):
         assert pending == [3 * per_trial] * 4
     else:
         assert pending == [per_trial] * 12
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_jn_heuristic_sweep_matches_the_per_trial_loop(depth, monkeypatch):
+    # a trial's two norms share one symbol table and draw from its generator in turn,
+    # the one-weight norm first: each search sees the weights and generator state it did
+    searches, search = [], norms._heuristic_search
+
+    def recording(obj, seed):
+        searches.append((obj.p, obj.mu_cell.tobytes(), str(seed.bit_generator.state)))
+        return search(obj, seed)
+
+    monkeypatch.setattr(norms, "_heuristic_search", recording)
+    cfg = ExperimentConfig("jn", depth=depth, p_values=(1.5, 2.0, 3.0), deltas=(0.0, 0.6),
+                           trials=2, seed=8, strategy="heuristic")
+    report, records = COMMANDS["jn"](cfg)
+    got, searches[:] = searches[:], []
+    want_report, want_records = run_jn_per_trial(cfg)
+    assert len(got) == 2 * 6 * 2 and got == searches
+    assert json.dumps(report, sort_keys=True) == json.dumps(want_report, sort_keys=True)
+    assert [r.to_csv_row() for r in records] == [r.to_csv_row() for r in want_records]

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -26,10 +27,12 @@ from haarbloom.dyadic import (
 )
 from haarbloom import norms
 from haarbloom.norms import (
+    bmo_prod_norms,
     bmo_prod_one_weight,
     bmo_prod_two_weight,
     little_bmo,
     lp_weighted_norm,
+    one_weight_pair,
     square_function,
     strong_maximal,
     triebel_lizorkin_square_function,
@@ -263,8 +266,8 @@ def _masked_add_values(obj, masks):
         bits = masks[start:start + step]
         inside = rectangles_inside(bits, obj.depth)
         s2 = np.zeros(bits.shape)
-        for cover in obj.covers:       # rectangle order: blocking cannot move a bit
-            np.add(s2, obj.energy[cover], out=s2, where=inside[:, cover])
+        for cover in obj.symbol.covers:    # rectangle order: blocking cannot move a bit
+            np.add(s2, obj.symbol.energy[cover], out=s2, where=inside[:, cover])
         # most cells see no rectangle; zeros stay zero, and pow is slow on them
         np.power(s2, obj.p / 2.0, out=s2, where=s2 > 0)
         # einsum sums each row alike whatever the stack; BLAS gemv does not
@@ -392,7 +395,8 @@ def _heuristic_search_oracle(obj, restarts, seed):
     rng = ensure_rng(seed)
     incidence = rectangle_incidence(obj.depth)
     first, second = np.triu_indices(len(incidence), 1)
-    cover_energy = obj.energy[obj.covers]      # cumsum adds in rectangle order, as values() does
+    # cumsum adds in rectangle order, as values() does
+    cover_energy = obj.symbol.energy[obj.symbol.covers]
     candidates = np.concatenate(
         [rectangle_table(obj.depth).cells, incidence[first] | incidence[second]]
         + [field >= np.unique(field)[:, None]
@@ -542,14 +546,13 @@ TABLE_BLOCKS = {3: [[256], [156], [153], [256], [256], [127], [256, 85], [256], 
 def test_heuristic_search_scores_table_rows_in_full_blocks(monkeypatch):
     # a one-row first block, or ignoring how often a row is listed, or the own
     # candidates' scores, would change how many rows are scored
-    calls, real = [], norms._MaskObjective.values
+    calls, real = [], norms.best_first
 
-    def values(self, masks, ids=None):
-        if ids is not None:             # only table rows come with their pattern ids
-            calls.append(len(masks))
-        return real(self, masks, ids)
+    def best_first(bounds, score, *args):
+        # only candidate-table rows are scored through best_first, one values call a block
+        return real(bounds, lambda rows: calls.append(len(rows)) or score(rows), *args)
 
-    monkeypatch.setattr(norms._MaskObjective, "values", values)
+    monkeypatch.setattr(norms, "best_first", best_first)
     rng = np.random.default_rng(71)
     for depth, want in TABLE_BLOCKS.items():
         for k, blocks in enumerate(want):
@@ -581,6 +584,64 @@ def test_heuristic_search_refuses_depths_beyond_its_limit(monkeypatch):
         bmo_prod_two_weight(b, one, one, 2.0, "heuristic")
     with pytest.raises(ValueError, match="limited to depth <= 4"):
         bmo_prod_one_weight(b, one, "heuristic")
+
+
+def _shared_draws(depths):
+    """Per depth, a symbol and its pairs: jn's Bloom pair, then one (mu, lam, p) per p."""
+    rng = np.random.default_rng(54)
+    for depth in depths:
+        for delta in (0.0, 1.0):
+            mu, lam = (random_cascade_weight(depth, delta, rng) for _ in range(2))
+            nu = bloom_weight(mu, lam, 2.0)
+            yield random_symbol(depth, rng), [one_weight_pair(nu)] + [
+                (mu, lam, p) for p in (1.5, 2.0, 3.0)], nu
+
+
+@pytest.mark.parametrize("strategy, depths", [("heuristic", (1, 2, 3, 4)), ("exact", (1, 2))])
+def test_bmo_prod_norms_scores_each_pair_as_it_would_alone(strategy, depths):
+    for b, pairs, nu in _shared_draws(depths):
+        # a generator serves the pairs in turn, an integer seed each pair afresh
+        for seed, alone in ((3, 3), (np.random.default_rng(b.depth),
+                                     np.random.default_rng(b.depth))):
+            got = bmo_prod_norms(b, pairs, strategy, seed)
+            want = [bmo_prod_one_weight(b, nu, strategy, alone)]
+            want += [bmo_prod_two_weight(b, *pair, strategy, alone) for pair in pairs[1:]]
+            assert [np.float64(r.value).tobytes() for r in got] == \
+                [np.float64(r.value).tobytes() for r in want]
+            for r, w in zip(got, want):
+                assert r.strategy == strategy and r.witness.to_hex() == w.witness.to_hex()
+            if isinstance(seed, np.random.Generator):
+                assert seed.bit_generator.state == alone.bit_generator.state
+    assert bmo_prod_norms(b, [], strategy) == []
+
+
+def test_superlevel_candidates_are_built_once_per_symbol_and_only_for_the_heuristic(monkeypatch):
+    built, real = [], norms._SymbolTable.superlevel.func
+    counting = functools.cached_property(lambda table: built.append(table) or real(table))
+    counting.__set_name__(norms._SymbolTable, "superlevel")
+    monkeypatch.setattr(norms._SymbolTable, "superlevel", counting)
+    for b, pairs, _ in _shared_draws((1, 2)):
+        bmo_prod_norms(b, pairs, "exact")
+        bmo_prod_one_weight(b, pairs[0][0], "exact")
+    assert built == []
+    for b, pairs, _ in _shared_draws((1, 2, 3)):
+        bmo_prod_norms(b, pairs, "heuristic", seed=np.random.default_rng(0))
+        assert len(built) == 1
+        built.clear()
+
+
+def test_mask_objective_builds_its_own_symbol_table():
+    rng = np.random.default_rng(55)
+    b, mu, lam = random_symbol(2, rng), *(random_cascade_weight(2, 0.5, rng) for _ in range(2))
+    masks = rng.random((50, 16)) < 0.6
+    masks[:, 0] = True
+    shared = norms._MaskObjective(b, mu, lam, 1.5)
+    alone = norms._MaskObjective(b, mu, lam, 3.0)
+    again = norms._MaskObjective(b, mu, lam, 3.0, shared.symbol)
+    assert alone.symbol is not shared.symbol and again.symbol is shared.symbol
+    np.testing.assert_array_equal(again.symbol.sums, alone.symbol.sums)
+    assert again.values(masks).tobytes() == alone.values(masks).tobytes()
+    assert not np.shares_memory(again.patterns, shared.symbol.sums)
 
 
 def test_bmo_one_weight_delegation():
