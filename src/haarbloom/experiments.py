@@ -433,7 +433,7 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
         jobs = [sup_commutator_job(b, mu, lam, p, mode=cfg.mode, seed=rng),
                 opnorm_job(lambda_matrix(b), mu, lam, p)]
         right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
-        spot = np.zeros(0)
+        spot = None
         if trial == 0 and p == 2:
             # informational only: how close do {-1,0,1} signs come?
             draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
@@ -447,13 +447,13 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
                     and left > 4.0 * mid * (1.0 + 1e-9)):
                 violations.append(
                     f"p=2 delta=0 trial {trial}: supremum {left} exceeds 4x {mid}")
-            spots = (spot / left).tolist() if left > 0 else []
-            return left, right, mid, max([0.0, *spots])
+            spots = (spot / left).tolist() if spot is not None and left > 0 else []
+            return left, right, mid, None if spot is None else max([0.0, *spots])
         return jobs, finish
 
     return _ratio_sweep(cfg, build, lambda rows, spotchecks: {
         "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
-        "zero_sign_spotcheck_max_ratio": max(spotchecks)})
+        "zero_sign_spotcheck_max_ratio": spotchecks[0]})     # None unless trial 0 ran it
 
 
 def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:

@@ -199,16 +199,19 @@ def test_jn_weighted_runs_and_rows():
 
 
 def test_commutator_experiment():
-    cfg = ExperimentConfig("commutator", depth=2, p_values=(2.0,), deltas=(0.0,),
+    cfg = ExperimentConfig("commutator", depth=2, p_values=(2.0, 3.0), deltas=(0.0,),
                            trials=3, seed=6)
     rep, recs = run_commutator(cfg)
     assert rep["pass"] is True
-    for r in recs:
+    for r in recs[:3]:
         assert r.left <= 4.0 * r.mid * (1 + 1e-9)     # ratio_lm stays below 4
-        assert np.isfinite(r.ratio_lr)
-    combo = rep["combos"][0]
-    assert 0.0 <= combo["zero_sign_spotcheck_max_ratio"] <= 1.0 + 1e-9
-    assert combo["ratio_lm"]["max"] <= 4.0
+    assert all(np.isfinite(r.ratio_lr) for r in recs)
+    at_2, at_3 = rep["combos"]
+    assert 0.0 <= at_2["zero_sign_spotcheck_max_ratio"] <= 1.0 + 1e-9
+    assert at_2["ratio_lm"]["max"] <= 4.0
+    # the spot check runs at p = 2 only; elsewhere nothing is printed as its result
+    assert at_3["zero_sign_spotcheck_max_ratio"] is None
+    assert '"zero_sign_spotcheck_max_ratio": null' in json.dumps(rep)
 
 
 def test_commutator_sampled_mode():
@@ -623,7 +626,7 @@ def run_commutator_per_trial(cfg):
     for ci, (p, delta) in enumerate(cfg.combos()):
         start = row
         lr, lm = [], []
-        spotcheck = 0.0
+        spotcheck = 0.0 if p == 2 else None
         for trial in range(cfg.trials):
             rng = cfg.rng_for(ci, trial)
             b = random_symbol(cfg.depth, rng)
