@@ -7,9 +7,10 @@ sums over a rectangle, cell masks ("shadows"), and CSV round-tripping of
 grids.  The 1D Haar system of each depth is one cached read-only
 :func:`axis_table`: the forward/inverse transform is two products with
 its analysis and synthesis matrices, and the projections read their rows
-from it by slot.  Every per-rectangle
-loop goes through the pyramid (:func:`rectangle_sums`,
-:func:`rectangle_means`) and the cached :func:`rectangle_table`.
+from it by slot.  Every per-rectangle loop goes through the pyramid
+(:func:`rectangle_sums`, :func:`rectangle_means`), which sums a cell array
+or any stack of them over every rectangle, and the cached
+:func:`rectangle_table`, whose rows also list the rectangles in a shadow.
 
 Orientation convention used everywhere: ``values[i, j]`` is the value on
 the cell with x-index ``i`` and y-index ``j``.
@@ -266,25 +267,12 @@ class GridFunction2D:
 
 
 def rectangle_sums(values: np.ndarray) -> np.ndarray:
-    """Sums over every rectangle in :func:`all_rectangles` order, one reshape per level pair.
-
-    ``values`` is a cell array, or one per level pair (the layout of
-    ``per_rect[rectangle_table(N).owner]``), each summed over its own pair.
-    """
-    n = values.shape[-1]
-    stack = itertools.cycle(values.reshape(-1, n, n))
+    """Sums over every rectangle in :func:`all_rectangles` order, one reshape-reduce per level
+    pair: a cell array gives ``(rows,)``, a stack ``(..., 2^N, 2^N)`` gives ``(..., rows)``."""
+    lead, n = values.shape[:-2], values.shape[-1]
     pairs = itertools.product(range(n.bit_length()), repeat=2)
-    return np.concatenate([np.add.reduce(v.reshape(1 << lx, n >> lx, 1 << ly, n >> ly), (1, 3))
-                           .ravel() for v, (lx, ly) in zip(stack, pairs)])
-
-
-def stacked_rectangle_sums(stack: np.ndarray) -> np.ndarray:
-    """:func:`rectangle_sums` of each slice of a ``(S, 2^N, 2^N)`` stack, as ``(S, rows)``:
-    one reshape-reduce per level pair for the whole stack, with the same bits."""
-    s, n = len(stack), stack.shape[-1]
-    pairs = itertools.product(range(n.bit_length()), repeat=2)
-    return np.concatenate([np.add.reduce(stack.reshape(s, 1 << lx, n >> lx, 1 << ly, n >> ly),
-                                         (2, 4)).reshape(s, -1) for lx, ly in pairs], axis=1)
+    return np.concatenate([np.add.reduce(values.reshape(*lead, 1 << lx, n >> lx, 1 << ly, n >> ly),
+                                         (-3, -1)).reshape(*lead, -1) for lx, ly in pairs], axis=-1)
 
 
 def rectangle_means(values: np.ndarray) -> np.ndarray:
@@ -299,7 +287,9 @@ class RectangleTable:
     Read-only arrays: each row's x and y ``levels`` and Haar ``slots``
     (``2^level + index``), ``area``, and whether it is ``cancellative``;
     ``owner[k, i, j]`` is the row of the level-pair-k rectangle holding cell
-    (i, j), so ``per_rect[owner]`` spreads per-rectangle values onto the grid.
+    (i, j), so ``per_rect[owner]`` spreads per-rectangle values onto the grid;
+    ``sums.ravel()[own]`` reads each row from its own level pair's slice of a
+    ``(K, rows)`` stack of :func:`rectangle_sums`.
     ``cells`` and the tuple ``rects`` are built on first use.
     """
 
@@ -308,7 +298,8 @@ class RectangleTable:
         sizes = 1 << pairs.sum(axis=1)
         starts = np.cumsum(sizes) - sizes
         self.depth, self.levels = depth, np.repeat(pairs, sizes, axis=0)
-        local, ly = np.arange(len(self.levels)) - np.repeat(starts, sizes), self.levels[:, 1]
+        rows = np.arange(len(self.levels))
+        local, ly = rows - np.repeat(starts, sizes), self.levels[:, 1]
         self.slots = (1 << self.levels) + np.stack([local >> ly, local & ((1 << ly) - 1)], axis=1)
         self.area = np.ldexp(1.0, -self.levels.sum(axis=1))
         self.cancellative = (self.levels < depth).all(axis=1)
@@ -316,7 +307,8 @@ class RectangleTable:
         cell = np.arange(1 << depth)
         self.owner = (starts[:, None, None] + ((cell[:, None] >> depth - lx) << ly)
                       + (cell >> depth - ly))
-        for table in (self.levels, self.slots, self.area, self.cancellative, self.owner):
+        self.own = np.repeat(np.arange(len(sizes)) * len(rows), sizes) + rows
+        for table in (self.levels, self.slots, self.area, self.cancellative, self.owner, self.own):
             table.flags.writeable = False
 
     @cached_property
@@ -563,13 +555,6 @@ def _incidence_columns(depth: int) -> np.ndarray:
 def rectangles_inside(masks: np.ndarray, depth: int) -> np.ndarray:
     """``out[m, r]``: every cell of cancellative rectangle r lies in raveled mask ``masks[m]``."""
     return (~masks).astype(np.float32) @ _incidence_columns(depth) == 0
-
-
-def rectangles_in_shadow(shadow: Shadow) -> list[DyadicRectangle]:
-    """All cancellative rectangles whose closure sits inside the mask."""
-    rects = cancellative_rectangles(shadow.depth)
-    inside = rectangles_inside(shadow.mask.reshape(1, -1), shadow.depth)[0]
-    return [r for r, keep in zip(rects, inside) if keep]
 
 
 def indicator(shadow: Shadow) -> GridFunction2D:

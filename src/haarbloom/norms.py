@@ -426,7 +426,7 @@ def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResul
     area = 4.0 ** (-b.depth)
     table = rectangle_table(b.depth)
     osc = np.abs(b.values - rectangle_means(b.values)[table.owner])
-    num = (rectangle_sums(osc ** p * lam.values) * area) ** (1.0 / p)
+    num = (rectangle_sums(osc ** p * lam.values).ravel()[table.own] * area) ** (1.0 / p)
     den = (rectangle_sums(mu.values) * area) ** (1.0 / p)
     ratios = num / den
     best = int(np.argmax(ratios))

@@ -54,7 +54,7 @@ from .dyadic import (
     haar_synthesis,
     rectangle_means,
     rectangle_table,
-    rectangles_in_shadow,
+    rectangles_inside,
     slot_interval,
     slot_of,
 )
@@ -327,17 +327,20 @@ def restricted_projection(f: GridFunction2D, region: Shadow | list | tuple) -> G
     A :class:`Shadow` stands for all cancellative rectangles contained in
     the mask; a list or tuple of rectangles is used verbatim.
     """
-    if isinstance(region, Shadow):
-        check_depths("shadow and function", region.depth, f.depth)
-        region = rectangles_in_shadow(region)
-    elif not isinstance(region, (list, tuple)):
-        raise TypeError(f"unsupported region {type(region).__name__}")
     n = 1 << f.depth
     keep = np.zeros((n, n), bool)
-    for rect in region:
-        if rect.x.level >= f.depth or rect.y.level >= f.depth:
-            raise ValueError(f"{rect} has no resolved Haar function at depth {f.depth}")
-        keep[slot_of(rect.x), slot_of(rect.y)] = True
+    if isinstance(region, Shadow):
+        check_depths("shadow and function", region.depth, f.depth)
+        table = rectangle_table(f.depth)
+        inside = rectangles_inside(region.mask.reshape(1, -1), f.depth)[0]
+        keep[tuple(table.slots[table.cancellative][inside].T)] = True
+    elif isinstance(region, (list, tuple)):
+        for rect in region:
+            if rect.x.level >= f.depth or rect.y.level >= f.depth:
+                raise ValueError(f"{rect} has no resolved Haar function at depth {f.depth}")
+            keep[slot_of(rect.x), slot_of(rect.y)] = True
+    else:
+        raise TypeError(f"unsupported region {type(region).__name__}")
     return haar_synthesis(f.depth, haar_forward(f).table * keep)
 
 

@@ -23,7 +23,6 @@ from .dyadic import (
     ensure_rng,
     rectangle_means,
     rectangle_table,
-    stacked_rectangle_sums,
 )
 
 #: hard clamp applied by the random generator so conjugations stay finite
@@ -101,9 +100,8 @@ def _characteristics(pairs: list[tuple[Weight, float]]) -> list[ApReport]:
     todo = [(w, p) for w, p in pairs if p not in w._ap_cache]
     if todo:
         depth = todo[0][0].depth
-        stack = np.stack([v for w, p in todo for v in (w.values, w.values ** (-1.0 / (p - 1.0)))])
-        # a sum over a cell count: the bits of rectangle_means
-        means = stacked_rectangle_sums(stack) / (rectangle_table(depth).area * 4.0 ** depth)
+        means = rectangle_means(np.stack([v for w, p in todo
+                                          for v in (w.values, w.values ** (-1.0 / (p - 1.0)))]))
         for (w, p), direct, recip in zip(todo, means[0::2], means[1::2]):
             prod = direct * recip ** (p - 1.0)
             row = int(np.argmax(prod))
@@ -158,12 +156,10 @@ def average_comparability_report(w: Weight, p: float) -> AverageComparabilityRep
     raising RuntimeError otherwise.
     """
     check_dual_exponent(p)
-    table = np.stack([
-        rectangle_means(w.values ** (1.0 / p)),
-        rectangle_means(w.values) ** (1.0 / p),
-        rectangle_means(w.values ** (-1.0 / (p - 1.0))) ** (-(p - 1.0) / p),
-        1.0 / rectangle_means(w.values ** (-1.0 / p)),
-    ], axis=1)
+    root, direct, dual, harmonic = rectangle_means(
+        np.stack([w.values ** (1.0 / p), w.values, w.values ** (-1.0 / (p - 1.0)),
+                  w.values ** (-1.0 / p)]))
+    table = np.stack([root, direct ** (1.0 / p), dual ** (-(p - 1.0) / p), 1.0 / harmonic], axis=1)
     slack = 1.0 + 1e-12
     if not np.all(table[:, 0] <= table[:, 1] * slack):
         raise RuntimeError("found <w^{1/p}> above <w>^{1/p}")

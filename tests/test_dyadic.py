@@ -27,7 +27,6 @@ from haarbloom.dyadic import (
     random_symbol,
     rectangle_means,
     rectangle_table,
-    rectangles_in_shadow,
     slot_interval,
     slot_of,
     unit_square,
@@ -37,6 +36,12 @@ from haarbloom import dyadic
 
 def rect(lx, ix, ly, iy):
     return DyadicRectangle(DyadicInterval(lx, ix), DyadicInterval(ly, iy))
+
+
+def rectangles_in_shadow(shadow):
+    """The cancellative rectangles :func:`dyadic.rectangles_inside` finds in a shadow."""
+    inside = dyadic.rectangles_inside(shadow.mask.reshape(1, -1), shadow.depth)[0]
+    return [r for r, keep in zip(cancellative_rectangles(shadow.depth), inside) if keep]
 
 
 # ---------------------------------------------------------------------------

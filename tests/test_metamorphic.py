@@ -16,15 +16,27 @@ paraproduct, so the operators are conjugated by an isometry.  A lifted
 symbol gives no mask a rectangle with energy, and a lifted mask's measure
 is the coarse one, so the BMO supremum is unchanged; a swap or a
 reflection maps masks onto masks and keeps every ratio.
+
+The same moves keep the exhaustive sign supremum of the iterated
+commutator at p = 2.  Away from 2, a lift keeps every certified
+interpolation bracket, and the coarse witness, lifted, keeps its ratio; the
+power iteration's lower bounds agree with the coarse ones except where the
+lifted iteration stops at another local maximum (``LAMBDA_LOCAL_MAXIMA``).
 """
 
 import numpy as np
 import pytest
 
 from haarbloom.dyadic import HAAR_KINDS, GridFunction2D, random_grid
-from haarbloom.norms import EXACT_MAX_DEPTH, bmo_prod_norms, little_bmo, one_weight_pair
+from haarbloom.norms import (
+    EXACT_MAX_DEPTH,
+    bmo_prod_norms,
+    little_bmo,
+    lp_weighted_norm,
+    one_weight_pair,
+)
 from haarbloom.operators import lambda_matrix, paraproduct_matrix
-from haarbloom.opnorm import opnorm_p2_values
+from haarbloom.opnorm import opnorm, opnorm_p2_values, sup_commutator_norm
 from haarbloom.weights import Weight, bloom_weight, random_cascade_weight
 
 RTOL = 1e-13
@@ -130,3 +142,62 @@ def test_swapping_and_reflecting_keep_both_exact_bmo_norms(depth, move):
         for p in BMO_PS:
             np.testing.assert_allclose(bmo_values(moved(data, MOVES[move]), p),
                                        bmo_values(data, p), rtol=RTOL, atol=0, err_msg=f"p={p}")
+
+
+def assert_close(got, want, rtol=RTOL):
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+def test_lifting_keeps_the_exhaustive_sign_supremum_at_2():
+    for seed in range(4):
+        data = draw(1, 50 + seed)
+        assert_close(sup_commutator_norm(*moved(data, lift(1)), 2.0).value,
+                     sup_commutator_norm(*data, 2.0).value)
+
+
+@pytest.mark.parametrize("move", MOVES)
+def test_swapping_and_reflecting_keep_the_exhaustive_sign_supremum_at_2(move):
+    for seed in range(4):
+        data = draw(2, 60 + seed)
+        assert_close(sup_commutator_norm(*moved(data, MOVES[move]), 2.0).value,
+                     sup_commutator_norm(*data, 2.0).value)
+
+
+LP_PS = (1.5, 3.0)
+LP_RTOL = 1e-8
+#: (depth, seed, p, levels) of the draws below whose lifted Lambda iteration stops at
+#: another local maximum: 1.44460 against the coarse 1.48521, under the same bracket
+LAMBDA_LOCAL_MAXIMA = {(2, 0, 1.5, 1)}
+
+
+def test_lifting_keeps_the_lambda_brackets_away_from_2():
+    misses = set()
+    for depth in (1, 2):
+        for seed in range(4):
+            b, mu, lam = data = draw(depth, 70 + seed)
+            for p in LP_PS:
+                want = opnorm(lambda_matrix(b), mu, lam, p)
+                for levels in (1, 2):
+                    fine, fine_mu, fine_lam = moved(data, lift(levels))
+                    mat = lambda_matrix(fine)
+                    got = opnorm(mat, fine_mu, fine_lam, p)
+                    assert_close(got.upper_bound, want.upper_bound)
+                    # the coarse witness, lifted, keeps its ratio
+                    f = lift(levels)(want.witness.values)
+                    image = GridFunction2D(fine.depth, (mat @ f.ravel()).reshape(f.shape))
+                    assert_close(lp_weighted_norm(image, fine_lam, p)
+                                 / lp_weighted_norm(GridFunction2D(fine.depth, f), fine_mu, p),
+                                 want.value)
+                    if not np.isclose(got.value, want.value, rtol=LP_RTOL, atol=0):
+                        misses.add((depth, seed, p, levels))
+    assert misses == LAMBDA_LOCAL_MAXIMA
+
+
+def test_lifting_keeps_the_exhaustive_sign_supremum_brackets_away_from_2():
+    for seed in range(4):
+        data = draw(1, 80 + seed)
+        for p in LP_PS:
+            want = sup_commutator_norm(*data, p)
+            got = sup_commutator_norm(*moved(data, lift(1)), p)
+            assert_close(got.upper_bound, want.upper_bound)
+            assert_close(got.value, want.value, LP_RTOL)

@@ -20,7 +20,6 @@ from haarbloom.dyadic import (
     partial_haar_sum,
     random_grid,
     random_symbol,
-    rectangles_in_shadow,
     slot_interval,
     slot_of,
     unit_square,
@@ -53,6 +52,12 @@ from haarbloom.operators import (
     restricted_projection,
     theta_operator,
 )
+
+
+def boxes_inside(shadow):
+    """The cancellative rectangles all of whose cells lie in the shadow, box by box."""
+    depth = shadow.depth
+    return [r for r in cancellative_rectangles(depth) if shadow.mask[r.cell_box(depth)].all()]
 
 
 def lambda_second_form(b, f):
@@ -588,9 +593,22 @@ def test_literal_operators_match_the_checked_synthesis(depth):
         assert_same_grid(theta_operator(b)(f), want)
         omega = Shadow(rng.random((n, n)) < 0.6)
         keep = np.zeros((n, n), bool)
-        for r in rectangles_in_shadow(omega):
+        for r in boxes_inside(omega):
             keep[slot_of(r.x), slot_of(r.y)] = True
         assert_same_grid(restricted_projection(f, omega), checked_inverse(depth, table * keep))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_restricted_projection_of_a_shadow_is_the_list_of_its_boxes_bit_for_bit(depth):
+    rng = np.random.default_rng(150 + depth)
+    n = 1 << depth
+    for density in (0.3, 0.6, 0.9, 1.0):
+        for _ in range(4):
+            f, omega = random_grid(depth, rng), Shadow(rng.random((n, n)) < density)
+            boxes = boxes_inside(omega)
+            got = restricted_projection(f, omega)
+            assert got.values.tobytes() == restricted_projection(f, boxes).values.tobytes()
+            assert got.values.tobytes() == restricted_projection(f, tuple(boxes)).values.tobytes()
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])

@@ -21,7 +21,6 @@ from haarbloom.dyadic import (
     rectangle_means,
     rectangle_sums,
     rectangle_table,
-    rectangles_in_shadow,
     unit_square,
 )
 from haarbloom.norms import (
@@ -65,6 +64,12 @@ def box_mask(r, depth):
     return mask
 
 
+def boxes_inside(shadow):
+    """The cancellative rectangles all of whose cells lie in the shadow, box by box."""
+    depth = shadow.depth
+    return [r for r in cancellative_rectangles(depth) if shadow.mask[r.cell_box(depth)].all()]
+
+
 def draws(seed):
     """(depth, p, symbol, mu, lam) over every depth and exponent, cascade weights."""
     rng = np.random.default_rng(seed)
@@ -77,6 +82,31 @@ def draws(seed):
 # ---------------------------------------------------------------------------
 # the literal loops
 # ---------------------------------------------------------------------------
+
+def slice_sums(values):
+    """One cell array's sums, one reshape-reduce per level pair, as the pyramid took them."""
+    n = values.shape[-1]
+    pairs = [(lx, ly) for lx in range(n.bit_length()) for ly in range(n.bit_length())]
+    return np.concatenate([np.add.reduce(values.reshape(1 << lx, n >> lx, 1 << ly, n >> ly),
+                                         (1, 3)).ravel() for lx, ly in pairs])
+
+
+def little_bmo_per_level_pair(b, mu, lam, p):
+    """``little_bmo`` as it was computed before stacks: the k-th slice of the oscillation
+    stack summed over level pair k only, cycling through the pairs."""
+    area, table = 4.0 ** (-b.depth), rectangle_table(b.depth)
+    n = 1 << b.depth
+    osc = np.abs(b.values - rectangle_means(b.values)[table.owner])
+    stack = osc ** p * lam.values
+    pairs = [(lx, ly) for lx in range(b.depth + 1) for ly in range(b.depth + 1)]
+    sums = np.concatenate([np.add.reduce(v.reshape(1 << lx, n >> lx, 1 << ly, n >> ly), (1, 3))
+                           .ravel() for v, (lx, ly) in zip(stack, pairs)])
+    num = (sums * area) ** (1.0 / p)
+    den = (rectangle_sums(mu.values) * area) ** (1.0 / p)
+    ratios = num / den
+    best = int(np.argmax(ratios))
+    return ratios[best], table.rects[best]
+
 
 def little_bmo_loop(b, mu, lam, p):
     area = 4.0 ** (-b.depth)
@@ -95,7 +125,7 @@ def square_function_loop(f, region=None, damp_weight=None, p=2.0):
     if region is None:
         rects = cancellative_rectangles(f.depth)
     elif isinstance(region, Shadow):
-        rects = list(rectangles_in_shadow(region))
+        rects = boxes_inside(region)
     else:
         rects = list(region)
     coeffs = haar_forward(f)
@@ -178,7 +208,7 @@ def test_table_rows_follow_the_nested_loops(depth):
 def test_table_is_cached_and_read_only():
     table = rectangle_table(2)
     assert rectangle_table(2) is table
-    for name in ("levels", "slots", "area", "cancellative", "owner", "cells"):
+    for name in ("levels", "slots", "area", "cancellative", "owner", "own", "cells"):
         with pytest.raises(ValueError):
             getattr(table, name).flat[0] = 0
     with pytest.raises(ValueError):
@@ -206,6 +236,23 @@ def test_pyramid_matches_the_boxes(depth):
             assert np.array_equal(spread[k] == i, box_mask(rects[i], depth))
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_rectangle_sums_of_a_stack_match_each_slice_bit_for_bit(depth):
+    rng = np.random.default_rng(130 + depth)
+    n, rows = 1 << depth, len(rectangle_table(depth).area)
+    for _ in range(10):
+        cascades = [random_cascade_weight(depth, 2.0, rng).values for _ in range(3)]
+        stacks = [np.stack([w ** e for w in cascades for e in (1.0, -2.0, -0.37)]),
+                  rng.standard_normal((3, n, n)), rng.standard_normal(((depth + 1) ** 2, n, n)),
+                  rng.standard_normal((2, 3, n, n)), rng.random((1, n, n)) < 0.5]
+        for stack in stacks:
+            got = rectangle_sums(stack)
+            assert got.shape == stack.shape[:-2] + (rows,)
+            for row, values in zip(got.reshape(-1, rows), stack.reshape(-1, n, n)):
+                assert row.tobytes() == rectangle_sums(values).tobytes()
+                assert row.tobytes() == slice_sums(values).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # routed functions against their loops
 # ---------------------------------------------------------------------------
@@ -216,6 +263,19 @@ def test_little_bmo_matches_the_loop():
         value, rect = little_bmo_loop(b, mu, lam, p)
         assert got.value == pytest.approx(value, rel=1e-14, abs=0)
         assert got.witness == rect
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_little_bmo_matches_the_per_level_pair_sums_bit_for_bit(depth):
+    rng = np.random.default_rng(160 + depth)
+    for p in (1.3, 2.0, 3.7):
+        for _ in range(4):
+            b = random_grid(depth, rng)
+            mu, lam = (random_cascade_weight(depth, 0.8, rng) for _ in range(2))
+            got = little_bmo(b, mu, lam, p)
+            value, rect = little_bmo_per_level_pair(b, mu, lam, p)
+            assert np.float64(got.value).tobytes() == value.tobytes()
+            assert got.witness == rect
 
 
 def test_little_bmo_tie_keeps_the_coarse_rectangle():

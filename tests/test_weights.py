@@ -12,9 +12,7 @@ from haarbloom.dyadic import (
     indicator,
     random_symbol,
     rectangle_means,
-    rectangle_sums,
     rectangle_table,
-    stacked_rectangle_sums,
     unit_square,
 )
 from haarbloom.experiments import ExperimentConfig
@@ -291,7 +289,7 @@ def test_guards_raise_instead_of_asserting(monkeypatch):
     # the checks must survive ``python -O``, so they are exceptions, not asserts
     weights = importlib.import_module("haarbloom.weights")
     w = random_cascade_weight(2, 0.5, 3)
-    monkeypatch.setattr(weights, "stacked_rectangle_sums", lambda stack: np.zeros((len(stack), 1)))
+    monkeypatch.setattr(weights, "rectangle_means", lambda stack: np.zeros((len(stack), 1)))
     with pytest.raises(RuntimeError, match="Jensen floor"):
         ap_characteristic(w, 2.0)
     monkeypatch.undo()
@@ -301,9 +299,9 @@ def test_guards_raise_instead_of_asserting(monkeypatch):
     with pytest.raises(RuntimeError, match="exceeds the cap"):
         bloom_weight(w, constant_weight(2), 2.0)
     monkeypatch.undo()
-    # nu's slices, last in the stacked pass, sum to zero: its characteristic reads 0
-    real = weights.stacked_rectangle_sums
-    monkeypatch.setattr(weights, "stacked_rectangle_sums",
+    # nu's slices, last in the stacked pass, average to zero: its characteristic reads 0
+    real = weights.rectangle_means
+    monkeypatch.setattr(weights, "rectangle_means",
                         lambda stack: np.concatenate([real(stack[:-2]), 0.0 * real(stack[-2:])]))
     with pytest.raises(RuntimeError, match="characteristic 0.0 below the Jensen floor"):
         bloom_weight(w, constant_weight(2), 2.0)
@@ -318,18 +316,6 @@ def characteristic_per_weight(w, p):
     prod = rectangle_means(w.values) * rectangle_means(w.values ** (-1.0 / (p - 1.0))) ** (p - 1.0)
     row = int(np.argmax(prod))
     return float(prod[row]), rectangle_table(w.depth).rects[row]
-
-
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
-def test_stacked_rectangle_sums_match_each_slice_bit_for_bit(depth):
-    rng = np.random.default_rng(130 + depth)
-    for _ in range(10):
-        cascades = [random_cascade_weight(depth, 2.0, rng).values for _ in range(3)]
-        stack = np.stack([w ** e for w in cascades for e in (1.0, -2.0, -0.37)])
-        got = stacked_rectangle_sums(stack)
-        assert got.shape == (len(stack), len(rectangle_table(depth).area))
-        for row, values in zip(got, stack):
-            assert row.tobytes() == rectangle_sums(values).tobytes()
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])

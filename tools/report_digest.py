@@ -29,14 +29,21 @@ and the last line, ``library <digest>``, the library calls: per result its
 ``as_dict()`` as sorted JSON, its witness bytes and its sign pair's bytes,
 so fields no report prints (``iterations``, ``pruned``, ``converged``,
 ``upper_bound``, the witness) are covered too.
-Two lines close the output.  ``identity-gaps <digest>`` covers the ``repr``
+Three lines close the output.  ``identity-gaps <digest>`` covers the ``repr``
 of every gap ``identity_gap_suite`` returns on 16, 16 and 8 draws at depths
 1, 2 and 3, digits the ``identities`` report rounds away in its maximum.
 ``cli-text <digest>`` covers the exit status, stdout and stderr of
 ``haar-bloom -h``, of each ``<command> -h`` and of a fixed set of refused
 argument lists (relative ``--out`` paths, so the bytes do not depend on
 where the repository lives), with ``COLUMNS=80``; its help text follows
-the running Python's argparse.
+the running Python's argparse.  ``rectangles <digest>`` covers the
+functions that sum over dyadic rectangles, at depths 1-5 on four seeded
+draws each of a symbol, a function, two strength-0.8 cascade weights and a
+shadow: ``little_bmo`` (value and witness) and the ``A_p`` characteristics
+of mu, lambda and the Bloom weight nu, plus ``average_comparability_report``'s
+table, at ``p`` in {1.5, 2, 3}; and ``square_function`` and
+``restricted_projection`` on the shadow, ``strong_maximal`` and
+``triebel_lizorkin_square_function``.
 stderr names the package directory it imported, which shows that
 ``--src`` took effect, numpy's version, and the OpenBLAS kernel numpy's
 bundled scipy-openblas library runs (``unknown`` if neither the library nor
@@ -148,6 +155,36 @@ def library_results():
                 yield sup_commutator_norm(b, mu, lam, p, mode="sampled", trials=12, seed=seed)
 
 
+def rectangle_bytes():
+    """The results of the ``rectangles`` line, in a fixed order, as bytes."""
+    import numpy as np
+    from haarbloom.dyadic import Shadow, random_grid
+    from haarbloom.norms import (little_bmo, square_function, strong_maximal,
+                                 triebel_lizorkin_square_function)
+    from haarbloom.operators import restricted_projection
+    from haarbloom.weights import (ap_characteristic, average_comparability_report,
+                                   bloom_weight, random_cascade_weight)
+
+    for depth in range(1, 6):
+        for seed in range(4):
+            rng = np.random.default_rng([depth, seed])
+            b, f = random_grid(depth, rng), random_grid(depth, rng)
+            mu, lam = (random_cascade_weight(depth, 0.8, rng) for _ in range(2))
+            shadow = Shadow(rng.random((1 << depth,) * 2) < 0.7)
+            for grid in (square_function(f, shadow), restricted_projection(f, shadow),
+                         strong_maximal(f)):
+                yield grid.values.tobytes()
+            for p in (1.5, 2.0, 3.0):
+                bmo = little_bmo(b, mu, lam, p)
+                yield json.dumps(bmo.as_dict(), sort_keys=True).encode()
+                mu_p = ap_characteristic(mu, p)           # alone, before the stacked pass
+                nu = bloom_weight(mu, lam, p)
+                for rep in (mu_p, ap_characteristic(lam, p), ap_characteristic(nu, 2.0)):
+                    yield json.dumps(rep.as_dict(), sort_keys=True).encode()
+                yield average_comparability_report(mu, p).table.tobytes()
+                yield triebel_lizorkin_square_function(f, mu, p).values.tobytes()
+
+
 def result_bytes(res) -> bytes:
     """``as_dict()`` as sorted JSON, the witness bytes and the sign pair's bytes."""
     witness = b"" if res.witness is None else res.witness.values.tobytes()
@@ -206,6 +243,10 @@ def main() -> None:
     for argv in [["-h"]] + [[command, "-h"] for command in commands] + REFUSED:
         texts.update(hashlib.sha256(cli_text_bytes(cli_main, argv)).digest())
     print("cli-text", texts.hexdigest())
+    rectangles = hashlib.sha256()
+    for data in rectangle_bytes():
+        rectangles.update(hashlib.sha256(data).digest())
+    print("rectangles", rectangles.hexdigest())
 
 
 if __name__ == "__main__":
