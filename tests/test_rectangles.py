@@ -83,24 +83,28 @@ def draws(seed):
 # the literal loops
 # ---------------------------------------------------------------------------
 
-def slice_sums(values):
-    """One cell array's sums, one reshape-reduce per level pair, as the pyramid took them."""
+def pair_sums(values, lx, ly):
+    """One level pair's sums of a cell array, as the pyramid took them before stacks."""
     n = values.shape[-1]
-    pairs = [(lx, ly) for lx in range(n.bit_length()) for ly in range(n.bit_length())]
-    return np.concatenate([np.add.reduce(values.reshape(1 << lx, n >> lx, 1 << ly, n >> ly),
-                                         (1, 3)).ravel() for lx, ly in pairs])
+    return np.add.reduce(values.reshape(1 << lx, n >> lx, 1 << ly, n >> ly), (1, 3)).ravel()
+
+
+def level_pairs(depth):
+    return [(lx, ly) for lx in range(depth + 1) for ly in range(depth + 1)]
+
+
+def slice_sums(values):
+    depth = values.shape[-1].bit_length() - 1
+    return np.concatenate([pair_sums(values, lx, ly) for lx, ly in level_pairs(depth)])
 
 
 def little_bmo_per_level_pair(b, mu, lam, p):
     """``little_bmo`` as it was computed before stacks: the k-th slice of the oscillation
-    stack summed over level pair k only, cycling through the pairs."""
+    stack summed over level pair k only."""
     area, table = 4.0 ** (-b.depth), rectangle_table(b.depth)
-    n = 1 << b.depth
     osc = np.abs(b.values - rectangle_means(b.values)[table.owner])
-    stack = osc ** p * lam.values
-    pairs = [(lx, ly) for lx in range(b.depth + 1) for ly in range(b.depth + 1)]
-    sums = np.concatenate([np.add.reduce(v.reshape(1 << lx, n >> lx, 1 << ly, n >> ly), (1, 3))
-                           .ravel() for v, (lx, ly) in zip(stack, pairs)])
+    sums = np.concatenate([pair_sums(v, lx, ly)
+                           for v, (lx, ly) in zip(osc ** p * lam.values, level_pairs(b.depth))])
     num = (sums * area) ** (1.0 / p)
     den = (rectangle_sums(mu.values) * area) ** (1.0 / p)
     ratios = num / den

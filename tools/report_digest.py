@@ -175,8 +175,7 @@ def rectangle_bytes():
                          strong_maximal(f)):
                 yield grid.values.tobytes()
             for p in (1.5, 2.0, 3.0):
-                bmo = little_bmo(b, mu, lam, p)
-                yield json.dumps(bmo.as_dict(), sort_keys=True).encode()
+                yield json.dumps(little_bmo(b, mu, lam, p).as_dict(), sort_keys=True).encode()
                 mu_p = ap_characteristic(mu, p)           # alone, before the stacked pass
                 nu = bloom_weight(mu, lam, p)
                 for rep in (mu_p, ap_characteristic(lam, p), ap_characteristic(nu, 2.0)):
