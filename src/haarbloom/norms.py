@@ -180,7 +180,7 @@ class _SymbolTable:
 
     def __init__(self, b: GridFunction2D):
         check_finite("a symbol", b.values)
-        self.cells = 4 ** b.depth
+        self.depth, self.cells = b.depth, 4 ** b.depth
         self.energy = _energies(b)[rectangle_table(b.depth).cancellative]
         members, _, _, self.covers = _upset_tables(b.depth)
         self.sums = np.zeros((self.cells, len(members)))
@@ -201,32 +201,26 @@ class _SymbolTable:
 
 class _MaskObjective:
     """The localized ratio ``||S_mask b||_{L^p(lam)} / mu(mask)^{1/p}`` on stacks of cell masks:
-    ``patterns`` is ``symbol.sums ** (p/2)``, the symbol's table built here if not given."""
+    ``patterns`` is ``symbol.sums ** (p/2)`` of the symbol's table."""
 
-    def __init__(self, b: GridFunction2D, mu: Weight, lam: Weight, p: float,
-                 symbol: _SymbolTable | None = None):
+    def __init__(self, symbol: _SymbolTable, mu: Weight, lam: Weight, p: float):
         check_exponent(p)
-        check_depths("symbol and weights", b.depth, mu.depth, lam.depth)
-        self.symbol = symbol = symbol or _SymbolTable(b)
-        self.depth, self.cells, self.p = b.depth, symbol.cells, p
-        self.lam_cell = lam.values.ravel() * 4.0 ** (-b.depth)
-        self.mu_cell = mu.values.ravel() * 4.0 ** (-b.depth)
+        check_depths("symbol and weights", symbol.depth, mu.depth, lam.depth)
+        self.symbol, self.depth, self.cells, self.p = symbol, symbol.depth, symbol.cells, p
+        self.lam_cell, self.mu_cell = (w.values.ravel() * 4.0 ** (-symbol.depth) for w in (lam, mu))
         sums = symbol.sums      # zeros stay zero, and pow is slow on them
         self.patterns = np.power(sums, p / 2.0, out=sums.copy(), where=sums > 0)
         # patterns.take(ids + offsets) reads patterns[c, ids[m, c]]
         self.offsets = np.arange(self.cells) * sums.shape[1]
 
-    def values(self, masks: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
-        """Ratios of a stack of raveled boolean masks, ``BLOCK_CELLS`` cells at a time.
-
-        ``ids`` are the masks' ``_pattern_ids``, computed here when not given.
-        """
+    def values(self, masks: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Ratios of a stack of raveled boolean masks with their ``_pattern_ids``,
+        ``BLOCK_CELLS`` cells at a time."""
         out = np.empty(len(masks))
         step = max(1, BLOCK_CELLS // self.cells)
         for start in range(0, len(masks), step):
             bits = masks[start:start + step]
-            block = _pattern_ids(bits) if ids is None else ids[start:start + step]
-            s2 = self.patterns.take(block + self.offsets)
+            s2 = self.patterns.take(ids[start:start + step] + self.offsets)
             # einsum sums each row alike whatever the stack; BLAS gemv does not
             nums = np.einsum("mc,c->m", s2, self.lam_cell) ** (1.0 / self.p)
             dens = np.einsum("mc,c->m", bits, self.mu_cell) ** (1.0 / self.p)
@@ -319,7 +313,8 @@ def _grow(obj: _MaskObjective, masks: np.ndarray, best: np.ndarray):
     while live.size:
         free = [np.flatnonzero(~masks[s]) for s in live]
         grown = np.concatenate([masks[s] | cells[f] for s, f in zip(live, free)])
-        scores = np.split(obj.values(grown), np.cumsum([len(f) for f in free])[:-1])
+        scores = np.split(obj.values(grown, _pattern_ids(grown)),
+                          np.cumsum([len(f) for f in free])[:-1])
         still = []
         for s, f, v in zip(live, free, scores):
             gain_cell, gain = -1, best[s]
@@ -388,12 +383,11 @@ def bmo_prod_norms(b: GridFunction2D, pairs, strategy: str = "exact",
     pair in turn (a generator goes on drawing).  :func:`check_search` refuses a deeper grid.
     """
     check_search(strategy, b.depth)
-    results, symbol = [], None
+    symbol, results = _SymbolTable(b), []
     for mu, lam, p in pairs:
-        obj = _MaskObjective(b, mu, lam, p, symbol)
+        obj = _MaskObjective(symbol, mu, lam, p)
         value, mask = _exact_search(obj) if strategy == "exact" else _heuristic_search(obj, seed)
         results.append(BmoResult(value, strategy, Shadow(mask.reshape(1 << b.depth, -1).copy())))
-        symbol = obj.symbol
     return results
 
 

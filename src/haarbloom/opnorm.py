@@ -82,11 +82,12 @@ class OpNormResult:
         return out
 
 
-def _one_matrix(mat: np.ndarray) -> np.ndarray:
-    """Refuse anything but one 2-D operator matrix where a norm takes one."""
-    if np.ndim(mat) != 2:
-        raise ValueError(f"need one (4^N, 4^N) operator matrix, got shape {np.shape(mat)}")
-    return mat
+def _matrices(mats: np.ndarray, ndim: int) -> np.ndarray:
+    """Refuse anything but one operator matrix (``ndim`` 2) or one stack of them (3)."""
+    if np.ndim(mats) != ndim:
+        need = "one (4^N, 4^N) operator matrix" if ndim == 2 else "a (T, 4^N, 4^N) matrix stack"
+        raise ValueError(f"need {need}, got shape {np.shape(mats)}")
+    return mats
 
 
 def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarray:
@@ -103,7 +104,7 @@ def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarr
 
 def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
     """Exact L^2(mu) -> L^2(lam) norm as a top singular value, with maximizer."""
-    b = _conjugated(_one_matrix(mat), mu, lam, 2)
+    b = _conjugated(_matrices(mat, 2), mu, lam, 2)
     _, s, vt = np.linalg.svd(b)
     area = 4.0 ** (-mu.depth)
     n = 1 << mu.depth
@@ -114,7 +115,7 @@ def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
 def opnorm_p2_values(mats: np.ndarray, mu: Weight, lam: Weight) -> np.ndarray:
     """Exact L^2(mu) -> L^2(lam) norms of a stack of operator matrices, from one full
     SVD: the bits :func:`opnorm_p2_exact` gives each matrix."""
-    return np.linalg.svd(_conjugated(mats, mu, lam, 2))[1][:, 0]
+    return np.linalg.svd(_conjugated(_matrices(mats, 3), mu, lam, 2))[1][:, 0]
 
 
 def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
@@ -156,7 +157,7 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
     u = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
     best, best_u, count = np.full(len(b), -np.inf), u.copy(), np.full(len(b), max_iter)
     broke, done = np.zeros(len(b), dtype=bool), 0
-    live, bl, prev, lbest, lbest_u = np.arange(len(b)), b, best.copy(), best.copy(), u.copy()
+    live, bl, prev = np.arange(len(b)), b, best.copy()
     while live.size and done < max_iter:
         n = min(_BLOCK, max_iter - done)
         hist, norms = np.empty((n + 1, 2, *u.shape)), np.empty((n, len(u), 1))
@@ -177,15 +178,13 @@ def _power_iteration(b: np.ndarray, starts: np.ndarray, p: float, max_iter: int,
         # the first maximum up to each one's last pass, as a running strict maximum; NaN never wins
         seen = np.where((np.arange(n)[:, None] <= last) & (r == r), r, -np.inf)
         top = np.argmax(seen, axis=0)
-        up = (peak := seen[top, cols]) > lbest
-        lbest[up], lbest_u[up] = peak[up], hist[top[up], 1, cols[up]]
+        up = (peak := seen[top, cols]) > best[live]
+        best[live[up]], best_u[live[up]] = peak[up], hist[top[up], 1, cols[up]]
         if ends.any():
             gone, stops = live[ends], last[ends]
-            best[gone], best_u[gone] = lbest[ends], lbest_u[ends]
             count[gone], broke[gone] = done + stops + 1, ~np.isfinite(r[stops, cols[ends]])
-            live, bl, lbest, lbest_u = (x[~ends] for x in (live, bl, lbest, lbest_u))
+            live, bl = live[~ends], bl[~ends]
         u, prev, done = hist[n, 1, ~ends], r[-1, ~ends], done + n
-    best[live], best_u[live] = lbest, lbest_u
     return best, best_u, count, broke
 
 
@@ -339,7 +338,7 @@ def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float) -> NormJob | 
     :class:`NormJob` for :func:`solve`."""
     if p == 2:
         return opnorm_p2_exact(mat, mu, lam)
-    return _lp_prepare(_one_matrix(mat)[None], mu, lam, p, _random_starts(4 ** mu.depth))
+    return _lp_prepare(_matrices(mat, 2)[None], mu, lam, p, _random_starts(4 ** mu.depth))
 
 
 # ---------------------------------------------------------------------------

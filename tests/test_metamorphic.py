@@ -18,16 +18,23 @@ is the coarse one, so the BMO supremum is unchanged; a swap or a
 reflection maps masks onto masks and keeps every ratio.
 
 The same moves keep the exhaustive sign supremum of the iterated
-commutator at p = 2.  Away from 2, a lift keeps every certified
+commutator at p = 2, and move its winning sign pair to its image: a swap
+trades the two rows, and a reflection permutes one axis's slots by the
+mirror of each interval.  A lifted symbol's commutator sees only the
+coarse slots of each sign row, so a sampled pair on the finer grid has the
+coarse norm of its restriction.  Away from 2, a lift keeps every certified
 interpolation bracket, and the coarse witness, lifted, keeps its ratio; the
 power iteration's lower bounds agree with the coarse ones except where the
 lifted iteration stops at another local maximum (``LAMBDA_LOCAL_MAXIMA``).
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
-from haarbloom.dyadic import HAAR_KINDS, GridFunction2D, random_grid
+from haarbloom.dyadic import (HAAR_KINDS, DyadicInterval, GridFunction2D, random_grid, slot_interval,
+                              slot_of)
 from haarbloom.norms import (
     EXACT_MAX_DEPTH,
     bmo_prod_norms,
@@ -39,6 +46,7 @@ from haarbloom.operators import lambda_matrix, paraproduct_matrix
 from haarbloom.opnorm import opnorm, opnorm_p2_values, sup_commutator_norm
 from haarbloom.weights import Weight, bloom_weight, random_cascade_weight
 
+opnorm_module = importlib.import_module("haarbloom.opnorm")
 RTOL = 1e-13
 NAMES = ("lambda",) + HAAR_KINDS + ("little_bmo",)
 
@@ -155,12 +163,64 @@ def test_lifting_keeps_the_exhaustive_sign_supremum_at_2():
                      sup_commutator_norm(*data, 2.0).value)
 
 
+def mirrored_slots(depth):
+    """Per slot, the slot of its interval's mirror image; slot 0, the scaling one, stays."""
+    mirror = [slot_interval(slot) for slot in range(1, 1 << depth)]
+    return np.array([0] + [slot_of(DyadicInterval(iv.level, (1 << iv.level) - 1 - iv.index))
+                           for iv in mirror])
+
+
+#: where each move sends a sign pair's rows (``sx``, ``sy``) at depth 2
+PAIR_IMAGES = {"swap": lambda sx, sy: (sy, sx),
+               "flip-x": lambda sx, sy: (sx[mirrored_slots(2)], sy),
+               "flip-y": lambda sx, sy: (sx, sy[mirrored_slots(2)])}
+
+
 @pytest.mark.parametrize("move", MOVES)
 def test_swapping_and_reflecting_keep_the_exhaustive_sign_supremum_at_2(move):
     for seed in range(4):
         data = draw(2, 60 + seed)
         assert_close(sup_commutator_norm(*moved(data, MOVES[move]), 2.0).value,
                      sup_commutator_norm(*data, 2.0).value)
+
+
+#: damps a depth-2 symbol off the quadrant [0, 1/2) x [1/2, 1): on the plain draws the
+#: winning pair is (+, -, -) on both axes, which every move fixes
+QUADRANT = np.outer([1.0, 1.0, 0.05, 0.05], [0.05, 0.05, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("move", MOVES)
+def test_swapping_and_reflecting_move_the_exhaustive_winner_to_its_image(move):
+    moved_winners = 0
+    for seed in range(30):
+        b, mu, lam = draw(2, 100 + seed)
+        data = GridFunction2D(2, b.values * QUADRANT), mu, lam
+        want = sup_commutator_norm(*data, 2.0)
+        got = sup_commutator_norm(*moved(data, MOVES[move]), 2.0)
+        assert_close(got.value, want.value)
+        image = PAIR_IMAGES[move](*(s.signs for s in want.sign_pair))
+        for g, w in zip(got.sign_pair, image):
+            np.testing.assert_array_equal(g.signs, w)
+        moved_winners += any((w != s.signs).any() for w, s in zip(image, want.sign_pair))
+    assert moved_winners > 0        # some winner is not its own image
+
+
+def test_lifting_keeps_each_sampled_sign_pair_and_the_sampled_supremum_at_2(monkeypatch):
+    drawn, real = [], opnorm_module.commutator_matrices
+    monkeypatch.setattr(opnorm_module, "commutator_matrices",
+                        lambda b, sx, sy: drawn.append((sx, sy)) or real(b, sx, sy))
+    for seed in range(12):
+        b, mu, lam = data = draw(2, 90 + seed)
+        fine, fine_mu, fine_lam = moved(data, lift(1))
+        exhaustive = sup_commutator_norm(*data, 2.0).value
+        drawn.clear()
+        got = sup_commutator_norm(fine, fine_mu, fine_lam, 2.0, mode="sampled", seed=seed)
+        [(sx, sy)] = drawn
+        # a lifted symbol's commutator only sees the coarse slots 0-3 of each sign row
+        coarse = opnorm_p2_values(real(b, sx[:, :4], sy[:, :4]), mu, lam)
+        assert_close(opnorm_p2_values(real(fine, sx, sy), fine_mu, fine_lam), coarse)
+        assert_close(got.value, coarse.max())
+        assert got.value <= exhaustive * (1.0 + RTOL)
 
 
 LP_PS = (1.5, 3.0)

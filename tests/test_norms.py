@@ -211,6 +211,16 @@ def test_bmo_heuristic_never_beats_exact_and_usually_matches():
     assert hits >= 9
 
 
+def mask_objective(b, mu, lam, p):
+    """The BMO objective of symbol ``b`` at one pair, on a symbol table of its own."""
+    return norms._MaskObjective(norms._SymbolTable(b), mu, lam, p)
+
+
+def mask_ratios(obj, masks):
+    """``obj``'s ratios of a stack of raveled masks, with the masks' pattern ids."""
+    return obj.values(masks, norms._pattern_ids(masks))
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_mask_objective_matches_the_literal_ratio(p):
     rng = np.random.default_rng(42)
@@ -221,7 +231,7 @@ def test_mask_objective_matches_the_literal_ratio(p):
         lam = random_cascade_weight(depth, 0.7, rng)
         masks = rng.random((40, n * n)) < rng.uniform(0.3, 0.95, (40, 1))
         masks[:, 0] = True
-        got = norms._MaskObjective(b, mu, lam, p).values(masks)
+        got = mask_ratios(mask_objective(b, mu, lam, p), masks)
         for value, m in zip(got, masks):
             omega = Shadow(m.reshape(n, n))
             want = (lp_weighted_norm(square_function(b, omega), lam, p)
@@ -239,9 +249,9 @@ def test_mask_scores_do_not_depend_on_the_stack(p):
         lam = random_cascade_weight(depth, 0.7, rng)
         masks = rng.random((300, cells)) < rng.uniform(0.3, 0.95, (300, 1))
         masks[:, 0] = True
-        obj = norms._MaskObjective(b, mu, lam, p)
-        stacked = obj.values(masks)
-        alone = np.array([obj.values(m[None])[0] for m in masks])
+        obj = mask_objective(b, mu, lam, p)
+        stacked = mask_ratios(obj, masks)
+        alone = np.array([mask_ratios(obj, m[None])[0] for m in masks])
         np.testing.assert_array_equal(stacked, alone)
 
 
@@ -281,11 +291,11 @@ ORACLE_PS = (1.05, 1.5, 2.0, 3.0, 7.0)
 
 
 def _objective(depth, p, rng):
-    return norms._MaskObjective(random_symbol(depth, rng), random_cascade_weight(depth, 0.7, rng),
-                                random_cascade_weight(depth, 0.7, rng), p)
+    return mask_objective(random_symbol(depth, rng), random_cascade_weight(depth, 0.7, rng),
+                          random_cascade_weight(depth, 0.7, rng), p)
 
 
-def _assert_same_bits(obj, masks, ids=None):
+def _assert_same_bits(obj, masks, ids):
     with np.errstate(invalid="ignore"):        # the empty mask scores 0 / 0
         got, want = obj.values(masks, ids), _masked_add_values(obj, masks)
     assert got.tobytes() == want.tobytes()
@@ -299,7 +309,7 @@ def test_pattern_table_scores_random_masks_as_the_masked_adds(depth, p):
     for _ in range(3):
         masks = rng.random((150, cells)) < rng.uniform(0.3, 0.98, (150, 1))
         masks[0], masks[1] = False, True        # the empty mask and the full square
-        _assert_same_bits(_objective(depth, p, rng), masks)
+        _assert_same_bits(_objective(depth, p, rng), masks, norms._pattern_ids(masks))
 
 
 @pytest.mark.parametrize("p", ORACLE_PS)
@@ -352,7 +362,7 @@ def _brute_force_search(b, mu, lam, p):
     """First maximiser in integer order over every non-empty cell mask."""
     cells = 4 ** b.depth
     masks = (np.arange(1, 1 << cells)[:, None] >> np.arange(cells) & 1).astype(bool)
-    ratios = norms._MaskObjective(b, mu, lam, p).values(masks)
+    ratios = mask_ratios(mask_objective(b, mu, lam, p), masks)
     idx = int(np.argmax(ratios))
     return float(ratios[idx]), Shadow(masks[idx].reshape(1 << b.depth, -1)).to_hex()
 
@@ -375,12 +385,12 @@ def test_exact_search_matches_the_brute_force_over_every_mask(depth):
 def _grow_greedily(obj, mask):
     """The sequential steepest ascent before the starts grew in lockstep, word for word."""
     mask = mask.copy()
-    best = float(obj.values(mask[None])[0])
+    best = float(mask_ratios(obj, mask[None])[0])
     while True:
         free = np.flatnonzero(~mask)
         grown = mask | np.eye(obj.cells, dtype=bool)[free]
         gain_cell, gain_value = -1, best
-        for cell, v in zip(free, obj.values(grown).tolist()):
+        for cell, v in zip(free, mask_ratios(obj, grown).tolist()):
             if v > gain_value * (1.0 + 1e-14):
                 gain_cell, gain_value = cell, v
         if gain_cell < 0:
@@ -404,7 +414,8 @@ def _heuristic_search_oracle(obj, restarts, seed):
         + [np.ones((1, obj.cells), bool), rng.random((restarts, obj.cells)) < 0.5])
     candidates = candidates[candidates.any(axis=1)]
 
-    scored = sorted(zip(obj.values(candidates).tolist(), range(len(candidates))), reverse=True)
+    scored = sorted(zip(mask_ratios(obj, candidates).tolist(), range(len(candidates))),
+                    reverse=True)
     best, best_mask = scored[0][0], candidates[scored[0][1]]
     for _, i in scored[:5]:
         value, mask = _grow_greedily(obj, candidates[i])
@@ -427,14 +438,14 @@ def _heuristic_draws():
             for delta, p in combos:
                 mu = random_cascade_weight(depth, delta, rng)
                 lam = random_cascade_weight(depth, delta, rng)
-                yield norms._MaskObjective(b, mu, lam, p), seed
+                yield mask_objective(b, mu, lam, p), seed
     rng = np.random.default_rng(49)
     for depth in (2, 3):
         constant = GridFunction2D(depth, np.full((1 << depth,) * 2, 3.0))
         for b in (GridFunction2D.zeros(depth), constant):
             for seed, p in enumerate((1.5, 2.0, 3.0)):
-                yield norms._MaskObjective(b, random_cascade_weight(depth, 0.5, rng),
-                                           random_cascade_weight(depth, 0.5, rng), p), seed
+                yield mask_objective(b, random_cascade_weight(depth, 0.5, rng),
+                                     random_cascade_weight(depth, 0.5, rng), p), seed
 
 
 def test_heuristic_search_matches_the_search_that_scored_every_candidate():
@@ -465,7 +476,7 @@ from haarbloom.dyadic import DyadicInterval, DyadicRectangle, haar_function
 from haarbloom.weights import constant_weight
 one = constant_weight(2)
 rect = DyadicRectangle(DyadicInterval(1, 0), DyadicInterval(1, 1))
-obj = norms._MaskObjective(haar_function(rect, 2), one, one, 2.0)
+obj = norms._MaskObjective(norms._SymbolTable(haar_function(rect, 2)), one, one, 2.0)
 # every cell's full up-set reads half its value, so the rectangle's own row escapes
 halve = lambda self, *args, **kwargs: np.ndarray.max(self, *args, **kwargs) / 2
 halved = type("Halved", (np.ndarray,), {"max": halve})
@@ -524,8 +535,8 @@ def test_heuristic_search_grows_each_distinct_start_once(monkeypatch):
     repeats = 0
     rng = np.random.default_rng(48)
     for trial in range(6):
-        obj = norms._MaskObjective(random_symbol(3, rng), random_cascade_weight(3, 0.5, rng),
-                                   random_cascade_weight(3, 0.5, rng), (1.5, 2.0, 3.0)[trial % 3])
+        obj = mask_objective(random_symbol(3, rng), random_cascade_weight(3, 0.5, rng),
+                             random_cascade_weight(3, 0.5, rng), (1.5, 2.0, 3.0)[trial % 3])
         grown.clear()
         _heuristic_search_oracle(obj, 8, trial)
         want = list(dict.fromkeys(grown))
@@ -559,7 +570,7 @@ def test_heuristic_search_scores_table_rows_in_full_blocks(monkeypatch):
             b = random_symbol(depth, rng)
             mu, lam = (random_cascade_weight(depth, 0.5, rng) for _ in range(2))
             calls.clear()
-            norms._heuristic_search(norms._MaskObjective(b, mu, lam, (1.5, 2.0, 3.0)[k % 3]), k)
+            norms._heuristic_search(mask_objective(b, mu, lam, (1.5, 2.0, 3.0)[k % 3]), k)
             assert calls == blocks
         assert max(blocks[0] for blocks in want) == norms.BLOCK_CELLS // 4 ** depth
 
@@ -630,18 +641,32 @@ def test_superlevel_candidates_are_built_once_per_symbol_and_only_for_the_heuris
         built.clear()
 
 
-def test_mask_objective_builds_its_own_symbol_table():
+@pytest.mark.parametrize("strategy", norms.STRATEGIES)
+def test_bmo_prod_norms_builds_one_symbol_table_for_any_number_of_pairs(strategy, monkeypatch):
+    built, real = [], norms._SymbolTable
+    monkeypatch.setattr(norms, "_SymbolTable", lambda b: built.append(b) or real(b))
+    for b, pairs, _ in _shared_draws((1, 2)):
+        for count in range(len(pairs) + 1):
+            bmo_prod_norms(b, pairs[:count], strategy)
+            assert built == [b]
+            built.clear()
+
+
+def test_objectives_on_one_symbol_table_score_as_on_tables_of_their_own():
     rng = np.random.default_rng(55)
-    b, mu, lam = random_symbol(2, rng), *(random_cascade_weight(2, 0.5, rng) for _ in range(2))
-    masks = rng.random((50, 16)) < 0.6
-    masks[:, 0] = True
-    shared = norms._MaskObjective(b, mu, lam, 1.5)
-    alone = norms._MaskObjective(b, mu, lam, 3.0)
-    again = norms._MaskObjective(b, mu, lam, 3.0, shared.symbol)
-    assert alone.symbol is not shared.symbol and again.symbol is shared.symbol
-    np.testing.assert_array_equal(again.symbol.sums, alone.symbol.sums)
-    assert again.values(masks).tobytes() == alone.values(masks).tobytes()
-    assert not np.shares_memory(again.patterns, shared.symbol.sums)
+    for depth in (1, 2, 3):
+        b = random_symbol(depth, rng)
+        mu, lam = (random_cascade_weight(depth, 0.5, rng) for _ in range(2))
+        masks = rng.random((50, 4 ** depth)) < 0.6
+        masks[:, 0] = True
+        table = norms._SymbolTable(b)
+        sums = table.sums.copy()
+        shared = [norms._MaskObjective(table, mu, lam, p) for p in (1.5, 2.0, 3.0)]
+        for obj, p in zip(shared, (1.5, 2.0, 3.0)):
+            assert obj.symbol is table and not np.shares_memory(obj.patterns, table.sums)
+            alone = mask_objective(b, mu, lam, p)
+            assert mask_ratios(obj, masks).tobytes() == mask_ratios(alone, masks).tobytes()
+        assert table.sums.tobytes() == sums.tobytes()
 
 
 def test_bmo_one_weight_delegation():

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -275,6 +276,19 @@ def test_one_matrix_norms_refuse_a_stack():
     for call in calls:
         with pytest.raises(ValueError, match=r"^need one \(4\^N, 4\^N\) operator matrix"):
             call()
+
+
+def test_stacked_p2_values_refuse_anything_but_one_stack():
+    rng = np.random.default_rng(73)
+    stack = np.stack([lambda_matrix(random_symbol(2, rng)) for _ in range(3)])
+    mu, lam = (random_cascade_weight(2, 0.6, rng) for _ in range(2))
+    for bad in (stack[0], stack[None]):
+        with pytest.raises(ValueError, match=r"^need a \(T, 4\^N, 4\^N\) matrix stack, "
+                                             + re.escape(f"got shape {bad.shape}") + "$"):
+            opnorm_p2_values(bad, mu, lam)
+    # a stack keeps the bits of the one full SVD it took before the guard
+    want = np.linalg.svd(opnorm_module._conjugated(stack, mu, lam, 2))[1][:, 0]
+    assert opnorm_p2_values(stack, mu, lam).tobytes() == want.tobytes()
 
 
 def per_pair_supremum(b, mu, lam, p):

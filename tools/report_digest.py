@@ -29,7 +29,7 @@ and the last line, ``library <digest>``, the library calls: per result its
 ``as_dict()`` as sorted JSON, its witness bytes and its sign pair's bytes,
 so fields no report prints (``iterations``, ``pruned``, ``converged``,
 ``upper_bound``, the witness) are covered too.
-Three lines close the output.  ``identity-gaps <digest>`` covers the ``repr``
+Four lines close the output.  ``identity-gaps <digest>`` covers the ``repr``
 of every gap ``identity_gap_suite`` returns on 16, 16 and 8 draws at depths
 1, 2 and 3, digits the ``identities`` report rounds away in its maximum.
 ``cli-text <digest>`` covers the exit status, stdout and stderr of
@@ -43,7 +43,13 @@ shadow: ``little_bmo`` (value and witness) and the ``A_p`` characteristics
 of mu, lambda and the Bloom weight nu, plus ``average_comparability_report``'s
 table, at ``p`` in {1.5, 2, 3}; and ``square_function`` and
 ``restricted_projection`` on the shadow, ``strong_maximal`` and
-``triebel_lizorkin_square_function``.
+``triebel_lizorkin_square_function``.  ``bmo <digest>`` covers ``as_dict()``
+(value, strategy and witness mask) of ``bmo_prod_norms`` on ``jn``'s two
+pairs, the one-weight norm of the Bloom weight and the two-weight norm, at
+``p`` in {1.5, 2, 3}: the exact search at depths 1-2 and the heuristic at
+depths 2-4, on four seeded draws (two at depth 4) of a symbol and two
+strength-0.5 cascade weights, the heuristic drawing its restarts from the
+draw's generator.
 stderr names the package directory it imported, which shows that
 ``--src`` took effect, numpy's version, and the OpenBLAS kernel numpy's
 bundled scipy-openblas library runs (``unknown`` if neither the library nor
@@ -86,6 +92,8 @@ SINGLE_TRIAL_RUNS = [shape + ["--p", p, "--delta", delta, "--trials", "1", "--se
                      for shape in (SHAPES[2], SHAPES[4]) for p in ("1.5", "3")
                      for delta in ("0", "0.5") for seed in range(8)]
 IDENTITY_DRAWS = {1: 16, 2: 16, 3: 8}
+BMO_SEARCHES = (("exact", (1, 2)), ("heuristic", (2, 3, 4)))
+BMO_DRAWS = {1: 4, 2: 4, 3: 4, 4: 2}
 REFUSED = [
     ["jn", "--p", "1"], ["jn", "--p", "2,inf"], ["jn", "--delta", "-0.5"],
     ["identities", "--depth", "5"], ["jn", "--strategy", "heuristic", "--depth", "5"],
@@ -184,6 +192,25 @@ def rectangle_bytes():
                 yield triebel_lizorkin_square_function(f, mu, p).values.tobytes()
 
 
+def bmo_bytes():
+    """The results of the ``bmo`` line, in a fixed order, as bytes."""
+    import numpy as np
+    from haarbloom.dyadic import random_symbol
+    from haarbloom.norms import bmo_prod_norms, one_weight_pair
+    from haarbloom.weights import bloom_weight, random_cascade_weight
+
+    for strategy, depths in BMO_SEARCHES:
+        for depth in depths:
+            for seed in range(BMO_DRAWS[depth]):
+                rng = np.random.default_rng([depth, seed])
+                b = random_symbol(depth, rng)
+                mu, lam = (random_cascade_weight(depth, 0.5, rng) for _ in range(2))
+                for p in (1.5, 2.0, 3.0):
+                    pairs = [one_weight_pair(bloom_weight(mu, lam, p)), (mu, lam, p)]
+                    for res in bmo_prod_norms(b, pairs, strategy, seed=rng):
+                        yield json.dumps(res.as_dict(), sort_keys=True).encode()
+
+
 def result_bytes(res) -> bytes:
     """``as_dict()`` as sorted JSON, the witness bytes and the sign pair's bytes."""
     witness = b"" if res.witness is None else res.witness.values.tobytes()
@@ -246,6 +273,10 @@ def main() -> None:
     for data in rectangle_bytes():
         rectangles.update(hashlib.sha256(data).digest())
     print("rectangles", rectangles.hexdigest())
+    bmo = hashlib.sha256()
+    for data in bmo_bytes():
+        bmo.update(hashlib.sha256(data).digest())
+    print("bmo", bmo.hexdigest())
 
 
 if __name__ == "__main__":
