@@ -10,7 +10,7 @@ alongside a practical heuristic search; both return the witness mask
 they selected.  Both score a mask cell by cell through a per-symbol table
 of the ``C(2N, N)`` sets of rectangles a mask can leave inside it at a
 cell, so the energies are summed once per table entry, not once per mask;
-``bmo_prod_norms`` scores several weight pairs, as ``jn``'s two norms, on one table.
+``bmo_prod_norms`` builds the table once and hands it to each pair's objective.
 """
 
 from __future__ import annotations
