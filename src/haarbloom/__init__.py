@@ -40,7 +40,6 @@ from .norms import (
 from .operators import (
     SignChoice1D,
     SignChoice2D,
-    bi_cancellative_part,
     commutator_apply,
     commutator_matrices,
     haar_multiplier,
@@ -78,7 +77,6 @@ __all__ = [
     "all_rectangles",
     "ap_characteristic",
     "average_comparability_report",
-    "bi_cancellative_part",
     "bloom_weight",
     "bmo_prod_one_weight",
     "bmo_prod_two_weight",

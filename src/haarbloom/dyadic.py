@@ -267,12 +267,18 @@ class GridFunction2D:
 
 
 def rectangle_sums(values: np.ndarray) -> np.ndarray:
-    """Sums over every rectangle in :func:`all_rectangles` order, one reshape-reduce per level
-    pair: a cell array gives ``(rows,)``, a stack ``(..., 2^N, 2^N)`` gives ``(..., rows)``."""
-    lead, n = values.shape[:-2], values.shape[-1]
+    """Sums over every rectangle in :func:`all_rectangles` order: a cell array gives
+    ``(rows,)``, a stack ``(..., 2^N, 2^N)`` gives ``(..., rows)``."""
+    return level_pair_sums(itertools.repeat(values), values.shape[:-2], values.shape[-1])
+
+
+def level_pair_sums(slices, lead: tuple, n: int) -> np.ndarray:
+    """Slice k of ``slices``, each shaped ``lead + (n, n)``, summed over the rectangles of
+    level pair k only by one reshape-reduce, the bits it has alone; ``lead + (rows,)``."""
     pairs = itertools.product(range(n.bit_length()), repeat=2)
-    return np.concatenate([np.add.reduce(values.reshape(*lead, 1 << lx, n >> lx, 1 << ly, n >> ly),
-                                         (-3, -1)).reshape(*lead, -1) for lx, ly in pairs], axis=-1)
+    return np.concatenate([np.add.reduce(v.reshape(*lead, 1 << lx, n >> lx, 1 << ly, n >> ly),
+                                         (-3, -1)).reshape(*lead, -1)
+                           for v, (lx, ly) in zip(slices, pairs)], axis=-1)
 
 
 def rectangle_means(values: np.ndarray) -> np.ndarray:
@@ -287,9 +293,7 @@ class RectangleTable:
     Read-only arrays: each row's x and y ``levels`` and Haar ``slots``
     (``2^level + index``), ``area``, and whether it is ``cancellative``;
     ``owner[k, i, j]`` is the row of the level-pair-k rectangle holding cell
-    (i, j), so ``per_rect[owner]`` spreads per-rectangle values onto the grid;
-    ``sums.ravel()[own]`` reads each row from its own level pair's slice of a
-    ``(K, rows)`` stack of :func:`rectangle_sums`.
+    (i, j), so ``per_rect[owner]`` spreads per-rectangle values onto the grid.
     ``cells`` and the tuple ``rects`` are built on first use.
     """
 
@@ -307,8 +311,7 @@ class RectangleTable:
         cell = np.arange(1 << depth)
         self.owner = (starts[:, None, None] + ((cell[:, None] >> depth - lx) << ly)
                       + (cell >> depth - ly))
-        self.own = np.repeat(np.arange(len(sizes)) * len(rows), sizes) + rows
-        for table in (self.levels, self.slots, self.area, self.cancellative, self.owner, self.own):
+        for table in (self.levels, self.slots, self.area, self.cancellative, self.owner):
             table.flags.writeable = False
 
     @cached_property

@@ -84,7 +84,7 @@ IDENTITY_TOL = 1e-11
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
 #: deepest grid for the identity suite, which scores all 4^(2^N - 1) sign pairs:
-#: one draw takes about 0.035 s at depth 3, while depth 4 has 2^30 pairs
+#: one draw takes about 19 ms at depth 3 with one BLAS thread, while depth 4 has 2^30 pairs
 #: (2 TB of commutator images)
 IDENTITIES_MAX_DEPTH = 3
 #: exponents the l^p arithmetic stays finite for on moderate weights: |u|^p overflows in
@@ -238,7 +238,9 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     """One random draw of every exact identity; returns absolute gaps.
 
     Identities needing a bi-cancellative argument get one; the rest are
-    exercised on arbitrary grid functions.
+    exercised on arbitrary grid functions.  ``M_b``, ``Lambda_b`` and
+    ``Theta_b`` are built once, and the cancellative rectangles and the
+    slots are each walked once; the gaps keep their order in the dict.
     """
     check_identities(depth)
     gaps: dict[str, float] = {}
@@ -246,10 +248,11 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     f_any = random_grid(depth, rng)
     f_cc = random_symbol(depth, rng)
     n = 1 << depth
+    mb, lam_op, th = multiplication_operator(b), lambda_operator(b), theta_operator(b)
+    slots = [slot_interval(p) for p in range(1, n)]
 
-    back = haar_inverse(haar_forward(f_any))
-    gaps["round_trip"] = (back - f_any).max_abs()
     coeffs = haar_forward(f_any)
+    gaps["round_trip"] = (haar_inverse(coeffs) - f_any).max_abs()
     gaps["plancherel"] = abs(coeffs.energy() - (f_any * f_any).integral())
 
     # partial sums against the inclusion-exclusion formula
@@ -264,27 +267,31 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     gaps["partial_sum_inclusion_exclusion"] = float(
         np.abs(partial_haar_sum(b, rect).values - expect).max())
 
-    # the four-paraproduct sum against its rectangle-local form
+    def theta_gap(op):      # [op, M_b] against [op, Theta_b], on f_cc
+        return (commutator_apply(op, mb, f_cc) - commutator_apply(op, th, f_cc)).max_abs()
+
+    # one walk of the rectangles: the four-paraproduct sum against its
+    # rectangle-local form, and Theta's single commutators and annihilation
     second = GridFunction2D.zeros(depth)
     fcoeffs = haar_forward(f_cc)
+    theta_commutator = theta_annihilation = 0.0
     for r in cancellative_rectangles(depth):
         second = second + partial_haar_sum(b, r) * haar_function(r, depth) * fcoeffs.coefficient(r)
-    lam_op = lambda_operator(b)
+        theta_commutator = max(theta_commutator, theta_gap(lambda g: haar_project(g, r)))
+        theta_annihilation = max(theta_annihilation,
+                                 haar_project(th(haar_project(f_any, r)), r).max_abs())
     gaps["lambda_two_forms"] = (lam_op(f_cc) - second).max_abs()
 
     # nested commutators cannot tell b from its paraproduct sum
     # ... and their squares sum to the right side of the sign-average check
-    worst = 0.0
-    projection_square_sum = 0.0
-    for p in range(1, n):
-        for q in range(1, n):
-            ix, jy = slot_interval(p), slot_interval(q)
-            got = iterated_projection_commutator(b, f_any, ix, jy)
-            via = nested_commutator_apply(
-                lambda g: haar_project_x(g, ix), lambda g: haar_project_y(g, jy),
-                lam_op, f_any)
-            worst = max(worst, (got - via).max_abs())
-            projection_square_sum += (got * got).integral()
+    worst = projection_square_sum = 0.0
+    for ix, jy in itertools.product(slots, repeat=2):
+        got = iterated_projection_commutator(b, f_any, ix, jy)
+        via = nested_commutator_apply(
+            lambda g: haar_project_x(g, ix), lambda g: haar_project_y(g, jy),
+            lam_op, f_any)
+        worst = max(worst, (got - via).max_abs())
+        projection_square_sum += (got * got).integral()
     gaps["commutator_projection_replacement"] = worst
 
     sx, sy = SignChoice1D.random(depth, rng), SignChoice1D.random(depth, rng)
@@ -293,11 +300,12 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
                                   lam_op, f_any)
     gaps["commutator_multiplier_replacement"] = (got - via).max_abs()
 
-    worst = 0.0
-    for p in range(1, n):
-        iv = slot_interval(p)
-        worst = max(worst, haar_project_x(lam_op(haar_project_x(f_any, iv)), iv).max_abs())
-        worst = max(worst, haar_project_y(lam_op(haar_project_y(f_any, iv)), iv).max_abs())
+    # one walk of the slots: one-parameter annihilation, the multiplier as a projection sum
+    worst, total = 0.0, GridFunction2D.zeros(depth)
+    for iv in slots:
+        worst = max(worst, haar_project_x(lam_op(haar_project_x(f_any, iv)), iv).max_abs(),
+                    haar_project_y(lam_op(haar_project_y(f_any, iv)), iv).max_abs())
+        total = total + haar_project_x(f_any, iv) * sx.sign(iv)
     gaps["one_parameter_annihilation"] = worst
 
     mask = rng.random((n, n)) < 0.5
@@ -308,27 +316,10 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     right = restricted_projection(lam_op(indicator(omega)), omega)
     gaps["restricted_projection_recovery"] = (left - right).max_abs()
 
-    th = theta_operator(b)
-    worst = 0.0
-    for r in cancellative_rectangles(depth):
-        qr = lambda g, r=r: haar_project(g, r)
-        worst = max(worst, (commutator_apply(qr, multiplication_operator(b), f_cc)
-                            - commutator_apply(qr, th, f_cc)).max_abs())
     sigma = SignChoice2D.random(depth, rng)
-    tm = lambda g: haar_multiplier(g, sigma)
-    worst = max(worst, (commutator_apply(tm, multiplication_operator(b), f_cc)
-                        - commutator_apply(tm, th, f_cc)).max_abs())
-    gaps["theta_single_commutator"] = worst
-
-    worst = 0.0
-    for r in cancellative_rectangles(depth):
-        worst = max(worst, haar_project(th(haar_project(f_any, r)), r).max_abs())
-    gaps["theta_annihilation"] = worst
-
-    total = GridFunction2D.zeros(depth)
-    for p in range(1, n):
-        iv = slot_interval(p)
-        total = total + haar_project_x(f_any, iv) * sx.sign(iv)
+    gaps["theta_single_commutator"] = max(theta_commutator,
+                                          theta_gap(lambda g: haar_multiplier(g, sigma)))
+    gaps["theta_annihilation"] = theta_annihilation
     gaps["multiplier_is_projection_sum"] = (haar_multiplier_x(f_any, sx) - total).max_abs()
 
     # averaged sign supremum consistency: the mean squared commutator norm

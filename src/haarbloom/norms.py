@@ -31,6 +31,7 @@ from .dyadic import (
     check_finite,
     ensure_rng,
     haar_forward,
+    level_pair_sums,
     rectangle_incidence,
     rectangle_means,
     rectangle_sums,
@@ -44,9 +45,9 @@ STRATEGIES = ("exact", "heuristic")
 #: deepest grid the exact BMO search runs on (2^4 - 1 unions of finest rectangles)
 EXACT_MAX_DEPTH = 2
 #: deepest grid the heuristic BMO search, and the mask scoring of both searches,
-#: run on: at depth 4 a symbol takes about 0.04 s, and the pairwise-union
-#: candidates fill a 5.6 MB table and their pattern ids another 5.6 MB, both
-#: cached per depth (built once in about 0.2 s); each is 0.47 GB at depth 5, whose
+#: run on: at depth 4 a symbol takes about 8 ms with one BLAS thread; the pairwise-union
+#: candidates fill a 5.6 MB table and their pattern ids another 5.6 MB, cached per
+#: depth (the first call builds both in about 0.13 s); each is 0.47 GB at depth 5, whose
 #: 2^25 level-pair codes also outgrow the exact float32 product that finds them
 HEURISTIC_MAX_DEPTH = 4
 #: cells (masks x cells per mask) the BMO objective scores in one block
@@ -420,7 +421,8 @@ def little_bmo(b: GridFunction2D, mu: Weight, lam: Weight, p: float) -> BmoResul
     area = 4.0 ** (-b.depth)
     table = rectangle_table(b.depth)
     osc = np.abs(b.values - rectangle_means(b.values)[table.owner])
-    num = (rectangle_sums(osc ** p * lam.values).ravel()[table.own] * area) ** (1.0 / p)
+    # slice k of the oscillation stack is summed over the level pair k rectangles only
+    num = (level_pair_sums(osc ** p * lam.values, (), 1 << b.depth) * area) ** (1.0 / p)
     den = (rectangle_sums(mu.values) * area) ** (1.0 / p)
     ratios = num / den
     best = int(np.argmax(ratios))

@@ -201,11 +201,6 @@ class SignChoice2D:
         return float(self.signs[slot_of(rect.x), slot_of(rect.y)])
 
     @classmethod
-    def from_tensor(cls, sx: SignChoice1D, sy: SignChoice1D) -> "SignChoice2D":
-        check_depths("axis sign choices", sx.depth, sy.depth)
-        return cls(sx.depth, np.outer(sx.signs, sy.signs))
-
-    @classmethod
     def random(cls, depth: int, rng=None) -> "SignChoice2D":
         rng = ensure_rng(rng)
         n = 1 << depth
@@ -281,11 +276,6 @@ def iterated_projection_commutator(b: GridFunction2D, f: GridFunction2D,
 # ---------------------------------------------------------------------------
 # oscillation operator
 # ---------------------------------------------------------------------------
-
-def bi_cancellative_part(f: GridFunction2D) -> GridFunction2D:
-    """Projection onto the span of the fully cancellative tensor Haar functions."""
-    return haar_synthesis(f.depth, _cc_table(f))
-
 
 def rectangle_average_table(f: GridFunction2D) -> np.ndarray:
     """Slot-pair indexed averages <f>_R (slot 0 along an axis means the root)."""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from haarbloom import cli, experiments, norms
+from haarbloom import dyadic as dy, operators as ops
 from haarbloom.cli import build_parser, main
 from haarbloom.dyadic import GridFunction2D, indicator, random_grid, random_symbol
 from haarbloom.experiments import (
@@ -55,15 +56,127 @@ opnorm_module = importlib.import_module("haarbloom.opnorm")     # the package bi
 
 def test_identity_suite_all_small():
     gaps = identity_gap_suite(2, np.random.default_rng(0))
-    assert set(gaps) == {
+    # the order too: tools/report_digest.py hashes the gaps in dict order
+    assert list(gaps) == [
         "round_trip", "plancherel", "partial_sum_inclusion_exclusion",
         "lambda_two_forms", "commutator_projection_replacement",
         "commutator_multiplier_replacement", "one_parameter_annihilation",
         "restricted_projection_recovery", "theta_single_commutator",
         "theta_annihilation", "multiplier_is_projection_sum",
         "khintchine_consistency",
-    }
+    ]
     assert max(gaps.values()) < IDENTITY_TOL
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_identity_suite_builds_m_b_once_and_walks_each_index_set_once(depth, monkeypatch):
+    calls = {}
+
+    def counted(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(experiments, name, wrapper)
+    for name in ("multiplication_operator", "cancellative_rectangles", "slot_interval"):
+        counted(name)
+    identity_gap_suite(depth, np.random.default_rng(depth))
+    # each slot is resolved once, for the slot walk and the walk of slot pairs
+    assert calls == {"multiplication_operator": 1, "cancellative_rectangles": 1,
+                     "slot_interval": 2 ** depth - 1}
+
+
+def reference_identity_gap_suite(depth, rng):
+    """Oracle: the suite as it was before it built each operator and walked each index set
+    once, with M_b built per rectangle, three rectangle walks and two slot walks."""
+    gaps = {}
+    b = dy.random_grid(depth, rng)
+    f_any = dy.random_grid(depth, rng)
+    f_cc = dy.random_symbol(depth, rng)
+    n = 1 << depth
+    back = dy.haar_inverse(dy.haar_forward(f_any))
+    gaps["round_trip"] = (back - f_any).max_abs()
+    coeffs = dy.haar_forward(f_any)
+    gaps["plancherel"] = abs(coeffs.energy() - (f_any * f_any).integral())
+    lx, ly = int(rng.integers(0, depth + 1)), int(rng.integers(0, depth + 1))
+    rect = dy.DyadicRectangle(dy.DyadicInterval(lx, int(rng.integers(0, 1 << lx))),
+                              dy.DyadicInterval(ly, int(rng.integers(0, 1 << ly))))
+    box = rect.cell_box(depth)
+    expect = np.zeros_like(b.values)
+    blk = b.values[box]
+    expect[box] = (blk - blk.mean(axis=0, keepdims=True)
+                   - blk.mean(axis=1, keepdims=True) + blk.mean())
+    gaps["partial_sum_inclusion_exclusion"] = float(
+        np.abs(dy.partial_haar_sum(b, rect).values - expect).max())
+    second = GridFunction2D.zeros(depth)
+    fcoeffs = dy.haar_forward(f_cc)
+    for r in dy.cancellative_rectangles(depth):
+        second = (second + dy.partial_haar_sum(b, r) * dy.haar_function(r, depth)
+                  * fcoeffs.coefficient(r))
+    lam_op = ops.lambda_operator(b)
+    gaps["lambda_two_forms"] = (lam_op(f_cc) - second).max_abs()
+    worst = 0.0
+    projection_square_sum = 0.0
+    for p in range(1, n):
+        for q in range(1, n):
+            ix, jy = dy.slot_interval(p), dy.slot_interval(q)
+            got = ops.iterated_projection_commutator(b, f_any, ix, jy)
+            via = ops.nested_commutator_apply(
+                lambda g: dy.haar_project_x(g, ix), lambda g: dy.haar_project_y(g, jy),
+                lam_op, f_any)
+            worst = max(worst, (got - via).max_abs())
+            projection_square_sum += (got * got).integral()
+    gaps["commutator_projection_replacement"] = worst
+    sx, sy = SignChoice1D.random(depth, rng), SignChoice1D.random(depth, rng)
+    got = iterated_commutator(b, f_any, sx, sy)
+    via = ops.nested_commutator_apply(ops.multiplier_operator_x(sx),
+                                      ops.multiplier_operator_y(sy), lam_op, f_any)
+    gaps["commutator_multiplier_replacement"] = (got - via).max_abs()
+    worst = 0.0
+    for p in range(1, n):
+        iv = dy.slot_interval(p)
+        worst = max(worst, dy.haar_project_x(lam_op(dy.haar_project_x(f_any, iv)), iv).max_abs())
+        worst = max(worst, dy.haar_project_y(lam_op(dy.haar_project_y(f_any, iv)), iv).max_abs())
+    gaps["one_parameter_annihilation"] = worst
+    mask = rng.random((n, n)) < 0.5
+    if not mask.any():
+        mask[0, 0] = True
+    omega = dy.Shadow(mask)
+    left = ops.restricted_projection(b, omega)
+    right = ops.restricted_projection(lam_op(indicator(omega)), omega)
+    gaps["restricted_projection_recovery"] = (left - right).max_abs()
+    th = ops.theta_operator(b)
+    worst = 0.0
+    for r in dy.cancellative_rectangles(depth):
+        qr = lambda g, r=r: dy.haar_project(g, r)
+        worst = max(worst, (ops.commutator_apply(qr, ops.multiplication_operator(b), f_cc)
+                            - ops.commutator_apply(qr, th, f_cc)).max_abs())
+    sigma = ops.SignChoice2D.random(depth, rng)
+    tm = lambda g: ops.haar_multiplier(g, sigma)
+    worst = max(worst, (ops.commutator_apply(tm, ops.multiplication_operator(b), f_cc)
+                        - ops.commutator_apply(tm, th, f_cc)).max_abs())
+    gaps["theta_single_commutator"] = worst
+    worst = 0.0
+    for r in dy.cancellative_rectangles(depth):
+        worst = max(worst, dy.haar_project(th(dy.haar_project(f_any, r)), r).max_abs())
+    gaps["theta_annihilation"] = worst
+    total = GridFunction2D.zeros(depth)
+    for p in range(1, n):
+        iv = dy.slot_interval(p)
+        total = total + dy.haar_project_x(f_any, iv) * sx.sign(iv)
+    gaps["multiplier_is_projection_sum"] = (ops.haar_multiplier_x(f_any, sx) - total).max_abs()
+    lhs = float(_sign_pair_square_norms(b, f_any).mean())
+    gaps["khintchine_consistency"] = abs(lhs - projection_square_sum)
+    return gaps
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_identity_suite_matches_the_walk_per_identity_bit_for_bit(depth):
+    for draw in range(4 if depth < 3 else 2):
+        got = identity_gap_suite(depth, np.random.default_rng([depth, draw, 90]))
+        want = reference_identity_gap_suite(depth, np.random.default_rng([depth, draw, 90]))
+        assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in want.items()]
 
 
 def test_sign_pair_square_norms_match_the_literal_walk():

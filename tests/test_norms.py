@@ -735,7 +735,6 @@ def test_every_grid_disagreement_is_refused_in_one_wording():
         lambda: one + two,
         lambda: paraproduct_operator("11", one)(two),
         lambda: theta_operator(one)(two),
-        lambda: SignChoice2D.from_tensor(signs, SignChoice1D(2, np.ones(4))),
         lambda: haar_multiplier_x(two, signs),
         lambda: haar_multiplier_y(two, signs),
         lambda: haar_multiplier(two, SignChoice2D(1, np.ones((2, 2)))),

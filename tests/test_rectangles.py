@@ -212,7 +212,7 @@ def test_table_rows_follow_the_nested_loops(depth):
 def test_table_is_cached_and_read_only():
     table = rectangle_table(2)
     assert rectangle_table(2) is table
-    for name in ("levels", "slots", "area", "cancellative", "owner", "own", "cells"):
+    for name in ("levels", "slots", "area", "cancellative", "owner", "cells"):
         with pytest.raises(ValueError):
             getattr(table, name).flat[0] = 0
     with pytest.raises(ValueError):

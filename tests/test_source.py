@@ -27,9 +27,8 @@ def test_no_assert_statements_in_the_package():
     assert SRC.is_dir() and not found, found
 
 
-def unused(*folders):
-    """Module-level functions and classes of src/ that nothing in ``folders`` names
-    outside their own body, as (file name, name)."""
+def _uses(*folders):
+    """Where ``folders`` name each name, as a bare name or an attribute: name -> [(path, line)]."""
     uses = defaultdict(list)
     for path, tree in _trees(*folders):
         for node in ast.walk(tree):
@@ -37,12 +36,23 @@ def unused(*folders):
                 uses[node.id].append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].append((path, node.lineno))
+    return uses
+
+
+def _named_only_inside(node, path, uses):
+    return all(where == path and node.lineno <= line <= node.end_lineno
+               for where, line in uses[node.name])
+
+
+def unused(*folders):
+    """Module-level functions and classes of src/ that nothing in ``folders`` names
+    outside their own body, as (file name, name)."""
+    uses = _uses(*folders)
     return [(path.name, node.name)
             for path, tree in _trees(SRC)
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and all(where == path and node.lineno <= line <= node.end_lineno
-                    for where, line in uses[node.name])]
+            and _named_only_inside(node, path, uses)]
 
 
 def test_every_module_level_function_and_class_is_used():
@@ -179,3 +189,36 @@ def test_the_private_numpy_lint_sees_each_way_in(tmp_path):
         "def f():\n    return hasattr(np, 'core')\nc = np.linalg.svd\n")
     assert private_numpy_uses(tmp_path) == ["module.py:2", "module.py:3", "module.py:a",
                                             "module.py:b", "module.py:f"]
+
+
+def unnamed_methods(src, *folders, text=""):
+    """Public methods and properties of the classes in ``src`` that nothing in ``folders``
+    names outside their own body and no word of ``text`` names, as "file:Class.name"."""
+    uses, words = _uses(*folders), set(re.findall(r"\w+", text))
+    return [f"{path.name}:{cls.name}.{node.name}"
+            for path, tree in _trees(src)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in words and _named_only_inside(node, path, uses)]
+
+
+def test_every_public_method_is_named_outside_the_tests():
+    # the module-level lint cannot see methods: a public method or property that only
+    # tests call is a helper kept for its own tests
+    found = unnamed_methods(SRC, SRC, TESTS.parent / "tools", TESTS.parent / "bench",
+                            text=README.read_text())
+    assert SRC.is_dir() and not found, found
+
+
+def test_the_method_lint_sees_a_method_only_tests_call(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "class A:\n    def used(self):\n        return self.kept\n"
+        "    @property\n    def kept(self):\n        return 1\n"
+        "    def documented(self):\n        return 2\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    def _private(self):\n        return 3\n"
+        "    class B:\n        def inner(self):\n            return 4\n"
+        "print(A().used())\n")
+    assert unnamed_methods(tmp_path, tmp_path, text="`A.documented()`") == [
+        "module.py:A.recursive", "module.py:B.inner"]

@@ -1,6 +1,7 @@
 """One sha256 over the report bytes of a fixed set of ``haar-bloom`` runs.
 
     python3 tools/report_digest.py [--src DIR]
+    python3 tools/report_digest.py --against REF [--src DIR]
 
 Every run calls ``haarbloom.cli.main`` in process and hashes its argument
 list, its exit status, its stdout and the bytes it wrote to ``--out``.
@@ -59,6 +60,13 @@ SkylakeX and Haswell, can differ, and the paraproduct and sign-average
 matmuls keep the bits of numpy 2.4's ``einsum(optimize=True)`` plan,
 which an older numpy may carry out in other steps.  Compare digests on one
 of each.
+
+``--against REF`` exports ``REF``'s ``src/`` with ``git archive`` into a
+temporary directory, runs this tool in a fresh interpreter on that export
+and then on ``--src``, and prints each line as ``equal <line>`` or
+``DIFFERS <name> <REF's digest> <--src's digest>`` (the first line is named
+``all``); it exits 1 if any line differs.  Each side's stderr shows its
+package, numpy and BLAS kernel.  It takes two digest runs.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -231,11 +240,32 @@ def blas_core() -> str:
     return "unknown"
 
 
+def compare(ref: str, src: Path) -> int:
+    """Print each digest line of ``ref``'s ``src/`` against ``src``'s; 1 if any differs."""
+    with tempfile.TemporaryDirectory() as folder:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", folder], input=archive, check=True)
+        before, after = (subprocess.run([sys.executable, __file__, "--src", str(where)], check=True,
+                                        stdout=subprocess.PIPE, text=True).stdout.splitlines()
+                         for where in (Path(folder) / "src", src))
+    differs = len(before) != len(after)
+    for old, new in zip(before, after):
+        name, digest = old.split()[-2:] if " " in old else ("all", old)
+        print(f"equal {old}" if old == new else f"DIFFERS {name} {digest} {new.split()[-1]}")
+        differs |= old != new
+    return int(differs)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the haarbloom package (default: src/ here)")
+    parser.add_argument("--against", metavar="REF",
+                        help="compare every line with the package at git ref REF instead")
     args = parser.parse_args()
+    if args.against:
+        sys.exit(compare(args.against, args.src.resolve()))
     sys.path.insert(0, str(args.src.resolve()))
     from haarbloom.cli import main as cli_main
     print("package:", Path(sys.modules["haarbloom"].__file__).parent, file=sys.stderr)
