@@ -88,8 +88,8 @@ def test_identity_suite_builds_m_b_once_and_walks_each_index_set_once(depth, mon
 
 
 def reference_identity_gap_suite(depth, rng):
-    """Oracle: the suite as it was before it built each operator and walked each index set
-    once, with M_b built per rectangle, three rectangle walks and two slot walks."""
+    """Oracle: the identity suite walked per identity, with M_b built per rectangle, three
+    walks of the rectangles and two of the slots; the same draws and the same gap order."""
     gaps = {}
     b = dy.random_grid(depth, rng)
     f_any = dy.random_grid(depth, rng)

@@ -193,8 +193,9 @@ def test_the_private_numpy_lint_sees_each_way_in(tmp_path):
 
 def unnamed_methods(src, *folders, text=""):
     """Public methods and properties of the classes in ``src`` that nothing in ``folders``
-    names outside their own body and no word of ``text`` names, as "file:Class.name"."""
-    uses, words = _uses(*folders), set(re.findall(r"\w+", text))
+    names outside their own body and no `code span` of ``text`` names, as "file:Class.name"."""
+    spans = " ".join(re.findall("`([^`]*)`", text))
+    uses, words = _uses(*folders), set(re.findall(r"\w+", spans))
     return [f"{path.name}:{cls.name}.{node.name}"
             for path, tree in _trees(src)
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -220,5 +221,6 @@ def test_the_method_lint_sees_a_method_only_tests_call(tmp_path):
         "    def _private(self):\n        return 3\n"
         "    class B:\n        def inner(self):\n            return 4\n"
         "print(A().used())\n")
-    assert unnamed_methods(tmp_path, tmp_path, text="`A.documented()`") == [
+    text = "`A.documented()`, and recursive outside a code span"
+    assert unnamed_methods(tmp_path, tmp_path, text=text) == [
         "module.py:A.recursive", "module.py:B.inner"]

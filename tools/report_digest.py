@@ -65,7 +65,8 @@ of each.
 temporary directory, runs this tool in a fresh interpreter on that export
 and then on ``--src``, and prints each line as ``equal <line>`` or
 ``DIFFERS <name> <REF's digest> <--src's digest>`` (the first line is named
-``all``); it exits 1 if any line differs.  Each side's stderr shows its
+``all``; two counts of lines print ``DIFFERS lines <n> <m>``); it exits 1
+if any line differs.  Each side's stderr shows its
 package, numpy and BLAS kernel.  It takes two digest runs.
 """
 
@@ -250,6 +251,8 @@ def compare(ref: str, src: Path) -> int:
                                         stdout=subprocess.PIPE, text=True).stdout.splitlines()
                          for where in (Path(folder) / "src", src))
     differs = len(before) != len(after)
+    if differs:
+        print(f"DIFFERS lines {len(before)} {len(after)}")
     for old, new in zip(before, after):
         name, digest = old.split()[-2:] if " " in old else ("all", old)
         print(f"equal {old}" if old == new else f"DIFFERS {name} {digest} {new.split()[-1]}")
