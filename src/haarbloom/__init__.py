@@ -44,6 +44,7 @@ from .operators import (
     commutator_matrices,
     haar_multiplier,
     iterated_commutator,
+    iterated_projection_commutator,
     lambda_matrix,
     lambda_operator,
     materialize,
@@ -93,6 +94,7 @@ __all__ = [
     "haar_multiplier",
     "haar_project",
     "iterated_commutator",
+    "iterated_projection_commutator",
     "lambda_matrix",
     "lambda_operator",
     "little_bmo",

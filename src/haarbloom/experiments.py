@@ -48,15 +48,13 @@ from .norms import (
     one_weight_pair,
 )
 from .operators import (
+    Operator,
     SignChoice1D,
     SignChoice2D,
     axis_sign_rows,
     commutator_apply,
     commutator_matrices,
     haar_multiplier,
-    haar_multiplier_x,
-    iterated_commutator,
-    iterated_projection_commutator,
     lambda_matrix,
     lambda_operator,
     multiplication_operator,
@@ -84,7 +82,7 @@ IDENTITY_TOL = 1e-11
 #: Monte Carlo draws for the moment cross-check
 MC_DRAWS = 20000
 #: deepest grid for the identity suite, which scores all 4^(2^N - 1) sign pairs:
-#: one draw takes about 19 ms at depth 3 with one BLAS thread, while depth 4 has 2^30 pairs
+#: one draw takes about 17 ms at depth 3 with one BLAS thread, while depth 4 has 2^30 pairs
 #: (2 TB of commutator images)
 IDENTITIES_MAX_DEPTH = 3
 #: exponents the l^p arithmetic stays finite for on moderate weights: |u|^p overflows in
@@ -234,13 +232,29 @@ def check_identities(depth: int) -> None:
                          f"to depth <= {IDENTITIES_MAX_DEPTH}")
 
 
+def _once(op: Operator) -> Operator:
+    """``op``, run at most once per input object: the memo holds each input beside its
+    image, so no other object can take the input's id while the memo lives."""
+    memo: dict[int, tuple[GridFunction2D, GridFunction2D]] = {}
+
+    def apply(g: GridFunction2D) -> GridFunction2D:
+        seen = memo.get(id(g))
+        if seen is None:
+            seen = memo[id(g)] = (g, op(g))
+        return seen[1]
+    return apply
+
+
 def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]:
     """One random draw of every exact identity; returns absolute gaps.
 
     Identities needing a bi-cancellative argument get one; the rest are
-    exercised on arbitrary grid functions.  ``M_b``, ``Lambda_b`` and
-    ``Theta_b`` are built once, and the cancellative rectangles and the
-    slots are each walked once; the gaps keep their order in the dict.
+    exercised on arbitrary grid functions.  ``M_b``, ``Lambda_b``, ``Theta_b``,
+    each slot's two projections and the two multipliers are literal closures
+    built once and run at most once per input object (:func:`_once`), so both
+    sides of a replacement share every image they can; the cancellative
+    rectangles and the slots are each walked once, and the gaps keep their
+    order in the dict.
     """
     check_identities(depth)
     gaps: dict[str, float] = {}
@@ -248,8 +262,11 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     f_any = random_grid(depth, rng)
     f_cc = random_symbol(depth, rng)
     n = 1 << depth
-    mb, lam_op, th = multiplication_operator(b), lambda_operator(b), theta_operator(b)
+    mb, lam_op, th = (_once(op(b)) for op in
+                      (multiplication_operator, lambda_operator, theta_operator))
     slots = [slot_interval(p) for p in range(1, n)]
+    px = [_once(lambda g, iv=iv: haar_project_x(g, iv)) for iv in slots]
+    py = [_once(lambda g, iv=iv: haar_project_y(g, iv)) for iv in slots]
 
     coeffs = haar_forward(f_any)
     gaps["round_trip"] = (haar_inverse(coeffs) - f_any).max_abs()
@@ -268,6 +285,7 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
         np.abs(partial_haar_sum(b, rect).values - expect).max())
 
     def theta_gap(op):      # [op, M_b] against [op, Theta_b], on f_cc
+        op = _once(op)
         return (commutator_apply(op, mb, f_cc) - commutator_apply(op, th, f_cc)).max_abs()
 
     # one walk of the rectangles: the four-paraproduct sum against its
@@ -285,27 +303,24 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     # nested commutators cannot tell b from its paraproduct sum
     # ... and their squares sum to the right side of the sign-average check
     worst = projection_square_sum = 0.0
-    for ix, jy in itertools.product(slots, repeat=2):
-        got = iterated_projection_commutator(b, f_any, ix, jy)
-        via = nested_commutator_apply(
-            lambda g: haar_project_x(g, ix), lambda g: haar_project_y(g, jy),
-            lam_op, f_any)
+    for qx, qy in itertools.product(px, py):
+        got = nested_commutator_apply(qx, qy, mb, f_any)
+        via = nested_commutator_apply(qx, qy, lam_op, f_any)
         worst = max(worst, (got - via).max_abs())
         projection_square_sum += (got * got).integral()
     gaps["commutator_projection_replacement"] = worst
 
     sx, sy = SignChoice1D.random(depth, rng), SignChoice1D.random(depth, rng)
-    got = iterated_commutator(b, f_any, sx, sy)
-    via = nested_commutator_apply(multiplier_operator_x(sx), multiplier_operator_y(sy),
-                                  lam_op, f_any)
+    tx, ty = _once(multiplier_operator_x(sx)), _once(multiplier_operator_y(sy))
+    got = nested_commutator_apply(tx, ty, mb, f_any)
+    via = nested_commutator_apply(tx, ty, lam_op, f_any)
     gaps["commutator_multiplier_replacement"] = (got - via).max_abs()
 
     # one walk of the slots: one-parameter annihilation, the multiplier as a projection sum
     worst, total = 0.0, GridFunction2D.zeros(depth)
-    for iv in slots:
-        worst = max(worst, haar_project_x(lam_op(haar_project_x(f_any, iv)), iv).max_abs(),
-                    haar_project_y(lam_op(haar_project_y(f_any, iv)), iv).max_abs())
-        total = total + haar_project_x(f_any, iv) * sx.sign(iv)
+    for iv, qx, qy in zip(slots, px, py):
+        worst = max(worst, qx(lam_op(qx(f_any))).max_abs(), qy(lam_op(qy(f_any))).max_abs())
+        total = total + qx(f_any) * sx.sign(iv)
     gaps["one_parameter_annihilation"] = worst
 
     mask = rng.random((n, n)) < 0.5
@@ -320,7 +335,7 @@ def identity_gap_suite(depth: int, rng: np.random.Generator) -> dict[str, float]
     gaps["theta_single_commutator"] = max(theta_commutator,
                                           theta_gap(lambda g: haar_multiplier(g, sigma)))
     gaps["theta_annihilation"] = theta_annihilation
-    gaps["multiplier_is_projection_sum"] = (haar_multiplier_x(f_any, sx) - total).max_abs()
+    gaps["multiplier_is_projection_sum"] = (tx(f_any) - total).max_abs()
 
     # averaged sign supremum consistency: the mean squared commutator norm
     # over all sign pairs (from the commutator matrices) equals the sum

@@ -162,6 +162,13 @@ def _upset_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return members, weights, lookup, covers
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, ascending, as ``np.unique`` gives them, without
+    its ``np.ma.is_masked`` check: that imports ``numpy.ma``, some 9 ms of a process start."""
+    ranked = np.sort(values)
+    return ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+
+
 def _pattern_ids(masks: np.ndarray) -> np.ndarray:
     """``ids[m, c]``: the up-set of raveled mask m's rectangles through cell c, as ``uint8``."""
     depth = (masks.shape[1].bit_length() - 1) // 2
@@ -195,7 +202,7 @@ class _SymbolTable:
         maximum ``max_R b_R^2 / |R|`` over the rectangles holding a cell, and the full square."""
         cover_energy = self.energy[self.covers]     # cumsum adds in rectangle order, as sums do
         fields = (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))
-        masks = np.concatenate([field >= np.unique(field)[:, None] for field in fields]
+        masks = np.concatenate([field >= _distinct(field)[:, None] for field in fields]
                                + [np.ones((1, self.cells), bool)])
         return masks, _pattern_ids(masks)
 

@@ -102,10 +102,24 @@ def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarr
     return out_w[:, None] * mats * in_w[None, :]
 
 
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd`` of a matrix or stack.  LAPACK's divide and conquer (``gesdd``)
+    fails on some rank-deficient matrices; only then is the transpose decomposed, its
+    factors swapped and transposed back, so every input that converges keeps its bits."""
+    try:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        out = np.linalg.svd(np.swapaxes(a, -1, -2), compute_uv=compute_uv)
+        if not compute_uv:
+            return out
+        u, s, vt = out
+        return np.swapaxes(vt, -1, -2), s, np.swapaxes(u, -1, -2)
+
+
 def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
     """Exact L^2(mu) -> L^2(lam) norm as a top singular value, with maximizer."""
     b = _conjugated(_matrices(mat, 2), mu, lam, 2)
-    _, s, vt = np.linalg.svd(b)
+    _, s, vt = _svd(b)
     area = 4.0 ** (-mu.depth)
     n = 1 << mu.depth
     f = vt[0] / np.sqrt(mu.values.ravel() * area)
@@ -115,13 +129,13 @@ def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
 def opnorm_p2_values(mats: np.ndarray, mu: Weight, lam: Weight) -> np.ndarray:
     """Exact L^2(mu) -> L^2(lam) norms of a stack of operator matrices, from one full
     SVD: the bits :func:`opnorm_p2_exact` gives each matrix."""
-    return np.linalg.svd(_conjugated(_matrices(mats, 3), mu, lam, 2))[1][:, 0]
+    return _svd(_conjugated(_matrices(mats, 3), mu, lam, 2))[1][:, 0]
 
 
 def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
     """Riesz-Thorin bound of plain matrices through the exact l^2 norm and the l^1
     (p < 2) or l^inf (p > 2) norm; never looser than l^1/l^inf, as |B|_2^2 <= |B|_1 |B|_inf."""
-    two = np.linalg.svd(b, compute_uv=False)[..., 0]
+    two = _svd(b, compute_uv=False)[..., 0]
     if p < 2:
         one = np.abs(b).sum(axis=-2).max(axis=-1)      # l^1 -> l^1
         return one ** (2.0 / p - 1.0) * two ** (2.0 - 2.0 / p)
@@ -221,7 +235,7 @@ def _within_brackets(values: np.ndarray, bounds: np.ndarray) -> None:
 def _warm_starts(mats: np.ndarray, b: np.ndarray, rows: np.ndarray, extra, p: float, *weights):
     """Starts of ``rows`` (at p in ``b``; at 2 by ``weights`` = mu, lam): the p = 2
     maximizer, its absolute value, then ``extra``; and each row's best warm ratio."""
-    warm = np.linalg.svd(_conjugated(mats[rows], *weights, 2))[2][:, 0]
+    warm = _svd(_conjugated(mats[rows], *weights, 2))[2][:, 0]
     starts = np.stack([warm, np.abs(warm)] + [np.broadcast_to(e, warm.shape) for e in extra],
                       axis=1)                              # (pairs, starts, m)
     units = starts[:, :2] / np.linalg.norm(starts[:, :2], axis=-1, keepdims=True)
@@ -374,7 +388,7 @@ def sup_commutator_job(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
     mats = commutator_matrices(b, sx, sy)
     if p != 2:
         return replace(_lp_prepare(mats, mu, lam, p), signs=(sx, sy))
-    tops = np.linalg.svd(_conjugated(mats, mu, lam, 2), compute_uv=False)[:, 0]
+    tops = _svd(_conjugated(mats, mu, lam, 2), compute_uv=False)[:, 0]
     idx = int(np.argmax(tops))
     best = opnorm_p2_exact(mats[idx], mu, lam)
     best.iterations = len(mats)        # max(1, 0) per pair

@@ -87,6 +87,26 @@ def test_identity_suite_builds_m_b_once_and_walks_each_index_set_once(depth, mon
                      "slot_interval": 2 ** depth - 1}
 
 
+@pytest.mark.parametrize("depth, lambdas, thetas", [(1, 9, 4), (2, 21, 20), (3, 69, 100)])
+def test_identity_suite_runs_each_closure_once_per_input(depth, lambdas, thetas, monkeypatch):
+    # both sides of a replacement share the images of M_b, Lambda_b, Theta_b and the
+    # projections, so Lambda_b sees each distinct input once and b is copied twice
+    applied = {"lambda_operator": [], "theta_operator": []}
+    for name, seen in applied.items():
+        def counted(b, real=getattr(experiments, name), seen=seen):
+            op = real(b)
+            return lambda g: seen.append(g) or op(g)
+        monkeypatch.setattr(experiments, name, counted)
+    snapshots, real_snapshot = [], ops._snapshot
+    monkeypatch.setattr(ops, "_snapshot", lambda b: snapshots.append(b) or real_snapshot(b))
+    identity_gap_suite(depth, np.random.default_rng(depth))
+    assert len(applied["lambda_operator"]) <= lambdas
+    assert len(applied["theta_operator"]) <= thetas
+    for seen in applied.values():
+        assert len({id(g) for g in seen}) == len(seen)
+    assert len(snapshots) == 2
+
+
 def reference_identity_gap_suite(depth, rng):
     """Oracle: the identity suite walked per identity, with M_b built per rectangle, three
     walks of the rectangles and two of the slots; the same draws and the same gap order."""

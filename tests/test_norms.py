@@ -641,6 +641,42 @@ def test_superlevel_candidates_are_built_once_per_symbol_and_only_for_the_heuris
         built.clear()
 
 
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_superlevel_masks_match_those_from_np_unique(depth):
+    rng = np.random.default_rng(80 + depth)
+    # random symbols, and coarse ones whose fields repeat values
+    symbols = [random_symbol(depth, rng) for _ in range(3)]
+    symbols += [GridFunction2D(depth, np.round(random_symbol(depth, rng).values)) for _ in range(2)]
+    for b in symbols:
+        table = norms._SymbolTable(b)
+        cover_energy = table.energy[table.covers]
+        fields = (cover_energy.cumsum(axis=0)[-1], cover_energy.max(axis=0))
+        want = np.concatenate([field >= np.unique(field)[:, None] for field in fields]
+                              + [np.ones((1, table.cells), bool)])
+        masks, ids = table.superlevel
+        np.testing.assert_array_equal(masks, want)
+        np.testing.assert_array_equal(ids, norms._pattern_ids(want))
+        for field in fields:
+            assert norms._distinct(field).tobytes() == np.unique(field).tobytes()
+
+
+def test_a_heuristic_search_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call: some 9 ms of every process start
+    script = ("import sys\nfrom haarbloom.dyadic import random_symbol\n"
+              "from haarbloom.norms import bmo_prod_norms\n"
+              "from haarbloom.weights import constant_weight\n"
+              "w = constant_weight(3)\n"
+              "bmo_prod_norms(random_symbol(3, 0), [(w, w, 2.0)], 'heuristic')\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("strategy", norms.STRATEGIES)
 def test_bmo_prod_norms_builds_one_symbol_table_for_any_number_of_pairs(strategy, monkeypatch):
     built, real = [], norms._SymbolTable

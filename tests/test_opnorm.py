@@ -169,6 +169,46 @@ def test_sup_commutator_small_exhaustive():
     assert again == pytest.approx(res.value, rel=1e-12)
 
 
+def test_sup_commutator_survives_an_svd_that_does_not_converge():
+    # LAPACK's gesdd fails on this draw's rank-deficient depth-4 commutator (sampled
+    # pair 10); the supremum must still return, inside its bracket
+    rng = np.random.default_rng([5, 4, 3])
+    b = random_symbol(4, rng)
+    mu = random_cascade_weight(4, 0.5, rng, role="mu")
+    lam = random_cascade_weight(4, 0.5, rng, role="lambda")
+    res = sup_commutator_norm(b, mu, lam, 1.5, mode="sampled", seed=rng)
+    assert 0 < res.value <= res.upper_bound * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 4, 6)])
+def test_svd_retries_on_the_transpose_only_after_a_failure(shape, monkeypatch):
+    a = np.random.default_rng(7).standard_normal(shape)
+    at = np.swapaxes(a, -1, -2)
+    real = np.linalg.svd
+    # an SVD that converges is numpy's own, bit for bit
+    assert [x.tobytes() for x in opnorm_module._svd(a)] == [x.tobytes() for x in real(a)]
+    assert opnorm_module._svd(a, False).tobytes() == real(a, compute_uv=False).tobytes()
+    calls = []
+
+    def failing_first(m, compute_uv=True):
+        calls.append(m.shape)
+        if len(calls) % 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(m, compute_uv=compute_uv)
+    monkeypatch.setattr(np.linalg, "svd", failing_first)
+    u, s, vt = opnorm_module._svd(a)
+    values = opnorm_module._svd(a, compute_uv=False)
+    assert calls == [a.shape, at.shape] * 2
+    want = real(at)
+    assert s.tobytes() == want.S.tobytes()
+    assert u.tobytes() == np.swapaxes(want.Vh, -1, -2).tobytes()
+    assert vt.tobytes() == np.swapaxes(want.U, -1, -2).tobytes()
+    assert values.tobytes() == real(at, compute_uv=False).tobytes()
+    k = s.shape[-1]
+    np.testing.assert_allclose((u[..., :k] * s[..., None, :]) @ vt[..., :k, :], a,
+                               rtol=0, atol=1e-12)
+
+
 def test_sup_dominates_any_single_pair():
     rng = np.random.default_rng(17)
     b = random_symbol(2, rng)
