@@ -164,7 +164,8 @@ def _upset_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-D array, ascending, as ``np.unique`` gives them, without
-    its ``np.ma.is_masked`` check: that imports ``numpy.ma``, some 9 ms of a process start."""
+    its ``np.ma.is_masked`` check: that imports ``numpy.ma``, about 10 ms of a process start
+    on a 2-vCPU Xeon."""
     ranked = np.sort(values)
     return ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
 
