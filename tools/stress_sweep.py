@@ -18,7 +18,7 @@ first violation.  Exit 0 is a pass and exit 2 a refusal, both fine; exit 1
 or a timeout is a fault.  The sweep prints one line per run and a summary,
 writes every record to ``--out`` as JSON if asked, and exits 1 when any run
 was a fault.  It is a tool rather than a test: the default 96 runs take
-about 45 s on two cores, most of it in depth-4 ``commutator`` runs.
+about 35 s on a 2-vCPU Xeon, most of it in depth-4 ``commutator`` runs.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from haarbloom.experiments import P_RANGE, READS, ExperimentConfig  # noqa: E402
-from haarbloom.norms import STRATEGIES  # noqa: E402
-from haarbloom.opnorm import MODES  # noqa: E402
+from haarbloom.experiments import P_RANGE, READS, ExperimentConfig
+from haarbloom.norms import STRATEGIES
+from haarbloom.opnorm import MODES
 
 #: argument lists that once exited 1, run first in every sweep
 KNOWN = (
