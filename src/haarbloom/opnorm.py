@@ -103,9 +103,9 @@ def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarr
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
-    """``np.linalg.svd`` of a matrix or stack.  LAPACK's divide and conquer (``gesdd``)
-    fails on some rank-deficient matrices; only then is the transpose decomposed, its
-    factors swapped and transposed back, so every input that converges keeps its bits."""
+    """``np.linalg.svd`` of a matrix or stack.  ``gesdd`` fails on some rank-deficient
+    matrices (on a whole stack if one fails); only then is the transpose decomposed and its
+    factors swapped and transposed back, so every call whose SVD converges keeps its bits."""
     try:
         return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
@@ -128,7 +128,8 @@ def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
 
 def opnorm_p2_values(mats: np.ndarray, mu: Weight, lam: Weight) -> np.ndarray:
     """Exact L^2(mu) -> L^2(lam) norms of a stack of operator matrices, from one full
-    SVD: the bits :func:`opnorm_p2_exact` gives each matrix."""
+    SVD: the bits :func:`opnorm_p2_exact` gives each matrix, unless the stack's SVD failed
+    and was retried on the transpose, which may move every value by an ulp."""
     return _svd(_conjugated(_matrices(mats, 3), mu, lam, 2))[1][:, 0]
 
 

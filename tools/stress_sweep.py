@@ -1,6 +1,6 @@
 """Seeded sweep of ``haar-bloom`` over admissible argument lists, one process at a time.
 
-    python3 tools/stress_sweep.py [--runs 96] [--seed 0] [--timeout 120] [--out FILE]
+    python3 tools/stress_sweep.py [--runs 96] [--seed 0]
 
 Admissible means that ``ExperimentConfig`` accepts the arguments, so the
 sweep follows the package's own limits instead of copying them: each
@@ -11,14 +11,14 @@ are drawn.  Run ``i`` is a command picked round-robin, so every command
 runs; the argument lists listed in ``KNOWN`` come first.
 
 Each run is one ``python -m haarbloom.cli`` process of this checkout's
-``src/``, with one BLAS thread and a wall-time cap (``--timeout``), and the
-sweep records its exit status, wall time and the last line of its stderr
-(the last traceback line), or, for a report that failed its checks, the
-first violation.  Exit 0 is a pass and exit 2 a refusal, both fine; exit 1
-or a timeout is a fault.  The sweep prints one line per run and a summary,
-writes every record to ``--out`` as JSON if asked, and exits 1 when any run
-was a fault.  It is a tool rather than a test: the default 96 runs take
-about 35 s on a 2-vCPU Xeon, most of it in depth-4 ``commutator`` runs.
+``src/``, with one BLAS thread and a wall-time cap of ``TIMEOUT`` seconds,
+and the sweep records its exit status, wall time and the last line of its
+stderr (the last traceback line), or, for a report that failed its checks,
+the first violation.  Exit 0 is a pass and exit 2 a refusal, both fine;
+exit 1 or a timeout is a fault.  The sweep prints one line per run and a
+summary, and exits 1 when any run was a fault.  It is a tool rather than a
+test: the default 96 runs take about 35 s on a 2-vCPU Xeon, most of it in
+depth-4 ``commutator`` runs.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ DELTAS = (0.0, 0.5, 1.0, 50.0, 1e3, 1e6)
 TRIALS = (1, 2, 5, 10)
 #: no command is probed deeper than this
 DEPTH_CEILING = 8
+#: wall-time cap of one run, in seconds
+TIMEOUT = 120.0
 
 
 def depth_limit(command: str, strategy: str, mode: str) -> int:
@@ -89,7 +91,7 @@ def draw(command: str, rng: np.random.Generator) -> list[str]:
     return argv
 
 
-def run(argv: list[str], timeout: float) -> dict:
+def run(argv: list[str]) -> dict:
     """One ``haar-bloom`` process: its status, wall time and last telling line."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -98,9 +100,9 @@ def run(argv: list[str], timeout: float) -> dict:
     start = time.perf_counter()
     try:
         proc = subprocess.run([sys.executable, "-m", "haarbloom.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=timeout)
+                              capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return {"argv": argv, "status": "timeout", "seconds": timeout, "last": ""}
+        return {"argv": argv, "status": "timeout", "seconds": TIMEOUT, "last": ""}
     lines = proc.stderr.strip().splitlines()
     last = lines[-1] if lines else ""
     if proc.returncode == 1 and not last:
@@ -116,8 +118,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=96, help="drawn runs, after KNOWN")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per run")
-    parser.add_argument("--out", type=Path, help="write every record here as JSON")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     commands = list(READS)
@@ -125,7 +125,7 @@ def main() -> int:
                                         for i in range(args.runs)]
     records = []
     for argv in argvs:
-        rec = run(argv, args.timeout)
+        rec = run(argv)
         records.append(rec)
         print(f"{rec['status']!s:>7} {rec['seconds']:7.2f}s  {' '.join(argv)}"
               + (f"\n        {rec['last']}" if rec["status"] not in (0, 2) else ""),
@@ -138,9 +138,6 @@ def main() -> int:
                "faults": len(faults),
                "seconds": round(sum(rec["seconds"] for rec in records), 1)}
     print(json.dumps(summary, sort_keys=True))
-    if args.out is not None:
-        args.out.write_text(json.dumps({"summary": summary, "records": records}, indent=1)
-                            + "\n")
     return 1 if faults else 0
 
 
