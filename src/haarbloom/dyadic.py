@@ -68,26 +68,19 @@ def check_dual_exponent(p: float) -> None:
         raise ValueError(f"a finite dual exponent needs p in (1, inf), got {p}")
 
 
-def best_first(bounds: np.ndarray, score, sizes, keep: int = 1, seen=(), counts=None):
+def best_first(bounds: np.ndarray, score, sizes, seen=()):
     """Branch and bound: ``score`` blocks of rows, ``sizes`` long, by descending bound
-    until a bound falls below the ``keep``-th best of ``seen`` and the scores so far,
-    row r counting ``counts[r]`` times.  Returns each row's score, or ``-inf``: no
-    unscored row can be among the ``keep`` best if no score tops its bound."""
+    until a bound falls below the best of ``seen`` and the scores so far.  Returns each
+    row's score, or ``-inf``: no unscored row can be the best if no score tops its bound,
+    and every row tying the best is scored.  A NaN best ends the search."""
     order, scores = np.argsort(-bounds), np.full(len(bounds), -np.inf)
-
-    def fold(best, new):        # the keep best, lowest first; a NaN best ends the search
-        if keep == 1:           # as np.sort puts NaN last, np.maximum propagates it
-            return np.maximum.reduce(new, initial=best[0], keepdims=True)
-        return np.sort(np.append(best, new))[-keep:]
-
-    best = fold([-np.inf] * keep, seen)
+    best = np.maximum.reduce(seen, initial=-np.inf)
     for size in sizes:
         block, order = order[:size], order[size:]
-        if (block := block[bounds[block] >= best[0]]).size == 0:
+        if (block := block[bounds[block] >= best]).size == 0:
             return scores
         scores[block] = score(block)
-        best = fold(best, scores[block] if counts is None
-                    else scores[block].repeat(np.minimum(counts[block], keep)))
+        best = np.maximum.reduce(scores[block], initial=best)
     return scores
 
 

@@ -40,19 +40,20 @@ from .dyadic import (
 )
 from .weights import Weight
 
-#: the BMO searches: every union of finest rectangles, or candidates grown greedily
+#: the BMO searches: every union of finest rectangles, or the best of the candidates
 STRATEGIES = ("exact", "heuristic")
 #: deepest grid the exact BMO search runs on (2^4 - 1 unions of finest rectangles)
 EXACT_MAX_DEPTH = 2
 #: deepest grid the heuristic BMO search, and the mask scoring of both searches,
-#: run on: at depth 4 a symbol takes about 8 ms with one BLAS thread; the pairwise-union
+#: run on: at depth 4 a symbol takes about 4 ms with one BLAS thread; the pairwise-union
 #: candidates fill a 5.6 MB table and their pattern ids another 5.6 MB, cached per
 #: depth (the first call builds both in about 0.13 s); each is 0.47 GB at depth 5, whose
 #: 2^25 level-pair codes also outgrow the exact float32 product that finds them
 HEURISTIC_MAX_DEPTH = 4
 #: cells (masks x cells per mask) the BMO objective scores in one block
 BLOCK_CELLS = 16384
-#: seeded random masks among the heuristic search's candidates
+#: seeded random masks among the heuristic search's candidates: a generator's later
+#: draws (the commutator spot check) and a zero symbol's witness, the last one, hang on them
 HEURISTIC_RESTARTS = 8
 
 
@@ -316,36 +317,16 @@ def _ceilings(obj: _MaskObjective, parts: np.ndarray) -> np.ndarray:
     return num ** (1.0 / obj.p) / den ** (1.0 / obj.p) * (1.0 + 1e-12)
 
 
-def _grow(obj: _MaskObjective, masks: np.ndarray, best: np.ndarray):
-    """Lockstep steepest ascent, one ``values`` call a round; a later cell must win by 1e-14."""
-    live, cells = np.arange(len(masks)), np.eye(obj.cells, dtype=bool)
-    while live.size:
-        free = [np.flatnonzero(~masks[s]) for s in live]
-        grown = np.concatenate([masks[s] | cells[f] for s, f in zip(live, free)])
-        scores = np.split(obj.values(grown, _pattern_ids(grown)),
-                          np.cumsum([len(f) for f in free])[:-1])
-        still = []
-        for s, f, v in zip(live, free, scores):
-            gain_cell, gain = -1, best[s]
-            for i in np.flatnonzero(v > gain * (1.0 + 1e-14)):     # no other cell can win
-                if v[i] > gain * (1.0 + 1e-14):
-                    gain_cell, gain = f[i], v[i]
-            if gain_cell >= 0:
-                masks[s, gain_cell], best[s] = True, gain
-                still.append(s)
-        live = np.array(still, dtype=int)
-    return best, masks
-
-
 def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
-    """Candidate shadows + steepest-ascent growth; exact-search oracle's cheap rival.
+    """The best candidate shadow, ties to the later one; the exact search's cheap rival.
 
-    Candidate families: every dyadic rectangle, pairwise unions of the cancellative
-    ones (both from ``_candidate_table``), the symbol's own (``_SymbolTable.superlevel``)
-    and seeded random masks.  :func:`~haarbloom.dyadic.best_first` scores the distinct
-    table rows by ceiling, keeping five, a row counting as often as it is listed; the
-    rest rank last.  The best five (ties to the later one) grow together, each distinct
-    start once: a repeat would return the same value, which cannot beat the best.
+    Candidates: every dyadic rectangle, pairwise unions of the cancellative ones (both
+    from ``_candidate_table``), the symbol's own (``_SymbolTable.superlevel``) and seeded
+    random masks.  :func:`~haarbloom.dyadic.best_first` scores the distinct table rows by
+    ceiling until one falls below the best score so far; the rest rank last.  Every
+    candidate scoring above 0, a random one aside, is a union of finest blocks: a cell
+    added to it completes no block and only adds measure, so greedy growth could move
+    nothing but a random start, and the search does not grow.
     """
     rows, ids, inverse, parts = _candidate_table(obj.depth)
     shared, shared_ids = obj.symbol.superlevel
@@ -355,18 +336,13 @@ def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
     own_values = obj.values(own, np.concatenate([shared_ids, _pattern_ids(restarts)]))
     reach = _ceilings(obj, parts)
     scored = best_first(reach, lambda r: obj.values(rows[r], ids[r]),
-                        itertools.repeat(max(1, BLOCK_CELLS // obj.cells)), 5, own_values,
-                        np.bincount(inverse))
+                        itertools.repeat(max(1, BLOCK_CELLS // obj.cells)), own_values)
     if (scored > reach).any():
         raise RuntimeError("a BMO candidate scored above its ceiling")
-    # candidate i is rows[inverse[i]], then own[i - len(inverse)]
+    # candidate i is rows[inverse[i]], then own[i - len(inverse)]; the last maximum wins
     values = np.concatenate([scored[inverse], own_values])
-    sel = np.flatnonzero(values >= np.partition(values, -5)[-5])
-    top = sel[np.lexsort((sel, values[sel]))[::-1][:5]]
-    candidate = [rows[inverse[i]] if i < len(inverse) else own[i - len(inverse)] for i in top]
-    first = sorted({m.tobytes(): k for k, m in reversed(list(enumerate(candidate)))}.values())
-    grown, masks = _grow(obj, np.array([candidate[k] for k in first]), values[top[first]])
-    return float(grown.max()), masks[np.argmax(grown)]      # the first maximum, as a walk
+    i = len(values) - 1 - int(np.argmax(values[::-1]))
+    return float(values[i]), rows[inverse[i]] if i < len(inverse) else own[i - len(inverse)]
 
 
 def check_search(strategy: str, depth: int) -> None:
@@ -388,8 +364,8 @@ def bmo_prod_norms(b: GridFunction2D, pairs, strategy: str = "exact",
 
     ``strategy="exact"`` takes the supremum over all ``2^(4^N) - 1`` non-empty cell
     masks by scoring the ``2^(4^(N-1)) - 1`` unions of finest rectangles, where it is
-    attained; ``"heuristic"`` runs the candidate/greedy search from ``seed`` for each
-    pair in turn (a generator goes on drawing).  :func:`check_search` refuses a deeper grid.
+    attained; ``"heuristic"`` takes the best candidate of a search seeded by ``seed`` for
+    each pair in turn (a generator goes on drawing).  :func:`check_search` refuses a deeper grid.
     """
     check_search(strategy, b.depth)
     symbol, results = _SymbolTable(b), []

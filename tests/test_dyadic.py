@@ -565,27 +565,25 @@ def test_rectangles_inside_matches_the_per_call_conversion(depth):
 # ---------------------------------------------------------------------------
 
 def _best_first_cases():
-    """Random bounds with scores at most the bounds, some equal; with and without ties,
-    ``seen`` and ``counts``; ``keep`` 1 and 5; sizes ``(1, n)`` and ``repeat(k)``."""
+    """Random bounds with scores at most the bounds, some equal; with and without ties
+    and ``seen``; sizes ``(1, n)`` and ``repeat(k)``."""
     rng = np.random.default_rng(120)
-    for n, keep, k, tied, with_seen, with_counts in itertools.product(
-            (0, 1, 7, 60), (1, 5), (None, 1, 4, 16), (False, True), (False, True),
-            (False, True)):
+    for n, k, tied, with_seen in itertools.product(
+            (0, 1, 7, 60), (None, 1, 4, 16), (False, True), (False, True)):
         bounds = rng.random(n) * 10
         if tied:
             bounds = np.round(bounds / 3)
         scores = bounds * rng.random(n)
         scores[::3] = bounds[::3]
         seen = rng.random(3) * 5 if with_seen else ()
-        counts = rng.integers(1, 8, n) if with_counts else None
-        yield bounds, scores, (1, n) if k is None else itertools.repeat(k), keep, seen, counts
+        yield bounds, scores, (1, n) if k is None else itertools.repeat(k), seen
 
 
 def test_best_first_keeps_every_winner_of_the_search_that_scored_every_row():
-    for bounds, want, sizes, keep, seen, counts in _best_first_cases():
+    for bounds, want, sizes, seen in _best_first_cases():
         blocks = []
         got = best_first(bounds, lambda rows: blocks.append(rows.copy()) or want[rows],
-                         sizes, keep, seen, counts)
+                         sizes, seen)
         assert got.shape == bounds.shape
         assert all(len(block) for block in blocks)            # no empty block
         order = np.concatenate([[]] + blocks).astype(int)
@@ -594,42 +592,41 @@ def test_best_first_keeps_every_winner_of_the_search_that_scored_every_row():
         scored = np.isin(np.arange(len(bounds)), order)
         np.testing.assert_array_equal(got[scored], want[scored])
         assert (got[~scored] == -np.inf).all()
-        reps = 1 if counts is None else counts
 
-        def kth(scores):
-            pool = np.concatenate([seen, scores.repeat(reps), [-np.inf] * keep])
-            return np.sort(pool)[-keep:]
+        def best(scores):
+            return np.concatenate([seen, scores, [-np.inf]]).max()
 
-        # pruning hides no winner: every unscored bound is below the final keep-th best
-        assert (bounds[~scored] < kth(got)[0]).all()
-        np.testing.assert_array_equal(kth(got), kth(want))
+        # pruning hides no winner: every unscored bound is below the final best
+        assert (bounds[~scored] < best(got)).all()
+        assert best(got) == best(want)
+        # and every row tying the best is scored
+        assert scored[want == best(want)].all()
 
 
-def best_first_sorting(bounds, score, sizes, keep=1, seen=(), counts=None):
-    """The scorer before its ``keep=1`` path: the ``keep`` best kept by a sort at every step."""
+def best_first_sorting(bounds, score, sizes, seen=()):
+    """The scorer before its ``np.maximum`` fold: the best kept by a sort at every step."""
     order, scores = np.argsort(-bounds), np.full(len(bounds), -np.inf)
-    best = np.sort(np.append(seen, [-np.inf] * keep))[-keep:]
+    best = np.sort(np.append(seen, -np.inf))[-1:]
     for size in sizes:
         block, order = order[:size], order[size:]
         if (block := block[bounds[block] >= best[0]]).size == 0:
             return scores
         scores[block] = score(block)
-        reps = 1 if counts is None else np.minimum(counts[block], keep)
-        best = np.sort(np.append(best, scores[block].repeat(reps)))[-keep:]
+        best = np.sort(np.append(best, scores[block]))[-1:]
     return scores
 
 
 def test_best_first_keeps_the_rows_and_order_of_the_sorting_fold():
     # NaN scores included: a NaN best ends the search on both paths
     rng = np.random.default_rng(121)
-    for bounds, want, sizes, keep, seen, counts in _best_first_cases():
+    for bounds, want, sizes, seen in _best_first_cases():
         sizes = list(itertools.islice(sizes, len(bounds) + 1))
         for scores in (want, np.where(rng.random(len(want)) < 0.3, np.nan, want)):
             runs = []
             for scorer in (best_first, best_first_sorting):
                 blocks = []
                 got = scorer(bounds, lambda rows: blocks.append(rows.tolist()) or scores[rows],
-                             sizes, keep, seen, counts)
+                             sizes, seen)
                 runs.append((blocks, got.tobytes()))
             assert runs[0] == runs[1]
 
@@ -637,5 +634,5 @@ def test_best_first_keeps_the_rows_and_order_of_the_sorting_fold():
 def test_best_first_scores_nothing_on_no_rows():
     calls = []
     for sizes in ((1, 0), itertools.repeat(3)):
-        got = best_first(np.zeros(0), calls.append, sizes, 5, [1.0, 2.0])
+        got = best_first(np.zeros(0), calls.append, sizes, [1.0, 2.0])
         assert got.shape == (0,) and calls == []
