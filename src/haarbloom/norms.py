@@ -326,7 +326,7 @@ def _heuristic_search(obj: _MaskObjective, seed) -> tuple[float, np.ndarray]:
     ceiling until one falls below the best score so far; the rest rank last.  Every
     candidate scoring above 0, a random one aside, is a union of finest blocks: a cell
     added to it completes no block and only adds measure, so greedy growth could move
-    nothing but a random start, and the search does not grow.
+    nothing but a random start.
     """
     rows, ids, inverse, parts = _candidate_table(obj.depth)
     shared, shared_ids = obj.symbol.superlevel
