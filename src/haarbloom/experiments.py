@@ -71,7 +71,6 @@ from .opnorm import (
     NormJob,
     check_walk,
     opnorm_job,
-    opnorm_p2_values,
     solve,
     sup_commutator_job,
 )
@@ -197,8 +196,8 @@ def _finite_stats(values: list[float]) -> dict:
 
 
 def _draw_pair(depth: int, delta: float, rng: np.random.Generator):
-    mu = random_cascade_weight(depth, delta, rng, role="mu")
-    lam = random_cascade_weight(depth, delta, rng, role="lambda")
+    mu = random_cascade_weight(depth, delta, rng)
+    lam = random_cascade_weight(depth, delta, rng)
     return mu, lam
 
 
@@ -439,13 +438,6 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
         jobs = [sup_commutator_job(b, mu, lam, p, mode=cfg.mode, seed=rng),
                 opnorm_job(lambda_matrix(b), mu, lam, p)]
         right = bmo_prod_two_weight(b, mu, lam, p, cfg.strategy, seed=rng).value
-        spot = None
-        if trial == 0 and p == 2:
-            # informational only: how close do {-1,0,1} signs come?
-            draws = [SignChoice1D.random(cfg.depth, rng, values=(-1.0, 0.0, 1.0)).signs
-                     for _ in range(10)]
-            spot = opnorm_p2_values(
-                commutator_matrices(b, np.array(draws[0::2]), np.array(draws[1::2])), mu, lam)
 
         def finish(violations, norms):
             left, mid = norms[0].value, norms[1].value
@@ -453,13 +445,11 @@ def run_commutator(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:
                     and left > 4.0 * mid * (1.0 + 1e-9)):
                 violations.append(
                     f"p=2 delta=0 trial {trial}: supremum {left} exceeds 4x {mid}")
-            spots = (spot / left).tolist() if spot is not None and left > 0 else []
-            return left, right, mid, None if spot is None else max([0.0, *spots])
+            return left, right, mid, None
         return jobs, finish
 
-    return _ratio_sweep(cfg, build, lambda rows, spotchecks: {
-        "ratio_lm": _finite_stats([r.ratio_lm for r in rows]),
-        "zero_sign_spotcheck_max_ratio": spotchecks[0]})     # None unless trial 0 ran it
+    return _ratio_sweep(cfg, build, lambda rows, _: {
+        "ratio_lm": _finite_stats([r.ratio_lm for r in rows])})
 
 
 def run_paraproduct(cfg: ExperimentConfig) -> tuple[dict, list[RatioRecord]]:

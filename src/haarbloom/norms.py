@@ -52,8 +52,9 @@ EXACT_MAX_DEPTH = 2
 HEURISTIC_MAX_DEPTH = 4
 #: cells (masks x cells per mask) the BMO objective scores in one block
 BLOCK_CELLS = 16384
-#: seeded random masks among the heuristic search's candidates: a generator's later
-#: draws (the commutator spot check) and a zero symbol's witness, the last one, hang on them
+#: seeded random masks among the heuristic search's candidates: a generator's later draws
+#: (``jn``'s two-weight search, after its one-weight one in :func:`bmo_prod_norms`) and a
+#: zero symbol's witness, the last one, hang on them
 HEURISTIC_RESTARTS = 8
 
 
@@ -385,7 +386,7 @@ def bmo_prod_two_weight(b: GridFunction2D, mu: Weight, lam: Weight, p: float,
 
 def one_weight_pair(nu: Weight) -> tuple[Weight, Weight, float]:
     """The one-weight (Bloom) norm's pair: (nu, nu^{-1}) at exponent 2."""
-    return nu, Weight._of(nu.depth, 1.0 / nu.values, "lambda"), 2.0
+    return nu, Weight._of(nu.depth, 1.0 / nu.values), 2.0
 
 
 def bmo_prod_one_weight(b: GridFunction2D, nu: Weight, strategy: str = "exact",

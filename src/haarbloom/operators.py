@@ -145,9 +145,9 @@ class SignChoice1D:
         return float(self.signs[slot_of(interval)])
 
     @classmethod
-    def random(cls, depth: int, rng=None, values=(-1.0, 1.0)) -> "SignChoice1D":
+    def random(cls, depth: int, rng=None) -> "SignChoice1D":
         rng = ensure_rng(rng)
-        return cls(depth, rng.choice(values, size=1 << depth))
+        return cls(depth, rng.choice((-1.0, 1.0), size=1 << depth))
 
     def to_json(self) -> list[dict]:
         out = []

@@ -82,12 +82,11 @@ class OpNormResult:
         return out
 
 
-def _matrices(mats: np.ndarray, ndim: int) -> np.ndarray:
-    """Refuse anything but one operator matrix (``ndim`` 2) or one stack of them (3)."""
-    if np.ndim(mats) != ndim:
-        need = "one (4^N, 4^N) operator matrix" if ndim == 2 else "a (T, 4^N, 4^N) matrix stack"
-        raise ValueError(f"need {need}, got shape {np.shape(mats)}")
-    return mats
+def _matrix(mat: np.ndarray) -> np.ndarray:
+    """Refuse anything but one operator matrix."""
+    if np.ndim(mat) != 2:
+        raise ValueError(f"need one (4^N, 4^N) operator matrix, got shape {np.shape(mat)}")
+    return mat
 
 
 def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarray:
@@ -103,9 +102,8 @@ def _conjugated(mats: np.ndarray, mu: Weight, lam: Weight, p: float) -> np.ndarr
 
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
-    """``np.linalg.svd`` of a matrix or stack.  ``gesdd`` fails on some rank-deficient
-    matrices (on a whole stack if one fails); only then is the transpose decomposed and its
-    factors swapped and transposed back, so every call whose SVD converges keeps its bits."""
+    """``np.linalg.svd`` of a matrix or stack; only where ``gesdd`` fails is the transpose
+    decomposed instead, its factors swapped back, so a converging call keeps its bits."""
     try:
         return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
@@ -118,19 +116,12 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
 
 def opnorm_p2_exact(mat: np.ndarray, mu: Weight, lam: Weight) -> OpNormResult:
     """Exact L^2(mu) -> L^2(lam) norm as a top singular value, with maximizer."""
-    b = _conjugated(_matrices(mat, 2), mu, lam, 2)
+    b = _conjugated(_matrix(mat), mu, lam, 2)
     _, s, vt = _svd(b)
     area = 4.0 ** (-mu.depth)
     n = 1 << mu.depth
     f = vt[0] / np.sqrt(mu.values.ravel() * area)
     return OpNormResult(float(s[0]), "exact", 0, GridFunction2D(mu.depth, f.reshape(n, n)))
-
-
-def opnorm_p2_values(mats: np.ndarray, mu: Weight, lam: Weight) -> np.ndarray:
-    """Exact L^2(mu) -> L^2(lam) norms of a stack of operator matrices, from one full
-    SVD: the bits :func:`opnorm_p2_exact` gives each matrix, unless the stack's SVD failed
-    and was retried on the transpose, which may move every value by an ulp."""
-    return _svd(_conjugated(_matrices(mats, 3), mu, lam, 2))[1][:, 0]
 
 
 def _upper_brackets(b: np.ndarray, p: float) -> np.ndarray:
@@ -353,7 +344,7 @@ def opnorm_job(mat: np.ndarray, mu: Weight, lam: Weight, p: float) -> NormJob | 
     :class:`NormJob` for :func:`solve`."""
     if p == 2:
         return opnorm_p2_exact(mat, mu, lam)
-    return _lp_prepare(_matrices(mat, 2)[None], mu, lam, p, _random_starts(4 ** mu.depth))
+    return _lp_prepare(_matrix(mat)[None], mu, lam, p, _random_starts(4 ** mu.depth))
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,13 @@ class ApReport:
 
 @dataclass
 class Weight:
-    """Positive grid function with a bookkeeping role tag.
+    """Positive grid function.
 
-    The role ("mu", "lambda", "nu" or "generic") labels the weight for a
-    reader of its ``repr``; no computation reads it, and no report or CSV
-    prints it.  The values are a read-only copy, so the per-exponent
-    characteristic cache cannot go stale.
+    The values are a read-only copy, so the per-exponent characteristic
+    cache cannot go stale.
     """
 
     grid: GridFunction2D
-    role: str = "generic"
     _ap_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -63,11 +60,11 @@ class Weight:
         self.grid = GridFunction2D(self.grid.depth, v)
 
     @classmethod
-    def _of(cls, depth: int, values: np.ndarray, role: str) -> "Weight":
+    def _of(cls, depth: int, values: np.ndarray) -> "Weight":
         """Wrap a positive float64 ``(2^depth, 2^depth)`` array read-only: no copy, no check."""
         values.flags.writeable = False
         out = object.__new__(cls)
-        out.grid, out.role, out._ap_cache = GridFunction2D._of(depth, values), role, {}
+        out.grid, out._ap_cache = GridFunction2D._of(depth, values), {}
         return out
 
     @property
@@ -127,7 +124,7 @@ def bloom_weight(mu: Weight, lam: Weight, p: float) -> Weight:
     """
     check_dual_exponent(p)
     check_depths("weights", mu.depth, lam.depth)
-    nu = Weight._of(mu.depth, (mu.values / lam.values) ** (1.0 / p), "nu")
+    nu = Weight._of(mu.depth, (mu.values / lam.values) ** (1.0 / p))
     ap_mu, ap_lam, a2 = (r.characteristic for r in _characteristics([(mu, p), (lam, p), (nu, 2)]))
     cap = (ap_mu * ap_lam) ** (1.0 / p)
     if not a2 <= cap * (1.0 + 1e-9):
@@ -169,8 +166,7 @@ def average_comparability_report(w: Weight, p: float) -> AverageComparabilityRep
 
 
 def random_cascade_weight(depth: int, strength: float,
-                          rng: int | np.random.Generator | None = None,
-                          role: str = "generic") -> Weight:
+                          rng: int | np.random.Generator | None = None) -> Weight:
     """Multiplicative cascade weight with perturbation size ``strength``.
 
     Level by level each cell splits in four; a random axis of the parent
@@ -198,4 +194,4 @@ def random_cascade_weight(depth: int, strength: float,
                            halves.transpose(0, 2, 1)[:, None])
         with np.errstate(over="ignore"):               # the clip below gives what overflows
             vals = (vals[:, None, :, None] * factors).reshape(2 * m, 2 * m)
-    return Weight._of(depth, np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL), role)
+    return Weight._of(depth, np.clip(vals, WEIGHT_FLOOR, WEIGHT_CEIL))

@@ -151,8 +151,8 @@ def test_criterion_7_weight_calculus():
         p = P_CYCLE[trial % 3]
         pp = p / (p - 1.0)
         strength = (0.3, 0.6, 0.9)[trial % 3]
-        mu = random_cascade_weight(depth, strength, rng, role="mu")
-        lam = random_cascade_weight(depth, strength, rng, role="lambda")
+        mu = random_cascade_weight(depth, strength, rng)
+        lam = random_cascade_weight(depth, strength, rng)
         for w in (mu, lam):
             rep = ap_characteristic(w, p)
             assert rep.characteristic >= 1.0

@@ -482,7 +482,7 @@ def test_commutator_blocks_match_literal_projection_commutators(depth):
 def test_commutator_matrices_match_literal_nested_commutators(depth):
     rng = np.random.default_rng(50 + depth)
     b = random_symbol(depth, rng)
-    draws = [SignChoice1D.random(depth, rng, values=values)
+    draws = [SignChoice1D(depth, rng.choice(values, size=1 << depth))
              for values in [(-1.0, 1.0)] * 4 + [(-1.0, 0.0, 1.0)] * 4]
     mats = commutator_matrices(b, np.array([s.signs for s in draws[0::2]]),
                                np.array([s.signs for s in draws[1::2]]))

@@ -2,7 +2,6 @@ import dataclasses
 import importlib
 import itertools
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -26,7 +25,6 @@ from haarbloom.operators import (
 from haarbloom.opnorm import (
     opnorm,
     opnorm_p2_exact,
-    opnorm_p2_values,
     sup_commutator_norm,
 )
 from haarbloom.weights import Weight, constant_weight, random_cascade_weight
@@ -35,8 +33,8 @@ from haarbloom.weights import Weight, constant_weight, random_cascade_weight
 opnorm_module = importlib.import_module("haarbloom.opnorm")
 
 
-def inverse_weight(w, role="generic"):
-    return Weight(GridFunction2D(w.depth, 1.0 / w.values), role)
+def inverse_weight(w):
+    return Weight(GridFunction2D(w.depth, 1.0 / w.values))
 
 
 def conjugated(mat, mu, lam, p):
@@ -174,8 +172,8 @@ def test_sup_commutator_survives_an_svd_that_does_not_converge():
     # pair 10); the supremum must still return, inside its bracket
     rng = np.random.default_rng([5, 4, 3])
     b = random_symbol(4, rng)
-    mu = random_cascade_weight(4, 0.5, rng, role="mu")
-    lam = random_cascade_weight(4, 0.5, rng, role="lambda")
+    mu = random_cascade_weight(4, 0.5, rng)
+    lam = random_cascade_weight(4, 0.5, rng)
     res = sup_commutator_norm(b, mu, lam, 1.5, mode="sampled", seed=rng)
     assert 0 < res.value <= res.upper_bound * (1 + 1e-9)
 
@@ -301,8 +299,7 @@ def test_every_non_finite_operator_is_refused_in_one_wording(bad, capfd):
     mat = np.eye(16)
     mat[3, 5] = bad
     calls = [lambda p=p: opnorm(mat, w, w, p) for p in (1.5, 2.0, 3.0)]
-    calls += [lambda: opnorm_p2_exact(mat, w, w),
-              lambda: opnorm_p2_values(np.stack([np.eye(16), mat]), w, w)]
+    calls += [lambda: opnorm_p2_exact(mat, w, w)]
     for call in calls:
         with pytest.raises(ValueError, match=r"^an operator matrix needs finite entries"):
             call()
@@ -316,19 +313,6 @@ def test_one_matrix_norms_refuse_a_stack():
     for call in calls:
         with pytest.raises(ValueError, match=r"^need one \(4\^N, 4\^N\) operator matrix"):
             call()
-
-
-def test_stacked_p2_values_refuse_anything_but_one_stack():
-    rng = np.random.default_rng(73)
-    stack = np.stack([lambda_matrix(random_symbol(2, rng)) for _ in range(3)])
-    mu, lam = (random_cascade_weight(2, 0.6, rng) for _ in range(2))
-    for bad in (stack[0], stack[None]):
-        with pytest.raises(ValueError, match=r"^need a \(T, 4\^N, 4\^N\) matrix stack, "
-                                             + re.escape(f"got shape {bad.shape}") + "$"):
-            opnorm_p2_values(bad, mu, lam)
-    # a stack keeps the bits of the one full SVD it took before the guard
-    want = np.linalg.svd(opnorm_module._conjugated(stack, mu, lam, 2))[1][:, 0]
-    assert opnorm_p2_values(stack, mu, lam).tobytes() == want.tobytes()
 
 
 def per_pair_supremum(b, mu, lam, p):
@@ -372,7 +356,7 @@ def test_batched_sup_matches_per_pair_loop(p):
 
 
 def test_sampled_mode_draws_like_sequential_sign_choices():
-    # run_commutator draws its spot check from the same generator afterwards
+    # run_commutator's BMO search draws from the same generator after the walk
     b = random_symbol(2, 31)
     one = constant_weight(2)
     rng = np.random.default_rng(32)
@@ -526,19 +510,6 @@ def test_compacted_iteration_matches_gathering_oracle():
             if max_iter == 500:
                 assert len(set(got[2])) >= 4 and got[2][3] == 1 and got[0][3] == 0.0
                 np.testing.assert_array_equal(got[3], np.arange(7) == 5)
-
-
-def test_stacked_p2_values_are_the_bits_of_one_matrix_norms():
-    # the zero-sign spot check scores five matrices in one SVD instead of five calls
-    rng = np.random.default_rng(72)
-    for depth, strength in ((1, 0.0), (2, 0.6), (2, 2.0), (3, 0.6)):
-        b = random_symbol(depth, rng)
-        mu, lam = (random_cascade_weight(depth, strength, rng) for _ in range(2))
-        draws = rng.choice((-1.0, 0.0, 1.0), size=(10, 1 << depth))
-        mats = commutator_matrices(b, draws[0::2], draws[1::2])
-        got = opnorm_p2_values(mats, mu, lam)
-        want = [opnorm_p2_exact(mat, mu, lam).value for mat in mats]
-        assert got.shape == (5,) and got.tobytes() == np.array(want).tobytes()
 
 
 def test_as_dict_reports_the_bracket_and_pruning():

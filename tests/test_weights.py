@@ -31,8 +31,8 @@ from haarbloom.weights import (
 )
 
 
-def make_weight(depth, values, role="generic"):
-    return Weight(GridFunction2D(depth, np.asarray(values, float)), role)
+def make_weight(depth, values):
+    return Weight(GridFunction2D(depth, np.asarray(values, float)))
 
 
 def test_characteristic_frozen_example():
@@ -94,10 +94,9 @@ def test_bloom_pointwise_identity():
     rng = np.random.default_rng(4)
     for p in (1.5, 2.0, 3.0):
         pp = p / (p - 1.0)
-        mu = random_cascade_weight(2, 0.5, rng, role="mu")
-        lam = random_cascade_weight(2, 0.5, rng, role="lambda")
+        mu = random_cascade_weight(2, 0.5, rng)
+        lam = random_cascade_weight(2, 0.5, rng)
         nu = bloom_weight(mu, lam, p)
-        assert nu.role == "nu"
         other = (conjugate_weight(lam, p).values ** (1.0 / pp)
                  * conjugate_weight(mu, p).values ** (-1.0 / pp))
         np.testing.assert_allclose(nu.values, other, rtol=1e-12)
@@ -293,8 +292,9 @@ def test_guards_raise_instead_of_asserting(monkeypatch):
     with pytest.raises(RuntimeError, match="Jensen floor"):
         ap_characteristic(w, 2.0)
     monkeypatch.undo()
-    fake = lambda pairs: [ApReport(p, 2.0 if w.role == "nu" else 1.0, unit_square())
-                          for w, p in pairs]
+    # nu is the last of the three weights bloom_weight scores
+    fake = lambda pairs: [ApReport(p, 2.0 if i == 2 else 1.0, unit_square())
+                          for i, (_, p) in enumerate(pairs)]
     monkeypatch.setattr(weights, "_characteristics", fake)
     with pytest.raises(RuntimeError, match="exceeds the cap"):
         bloom_weight(w, constant_weight(2), 2.0)
@@ -338,5 +338,4 @@ def test_weights_the_package_builds_are_read_only():
     for w in (mu, lam, nu):
         assert not w.values.flags.writeable and w.values.dtype == np.float64
         assert w._ap_cache and isinstance(w.grid, GridFunction2D)
-    assert (mu.role, lam.role, nu.role) == ("generic", "generic", "nu")
     np.testing.assert_array_equal(nu.values, (mu.values / lam.values) ** (1.0 / 1.5))
