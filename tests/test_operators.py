@@ -326,6 +326,18 @@ def test_pm_one_multiplier_squares_to_cancellative_projection():
     assert (twice - checked_inverse(2, _cc_table(f))).max_abs() < 1e-13
 
 
+def test_random_sign_choice_draws_unit_signs_from_the_generator():
+    # one rng.choice over (-1, 1) per call, slot 0 then cleared: the same bits and stream
+    for depth in (1, 2, 3):
+        rng, again = np.random.default_rng([60, depth]), np.random.default_rng([60, depth])
+        got = SignChoice1D.random(depth, rng)
+        want = again.choice((-1.0, 1.0), size=1 << depth)
+        want[0] = 0.0
+        assert got.signs.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == again.bit_generator.state
+        assert set(got.signs[1:]) <= {-1.0, 1.0}
+
+
 def test_sign_choice_json_round_trip():
     # one entry per cancellative slot (pair), in slot (rectangle) order, with its sign
     sx = SignChoice1D.random(3, 22)

@@ -220,6 +220,21 @@ def test_sup_dominates_any_single_pair():
         assert single <= res.value * (1 + 1e-12)
 
 
+def test_signs_inside_the_cube_never_beat_the_vertex_supremum():
+    # the commutator is bilinear in (sx, sy), so over signs in [-1, 1] its norm
+    # peaks at a +-1 vertex: zero or fractional signs add nothing to the walk
+    rng = np.random.default_rng(72)
+    for depth, strength in ((1, 0.0), (2, 0.6), (2, 2.0)):
+        b = random_symbol(depth, rng)
+        mu, lam = (random_cascade_weight(depth, strength, rng) for _ in range(2))
+        sup = sup_commutator_norm(b, mu, lam, 2, mode="exhaustive").value
+        draws = np.concatenate([rng.choice((-1.0, 0.0, 1.0), size=(10, 1 << depth)),
+                                rng.uniform(-1.0, 1.0, size=(10, 1 << depth))])
+        draws[:, 0] = 0.0
+        for mat in commutator_matrices(b, draws[0::2], draws[1::2]):
+            assert opnorm_p2_exact(mat, mu, lam).value <= sup * (1 + 1e-12)
+
+
 def test_sampled_mode_is_monotone_prefix():
     b = random_symbol(2, 18)
     one = constant_weight(2)
